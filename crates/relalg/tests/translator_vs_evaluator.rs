@@ -273,6 +273,32 @@ fn random_formulas_sat_count_equals_ground_count() {
     }
 }
 
+/// Byte-identity pin over 500 generated formulas: each is asserted as the
+/// only fact, and the DIMACS bytes of all translations are hashed
+/// together. The generator reaches `iden`, transpose, closure, product
+/// and comprehensions, which the consensus models behind the deck pins in
+/// `tests/cnf_pins.rs` do not.
+#[test]
+fn generated_formulas_translate_to_pinned_dimacs() {
+    let mut rng = StdRng::seed_from_u64(0xd1ac5);
+    let mut dimacs = Vec::new();
+    for _ in 0..500 {
+        let (mut p, _, _) = vocabulary();
+        let formula = Gen {
+            rng: &mut rng,
+            scope: Vec::new(),
+        }
+        .formula(3);
+        p.require(formula);
+        p.translate(&Formula::true_())
+            .expect("translates")
+            .cnf
+            .write_dimacs(&mut dimacs)
+            .expect("in-memory write");
+    }
+    assert_eq!(mca_relalg::fnv1a64(&dimacs), 0xec15_c4e3_7432_701a);
+}
+
 #[test]
 fn check_agrees_with_ground_validity() {
     // `check f` is Valid iff f holds in every bound-respecting instance.
