@@ -125,7 +125,7 @@ impl Circuit {
         let a = a.sign_extend(w);
         let b = b.sign_extend(w);
         let eqs: Vec<B> = (0..w).map(|i| self.iff2(a.bits[i], b.bits[i])).collect();
-        self.and_many(eqs)
+        self.and_many(w, eqs.into_iter().enumerate())
     }
 
     /// Signed `a < b`.

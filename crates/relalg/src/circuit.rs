@@ -173,30 +173,53 @@ impl Circuit {
         !self.and2(!a, !b)
     }
 
-    /// Conjunction of many edges (balanced tree).
-    pub fn and_many<I: IntoIterator<Item = B>>(&mut self, edges: I) -> B {
-        let mut layer: Vec<B> = edges.into_iter().collect();
-        if layer.is_empty() {
-            return B::TRUE;
-        }
-        while layer.len() > 1 {
-            let mut next = Vec::with_capacity(layer.len().div_ceil(2));
-            for pair in layer.chunks(2) {
-                next.push(if pair.len() == 2 {
-                    self.and2(pair[0], pair[1])
-                } else {
-                    pair[0]
-                });
+    /// Conjunction of the edges at positions `0..len`, as a balanced tree.
+    ///
+    /// `cells` lists `(position, edge)` pairs in ascending position order;
+    /// every position it skips is true. Each level of the tree conjoins
+    /// positions `p` and `p + 1` for even `p` and carries a lone position
+    /// to `p / 2`, so the gates created depend only on the listed edges and
+    /// their positions: a sparse list creates exactly the gates, in the
+    /// same order, of the full list with its true positions filled in.
+    /// A plain list `v` reduces as
+    /// `and_many(v.len(), v.into_iter().enumerate())`.
+    pub fn and_many(&mut self, len: usize, cells: impl IntoIterator<Item = (usize, B)>) -> B {
+        let mut layer: Vec<(usize, B)> = cells.into_iter().filter(|&(_, e)| e != B::TRUE).collect();
+        debug_assert!(layer.windows(2).all(|w| w[0].0 < w[1].0));
+        debug_assert!(layer.last().is_none_or(|&(p, _)| p < len));
+        let mut len = len;
+        // A single remaining edge is only ever carried, never paired.
+        while len > 1 && layer.len() > 1 {
+            let (mut read, mut write) = (0, 0);
+            while read < layer.len() {
+                let (p, e) = layer[read];
+                let partner = layer
+                    .get(read + 1)
+                    .filter(|&&(q, _)| p % 2 == 0 && q == p + 1);
+                layer[write] = match partner {
+                    Some(&(_, f)) => {
+                        read += 2;
+                        (p / 2, self.and2(e, f))
+                    }
+                    None => {
+                        read += 1;
+                        (p / 2, e)
+                    }
+                };
+                write += 1;
             }
-            layer = next;
+            layer.truncate(write);
+            len = len.div_ceil(2);
         }
-        layer[0]
+        layer.first().map_or(B::TRUE, |&(_, e)| e)
     }
 
-    /// Disjunction of many edges (balanced tree).
-    pub fn or_many<I: IntoIterator<Item = B>>(&mut self, edges: I) -> B {
-        let negated: Vec<B> = edges.into_iter().map(|e| !e).collect();
-        !self.and_many(negated)
+    /// Disjunction of the edges at positions `0..len`, every position
+    /// `cells` skips being false: the De Morgan dual of
+    /// [`and_many`](Circuit::and_many), with the same tree.
+    pub fn or_many(&mut self, len: usize, cells: impl IntoIterator<Item = (usize, B)>) -> B {
+        let negated = cells.into_iter().map(|(p, e)| (p, !e));
+        !self.and_many(len, negated)
     }
 
     /// Exclusive or.
@@ -221,26 +244,6 @@ impl Circuit {
         let l = self.and2(c, t);
         let r = self.and2(!c, e);
         self.or2(l, r)
-    }
-
-    /// "At most one of `edges` is true" (pairwise encoding — fine at the
-    /// paper's scopes).
-    pub fn at_most_one(&mut self, edges: &[B]) -> B {
-        let mut constraints = Vec::new();
-        for i in 0..edges.len() {
-            for j in (i + 1)..edges.len() {
-                let both = self.and2(edges[i], edges[j]);
-                constraints.push(!both);
-            }
-        }
-        self.and_many(constraints)
-    }
-
-    /// "Exactly one of `edges` is true".
-    pub fn exactly_one(&mut self, edges: &[B]) -> B {
-        let amo = self.at_most_one(edges);
-        let alo = self.or_many(edges.iter().copied());
-        self.and2(amo, alo)
     }
 
     /// Evaluates edge `e` under an assignment of inputs (by input ordinal).
@@ -502,29 +505,66 @@ mod tests {
     }
 
     #[test]
-    fn cardinality_gadgets() {
+    fn many_input_aggregates() {
         let mut c = Circuit::new();
-        let xs: Vec<B> = (0..4).map(|_| c.input()).collect();
-        let amo = c.at_most_one(&xs);
-        let exo = c.exactly_one(&xs);
-        for bits in 0..16u32 {
+        let xs: Vec<B> = (0..5).map(|_| c.input()).collect();
+        let all = c.and_many(xs.len(), xs.iter().copied().enumerate());
+        let any = c.or_many(xs.len(), xs.iter().copied().enumerate());
+        for bits in 0..32u32 {
             let env = move |i: u32| bits >> i & 1 == 1;
-            let ones = bits.count_ones();
-            assert_eq!(c.eval(amo, &env), ones <= 1, "amo at {bits:04b}");
-            assert_eq!(c.eval(exo, &env), ones == 1, "exo at {bits:04b}");
+            assert_eq!(c.eval(all, &env), bits == 31, "and at {bits:05b}");
+            assert_eq!(c.eval(any, &env), bits != 0, "or at {bits:05b}");
         }
     }
 
     #[test]
     fn empty_aggregates() {
         let mut c = Circuit::new();
-        assert_eq!(c.and_many(std::iter::empty()), c.tru());
-        assert_eq!(c.or_many(std::iter::empty()), c.fls());
-        let none: [B; 0] = [];
-        let amo = c.at_most_one(&none);
-        let exo = c.exactly_one(&none);
-        assert!(c.eval(amo, &|_| false));
-        assert!(!c.eval(exo, &|_| false));
+        assert_eq!(c.and_many(0, []), c.tru());
+        assert_eq!(c.or_many(0, []), c.fls());
+        assert_eq!(c.and_many(7, []), c.tru());
+        assert_eq!(c.or_many(7, []), c.fls());
+        let x = c.input();
+        assert_eq!(c.and_many(1000, [(999, x)]), x);
+        assert_eq!(c.num_gates(), 0);
+    }
+
+    /// The sparse reduction creates the gates of the dense one, in order:
+    /// filling the skipped positions with true changes neither the result
+    /// nor any gate number.
+    #[test]
+    fn sparse_reduction_matches_the_filled_list() {
+        for len in [2usize, 3, 5, 8, 13, 33] {
+            for mask in [0b1011_0110_1101u64, 0x5555_5555, 0xffff_fffe, 0x1_0000_0001] {
+                let build = |fill: bool| {
+                    let mut c = Circuit::new();
+                    // One shared input pool, so hash-consing can hit.
+                    let xs: Vec<B> = (0..4).map(|_| c.input()).collect();
+                    // Listed edges are inputs or their negations; a
+                    // filled-in position holds the reduction's identity.
+                    let cells = |identity: B| -> Vec<(usize, B)> {
+                        (0..len)
+                            .filter(|&p| fill || mask >> p & 1 == 1)
+                            .map(|p| match mask >> p & 1 {
+                                1 if p % 3 == 0 => (p, !xs[p % 4]),
+                                1 => (p, xs[p % 4]),
+                                _ => (p, identity),
+                            })
+                            .collect()
+                    };
+                    let (ands, ors) = (cells(c.tru()), cells(c.fls()));
+                    let or = c.or_many(len, ors);
+                    let and = c.and_many(len, ands);
+                    (
+                        and,
+                        or,
+                        c.num_gates(),
+                        c.to_cnf(&[and, or]).0.clauses().to_vec(),
+                    )
+                };
+                assert_eq!(build(false), build(true), "len {len}, mask {mask:#x}");
+            }
+        }
     }
 
     #[test]
@@ -620,8 +660,10 @@ mod tests {
         // is a tripwire, not a load-bearing optimization.
         let mut c = Circuit::new();
         let xs: Vec<B> = (0..4).map(|_| c.input()).collect();
-        let exo = c.exactly_one(&xs);
-        let e = c.to_cnf_opts(&[exo], &[], true);
+        let parity = c.xor2(xs[0], xs[1]);
+        let any = c.or_many(xs.len(), xs.iter().copied().enumerate());
+        let root = c.ite(xs[2], parity, any);
+        let e = c.to_cnf_opts(&[root], &[], true);
         assert_eq!(e.clauses_deduped, 0);
     }
 

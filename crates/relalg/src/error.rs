@@ -22,6 +22,12 @@ pub enum TranslateError {
         /// Name of the offending atom.
         atom: String,
     },
+    /// A matrix or an at-most-one constraint has more cells than a flat
+    /// `usize` index can address.
+    IndexOverflow {
+        /// Description of the oversized matrix or constraint.
+        context: String,
+    },
 }
 
 impl fmt::Display for TranslateError {
@@ -41,6 +47,12 @@ impl fmt::Display for TranslateError {
             }
             TranslateError::NonIntAtom { atom } => {
                 write!(f, "sum over atom `{atom}` which carries no integer value")
+            }
+            TranslateError::IndexOverflow { context } => {
+                write!(
+                    f,
+                    "index overflow: {context} has more cells than a usize addresses"
+                )
             }
         }
     }
@@ -67,5 +79,10 @@ mod tests {
         assert!(TranslateError::NonIntAtom { atom: "A".into() }
             .to_string()
             .contains("`A`"));
+        assert!(TranslateError::IndexOverflow {
+            context: "an arity-4 matrix over 70000 atoms".into()
+        }
+        .to_string()
+        .contains("70000 atoms"));
     }
 }

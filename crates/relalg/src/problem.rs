@@ -216,7 +216,8 @@ impl Problem {
     /// # Errors
     ///
     /// Returns a [`TranslateError`] on ill-formed expressions (arity
-    /// mismatches, unbound variables, non-integer sums).
+    /// mismatches, unbound variables, non-integer sums) and on matrices
+    /// with more cells than a `usize` index addresses.
     pub fn translate(&self, goal: &Formula) -> Result<Translation, TranslateError> {
         self.translate_opts(goal, &TranslateOpts::default())
     }
@@ -239,7 +240,7 @@ impl Problem {
     ) -> Result<Translation, TranslateError> {
         let start = Instant::now();
         let mut span = self.spans.as_ref().map(|r| r.enter("relalg.encode"));
-        let mut tr = Translator::new(self);
+        let mut tr = Translator::new(self)?;
         let mut root = tr.formula(goal)?;
         for fact in &self.facts {
             let f = tr.formula(fact)?;
@@ -314,7 +315,7 @@ impl Problem {
     ) -> Result<(Translation, Vec<mca_sat::Lit>), TranslateError> {
         let start = Instant::now();
         let mut span = self.spans.as_ref().map(|r| r.enter("relalg.encode"));
-        let mut tr = Translator::new(self);
+        let mut tr = Translator::new(self)?;
         let mut root = tr.formula(&Formula::true_())?;
         for fact in &self.facts {
             let f = tr.formula(fact)?;

@@ -1,15 +1,23 @@
 //! Translation of relational problems into boolean circuits.
 //!
-//! Every relation becomes a dense boolean matrix over its upper-bound
-//! tuples: lower-bound tuples map to constant true, tuples outside the
-//! upper bound to constant false, and the remainder to fresh circuit
-//! inputs (the *primary variables*). Relational operators become matrix
-//! operators over circuit edges; formulas become single edges.
+//! Every relation becomes a sparse boolean matrix over its upper-bound
+//! tuples: lower-bound tuples map to constant true, the remaining
+//! upper-bound tuples to fresh circuit inputs (the *primary variables*),
+//! and every other tuple is constant false and is not stored. Relational
+//! operators become matrix operators over circuit edges that visit only
+//! the stored cells; formulas become single edges.
 //!
 //! This mirrors Kodkod, the model finder inside the Alloy Analyzer used by
-//! the reproduced paper; the clause counts reported by
+//! the reproduced paper (Torlak & Jackson, "Kodkod: A Relational Model
+//! Finder", TACAS 2007); the clause counts reported by
 //! [`TranslationStats`] are the quantity the paper's "Abstractions
 //! Efficiency" experiment compares across encodings.
+//!
+//! The circuit is independent of sparsity: the operators create the gates
+//! a dense `n^arity` matrix would, in the same order. Reductions over all
+//! cells of a matrix (`in`, `some`, `no`, `one`, `lone`) keep each cell's
+//! position in the full row-major order, so their balanced trees pair the
+//! same cells as a dense reduction would; see [`Circuit::and_many`].
 
 use crate::ast::{CmpOp, Expr, ExprKind, Formula, FormulaKind, IntExpr, IntExprKind, RelationId};
 use crate::bitvec::BitVec;
@@ -20,85 +28,45 @@ use crate::tuple::Tuple;
 use crate::universe::AtomId;
 use std::collections::HashMap;
 
-/// A dense boolean matrix representing a relation of some arity over a
+/// A sparse boolean matrix representing a relation of some arity over a
 /// universe of `n` atoms.
+///
+/// Only the non-false cells are stored, as `(flat index, edge)` pairs in
+/// ascending index order. The flat index of a tuple `(a₀, …, a_{k−1})` is
+/// its row-major position `Σ aᵢ·n^(k−1−i)`; every index absent from
+/// `cells` is constant false.
 #[derive(Clone, Debug)]
 pub(crate) struct Matrix {
     arity: usize,
-    n: usize,
-    cells: Vec<B>,
+    cells: Vec<(usize, B)>,
 }
 
 impl Matrix {
-    fn filled(arity: usize, n: usize, fill: B) -> Matrix {
-        Matrix {
-            arity,
-            n,
-            cells: vec![fill; n.pow(arity as u32)],
-        }
-    }
-
-    #[inline]
-    fn idx(&self, atoms: &[usize]) -> usize {
-        debug_assert_eq!(atoms.len(), self.arity);
-        let mut i = 0;
-        for &a in atoms {
-            debug_assert!(a < self.n);
-            i = i * self.n + a;
-        }
-        i
-    }
-
-    #[inline]
-    fn get(&self, atoms: &[usize]) -> B {
-        self.cells[self.idx(atoms)]
-    }
-
-    #[inline]
-    fn set(&mut self, atoms: &[usize], v: B) {
-        let i = self.idx(atoms);
-        self.cells[i] = v;
-    }
-
-    /// Iterates over all coordinate vectors of this matrix, in row-major
-    /// order, as reusable index buffers.
-    fn coords(&self) -> Coords {
-        Coords {
-            n: self.n,
-            current: vec![0; self.arity],
-            done: self.n == 0,
-            first: true,
-        }
+    /// A matrix of the given cells, dropping those that are constant false.
+    fn new(arity: usize, cells: impl IntoIterator<Item = (usize, B)>) -> Matrix {
+        let cells: Vec<(usize, B)> = cells
+            .into_iter()
+            .filter(|&(_, e)| !e.is_const_false())
+            .collect();
+        debug_assert!(cells.windows(2).all(|w| w[0].0 < w[1].0));
+        Matrix { arity, cells }
     }
 }
 
-struct Coords {
-    n: usize,
-    current: Vec<usize>,
-    done: bool,
-    first: bool,
-}
-
-impl Coords {
-    fn next(&mut self) -> Option<&[usize]> {
-        if self.done {
-            return None;
-        }
-        if self.first {
-            self.first = false;
-            return Some(&self.current);
-        }
-        // Odometer increment.
-        for i in (0..self.current.len()).rev() {
-            self.current[i] += 1;
-            if self.current[i] < self.n {
-                return Some(&self.current);
-            }
-            self.current[i] = 0;
-        }
-        self.done = true;
-        None
-    }
+/// `n^arity`: the number of cells of an arity-`arity` matrix over `n`
+/// atoms, which bounds its flat indices.
+///
+/// # Errors
+///
+/// [`TranslateError::IndexOverflow`] when the count does not fit in a
+/// `usize`, so that no flat index can wrap around.
+fn cell_count(n: usize, arity: usize) -> Result<usize, TranslateError> {
+    u32::try_from(arity)
+        .ok()
+        .and_then(|a| n.checked_pow(a))
+        .ok_or_else(|| TranslateError::IndexOverflow {
+            context: format!("an arity-{arity} matrix over {n} atoms"),
+        })
 }
 
 /// Size and timing statistics of a translation.
@@ -190,7 +158,14 @@ pub(crate) struct Translator<'p> {
 }
 
 impl<'p> Translator<'p> {
-    pub(crate) fn new(problem: &'p Problem) -> Translator<'p> {
+    /// Allocates the relation matrices: one input per upper-bound tuple
+    /// outside the lower bound, in declaration and then tuple order.
+    ///
+    /// # Errors
+    ///
+    /// [`TranslateError::IndexOverflow`] when a relation's flat indices
+    /// would overflow.
+    pub(crate) fn new(problem: &'p Problem) -> Result<Translator<'p>, TranslateError> {
         let mut circuit = Circuit::new();
         let n = problem.universe().len();
         let mut rel_matrices = Vec::new();
@@ -198,41 +173,50 @@ impl<'p> Translator<'p> {
         let mut input_edges = Vec::new();
         for rid in problem.relation_ids() {
             let decl = problem.relation(rid);
+            cell_count(n, decl.arity())?;
             let mut span = problem
                 .spans()
                 .map(|r| r.enter(&format!("relalg.encode.{}", decl.name())));
             let inputs_before = input_tuples.len();
-            let mut m = Matrix::filled(decl.arity(), n, circuit.fls());
+            // Tuples iterate in lexicographic order, which is ascending
+            // flat-index order.
+            let mut cells = Vec::with_capacity(decl.upper().len());
             for t in decl.upper().iter() {
-                let coords: Vec<usize> = t.atoms().iter().map(|a| a.index()).collect();
-                if decl.lower().contains(t) {
-                    m.set(&coords, circuit.tru());
+                let index = t.atoms().iter().fold(0, |i, a| i * n + a.index());
+                let cell = if decl.lower().contains(t) {
+                    circuit.tru()
                 } else {
                     let input = circuit.input();
                     input_tuples.push((rid, t.clone()));
                     input_edges.push(input);
-                    m.set(&coords, input);
-                }
+                    input
+                };
+                cells.push((index, cell));
             }
             if let Some(span) = span.as_mut() {
                 span.field("arity", decl.arity() as u64);
                 span.field("upper_tuples", decl.upper().len() as u64);
                 span.field("primary_vars", (input_tuples.len() - inputs_before) as u64);
             }
-            rel_matrices.push(m);
+            rel_matrices.push(Matrix::new(decl.arity(), cells));
         }
-        Translator {
+        Ok(Translator {
             problem,
             circuit,
             rel_matrices,
             input_tuples,
             input_edges,
             env: HashMap::new(),
-        }
+        })
     }
 
     fn n(&self) -> usize {
         self.problem.universe().len()
+    }
+
+    /// `n^arity` over this translation's universe; see [`cell_count`].
+    fn cells(&self, arity: usize) -> Result<usize, TranslateError> {
+        cell_count(self.n(), arity)
     }
 
     /// Arity of an expression, checking operator constraints.
@@ -297,204 +281,278 @@ impl<'p> Translator<'p> {
     /// Translates an expression into its boolean matrix.
     pub(crate) fn expr(&mut self, e: &Expr) -> Result<Matrix, TranslateError> {
         let n = self.n();
+        let tru = self.circuit.tru();
         Ok(match e.kind() {
             ExprKind::Relation(r) => self.rel_matrices[r.index()].clone(),
-            ExprKind::Atom(a) => {
-                let mut m = Matrix::filled(1, n, self.circuit.fls());
-                m.set(&[a.index()], self.circuit.tru());
-                m
+            ExprKind::Atom(a) => Matrix::new(1, [(a.index(), tru)]),
+            ExprKind::Iden => self.iden()?,
+            ExprKind::Univ => Matrix::new(1, (0..n).map(|a| (a, tru))),
+            ExprKind::Empty(a) => {
+                self.cells(*a)?;
+                Matrix::new(*a, Vec::new())
             }
-            ExprKind::Iden => {
-                let mut m = Matrix::filled(2, n, self.circuit.fls());
-                for a in 0..n {
-                    m.set(&[a, a], self.circuit.tru());
-                }
-                m
-            }
-            ExprKind::Univ => Matrix::filled(1, n, self.circuit.tru()),
-            ExprKind::Empty(a) => Matrix::filled(*a, n, self.circuit.fls()),
             ExprKind::Var(v) => {
                 let atom = *self
                     .env
                     .get(&v.id())
                     .ok_or_else(|| TranslateError::UnboundVar(v.name().to_string()))?;
-                let mut m = Matrix::filled(1, n, self.circuit.fls());
-                m.set(&[atom], self.circuit.tru());
-                m
+                Matrix::new(1, [(atom, tru)])
             }
             ExprKind::Union(a, b) => {
                 self.arity(e)?;
                 let (ma, mb) = (self.expr(a)?, self.expr(b)?);
-                self.zip(&ma, &mb, |c, x, y| c.or2(x, y))
+                self.zip_matrix(&ma, &mb, |c, x, y| c.or2(x, y))
             }
             ExprKind::Intersect(a, b) => {
                 self.arity(e)?;
                 let (ma, mb) = (self.expr(a)?, self.expr(b)?);
-                self.zip(&ma, &mb, |c, x, y| c.and2(x, y))
+                self.zip_matrix(&ma, &mb, |c, x, y| c.and2(x, y))
             }
             ExprKind::Difference(a, b) => {
                 self.arity(e)?;
                 let (ma, mb) = (self.expr(a)?, self.expr(b)?);
-                self.zip(&ma, &mb, |c, x, y| c.and2(x, !y))
+                self.zip_matrix(&ma, &mb, |c, x, y| c.and2(x, !y))
             }
             ExprKind::Join(a, b) => {
                 self.arity(e)?;
                 let (ma, mb) = (self.expr(a)?, self.expr(b)?);
-                self.join(&ma, &mb)
+                self.join(&ma, &mb)?
             }
             ExprKind::Product(a, b) => {
                 let (ma, mb) = (self.expr(a)?, self.expr(b)?);
-                self.product(&ma, &mb)
+                self.product(&ma, &mb)?
             }
             ExprKind::Transpose(a) => {
                 self.arity(e)?;
                 let ma = self.expr(a)?;
-                let mut m = Matrix::filled(2, n, self.circuit.fls());
-                for x in 0..n {
-                    for y in 0..n {
-                        m.set(&[y, x], ma.get(&[x, y]));
-                    }
-                }
-                m
+                let mut cells: Vec<(usize, B)> = ma
+                    .cells
+                    .iter()
+                    .map(|&(i, cell)| ((i % n) * n + i / n, cell))
+                    .collect();
+                cells.sort_unstable_by_key(|&(i, _)| i);
+                Matrix::new(2, cells)
             }
             ExprKind::Closure(a) => {
                 self.arity(e)?;
                 let ma = self.expr(a)?;
-                self.closure(&ma)
+                self.closure(&ma)?
             }
             ExprKind::ReflexiveClosure(a) => {
                 self.arity(e)?;
                 let ma = self.expr(a)?;
-                let mut m = self.closure(&ma);
-                for x in 0..n {
-                    m.set(&[x, x], self.circuit.tru());
-                }
-                m
+                let m = self.closure(&ma)?;
+                let iden = self.iden()?;
+                // `x ∨ true` folds to true without creating a gate.
+                self.zip_matrix(&m, &iden, |c, x, y| c.or2(x, y))
             }
             ExprKind::IfThenElse(c, t, e2) => {
                 self.arity(e)?;
                 let cond = self.formula(c)?;
                 let (mt, me) = (self.expr(t)?, self.expr(e2)?);
-                self.zip(&mt, &me, |cc, x, y| cc.ite(cond, x, y))
+                self.zip_matrix(&mt, &me, |cc, x, y| cc.ite(cond, x, y))
             }
             ExprKind::Comprehension(decls, body) => {
-                // Ground every combination of domain atoms; each cell is
-                // (memberships ∧ body) with the variables bound.
+                // Ground every combination of non-false domain cells, in
+                // row-major order; each cell is (memberships ∧ body) with
+                // the variables bound.
+                self.cells(decls.len())?;
                 let domains: Vec<Matrix> = decls
                     .iter()
                     .map(|d| self.quant_domain(&d.domain))
                     .collect::<Result<_, _>>()?;
-                let mut m = Matrix::filled(decls.len(), n, self.circuit.fls());
-                let mut coords = m.coords();
-                let mut assignments: Vec<Vec<usize>> = Vec::new();
-                while let Some(t) = coords.next() {
-                    assignments.push(t.to_vec());
-                }
-                for t in assignments {
-                    let mut guards = Vec::with_capacity(decls.len());
-                    let mut dead = false;
-                    for (k, d) in decls.iter().enumerate() {
-                        let g = domains[k].get(&[t[k]]);
-                        if g.is_const_false() {
-                            dead = true;
-                            break;
-                        }
-                        guards.push(g);
-                        let _ = d;
+                let mut cells = Vec::new();
+                let mut pick = vec![0usize; decls.len()];
+                while domains.iter().zip(&pick).all(|(d, &k)| k < d.cells.len()) {
+                    let mut index = 0;
+                    let mut guards = Vec::with_capacity(decls.len() + 1);
+                    let mut prev = Vec::with_capacity(decls.len());
+                    for ((d, domain), &k) in decls.iter().zip(&domains).zip(&pick) {
+                        let (atom, guard) = domain.cells[k];
+                        index = index * n + atom;
+                        guards.push(guard);
+                        prev.push(self.env.insert(d.var.id(), atom));
                     }
-                    if dead {
-                        continue;
-                    }
-                    let prev: Vec<Option<usize>> = decls
-                        .iter()
-                        .zip(&t)
-                        .map(|(d, &atom)| self.env.insert(d.var.id(), atom))
-                        .collect();
                     let b = self.formula(body)?;
                     for (d, p) in decls.iter().zip(prev) {
                         self.restore(d.var.id(), p);
                     }
                     guards.push(b);
-                    let cell = self.circuit.and_many(guards);
-                    m.set(&t, cell);
+                    let cell = self
+                        .circuit
+                        .and_many(guards.len(), guards.into_iter().enumerate());
+                    cells.push((index, cell));
+                    // Odometer increment, last variable fastest.
+                    for k in (0..pick.len()).rev() {
+                        pick[k] += 1;
+                        if pick[k] < domains[k].cells.len() || k == 0 {
+                            break;
+                        }
+                        pick[k] = 0;
+                    }
                 }
-                m
+                Matrix::new(decls.len(), cells)
             }
         })
     }
 
+    /// The identity relation: true on the diagonal.
+    fn iden(&self) -> Result<Matrix, TranslateError> {
+        let n = self.n();
+        self.cells(2)?;
+        let tru = self.circuit.tru();
+        Ok(Matrix::new(2, (0..n).map(|a| (a * n + a, tru))))
+    }
+
+    /// Applies `f` cell by cell to two matrices of equal arity, over the
+    /// union of their non-false cells in ascending index order. A cell
+    /// absent from one side reaches `f` as constant false; the cells absent
+    /// from both are skipped, which is sound because every operator passed
+    /// here folds `f(false, false)` without creating a gate. Returns every
+    /// result, false ones included.
     fn zip(
         &mut self,
         a: &Matrix,
         b: &Matrix,
         mut f: impl FnMut(&mut Circuit, B, B) -> B,
-    ) -> Matrix {
+    ) -> Vec<(usize, B)> {
         debug_assert_eq!(a.arity, b.arity);
-        let mut m = Matrix::filled(a.arity, a.n, self.circuit.fls());
-        for (i, cell) in m.cells.iter_mut().enumerate() {
-            *cell = f(&mut self.circuit, a.cells[i], b.cells[i]);
+        let fls = self.circuit.fls();
+        let (mut i, mut j) = (0, 0);
+        let mut out = Vec::with_capacity(a.cells.len().max(b.cells.len()));
+        loop {
+            let (index, x, y) = match (a.cells.get(i), b.cells.get(j)) {
+                (None, None) => break,
+                (Some(&(p, x)), Some(&(q, y))) if p == q => {
+                    i += 1;
+                    j += 1;
+                    (p, x, y)
+                }
+                (Some(&(p, x)), Some(&(q, _))) if p < q => {
+                    i += 1;
+                    (p, x, fls)
+                }
+                (Some(&(p, x)), None) => {
+                    i += 1;
+                    (p, x, fls)
+                }
+                (_, Some(&(q, y))) => {
+                    j += 1;
+                    (q, fls, y)
+                }
+            };
+            out.push((index, f(&mut self.circuit, x, y)));
         }
-        m
+        out
+    }
+
+    /// [`zip`](Self::zip) into a matrix of the same arity.
+    fn zip_matrix(
+        &mut self,
+        a: &Matrix,
+        b: &Matrix,
+        f: impl FnMut(&mut Circuit, B, B) -> B,
+    ) -> Matrix {
+        let cells = self.zip(a, b, f);
+        Matrix::new(a.arity, cells)
     }
 
     /// Relational join: match last column of `a` with first column of `b`.
-    fn join(&mut self, a: &Matrix, b: &Matrix) -> Matrix {
-        let n = a.n;
+    ///
+    /// Only pairs of non-false cells that share the middle atom are
+    /// visited. They are conjoined in (output cell, middle atom) order and
+    /// each output cell's conjunctions are then disjoined — the order in
+    /// which a dense join, looping over output cells and then middle atoms,
+    /// creates its gates.
+    fn join(&mut self, a: &Matrix, b: &Matrix) -> Result<Matrix, TranslateError> {
+        let n = self.n();
         let arity = a.arity + b.arity - 2;
-        let mut m = Matrix::filled(arity.max(1), n, self.circuit.fls());
-        let mut coords = m.coords();
-        let mut out_cells = Vec::with_capacity(m.cells.len());
-        while let Some(t) = coords.next() {
-            let (left, right) = t.split_at(a.arity - 1);
-            let mut disjuncts = Vec::with_capacity(n);
-            let mut la = Vec::with_capacity(a.arity);
-            let mut lb = Vec::with_capacity(b.arity);
-            for mid in 0..n {
-                la.clear();
-                la.extend_from_slice(left);
-                la.push(mid);
-                lb.clear();
-                lb.push(mid);
-                lb.extend_from_slice(right);
-                let x = a.get(&la);
-                let y = b.get(&lb);
+        self.cells(arity)?;
+        // Cells of `b` per value of its first column.
+        let stride = self.cells(b.arity - 1)?;
+        let mut pairs = Vec::new();
+        for &(ia, x) in &a.cells {
+            let (left, mid) = (ia / n, ia % n);
+            let from = b.cells.partition_point(|&(ib, _)| ib < mid * stride);
+            for &(ib, y) in b.cells[from..]
+                .iter()
+                .take_while(|&&(ib, _)| ib < (mid + 1) * stride)
+            {
+                pairs.push((left * stride + ib % stride, mid, x, y));
+            }
+        }
+        pairs.sort_unstable_by_key(|&(out, mid, _, _)| (out, mid));
+        let mut cells = Vec::new();
+        let mut disjuncts = Vec::new();
+        for group in pairs.chunk_by(|p, q| p.0 == q.0) {
+            disjuncts.clear();
+            for &(_, _, x, y) in group {
                 let both = self.circuit.and2(x, y);
                 if !both.is_const_false() {
                     disjuncts.push(both);
                 }
             }
-            out_cells.push(self.circuit.or_many(disjuncts));
+            let cell = self
+                .circuit
+                .or_many(disjuncts.len(), disjuncts.iter().copied().enumerate());
+            cells.push((group[0].0, cell));
         }
-        m.cells = out_cells;
-        m
+        Ok(Matrix::new(arity, cells))
     }
 
-    fn product(&mut self, a: &Matrix, b: &Matrix) -> Matrix {
-        let mut m = Matrix::filled(a.arity + b.arity, a.n, self.circuit.fls());
-        let mut coords = m.coords();
-        let mut out_cells = Vec::with_capacity(m.cells.len());
-        while let Some(t) = coords.next() {
-            let (left, right) = t.split_at(a.arity);
-            let x = a.get(left);
-            let y = b.get(right);
-            out_cells.push(self.circuit.and2(x, y));
+    fn product(&mut self, a: &Matrix, b: &Matrix) -> Result<Matrix, TranslateError> {
+        let arity = a.arity + b.arity;
+        self.cells(arity)?;
+        let stride = self.cells(b.arity)?;
+        let mut cells = Vec::with_capacity(a.cells.len() * b.cells.len());
+        for &(ia, x) in &a.cells {
+            for &(ib, y) in &b.cells {
+                cells.push((ia * stride + ib, self.circuit.and2(x, y)));
+            }
         }
-        m.cells = out_cells;
-        m
+        Ok(Matrix::new(arity, cells))
     }
 
     /// Transitive closure by iterated squaring.
-    fn closure(&mut self, a: &Matrix) -> Matrix {
-        let n = a.n;
+    fn closure(&mut self, a: &Matrix) -> Result<Matrix, TranslateError> {
+        let n = self.n();
         let mut acc = a.clone();
         let mut steps = 1usize;
         while steps < n {
             // acc = acc | acc.acc
-            let squared = self.join(&acc, &acc);
-            acc = self.zip(&acc, &squared, |c, x, y| c.or2(x, y));
+            let squared = self.join(&acc, &acc)?;
+            acc = self.zip_matrix(&acc, &squared, |c, x, y| c.or2(x, y));
             steps *= 2;
         }
-        acc
+        Ok(acc)
+    }
+
+    /// "At most one cell of `m` is true": the pairwise encoding over all
+    /// `len` cells. Pair `(i, j)`, `i < j`, sits at its row-major position
+    /// `i·len − i(i+1)/2 + (j−i−1)` among the `len·(len−1)/2` pairs.
+    ///
+    /// # Errors
+    ///
+    /// [`TranslateError::IndexOverflow`] when the pair count does not fit
+    /// in a `usize`.
+    fn at_most_one(&mut self, m: &Matrix, len: usize) -> Result<B, TranslateError> {
+        // Positions are computed in u128, where they cannot wrap; each is
+        // below the pair count, so once that fits a usize, so do they.
+        let wide = len as u128;
+        let pairs = usize::try_from(wide * wide.saturating_sub(1) / 2).map_err(|_| {
+            TranslateError::IndexOverflow {
+                context: format!("the at-most-one pairs of {len} cells"),
+            }
+        })?;
+        let mut constraints = Vec::new();
+        for (k, &(i, x)) in m.cells.iter().enumerate() {
+            let row = i as u128 * (2 * wide - i as u128 - 1) / 2;
+            for &(j, y) in &m.cells[k + 1..] {
+                let both = self.circuit.and2(x, y);
+                constraints.push(((row + (j - i - 1) as u128) as usize, !both));
+            }
+        }
+        Ok(self.circuit.and_many(pairs, constraints))
     }
 
     /// Translates a formula into a circuit edge.
@@ -509,13 +567,8 @@ impl<'p> Translator<'p> {
                     });
                 }
                 let (ma, mb) = (self.expr(a)?, self.expr(b)?);
-                let implications: Vec<B> = ma
-                    .cells
-                    .iter()
-                    .zip(&mb.cells)
-                    .map(|(&p, &q)| self.circuit.implies(p, q))
-                    .collect();
-                self.circuit.and_many(implications)
+                let implications = self.zip(&ma, &mb, |c, p, q| c.implies(p, q));
+                self.circuit.and_many(self.cells(x)?, implications)
             }
             FormulaKind::Equal(a, b) => {
                 let sub1 = self.formula(&a.in_(b))?;
@@ -524,20 +577,24 @@ impl<'p> Translator<'p> {
             }
             FormulaKind::NonEmpty(e) => {
                 let m = self.expr(e)?;
-                self.circuit.or_many(m.cells.iter().copied())
+                self.circuit.or_many(self.cells(m.arity)?, m.cells)
             }
             FormulaKind::IsEmpty(e) => {
                 let m = self.expr(e)?;
-                let some = self.circuit.or_many(m.cells.iter().copied());
+                let some = self.circuit.or_many(self.cells(m.arity)?, m.cells);
                 !some
             }
             FormulaKind::ExactlyOne(e) => {
                 let m = self.expr(e)?;
-                self.circuit.exactly_one(&m.cells)
+                let len = self.cells(m.arity)?;
+                let amo = self.at_most_one(&m, len)?;
+                let alo = self.circuit.or_many(len, m.cells);
+                self.circuit.and2(amo, alo)
             }
             FormulaKind::AtMostOne(e) => {
                 let m = self.expr(e)?;
-                self.circuit.at_most_one(&m.cells)
+                let len = self.cells(m.arity)?;
+                self.at_most_one(&m, len)?
             }
             FormulaKind::Not(g) => {
                 let x = self.formula(g)?;
@@ -548,14 +605,16 @@ impl<'p> Translator<'p> {
                 for g in gs {
                     edges.push(self.formula(g)?);
                 }
-                self.circuit.and_many(edges)
+                self.circuit
+                    .and_many(edges.len(), edges.into_iter().enumerate())
             }
             FormulaKind::Or(gs) => {
                 let mut edges = Vec::with_capacity(gs.len());
                 for g in gs {
                     edges.push(self.formula(g)?);
                 }
-                self.circuit.or_many(edges)
+                self.circuit
+                    .or_many(edges.len(), edges.into_iter().enumerate())
             }
             FormulaKind::Implies(p, q) => {
                 let (x, y) = (self.formula(p)?, self.formula(q)?);
@@ -567,33 +626,27 @@ impl<'p> Translator<'p> {
             }
             FormulaKind::ForAll(d, body) => {
                 let dm = self.quant_domain(&d.domain)?;
-                let mut edges = Vec::new();
-                for atom in 0..self.n() {
-                    let guard = dm.get(&[atom]);
-                    if guard.is_const_false() {
-                        continue;
-                    }
+                let mut edges = Vec::with_capacity(dm.cells.len());
+                for &(atom, guard) in &dm.cells {
                     let prev = self.env.insert(d.var.id(), atom);
                     let b = self.formula(body)?;
                     self.restore(d.var.id(), prev);
                     edges.push(self.circuit.implies(guard, b));
                 }
-                self.circuit.and_many(edges)
+                self.circuit
+                    .and_many(edges.len(), edges.into_iter().enumerate())
             }
             FormulaKind::Exists(d, body) => {
                 let dm = self.quant_domain(&d.domain)?;
-                let mut edges = Vec::new();
-                for atom in 0..self.n() {
-                    let guard = dm.get(&[atom]);
-                    if guard.is_const_false() {
-                        continue;
-                    }
+                let mut edges = Vec::with_capacity(dm.cells.len());
+                for &(atom, guard) in &dm.cells {
                     let prev = self.env.insert(d.var.id(), atom);
                     let b = self.formula(body)?;
                     self.restore(d.var.id(), prev);
                     edges.push(self.circuit.and2(guard, b));
                 }
-                self.circuit.or_many(edges)
+                self.circuit
+                    .or_many(edges.len(), edges.into_iter().enumerate())
             }
             FormulaKind::IntCmp(op, a, b) => {
                 let (x, y) = (self.int_expr(a)?, self.int_expr(b)?);
@@ -640,12 +693,7 @@ impl<'p> Translator<'p> {
             }
             IntExprKind::Card(e) => {
                 let m = self.expr(e)?;
-                let live: Vec<B> = m
-                    .cells
-                    .iter()
-                    .copied()
-                    .filter(|c| !c.is_const_false())
-                    .collect();
+                let live: Vec<B> = m.cells.iter().map(|&(_, cell)| cell).collect();
                 self.circuit.bv_count(&live)
             }
             IntExprKind::SumValues(e) => {
@@ -654,12 +702,8 @@ impl<'p> Translator<'p> {
                     return Err(TranslateError::NonUnaryDomain { arity: a });
                 }
                 let m = self.expr(e)?;
-                let mut terms = Vec::new();
-                for atom in 0..self.n() {
-                    let cell = m.get(&[atom]);
-                    if cell.is_const_false() {
-                        continue;
-                    }
+                let mut terms = Vec::with_capacity(m.cells.len());
+                for &(atom, cell) in &m.cells {
                     let aid = AtomId::from_index(atom);
                     let value = self.problem.universe().int_value(aid).ok_or_else(|| {
                         TranslateError::NonIntAtom {
@@ -711,6 +755,52 @@ fn bits_for(v: i64) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tuple::TupleSet;
+    use crate::universe::Universe;
+
+    /// A problem over `atoms` atoms with one free relation of `arity`
+    /// whose upper bound is the given tuples (by atom index).
+    fn one_relation(atoms: usize, arity: usize, upper: &[&[usize]]) -> (Problem, Expr) {
+        let mut u = Universe::new();
+        let ids = u.add_atoms("A", atoms);
+        let mut p = Problem::new(u);
+        let mut bound = TupleSet::new(arity);
+        for t in upper {
+            bound.insert(Tuple::new(t.iter().map(|&i| ids[i]).collect::<Vec<_>>()));
+        }
+        let r = p.declare_relation("r", TupleSet::new(arity), bound);
+        (p, Expr::relation(r))
+    }
+
+    #[test]
+    fn one_and_lone_count_the_true_cells() {
+        let (p, r) = one_relation(6, 1, &[&[0], &[2], &[3], &[5]]);
+        let count = |f: &Formula| p.enumerate(f, 64, |_| true).expect("translates");
+        // 4 free tuples: 1 empty instance + 4 singletons.
+        assert_eq!(count(&r.lone()), 5);
+        assert_eq!(count(&r.one()), 4);
+        assert_eq!(count(&r.one().not()), 16 - 4);
+    }
+
+    #[test]
+    fn flat_indices_that_would_overflow_are_an_error() {
+        // 70,000⁴ ≈ 2.4·10¹⁹ cells exceed u64::MAX ≈ 1.8·10¹⁹.
+        let (p, r) = one_relation(70_000, 4, &[&[0, 1, 2, 3]]);
+        let err = p.translate(&r.some()).unwrap_err();
+        assert!(matches!(err, TranslateError::IndexOverflow { .. }), "{err}");
+        // An arity-3 relation over the same atoms fits.
+        let (p, r) = one_relation(70_000, 3, &[&[0, 1, 2], &[3, 4, 5]]);
+        assert!(p.translate(&r.some()).is_ok());
+    }
+
+    #[test]
+    fn at_most_one_pair_positions_that_would_overflow_are_an_error() {
+        // 10¹⁰ cells fit a flat index, but their ~5·10¹⁹ pairs do not.
+        let (p, r) = one_relation(100_000, 2, &[&[0, 1], &[1, 0]]);
+        assert!(p.translate(&r.some()).is_ok());
+        let err = p.translate(&r.lone()).unwrap_err();
+        assert!(matches!(err, TranslateError::IndexOverflow { .. }), "{err}");
+    }
 
     #[test]
     fn bits_for_boundaries() {
@@ -722,19 +812,5 @@ mod tests {
         assert_eq!(bits_for(-4), 3);
         assert_eq!(bits_for(7), 4);
         assert_eq!(bits_for(100), 8);
-    }
-
-    #[test]
-    fn coords_enumerates_row_major() {
-        let m = Matrix::filled(2, 3, Circuit::new().tru());
-        let mut c = m.coords();
-        let mut seen = Vec::new();
-        while let Some(t) = c.next() {
-            seen.push(t.to_vec());
-        }
-        assert_eq!(seen.len(), 9);
-        assert_eq!(seen[0], vec![0, 0]);
-        assert_eq!(seen[1], vec![0, 1]);
-        assert_eq!(seen[8], vec![2, 2]);
     }
 }

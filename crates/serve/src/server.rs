@@ -80,7 +80,7 @@ pub struct ServerConfig {
     /// Live-telemetry knobs (rolling windows, flight-recorder ring,
     /// slowest-K). Enabled by default: the aggregate state is bounded
     /// and the per-request cost is a few map updates under a short
-    /// mutex, asserted <2% on the mixed load deck.
+    /// mutex.
     pub telemetry: TelemetryConfig,
 }
 

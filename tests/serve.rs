@@ -5,7 +5,7 @@
 //! a protocol error and keeps serving — never panics, never hangs).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mca_obs::Json;
 use mca_report::{diagnose_service, ServiceStats, WhySeverity};
@@ -605,15 +605,16 @@ fn metrics_and_flight_dump_mid_load_do_not_deadlock() {
     handle.join();
 }
 
-/// The telemetry overhead gate: a warm (fully cached) deck walk — the
-/// worst case for *relative* overhead, since per-request work is
-/// smallest — costs under 2% extra with telemetry on. Same methodology
-/// as the solver-telemetry gate in forensics.rs: min-of-N on both
-/// sides, relative bound plus absolute slack for timer noise.
+/// Telemetry cost as counted work, not wall clock: over a warm (fully
+/// cached) deck walk the flight recorder folds in exactly one record per
+/// request with telemetry on, and none with it off. The wall-clock cost
+/// of recording shows in the repository benchmark's `serve-repeat`
+/// latency, which runs with telemetry on.
 #[test]
-fn telemetry_overhead_on_warm_deck_is_under_two_percent() {
-    let runs = 3;
-    let time_min = |enabled: bool| {
+fn telemetry_records_each_warm_request_once_and_nothing_when_off() {
+    let walks = 20;
+    let deck = mca_serve::load::smoke_deck();
+    let recorded_after_walk = |enabled: bool| {
         let config = ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             threads: 2,
@@ -627,30 +628,33 @@ fn telemetry_overhead_on_warm_deck_is_under_two_percent() {
         };
         let handle = Server::start(&config).expect("bind");
         let mut client = connect(&handle);
-        let deck = mca_serve::load::smoke_deck();
         for req in &deck {
             client.request(req).expect("cache warmup");
         }
-        let mut best = f64::INFINITY;
-        for _ in 0..runs {
-            let start = Instant::now();
-            for _ in 0..20 {
-                for req in &deck {
-                    client.request(req).expect("warm walk");
+        for _ in 0..walks {
+            for req in &deck {
+                match client.request(req).expect("warm walk") {
+                    Response::Verdict { cache, .. } | Response::LintReport { cache, .. } => {
+                        assert_eq!(cache, CacheDisposition::VerdictHit, "{req:?}");
+                    }
+                    other => panic!("{req:?} answered {other:?}"),
                 }
             }
-            best = best.min(start.elapsed().as_secs_f64());
         }
+        // The dump is rendered before its own request is recorded.
+        let dump = client.flight_dump().expect("flight dump");
+        let recorded = Json::parse(&dump)
+            .expect("flight dump is valid JSON")
+            .get("recorded")
+            .and_then(Json::as_u64)
+            .expect("recorded count");
         client.shutdown_server().expect("shutdown");
         handle.join();
-        best
+        recorded
     };
-    let plain = time_min(false);
-    let with_telemetry = time_min(true);
-    assert!(
-        with_telemetry <= plain * 1.02 + 0.010,
-        "telemetry overhead too high: plain {plain:.4}s vs enabled {with_telemetry:.4}s"
-    );
+    let sent = ((1 + walks) * deck.len()) as u64;
+    assert_eq!(recorded_after_walk(true), sent);
+    assert_eq!(recorded_after_walk(false), 0);
 }
 
 /// Telemetry (on by default) must not perturb the deterministic payload
