@@ -301,17 +301,17 @@ impl<'p> Translator<'p> {
             ExprKind::Union(a, b) => {
                 self.arity(e)?;
                 let (ma, mb) = (self.expr(a)?, self.expr(b)?);
-                self.zip_matrix(&ma, &mb, |c, x, y| c.or2(x, y))
+                self.zip(&ma, &mb, |c, x, y| c.or2(x, y))
             }
             ExprKind::Intersect(a, b) => {
                 self.arity(e)?;
                 let (ma, mb) = (self.expr(a)?, self.expr(b)?);
-                self.zip_matrix(&ma, &mb, |c, x, y| c.and2(x, y))
+                self.zip(&ma, &mb, |c, x, y| c.and2(x, y))
             }
             ExprKind::Difference(a, b) => {
                 self.arity(e)?;
                 let (ma, mb) = (self.expr(a)?, self.expr(b)?);
-                self.zip_matrix(&ma, &mb, |c, x, y| c.and2(x, !y))
+                self.zip(&ma, &mb, |c, x, y| c.and2(x, !y))
             }
             ExprKind::Join(a, b) => {
                 self.arity(e)?;
@@ -344,13 +344,13 @@ impl<'p> Translator<'p> {
                 let m = self.closure(&ma)?;
                 let iden = self.iden()?;
                 // `x ∨ true` folds to true without creating a gate.
-                self.zip_matrix(&m, &iden, |c, x, y| c.or2(x, y))
+                self.zip(&m, &iden, |c, x, y| c.or2(x, y))
             }
             ExprKind::IfThenElse(c, t, e2) => {
                 self.arity(e)?;
                 let cond = self.formula(c)?;
                 let (mt, me) = (self.expr(t)?, self.expr(e2)?);
-                self.zip_matrix(&mt, &me, |cc, x, y| cc.ite(cond, x, y))
+                self.zip(&mt, &me, |cc, x, y| cc.ite(cond, x, y))
             }
             ExprKind::Comprehension(decls, body) => {
                 // Ground every combination of non-false domain cells, in
@@ -363,7 +363,8 @@ impl<'p> Translator<'p> {
                     .collect::<Result<_, _>>()?;
                 let mut cells = Vec::new();
                 let mut pick = vec![0usize; decls.len()];
-                while domains.iter().zip(&pick).all(|(d, &k)| k < d.cells.len()) {
+                let mut more = domains.iter().all(|d| !d.cells.is_empty());
+                while more {
                     let mut index = 0;
                     let mut guards = Vec::with_capacity(decls.len() + 1);
                     let mut prev = Vec::with_capacity(decls.len());
@@ -383,12 +384,15 @@ impl<'p> Translator<'p> {
                         .and_many(guards.len(), guards.into_iter().enumerate());
                     cells.push((index, cell));
                     // Odometer increment, last variable fastest.
-                    for k in (0..pick.len()).rev() {
-                        pick[k] += 1;
-                        if pick[k] < domains[k].cells.len() || k == 0 {
-                            break;
+                    match (0..pick.len())
+                        .rev()
+                        .find(|&k| pick[k] + 1 < domains[k].cells.len())
+                    {
+                        Some(k) => {
+                            pick[k] += 1;
+                            pick[k + 1..].fill(0);
                         }
-                        pick[k] = 0;
+                        None => more = false,
                     }
                 }
                 Matrix::new(decls.len(), cells)
@@ -408,14 +412,13 @@ impl<'p> Translator<'p> {
     /// union of their non-false cells in ascending index order. A cell
     /// absent from one side reaches `f` as constant false; the cells absent
     /// from both are skipped, which is sound because every operator passed
-    /// here folds `f(false, false)` without creating a gate. Returns every
-    /// result, false ones included.
+    /// here folds `f(false, false)` to false without creating a gate.
     fn zip(
         &mut self,
         a: &Matrix,
         b: &Matrix,
         mut f: impl FnMut(&mut Circuit, B, B) -> B,
-    ) -> Vec<(usize, B)> {
+    ) -> Matrix {
         debug_assert_eq!(a.arity, b.arity);
         let fls = self.circuit.fls();
         let (mut i, mut j) = (0, 0);
@@ -443,18 +446,7 @@ impl<'p> Translator<'p> {
             };
             out.push((index, f(&mut self.circuit, x, y)));
         }
-        out
-    }
-
-    /// [`zip`](Self::zip) into a matrix of the same arity.
-    fn zip_matrix(
-        &mut self,
-        a: &Matrix,
-        b: &Matrix,
-        f: impl FnMut(&mut Circuit, B, B) -> B,
-    ) -> Matrix {
-        let cells = self.zip(a, b, f);
-        Matrix::new(a.arity, cells)
+        Matrix::new(a.arity, out)
     }
 
     /// Relational join: match last column of `a` with first column of `b`.
@@ -521,7 +513,7 @@ impl<'p> Translator<'p> {
         while steps < n {
             // acc = acc | acc.acc
             let squared = self.join(&acc, &acc)?;
-            acc = self.zip_matrix(&acc, &squared, |c, x, y| c.or2(x, y));
+            acc = self.zip(&acc, &squared, |c, x, y| c.or2(x, y));
             steps *= 2;
         }
         Ok(acc)
@@ -566,9 +558,13 @@ impl<'p> Translator<'p> {
                         context: format!("subset of arities {x} and {y}"),
                     });
                 }
+                // `a in b` is `no (a - b)`, gate for gate: the conjunction
+                // of the implications `p → q` is the negated disjunction of
+                // the differences `p ∧ ¬q`.
                 let (ma, mb) = (self.expr(a)?, self.expr(b)?);
-                let implications = self.zip(&ma, &mb, |c, p, q| c.implies(p, q));
-                self.circuit.and_many(self.cells(x)?, implications)
+                let difference = self.zip(&ma, &mb, |c, p, q| c.and2(p, !q));
+                let some = self.circuit.or_many(self.cells(x)?, difference.cells);
+                !some
             }
             FormulaKind::Equal(a, b) => {
                 let sub1 = self.formula(&a.in_(b))?;
