@@ -312,6 +312,164 @@ mod tests {
     use super::*;
     use crate::lit::Var;
     use crate::solver::{SolveResult, Solver};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Random formulas drawn, and mutants drawn per refuted one per kind.
+    const FORMULAS: usize = 200;
+    const ROUNDS: usize = 15;
+
+    /// The fixpoint checker `check_drat` used before the watched-literal
+    /// one, kept verbatim as the differential reference: every Add
+    /// propagates over the whole database from an empty assignment until
+    /// nothing changes, and every Delete scans for the first live clause
+    /// with the same literal set.
+    mod reference {
+        use crate::cnf::CnfFormula;
+        use crate::lit::{LBool, Lit};
+        use crate::proof::{DratError, Proof, ProofStep};
+
+        /// Checks a refutation proof against `cnf` with an independent
+        /// unit-propagation engine. On success the formula is certified
+        /// unsatisfiable.
+        ///
+        /// # Errors
+        ///
+        /// Returns [`DratError`] if a step is not RUP or the empty clause is never
+        /// derived.
+        pub fn check_drat(cnf: &CnfFormula, proof: &Proof) -> Result<(), DratError> {
+            let mut db: Vec<Vec<Lit>> = cnf.clauses().to_vec();
+            // A formula that already contains the empty clause is refuted by
+            // itself; every proof (including the empty one) certifies it. This
+            // arises when translation simplifies a goal to constant false.
+            if db.iter().any(|c| c.is_empty()) {
+                return Ok(());
+            }
+            let mut live: Vec<bool> = vec![true; db.len()];
+            let mut num_vars = cnf.num_vars();
+            for step in proof.steps() {
+                if let ProofStep::Add(c) = step {
+                    for l in c {
+                        num_vars = num_vars.max(l.var().index() + 1);
+                    }
+                }
+            }
+
+            let mut derived_empty = false;
+            for (i, step) in proof.steps().iter().enumerate() {
+                match step {
+                    ProofStep::Add(clause) => {
+                        if !is_rup(&db, &live, num_vars, clause) {
+                            return Err(DratError::NotRup { step: i });
+                        }
+                        if clause.is_empty() {
+                            derived_empty = true;
+                            break;
+                        }
+                        db.push(clause.clone());
+                        live.push(true);
+                    }
+                    ProofStep::Delete(clause) => {
+                        // Find one live clause with identical literals (as a set).
+                        let mut sorted = clause.clone();
+                        sorted.sort_unstable();
+                        sorted.dedup();
+                        for (j, c) in db.iter().enumerate() {
+                            if !live[j] {
+                                continue;
+                            }
+                            let mut cs = c.clone();
+                            cs.sort_unstable();
+                            cs.dedup();
+                            if cs == sorted {
+                                live[j] = false;
+                                break;
+                            }
+                        }
+                        // Deleting a clause that is absent is a no-op (permitted by
+                        // the DRAT format).
+                    }
+                }
+            }
+            if derived_empty {
+                Ok(())
+            } else {
+                Err(DratError::NoEmptyClause)
+            }
+        }
+
+        /// Reverse unit propagation: asserting the negation of `clause` and
+        /// propagating must yield a conflict.
+        fn is_rup(db: &[Vec<Lit>], live: &[bool], num_vars: usize, clause: &[Lit]) -> bool {
+            let mut assign: Vec<LBool> = vec![LBool::Undef; num_vars];
+            let mut queue: Vec<Lit> = Vec::new();
+            // Negate the candidate clause.
+            for &l in clause {
+                let want = !l;
+                match value(&assign, want) {
+                    LBool::True => {}
+                    LBool::False => return true, // the negation is itself contradictory
+                    LBool::Undef => {
+                        set(&mut assign, want);
+                        queue.push(want);
+                    }
+                }
+            }
+            // Naive fixpoint propagation over the whole database.
+            loop {
+                let mut progressed = false;
+                for (j, c) in db.iter().enumerate() {
+                    if !live[j] {
+                        continue;
+                    }
+                    let mut unassigned: Option<Lit> = None;
+                    let mut satisfied = false;
+                    let mut unassigned_count = 0;
+                    for &l in c {
+                        match value(&assign, l) {
+                            LBool::True => {
+                                satisfied = true;
+                                break;
+                            }
+                            LBool::False => {}
+                            LBool::Undef => {
+                                unassigned_count += 1;
+                                unassigned = Some(l);
+                            }
+                        }
+                    }
+                    if satisfied {
+                        continue;
+                    }
+                    match unassigned_count {
+                        0 => return true, // conflict: clause fully falsified
+                        1 => {
+                            let l = unassigned.expect("one unassigned literal");
+                            set(&mut assign, l);
+                            progressed = true;
+                        }
+                        _ => {}
+                    }
+                }
+                if !progressed {
+                    return false;
+                }
+            }
+        }
+
+        fn value(assign: &[LBool], l: Lit) -> LBool {
+            let v = assign[l.var().index()];
+            if l.is_positive() {
+                v
+            } else {
+                v.negate()
+            }
+        }
+
+        fn set(assign: &mut [LBool], l: Lit) {
+            assign[l.var().index()] = LBool::from_bool(l.is_positive());
+        }
+    }
 
     #[test]
     fn formula_with_empty_clause_needs_no_proof() {
@@ -409,27 +567,99 @@ mod tests {
         assert!(Proof::parse_drat("c comment\n1 0\nd 1 0\n").is_ok());
     }
 
+    /// A clause of one to three literals over `n` variables, no variable
+    /// twice, with units rare so a formula has a few of them.
+    fn random_clause(rng: &mut StdRng, n: usize) -> Vec<Lit> {
+        let len = match rng.gen_range(0..40) {
+            0 => 1,
+            1..=8 => 2,
+            _ => 3,
+        };
+        let mut lits: Vec<Lit> = Vec::new();
+        while lits.len() < len {
+            let v = rng.gen_range(0..n);
+            if lits.iter().all(|l| l.var().index() != v) {
+                lits.push(Lit::new(Var::from_index(v), rng.gen_bool(0.5)));
+            }
+        }
+        lits
+    }
+
+    fn pick<'a, T>(rng: &mut StdRng, items: &'a [T]) -> Option<&'a T> {
+        (!items.is_empty()).then(|| &items[rng.gen_range(0..items.len())])
+    }
+
+    /// One mutant of each kind: a step dropped; an Add replaced by a random
+    /// clause; deletions of original clauses (units favoured) and of earlier
+    /// lemmas inserted at random points; a truncation ended by the empty
+    /// clause.
+    fn mutants(rng: &mut StdRng, cnf: &CnfFormula, proof: &Proof) -> Vec<Proof> {
+        let n = cnf.num_vars();
+        let steps = proof.steps();
+        let build = |steps: Vec<ProofStep>| Proof { steps };
+        let mut out = Vec::new();
+
+        let mut dropped = steps.to_vec();
+        dropped.remove(rng.gen_range(0..dropped.len()));
+        out.push(build(dropped));
+
+        let adds: Vec<usize> = (0..steps.len())
+            .filter(|&i| matches!(steps[i], ProofStep::Add(_)))
+            .collect();
+        let mut replaced = steps.to_vec();
+        let at = *pick(rng, &adds).expect("a refutation has an Add");
+        replaced[at] = ProofStep::Add(random_clause(rng, n));
+        out.push(build(replaced));
+
+        let units: Vec<Vec<Lit>> = cnf
+            .clauses()
+            .iter()
+            .filter(|c| c.len() == 1)
+            .cloned()
+            .collect();
+        let mut deleting = steps.to_vec();
+        for _ in 0..rng.gen_range(1..4) {
+            let at = rng.gen_range(0..=deleting.len());
+            let lemmas: Vec<Vec<Lit>> = deleting[..at]
+                .iter()
+                .filter_map(|s| match s {
+                    ProofStep::Add(c) => Some(c.clone()),
+                    ProofStep::Delete(_) => None,
+                })
+                .collect();
+            let original = pick(rng, cnf.clauses()).cloned();
+            let mut victim = match rng.gen_range(0..3) {
+                0 => pick(rng, &units).cloned().or(original),
+                1 => pick(rng, &lemmas).cloned().or(original),
+                _ => original,
+            }
+            .expect("the formula has clauses");
+            if rng.gen_bool(0.5) {
+                victim.reverse();
+            }
+            deleting.insert(at, ProofStep::Delete(victim));
+        }
+        out.push(build(deleting));
+
+        let mut truncated = steps[..rng.gen_range(0..steps.len())].to_vec();
+        truncated.push(ProofStep::Add(Vec::new()));
+        out.push(build(truncated));
+        out
+    }
+
+    /// The solver's refutations of random mixed-width formulas, as recorded
+    /// and mutated, get exactly the reference checker's answer, down to the
+    /// index of the first step that is not RUP.
     #[test]
     fn random_unsat_proofs_check() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(99);
-        let mut checked = 0;
-        for _ in 0..60 {
-            // Dense random 3-SAT above the phase transition is usually UNSAT.
-            let n = 10;
-            let m = 70;
+        let (mut refuted, mut cases, mut rejected) = (0, 0, 0);
+        for _ in 0..FORMULAS {
+            let n = rng.gen_range(24..32);
             let mut cnf = CnfFormula::new();
             cnf.new_vars(n);
-            for _ in 0..m {
-                let mut lits = Vec::new();
-                while lits.len() < 3 {
-                    let v = rng.gen_range(0..n);
-                    if lits.iter().all(|l: &Lit| l.var().index() != v) {
-                        lits.push(Lit::new(Var::from_index(v), rng.gen_bool(0.5)));
-                    }
-                }
-                cnf.add_clause(lits);
+            for _ in 0..n * 19 / 5 {
+                cnf.add_clause(random_clause(&mut rng, n));
             }
             let mut solver = Solver::new();
             solver.enable_proof();
@@ -437,12 +667,46 @@ mod tests {
             for c in cnf.clauses() {
                 solver.add_clause(c.iter().copied());
             }
-            if solver.solve() == SolveResult::Unsat {
-                let proof = solver.take_proof().unwrap();
-                check_drat(&cnf, &proof).expect("every UNSAT proof must check");
-                checked += 1;
+            if solver.solve() != SolveResult::Unsat {
+                continue;
+            }
+            let proof = solver.take_proof().unwrap();
+            check_drat(&cnf, &proof).expect("every UNSAT proof must check");
+            refuted += 1;
+            let variants = (0..ROUNDS).flat_map(|_| mutants(&mut rng, &cnf, &proof));
+            for variant in std::iter::once(proof.clone()).chain(variants.collect::<Vec<_>>()) {
+                let got = check_drat(&cnf, &variant);
+                assert_eq!(
+                    got,
+                    reference::check_drat(&cnf, &variant),
+                    "checkers disagree on {variant:?} against {:?}",
+                    cnf.clauses()
+                );
+                cases += 1;
+                rejected += usize::from(got.is_err());
             }
         }
-        assert!(checked > 10, "expected many UNSAT instances, got {checked}");
+        assert!(
+            refuted > FORMULAS / 4,
+            "expected many UNSAT instances, got {refuted}"
+        );
+        assert!(
+            rejected > cases / 20 && rejected < cases / 2,
+            "{rejected} of {cases} variants rejected"
+        );
+    }
+
+    /// A drat-trim-style checker ignores unit deletions by default and would
+    /// accept the lemma `3`; here the deletion retracts `1`, so `3` no
+    /// longer follows.
+    #[test]
+    fn deleting_a_unit_retracts_what_it_implied() {
+        let cnf = CnfFormula::parse_dimacs("p cnf 3 3\n1 0\n-1 2 0\n-2 3 0\n".as_bytes()).unwrap();
+        let proof = Proof::parse_drat("d 1 0\n3 0\n0\n").unwrap();
+        assert_eq!(check_drat(&cnf, &proof), Err(DratError::NotRup { step: 1 }));
+        assert_eq!(
+            reference::check_drat(&cnf, &proof),
+            Err(DratError::NotRup { step: 1 })
+        );
     }
 }
