@@ -15,11 +15,41 @@
 //! simplifier logs each of its rewrites as Add/Delete steps, so the
 //! combined log still checks against the *original* formula. Proofs do not
 //! span assumption-based incremental queries.
+//!
+//! # The checker
+//!
+//! [`check_drat`] works forward and checks every Add step, in proof order,
+//! so a bad proof is reported at its first non-RUP step. It shares no code
+//! with the solver's search (`solver.rs`): certification does not trust
+//! the propagation it certifies.
+//!
+//! - **Clause store.** Original clauses and added lemmas are sorted and
+//!   deduplicated into one flat store. Unit propagation runs on two
+//!   watched literals per clause. A tautology can neither propagate nor
+//!   conflict, so it is stored for deletion but never watched.
+//! - **Root assignment.** The unit-propagation closure of the live clauses
+//!   is kept across steps, each literal with the clause that implied it.
+//!   An Add is checked by asserting the negation of its literals above
+//!   the root and propagating: the step is RUP iff that conflicts. The
+//!   check then undoes back to the root, and the lemma joins the store and
+//!   extends the root with what it implies.
+//! - **Deletions.** A Delete removes the first live clause with the same
+//!   literal set, found through a 64-bit hash of the sorted literals;
+//!   deleting an absent clause is a no-op. Deleting the reason of a root
+//!   literal, or any clause while the root is in conflict, recomputes the
+//!   root from the live unit clauses, so a deleted unit stops implying
+//!   what it implied. drat-trim ignores such deletions by default; this
+//!   checker does not, and matches the whole-database fixpoint checker it
+//!   replaced step for step (a differential test in this module keeps
+//!   that checker as the reference).
 
 use crate::cnf::CnfFormula;
 use crate::lit::{LBool, Lit};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{DefaultHasher, Hash, Hasher};
 use std::io::{self, Write};
+use std::ops::Range;
 
 /// One step of a DRAT proof.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -166,7 +196,7 @@ impl fmt::Display for DratError {
 
 impl std::error::Error for DratError {}
 
-/// Checks a refutation proof against `cnf` with an independent
+/// Checks a refutation proof against `cnf` with the module's own
 /// unit-propagation engine. On success the formula is certified
 /// unsatisfiable.
 ///
@@ -175,122 +205,306 @@ impl std::error::Error for DratError {}
 /// Returns [`DratError`] if a step is not RUP or the empty clause is never
 /// derived.
 pub fn check_drat(cnf: &CnfFormula, proof: &Proof) -> Result<(), DratError> {
-    let mut db: Vec<Vec<Lit>> = cnf.clauses().to_vec();
     // A formula that already contains the empty clause is refuted by
     // itself; every proof (including the empty one) certifies it. This
     // arises when translation simplifies a goal to constant false.
-    if db.iter().any(|c| c.is_empty()) {
+    if cnf.clauses().iter().any(|c| c.is_empty()) {
         return Ok(());
     }
-    let mut live: Vec<bool> = vec![true; db.len()];
-    let mut num_vars = cnf.num_vars();
-    for step in proof.steps() {
-        if let ProofStep::Add(c) = step {
-            for l in c {
-                num_vars = num_vars.max(l.var().index() + 1);
-            }
-        }
+    let num_vars = proof
+        .steps()
+        .iter()
+        .filter_map(|step| match step {
+            ProofStep::Add(c) => Some(c),
+            ProofStep::Delete(_) => None,
+        })
+        .flatten()
+        .map(|l| l.var().index() + 1)
+        .fold(cnf.num_vars(), usize::max);
+    let mut checker = Checker::new(num_vars);
+    for clause in cnf.clauses() {
+        checker.add(clause);
     }
-
-    let mut derived_empty = false;
     for (i, step) in proof.steps().iter().enumerate() {
         match step {
             ProofStep::Add(clause) => {
-                if !is_rup(&db, &live, num_vars, clause) {
+                if !checker.is_rup(clause) {
                     return Err(DratError::NotRup { step: i });
                 }
                 if clause.is_empty() {
-                    derived_empty = true;
-                    break;
+                    return Ok(());
                 }
-                db.push(clause.clone());
-                live.push(true);
+                checker.add(clause);
             }
-            ProofStep::Delete(clause) => {
-                // Find one live clause with identical literals (as a set).
-                let mut sorted = clause.clone();
-                sorted.sort_unstable();
-                sorted.dedup();
-                for (j, c) in db.iter().enumerate() {
-                    if !live[j] {
-                        continue;
-                    }
-                    let mut cs = c.clone();
-                    cs.sort_unstable();
-                    cs.dedup();
-                    if cs == sorted {
-                        live[j] = false;
-                        break;
-                    }
-                }
-                // Deleting a clause that is absent is a no-op (permitted by
-                // the DRAT format).
-            }
+            ProofStep::Delete(clause) => checker.delete(clause),
         }
     }
-    if derived_empty {
-        Ok(())
-    } else {
-        Err(DratError::NoEmptyClause)
+    Err(DratError::NoEmptyClause)
+}
+
+/// The reason of a literal that no clause implied: an Add step's negated
+/// literal.
+const NO_REASON: u32 = u32::MAX;
+
+/// A stored clause: the literals `start..end` of [`Checker::lits`], the
+/// two watched ones first.
+struct Stored {
+    start: u32,
+    end: u32,
+    live: bool,
+}
+
+impl Stored {
+    fn range(&self) -> Range<usize> {
+        self.start as usize..self.end as usize
     }
 }
 
-/// Reverse unit propagation: asserting the negation of `clause` and
-/// propagating must yield a conflict.
-fn is_rup(db: &[Vec<Lit>], live: &[bool], num_vars: usize, clause: &[Lit]) -> bool {
-    let mut assign: Vec<LBool> = vec![LBool::Undef; num_vars];
-    let mut queue: Vec<Lit> = Vec::new();
-    // Negate the candidate clause.
-    for &l in clause {
-        let want = !l;
-        match value(&assign, want) {
-            LBool::True => {}
-            LBool::False => return true, // the negation is itself contradictory
-            LBool::Undef => {
-                set(&mut assign, want);
-                queue.push(want);
-            }
+/// Forward RUP checking state: every clause the proof has seen, and the
+/// root assignment, the unit-propagation closure of the live clauses.
+struct Checker {
+    /// The literals of every stored clause, back to back, each clause
+    /// sorted and free of repeats when stored.
+    lits: Vec<Lit>,
+    clauses: Vec<Stored>,
+    /// Live clauses by the hash of their sorted literals, oldest first.
+    by_hash: HashMap<u64, Vec<u32>>,
+    /// The clauses watching each literal, by literal code. A deleted
+    /// clause leaves a list the next time propagation visits it.
+    watches: Vec<Vec<u32>>,
+    /// The unit clauses; deleted ones leave at the next root recompute.
+    units: Vec<u32>,
+    /// Per variable.
+    assign: Vec<LBool>,
+    /// Per variable: the clause that implied its value, or [`NO_REASON`].
+    reason: Vec<u32>,
+    /// The root literals, then those an Add check asserts above them.
+    trail: Vec<Lit>,
+    /// Trail index of the next literal to propagate.
+    head: usize,
+    /// The root is in conflict: the live clauses alone refute.
+    conflict: bool,
+    /// The clause being added or deleted, normalized.
+    scratch: Vec<Lit>,
+}
+
+impl Checker {
+    fn new(num_vars: usize) -> Checker {
+        Checker {
+            lits: Vec::new(),
+            clauses: Vec::new(),
+            by_hash: HashMap::new(),
+            watches: vec![Vec::new(); 2 * num_vars],
+            units: Vec::new(),
+            assign: vec![LBool::Undef; num_vars],
+            reason: vec![NO_REASON; num_vars],
+            trail: Vec::new(),
+            head: 0,
+            conflict: false,
+            scratch: Vec::new(),
         }
     }
-    // Naive fixpoint propagation over the whole database.
-    loop {
-        let mut progressed = false;
-        for (j, c) in db.iter().enumerate() {
-            if !live[j] {
-                continue;
-            }
-            let mut unassigned: Option<Lit> = None;
-            let mut satisfied = false;
-            let mut unassigned_count = 0;
-            for &l in c {
-                match value(&assign, l) {
-                    LBool::True => {
-                        satisfied = true;
+
+    /// Sorts and dedups `clause` into `scratch`; returns the hash of the
+    /// result, which keys the deletion index.
+    fn normalize(&mut self, clause: &[Lit]) -> u64 {
+        self.scratch.clear();
+        self.scratch.extend_from_slice(clause);
+        self.scratch.sort_unstable();
+        self.scratch.dedup();
+        let mut hasher = DefaultHasher::new();
+        self.scratch.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    fn assign(&mut self, l: Lit, reason: u32) {
+        let v = l.var().index();
+        self.assign[v] = LBool::from_bool(l.is_positive());
+        self.reason[v] = reason;
+        self.trail.push(l);
+    }
+
+    /// Propagates the trail from `head`; `true` on a conflict.
+    fn propagate(&mut self) -> bool {
+        while self.head < self.trail.len() {
+            let falsified = !self.trail[self.head];
+            self.head += 1;
+            let mut watchers = std::mem::take(&mut self.watches[falsified.code()]);
+            let (mut kept, mut i) = (0, 0);
+            let mut conflict = false;
+            while i < watchers.len() {
+                let id = watchers[i];
+                i += 1;
+                let c = &self.clauses[id as usize];
+                if !c.live {
+                    continue;
+                }
+                let lits = &mut self.lits[c.range()];
+                if lits[0] == falsified {
+                    lits.swap(0, 1);
+                }
+                let other = value(&self.assign, lits[0]);
+                if other != LBool::True {
+                    let free =
+                        (2..lits.len()).find(|&k| value(&self.assign, lits[k]) != LBool::False);
+                    if let Some(k) = free {
+                        lits.swap(1, k);
+                        self.watches[lits[1].code()].push(id);
+                        continue;
+                    }
+                }
+                watchers[kept] = id;
+                kept += 1;
+                match other {
+                    LBool::True => {}
+                    LBool::False => {
+                        conflict = true;
                         break;
                     }
-                    LBool::False => {}
                     LBool::Undef => {
-                        unassigned_count += 1;
-                        unassigned = Some(l);
+                        let implied = self.lits[self.clauses[id as usize].start as usize];
+                        self.assign(implied, id);
                     }
                 }
             }
-            if satisfied {
-                continue;
+            watchers.drain(kept..i);
+            self.watches[falsified.code()] = watchers;
+            if conflict {
+                return true;
             }
-            match unassigned_count {
-                0 => return true, // conflict: clause fully falsified
-                1 => {
-                    let l = unassigned.expect("one unassigned literal");
-                    set(&mut assign, l);
-                    progressed = true;
+        }
+        false
+    }
+
+    /// Reverse unit propagation: asserting the negation of `clause` above
+    /// the root and propagating conflicts. Undoes back to the root.
+    fn is_rup(&mut self, clause: &[Lit]) -> bool {
+        if self.conflict {
+            return true;
+        }
+        let root = self.trail.len();
+        let mut rup = false;
+        for &l in clause {
+            match value(&self.assign, l) {
+                LBool::True => {
+                    rup = true;
+                    break;
                 }
-                _ => {}
+                LBool::False => {}
+                LBool::Undef => self.assign(!l, NO_REASON),
             }
         }
-        if !progressed {
-            return false;
+        let rup = rup || self.propagate();
+        for l in self.trail.drain(root..) {
+            self.assign[l.var().index()] = LBool::Undef;
         }
+        self.head = root;
+        rup
+    }
+
+    /// Stores a clause of the formula or an Add step, and extends the root
+    /// with what it implies.
+    fn add(&mut self, clause: &[Lit]) {
+        let key = self.normalize(clause);
+        let id = u32::try_from(self.clauses.len()).expect("fewer than 2^32 clauses");
+        let start = self.lits.len() as u32;
+        self.lits.extend_from_slice(&self.scratch);
+        let end = u32::try_from(self.lits.len()).expect("fewer than 2^32 literals");
+        self.clauses.push(Stored {
+            start,
+            end,
+            live: true,
+        });
+        self.by_hash.entry(key).or_default().push(id);
+        // Sorted, a tautology has a literal next to its negation. It can
+        // neither propagate nor conflict, so it is never watched.
+        if self.scratch.windows(2).any(|w| w[0] == !w[1]) {
+            return;
+        }
+        let len = self.scratch.len();
+        if len == 1 {
+            self.units.push(id);
+        }
+        let lits = &mut self.lits[start as usize..];
+        // Move the literals the root does not falsify to the front.
+        let mut open = 0;
+        if !self.conflict {
+            for k in 0..lits.len() {
+                if value(&self.assign, lits[k]) != LBool::False {
+                    lits.swap(open, k);
+                    open += 1;
+                }
+            }
+        }
+        let first = lits[0];
+        if len >= 2 {
+            self.watches[lits[0].code()].push(id);
+            self.watches[lits[1].code()].push(id);
+        }
+        if self.conflict {
+            return;
+        }
+        match open {
+            0 => self.conflict = true,
+            1 if value(&self.assign, first) == LBool::Undef => {
+                self.assign(first, id);
+                self.conflict = self.propagate();
+            }
+            _ => {}
+        }
+    }
+
+    /// Deletes the oldest live clause with the literals of `clause`, if
+    /// any. Deleting the reason of a root literal, or anything while the
+    /// root is in conflict, recomputes the root.
+    fn delete(&mut self, clause: &[Lit]) {
+        let key = self.normalize(clause);
+        let Some(ids) = self.by_hash.get_mut(&key) else {
+            return;
+        };
+        let (lits, clauses, wanted) = (&self.lits, &self.clauses, &self.scratch);
+        let same = |id: u32| {
+            let stored = &lits[clauses[id as usize].range()];
+            stored.len() == wanted.len() && stored.iter().all(|l| wanted.binary_search(l).is_ok())
+        };
+        let Some(pos) = ids.iter().position(|&id| same(id)) else {
+            return;
+        };
+        let id = ids.remove(pos);
+        if ids.is_empty() {
+            self.by_hash.remove(&key);
+        }
+        self.clauses[id as usize].live = false;
+        let first = self.lits[self.clauses[id as usize].start as usize];
+        let reason =
+            value(&self.assign, first) == LBool::True && self.reason[first.var().index()] == id;
+        if self.conflict || reason {
+            self.recompute_root();
+        }
+    }
+
+    /// Rebuilds the root from scratch: asserts the live unit clauses and
+    /// propagates.
+    fn recompute_root(&mut self) {
+        for l in self.trail.drain(..) {
+            self.assign[l.var().index()] = LBool::Undef;
+        }
+        self.head = 0;
+        let clauses = &self.clauses;
+        self.units.retain(|&id| clauses[id as usize].live);
+        for i in 0..self.units.len() {
+            let id = self.units[i];
+            let unit = self.lits[self.clauses[id as usize].start as usize];
+            match value(&self.assign, unit) {
+                LBool::True => {}
+                LBool::False => {
+                    self.conflict = true;
+                    return;
+                }
+                LBool::Undef => self.assign(unit, id),
+            }
+        }
+        self.conflict = self.propagate();
     }
 }
 
@@ -301,10 +515,6 @@ fn value(assign: &[LBool], l: Lit) -> LBool {
     } else {
         v.negate()
     }
-}
-
-fn set(assign: &mut [LBool], l: Lit) {
-    assign[l.var().index()] = LBool::from_bool(l.is_positive());
 }
 
 #[cfg(test)]
@@ -693,6 +903,21 @@ mod tests {
         assert!(
             rejected > cases / 20 && rejected < cases / 2,
             "{rejected} of {cases} variants rejected"
+        );
+    }
+
+    /// The one intended difference from the reference: it counts the
+    /// repeated `1` in `1 1 2` twice, so that clause never propagates and
+    /// the empty clause is not RUP. Stored clauses are deduplicated here,
+    /// so `-2` implies `1`, which implies both `3` and `-3`.
+    #[test]
+    fn repeated_literals_count_once() {
+        let cnf = CnfFormula::parse_dimacs("-2 0\n1 1 2 0\n-1 3 0\n-1 -3 0\n".as_bytes()).unwrap();
+        let proof = Proof::parse_drat("0\n").unwrap();
+        assert_eq!(check_drat(&cnf, &proof), Ok(()));
+        assert_eq!(
+            reference::check_drat(&cnf, &proof),
+            Err(DratError::NotRup { step: 0 })
         );
     }
 
