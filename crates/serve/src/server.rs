@@ -39,6 +39,7 @@
 //! thread drains them after `join` — the same post-hoc replay the
 //! runtime uses for job events.
 
+use std::collections::HashMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -162,10 +163,11 @@ struct Shared {
     responses_err: AtomicU64,
     record_events: bool,
     events: Mutex<Vec<(u64, Vec<Event>)>>,
-    /// One clone per live connection, so shutdown can abort blocked
-    /// reads (`TcpStream::shutdown` is the only way to interrupt a
-    /// blocking read in pure std).
-    conn_streams: Mutex<Vec<TcpStream>>,
+    /// One clone per live connection, by accept order, so shutdown can
+    /// abort blocked reads (`TcpStream::shutdown` is the only way to
+    /// interrupt a blocking read in pure std). A connection thread drops
+    /// its entry when it ends, which closes the socket.
+    conn_streams: Mutex<HashMap<u64, TcpStream>>,
     read_timeout: Duration,
     telemetry: ServiceTelemetry,
     queue_capacity: u64,
@@ -269,7 +271,7 @@ impl Server {
             responses_err: AtomicU64::new(0),
             record_events: config.record_events,
             events: Mutex::new(Vec::new()),
-            conn_streams: Mutex::new(Vec::new()),
+            conn_streams: Mutex::new(HashMap::new()),
             read_timeout: config.read_timeout,
             telemetry: ServiceTelemetry::new(&config.telemetry),
             queue_capacity: config.queue_capacity.max(1) as u64,
@@ -277,7 +279,7 @@ impl Server {
         let accept_shared = shared.clone();
         let accept_thread = std::thread::spawn(move || {
             let mut connections = Vec::new();
-            for stream in listener.incoming() {
+            for (conn_id, stream) in (0u64..).zip(listener.incoming()) {
                 if accept_shared.shutdown.load(Ordering::Acquire) {
                     break;
                 }
@@ -287,11 +289,20 @@ impl Server {
                         .conn_streams
                         .lock()
                         .expect("conn registry poisoned")
-                        .push(clone);
+                        .insert(conn_id, clone);
                 }
                 let conn_shared = accept_shared.clone();
                 connections.push(std::thread::spawn(move || {
                     serve_connection(stream, &conn_shared);
+                    // The registry's clone is the socket's last handle:
+                    // dropping it closes the connection, so a client that
+                    // writes after this thread stopped reading sees EOF
+                    // instead of waiting out its own read timeout.
+                    conn_shared
+                        .conn_streams
+                        .lock()
+                        .expect("conn registry poisoned")
+                        .remove(&conn_id);
                 }));
             }
             connections
@@ -342,12 +353,12 @@ impl ServerHandle {
             std::thread::sleep(Duration::from_millis(5));
         }
         // Abort idle blocked reads; response writes already completed.
-        for stream in self
+        for (_, stream) in self
             .shared
             .conn_streams
             .lock()
             .expect("conn registry poisoned")
-            .drain(..)
+            .drain()
         {
             let _ = stream.shutdown(std::net::Shutdown::Both);
         }

@@ -4,6 +4,7 @@
 //! byte budget, and malformed-frame robustness (the server answers with
 //! a protocol error and keeps serving — never panics, never hangs).
 
+use std::io::ErrorKind;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
@@ -12,7 +13,7 @@ use mca_report::{diagnose_service, ServiceStats, WhySeverity};
 use mca_serve::wire::error_code;
 use mca_serve::{
     CacheDisposition, Client, LoadConfig, Request, Response, ScenarioSpec, Server, ServerConfig,
-    TelemetryConfig, WireEncoding,
+    TelemetryConfig, WireEncoding, WireError,
 };
 
 fn start(threads: usize, cache_bytes: usize) -> mca_serve::ServerHandle {
@@ -353,6 +354,12 @@ fn malformed_frames_get_protocol_errors_and_the_server_keeps_serving() {
 fn requests_after_shutdown_are_refused() {
     let handle = start(1, 1 << 20);
     let mut client = connect(&handle);
+    // Refusal and close are both immediate; only a server that stopped
+    // reading without closing the socket makes the client wait, so a
+    // short timeout turns that into a failure within seconds.
+    client
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("set client timeout");
     client.ping().expect("ping before shutdown");
     handle.shutdown();
     // The flag is set synchronously; a check on the existing connection
@@ -365,6 +372,9 @@ fn requests_after_shutdown_are_refused() {
     }) {
         Ok(Response::Error { code, .. }) => assert_eq!(code, error_code::SHUTTING_DOWN),
         Ok(other) => panic!("expected shutting-down error, got {other:?}"),
+        Err(WireError::Io(kind @ (ErrorKind::TimedOut | ErrorKind::WouldBlock))) => {
+            panic!("connection neither answered nor closed after shutdown ({kind:?})")
+        }
         Err(_) => {} // connection already torn down — equally fine
     }
     handle.join();
