@@ -278,7 +278,8 @@ struct Checker {
     assign: Vec<LBool>,
     /// Per variable: the clause that implied its value, or [`NO_REASON`].
     reason: Vec<u32>,
-    /// The root literals, then those an Add check asserts above them.
+    /// The root literals, then those an Add check asserts or implies
+    /// above them.
     trail: Vec<Lit>,
     /// Trail index of the next literal to propagate.
     head: usize,
