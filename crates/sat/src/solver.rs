@@ -2656,6 +2656,50 @@ mod tests {
         assert!(s.stats().inprocessings >= 1);
     }
 
+    /// PHP(`holes` + 1, `holes`) as a formula, for proof checking.
+    fn pigeonhole_cnf(holes: usize) -> crate::cnf::CnfFormula {
+        let pigeons = holes + 1;
+        let p = |i: usize, j: usize| Var::from_index(i * holes + j).positive();
+        let mut cnf = crate::cnf::CnfFormula::new();
+        cnf.new_vars(pigeons * holes);
+        for i in 0..pigeons {
+            cnf.add_clause((0..holes).map(|j| p(i, j)));
+        }
+        for j in 0..holes {
+            for i1 in 0..pigeons {
+                for i2 in (i1 + 1)..pigeons {
+                    cnf.add_clause([!p(i1, j), !p(i2, j)]);
+                }
+            }
+        }
+        cnf
+    }
+
+    /// Pins the whole search on PHP(8, 7), the one in-crate formula whose
+    /// refutation runs many `reduce_db` passes: a change to clause storage,
+    /// deletion or compaction that moves one swap or one tie-break moves
+    /// these counts. The DRAT log, deletions included, must still check.
+    #[test]
+    fn pigeonhole_7_search_and_proof_are_pinned() {
+        let cnf = pigeonhole_cnf(7);
+        let mut s = load(&cnf, true);
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        let st = *s.stats();
+        assert_eq!(
+            [
+                st.conflicts,
+                st.decisions,
+                st.propagations,
+                st.restarts,
+                st.deleted_clauses,
+                st.db_reductions
+            ],
+            [8074, 9781, 113053, 31, 6336, 28]
+        );
+        let proof = s.take_proof().expect("proof enabled");
+        crate::proof::check_drat(&cnf, &proof).expect("the refutation must check");
+    }
+
     #[test]
     fn tiered_reduction_keeps_glue_and_preserves_verdicts() {
         let config = SolverConfig {

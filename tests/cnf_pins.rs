@@ -19,6 +19,9 @@ struct Pin {
     states: Option<usize>,
     gates: usize,
     dimacs_fnv: u64,
+    /// `conflicts`, `decisions`, `propagations`, `restarts` of a default
+    /// solver on the CNF.
+    search: [u64; 4],
 }
 
 const NAIVE: NumberEncoding = NumberEncoding::NaiveInt;
@@ -40,6 +43,7 @@ const PINS: &[Pin] = &[
         states: Some(4),
         gates: 2179,
         dimacs_fnv: 0x1511_add6_b085_e292,
+        search: [19, 60, 8051, 0],
     },
     Pin {
         label: "naive/two_agent_rebid_attack@4",
@@ -48,6 +52,7 @@ const PINS: &[Pin] = &[
         states: Some(4),
         gates: 2253,
         dimacs_fnv: 0x66c0_b2e4_d352_33f1,
+        search: [36, 155, 13098, 0],
     },
     Pin {
         label: "naive/at_scope_2x2@3",
@@ -56,6 +61,7 @@ const PINS: &[Pin] = &[
         states: Some(3),
         gates: 1012,
         dimacs_fnv: 0xaf36_4f40_eb25_356e,
+        search: [6, 7, 2428, 0],
     },
     Pin {
         label: "naive/at_scope_2x2@2",
@@ -64,6 +70,7 @@ const PINS: &[Pin] = &[
         states: Some(2),
         gates: 579,
         dimacs_fnv: 0xcea4_fc35_a60d_4e12,
+        search: [0, 1, 643, 0],
     },
     Pin {
         label: "opt/paper_scope_sound@12",
@@ -72,6 +79,7 @@ const PINS: &[Pin] = &[
         states: None,
         gates: 24274,
         dimacs_fnv: 0x7cde_402c_de80_8147,
+        search: [9358, 24810, 15911056, 39],
     },
     Pin {
         label: "opt/paper_scope@10",
@@ -80,6 +88,7 @@ const PINS: &[Pin] = &[
         states: Some(10),
         gates: 19901,
         dimacs_fnv: 0xe11e_e7d5_fd6c_b0e7,
+        search: [2333, 7559, 3658720, 13],
     },
     Pin {
         label: "cert/at_scope_3x2@8",
@@ -88,6 +97,7 @@ const PINS: &[Pin] = &[
         states: Some(8),
         gates: 8556,
         dimacs_fnv: 0x139e_6219_9c6e_d31e,
+        search: [660, 1883, 851991, 5],
     },
     Pin {
         label: "cert/two_agent_compliant",
@@ -96,6 +106,7 @@ const PINS: &[Pin] = &[
         states: None,
         gates: 2527,
         dimacs_fnv: 0x1526_9486_f0fd_f6a1,
+        search: [12, 61, 9996, 0],
     },
     Pin {
         label: "cert/two_agent_rebid_attack",
@@ -104,18 +115,23 @@ const PINS: &[Pin] = &[
         states: None,
         gates: 2633,
         dimacs_fnv: 0x8967_7ac5_1d1c_df6c,
+        search: [14, 62, 10079, 0],
     },
 ];
+
+fn build(pin: &Pin) -> DynamicModel {
+    let mut scenario = (pin.scenario)();
+    if let Some(states) = pin.states {
+        scenario.states = states;
+    }
+    DynamicModel::build(pin.encoding, scenario)
+}
 
 #[test]
 fn deck_cnfs_are_byte_identical_to_their_pins() {
     let mut moved = Vec::new();
     for pin in PINS {
-        let mut scenario = (pin.scenario)();
-        if let Some(states) = pin.states {
-            scenario.states = states;
-        }
-        let model = DynamicModel::build(pin.encoding, scenario);
+        let model = build(pin);
         let mut dimacs = Vec::new();
         model
             .consensus_cnf()
@@ -138,4 +154,30 @@ fn deck_cnfs_are_byte_identical_to_their_pins() {
         }
     }
     assert!(moved.is_empty(), "CNFs moved:\n{}", moved.join("\n"));
+}
+
+/// The same CNFs pin the CDCL search: a solver-internal change that claims
+/// to leave the search untouched (clause layout, watch lists) proves it
+/// here, one count at a time.
+#[test]
+fn deck_searches_match_their_pins() {
+    let mut moved = Vec::new();
+    for pin in PINS {
+        let mut solver = build(pin).consensus_cnf().expect("translates").to_solver();
+        let verdict = solver.solve();
+        let stats = solver.stats();
+        let search = [
+            stats.conflicts,
+            stats.decisions,
+            stats.propagations,
+            stats.restarts,
+        ];
+        if search != pin.search {
+            moved.push(format!(
+                "{}: {verdict:?}, conflicts/decisions/propagations/restarts {search:?} (pinned {:?})",
+                pin.label, pin.search
+            ));
+        }
+    }
+    assert!(moved.is_empty(), "searches moved:\n{}", moved.join("\n"));
 }
