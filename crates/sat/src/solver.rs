@@ -420,7 +420,9 @@ pub struct Solver {
     /// Conflict clause over assumptions from the last failed assumption solve.
     conflict_assumptions: Vec<Lit>,
     stats: SolverStats,
-    /// Scratch for LBD computation.
+    /// Scratch for LBD computation, indexed by decision level. It grows
+    /// with the deepest level ever opened, which can exceed the variable
+    /// count: an assumption that is already true opens an empty level.
     lbd_seen: Vec<u64>,
     lbd_stamp: u64,
     /// DRAT proof log, when enabled.
@@ -700,7 +702,6 @@ impl Solver {
         self.activity.push(0.0);
         self.phase.push(self.config.default_polarity);
         self.seen.push(false);
-        self.lbd_seen.push(0);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
         self.order.insert(v, &self.activity);
@@ -746,6 +747,16 @@ impl Solver {
     #[inline]
     fn decision_level(&self) -> u32 {
         self.trail_lim.len() as u32
+    }
+
+    /// Opens a new decision level, growing the per-level LBD scratch with
+    /// it.
+    fn new_decision_level(&mut self) {
+        self.trail_lim.push(self.trail.len());
+        let top = self.trail_lim.len();
+        if self.lbd_seen.len() <= top {
+            self.lbd_seen.resize(top + 1, 0);
+        }
     }
 
     /// Adds a clause. Returns `false` if the solver became trivially
@@ -936,9 +947,8 @@ impl Solver {
         let mut n = 0;
         for &l in lits {
             let lv = self.level[l.var().index()] as usize;
-            if lv > 0 && self.lbd_seen[lv % self.lbd_seen.len().max(1)] != self.lbd_stamp {
-                let idx = lv % self.lbd_seen.len().max(1);
-                self.lbd_seen[idx] = self.lbd_stamp;
+            if lv > 0 && self.lbd_seen[lv] != self.lbd_stamp {
+                self.lbd_seen[lv] = self.lbd_stamp;
                 n += 1;
             }
         }
@@ -1771,7 +1781,7 @@ impl Solver {
                         LBool::True => {
                             // Already satisfied; open a dummy level to keep
                             // the level/assumption indexing aligned.
-                            self.trail_lim.push(self.trail.len());
+                            self.new_decision_level();
                             continue;
                         }
                         LBool::False => {
@@ -1782,7 +1792,7 @@ impl Solver {
                             return SearchOutcome::Unsat;
                         }
                         LBool::Undef => {
-                            self.trail_lim.push(self.trail.len());
+                            self.new_decision_level();
                             self.unchecked_enqueue(a, None);
                             continue;
                         }
@@ -1800,7 +1810,7 @@ impl Solver {
                         } else {
                             self.config.default_polarity
                         };
-                        self.trail_lim.push(self.trail.len());
+                        self.new_decision_level();
                         self.unchecked_enqueue(v.lit(phase), None);
                     }
                 }
@@ -2654,6 +2664,20 @@ mod tests {
         s.add_clause([g]);
         assert_eq!(s.solve(), SolveResult::Sat);
         assert!(s.stats().inprocessings >= 1);
+    }
+
+    #[test]
+    fn lbd_counts_levels_beyond_the_variable_count() {
+        // Two variables on levels 1 and 3: the already-true repeat of `x`
+        // opens an empty level 2. With per-level scratch indexed modulo the
+        // variable count, levels 1 and 3 shared a slot and the LBD read 1.
+        let mut s = Solver::new();
+        let x = lit(&mut s, 1);
+        let y = lit(&mut s, 2);
+        assert_eq!(s.solve_with_assumptions(&[x, x, y]), SolveResult::Sat);
+        assert_eq!(s.decision_level(), 3);
+        assert_eq!((s.level[0], s.level[1]), (1, 3));
+        assert_eq!(s.lbd(&[x, y]), 2);
     }
 
     /// PHP(`holes` + 1, `holes`) as a formula, for proof checking.
