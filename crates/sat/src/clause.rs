@@ -1,78 +1,95 @@
-//! Clause storage.
+//! Clause storage: one flat arena of `u32` words.
 //!
-//! Clauses live in a [`ClauseDb`] arena and are referenced by lightweight
-//! [`ClauseRef`] handles. Learnt clauses carry an activity score and an LBD
-//! (literal block distance) used by the clause-database reduction policy.
+//! Every clause is a two-word header followed by its literal codes
+//! ([`Lit::code`]); a learnt clause then keeps its `f64` activity in two
+//! more words:
+//!
+//! ```text
+//! cref ─► [ len << 3 | flags ] [ lbd ] [ lit 0 ] … [ lit len-1 ] ( [ activity lo ] [ activity hi ] )
+//! ```
+//!
+//! A [`ClauseRef`] is the offset of the clause's header in the arena. The
+//! offset stays below 2^31: the solver's watchers tag binary clauses with
+//! bit 31 of the same word (see [`BINARY_TAG`]).
+//!
+//! Deleting a clause only flags its header and counts its words as dead;
+//! its watchers are the solver's to remove. Once dead words exceed half the
+//! arena, [`ClauseDb::compact`] copies the live clauses, in arena order,
+//! into a fresh arena and hands back a [`Forwarding`] that remaps old
+//! handles to new ones.
 
 use crate::lit::Lit;
-use std::fmt;
 
-/// A handle to a clause inside the solver's internal clause arena.
+/// Bit 31 of a watcher's clause word: set for binary clauses. Arena
+/// offsets must stay below it.
+pub(crate) const BINARY_TAG: u32 = 1 << 31;
+
+/// Header words in front of a clause's literals.
+const HEADER: usize = 2;
+/// Words a learnt clause's activity takes after its literals.
+const ACTIVITY: usize = 2;
+
+/// Header flag: the clause was learnt during conflict analysis.
+const LEARNT: u32 = 1;
+/// Header flag: the clause is deleted; its words are dead.
+const DELETED: u32 = 1 << 1;
+/// Header flag: a one-word filler left behind by [`ClauseDb::shrink`].
+const PAD: u32 = 1 << 2;
+/// The literal count starts above the flags.
+const LEN_SHIFT: u32 = 3;
+
+/// A handle to a clause: the offset of its header in the solver's clause
+/// arena.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct ClauseRef(pub(crate) u32);
 
 impl ClauseRef {
+    /// The handle of the clause whose header sits at `offset`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `offset` reaches [`BINARY_TAG`]: such a handle would read
+    /// as a binary clause once it is stored in a watcher.
     #[inline]
-    pub(crate) fn index(self) -> usize {
+    pub(crate) fn from_offset(offset: usize) -> ClauseRef {
+        assert!(
+            offset < BINARY_TAG as usize,
+            "clause arena offset {offset} reaches the binary-watcher tag bit"
+        );
+        ClauseRef(offset as u32)
+    }
+
+    #[inline]
+    fn offset(self) -> usize {
         self.0 as usize
     }
 }
 
-/// A disjunction of literals.
-#[derive(Clone, Debug)]
-pub struct Clause {
-    pub(crate) lits: Vec<Lit>,
-    pub(crate) learnt: bool,
-    pub(crate) deleted: bool,
-    pub(crate) activity: f64,
-    pub(crate) lbd: u32,
-}
+/// The old arena after a [`ClauseDb::compact`]: each live clause's LBD
+/// word holds the clause's new offset.
+#[derive(Debug)]
+pub struct Forwarding(Vec<u32>);
 
-impl Clause {
-    /// The literals of this clause.
+impl Forwarding {
+    /// The new handle of the clause `old` referred to before compaction.
+    /// `old` must have been live.
     #[inline]
-    pub fn lits(&self) -> &[Lit] {
-        &self.lits
-    }
-
-    /// Number of literals.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.lits.len()
-    }
-
-    /// `true` if the clause has no literals.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.lits.is_empty()
-    }
-
-    /// `true` if this clause was learnt during conflict analysis (as opposed
-    /// to being part of the original problem).
-    #[inline]
-    pub fn is_learnt(&self) -> bool {
-        self.learnt
-    }
-}
-
-impl fmt::Display for Clause {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for l in &self.lits {
-            if !first {
-                write!(f, " ")?;
-            }
-            write!(f, "{l}")?;
-            first = false;
-        }
-        write!(f, " 0")
+    pub fn get(&self, old: ClauseRef) -> ClauseRef {
+        debug_assert_eq!(
+            self.0[old.offset()] & (DELETED | PAD),
+            0,
+            "only live clauses are forwarded"
+        );
+        ClauseRef(self.0[old.offset() + 1])
     }
 }
 
 /// Arena holding all clauses of a solver.
 #[derive(Default, Debug)]
 pub struct ClauseDb {
-    clauses: Vec<Clause>,
+    arena: Vec<u32>,
+    /// Words of deleted clauses and padding, reclaimed by compaction.
+    dead: usize,
     /// Number of live (non-deleted) learnt clauses.
     num_learnt: usize,
     /// Number of live problem clauses.
@@ -87,54 +104,167 @@ impl ClauseDb {
         ClauseDb::default()
     }
 
-    /// Adds a clause and returns its handle.
+    /// Appends a clause and returns its handle.
     ///
     /// The caller is responsible for watch-list maintenance.
-    pub fn push(&mut self, lits: Vec<Lit>, learnt: bool) -> ClauseRef {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the clause would start at an offset at or above
+    /// [`BINARY_TAG`].
+    pub fn push(&mut self, lits: &[Lit], learnt: bool) -> ClauseRef {
         debug_assert!(lits.len() >= 2, "unit/empty clauses are not stored");
-        let idx = self.clauses.len() as u32;
+        assert!(
+            lits.len() < 1 << (32 - LEN_SHIFT),
+            "clause too long for its header"
+        );
+        let cref = ClauseRef::from_offset(self.arena.len());
         self.allocations += 1;
-        if learnt {
+        let flags = if learnt {
             self.num_learnt += 1;
+            LEARNT
         } else {
             self.num_problem += 1;
+            0
+        };
+        self.arena.push((lits.len() as u32) << LEN_SHIFT | flags);
+        self.arena.push(0);
+        self.arena.extend(lits.iter().map(|l| l.code() as u32));
+        if learnt {
+            self.arena.extend([0; ACTIVITY]);
         }
-        self.clauses.push(Clause {
-            lits,
-            learnt,
-            deleted: false,
-            activity: 0.0,
-            lbd: 0,
-        });
-        ClauseRef(idx)
+        cref
     }
 
-    /// Marks a clause as deleted. The storage is reclaimed on the next
-    /// [`compact`](ClauseDb::compact).
+    /// Marks a clause as deleted and counts its words as dead. Its
+    /// watchers stay until the solver removes them.
     pub fn delete(&mut self, cref: ClauseRef) {
-        let c = &mut self.clauses[cref.index()];
-        if !c.deleted {
-            if c.learnt {
-                self.num_learnt -= 1;
-            } else {
-                self.num_problem -= 1;
-            }
-            c.deleted = true;
-            c.lits.clear();
-            c.lits.shrink_to_fit();
+        let header = self.arena[cref.offset()];
+        if header & DELETED != 0 {
+            return;
         }
+        if header & LEARNT != 0 {
+            self.num_learnt -= 1;
+        } else {
+            self.num_problem -= 1;
+        }
+        self.arena[cref.offset()] = header | DELETED;
+        self.dead += Self::words(header);
     }
 
-    /// Returns a shared reference to the clause behind `cref`.
-    #[inline]
-    pub fn get(&self, cref: ClauseRef) -> &Clause {
-        &self.clauses[cref.index()]
+    /// Rewrites a clause in place with `lits`, which must be no longer
+    /// than its literals. The freed words become dead padding.
+    pub fn shrink(&mut self, cref: ClauseRef, lits: &[Lit]) {
+        let header = self.arena[cref.offset()];
+        let old_len = (header >> LEN_SHIFT) as usize;
+        assert!(lits.len() >= 2 && lits.len() <= old_len);
+        let activity = self.activity(cref);
+        let base = cref.offset() + HEADER;
+        for (w, l) in self.arena[base..].iter_mut().zip(lits) {
+            *w = l.code() as u32;
+        }
+        self.arena[cref.offset()] = (lits.len() as u32) << LEN_SHIFT | header & LEARNT;
+        if header & LEARNT != 0 {
+            self.set_activity(cref, activity);
+        }
+        let end = cref.offset() + Self::words(header);
+        let new_end = cref.offset() + Self::words(self.arena[cref.offset()]);
+        self.arena[new_end..end].fill(PAD);
+        self.dead += end - new_end;
     }
 
-    /// Returns an exclusive reference to the clause behind `cref`.
+    /// Words a clause with this header occupies, header included.
     #[inline]
-    pub fn get_mut(&mut self, cref: ClauseRef) -> &mut Clause {
-        &mut self.clauses[cref.index()]
+    fn words(header: u32) -> usize {
+        if header & PAD != 0 {
+            return 1;
+        }
+        let extra = if header & LEARNT != 0 { ACTIVITY } else { 0 };
+        HEADER + (header >> LEN_SHIFT) as usize + extra
+    }
+
+    /// Number of literals.
+    #[inline]
+    pub fn len(&self, cref: ClauseRef) -> usize {
+        (self.arena[cref.offset()] >> LEN_SHIFT) as usize
+    }
+
+    /// `true` if the clause was learnt during conflict analysis.
+    #[inline]
+    pub fn is_learnt(&self, cref: ClauseRef) -> bool {
+        self.arena[cref.offset()] & LEARNT != 0
+    }
+
+    /// `true` once the clause has been deleted.
+    #[inline]
+    pub fn is_deleted(&self, cref: ClauseRef) -> bool {
+        self.arena[cref.offset()] & DELETED != 0
+    }
+
+    /// The clause's stored literal block distance (0 for problem clauses).
+    #[inline]
+    pub fn lbd(&self, cref: ClauseRef) -> u32 {
+        self.arena[cref.offset() + 1]
+    }
+
+    /// Stores the clause's literal block distance.
+    #[inline]
+    pub fn set_lbd(&mut self, cref: ClauseRef, lbd: u32) {
+        self.arena[cref.offset() + 1] = lbd;
+    }
+
+    #[inline]
+    fn activity_at(&self, cref: ClauseRef) -> usize {
+        debug_assert!(self.is_learnt(cref), "only learnt clauses keep an activity");
+        cref.offset() + HEADER + self.len(cref)
+    }
+
+    /// A learnt clause's activity.
+    #[inline]
+    pub fn activity(&self, cref: ClauseRef) -> f64 {
+        if !self.is_learnt(cref) {
+            return 0.0;
+        }
+        let at = self.activity_at(cref);
+        f64::from_bits(u64::from(self.arena[at]) | u64::from(self.arena[at + 1]) << 32)
+    }
+
+    /// Stores a learnt clause's activity.
+    #[inline]
+    pub fn set_activity(&mut self, cref: ClauseRef, activity: f64) {
+        let at = self.activity_at(cref);
+        let bits = activity.to_bits();
+        self.arena[at] = bits as u32;
+        self.arena[at + 1] = (bits >> 32) as u32;
+    }
+
+    /// The `k`-th literal.
+    #[inline]
+    pub fn lit(&self, cref: ClauseRef, k: usize) -> Lit {
+        Lit::from_code(self.arena[cref.offset() + HEADER + k] as usize)
+    }
+
+    /// The literal codes, in stored order.
+    #[inline]
+    pub fn lit_words(&self, cref: ClauseRef) -> &[u32] {
+        let base = cref.offset() + HEADER;
+        &self.arena[base..base + self.len(cref)]
+    }
+
+    /// The literal codes, in stored order, for reordering in place.
+    #[inline]
+    pub fn lit_words_mut(&mut self, cref: ClauseRef) -> &mut [u32] {
+        let base = cref.offset() + HEADER;
+        let len = self.len(cref);
+        &mut self.arena[base..base + len]
+    }
+
+    /// The literals, in stored order.
+    #[inline]
+    pub fn lits(&self, cref: ClauseRef) -> impl ExactSizeIterator<Item = Lit> + Clone + '_ {
+        self.lit_words(cref)
+            .iter()
+            .map(|&w| Lit::from_code(w as usize))
     }
 
     /// Number of live learnt clauses.
@@ -157,54 +287,84 @@ impl ClauseDb {
         self.allocations
     }
 
-    /// Estimated heap footprint of the arena in bytes: the clause-slot
-    /// vector plus every clause's literal buffer (capacity, not length —
-    /// deleted clauses' shrunk buffers count as 0).
+    /// Heap footprint of the arena in bytes: its capacity, dead words
+    /// included.
     pub fn bytes_estimate(&self) -> u64 {
-        let slots = self.clauses.capacity() * std::mem::size_of::<Clause>();
-        let lits: usize = self
-            .clauses
-            .iter()
-            .map(|c| c.lits.capacity() * std::mem::size_of::<Lit>())
-            .sum();
-        (slots + lits) as u64
+        (self.arena.capacity() * std::mem::size_of::<u32>()) as u64
     }
 
-    /// Iterates over handles of all live clauses.
+    /// Words in use, dead ones included.
     #[cfg(test)]
+    pub fn len_words(&self) -> usize {
+        self.arena.len()
+    }
+
+    /// Words of deleted clauses and padding not yet reclaimed.
+    #[cfg(test)]
+    pub fn dead_words(&self) -> usize {
+        self.dead
+    }
+
+    /// `true` once dead words exceed half the arena.
+    #[inline]
+    pub fn wants_compaction(&self) -> bool {
+        self.dead * 2 > self.arena.len()
+    }
+
+    /// Copies the live clauses, in arena order, into a fresh arena. The
+    /// returned [`Forwarding`] maps every handle that was live before the
+    /// call to the clause's new handle.
+    pub fn compact(&mut self) -> Forwarding {
+        let live = Vec::with_capacity(self.arena.len() - self.dead);
+        let mut old = std::mem::replace(&mut self.arena, live);
+        let mut pos = 0;
+        while pos < old.len() {
+            let header = old[pos];
+            let words = Self::words(header);
+            if header & (DELETED | PAD) == 0 {
+                let to = self.arena.len() as u32;
+                self.arena.extend_from_slice(&old[pos..pos + words]);
+                old[pos + 1] = to;
+            }
+            pos += words;
+        }
+        self.dead = 0;
+        Forwarding(old)
+    }
+
+    /// Iterates over handles of all live clauses, in arena order.
     pub fn iter_refs(&self) -> impl Iterator<Item = ClauseRef> + '_ {
-        self.clauses
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.deleted)
-            .map(|(i, _)| ClauseRef(i as u32))
+        let mut pos = 0;
+        std::iter::from_fn(move || {
+            while pos < self.arena.len() {
+                let at = pos;
+                let header = self.arena[at];
+                pos += Self::words(header);
+                if header & (DELETED | PAD) == 0 {
+                    return Some(ClauseRef(at as u32));
+                }
+            }
+            None
+        })
     }
 
     /// Iterates over handles of live *problem* (non-learnt) clauses.
     pub fn iter_problem_refs(&self) -> impl Iterator<Item = ClauseRef> + '_ {
-        self.clauses
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.deleted && !c.learnt)
-            .map(|(i, _)| ClauseRef(i as u32))
+        self.iter_refs().filter(|&c| !self.is_learnt(c))
     }
 
     /// Iterates over handles of live *learnt* clauses.
     pub fn iter_learnt_refs(&self) -> impl Iterator<Item = ClauseRef> + '_ {
-        self.clauses
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.deleted && c.learnt)
-            .map(|(i, _)| ClauseRef(i as u32))
+        self.iter_refs().filter(|&c| self.is_learnt(c))
     }
 
     /// Divides every learnt-clause activity by `factor` (rescaling to avoid
     /// floating-point overflow).
     pub fn rescale_activity(&mut self, factor: f64) {
-        for c in &mut self.clauses {
-            if c.learnt && !c.deleted {
-                c.activity /= factor;
-            }
+        let learnt: Vec<ClauseRef> = self.iter_learnt_refs().collect();
+        for cref in learnt {
+            let a = self.activity(cref);
+            self.set_activity(cref, a / factor);
         }
     }
 }
@@ -212,7 +372,6 @@ impl ClauseDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lit::Var;
 
     fn lits(codes: &[i64]) -> Vec<Lit> {
         codes
@@ -222,20 +381,26 @@ mod tests {
     }
 
     #[test]
-    fn push_and_get() {
+    fn push_and_read_back() {
         let mut db = ClauseDb::new();
-        let c = db.push(lits(&[1, -2, 3]), false);
-        assert_eq!(db.get(c).len(), 3);
-        assert!(!db.get(c).is_learnt());
+        let c = db.push(&lits(&[1, -2, 3]), false);
+        assert_eq!(db.len(c), 3);
+        assert_eq!(db.lits(c).collect::<Vec<_>>(), lits(&[1, -2, 3]));
+        assert!(!db.is_learnt(c));
         assert_eq!(db.num_problem(), 1);
         assert_eq!(db.num_learnt(), 0);
+        let l = db.push(&lits(&[4, 5]), true);
+        db.set_lbd(l, 2);
+        db.set_activity(l, 1e19 + 0.5);
+        assert_eq!((db.lbd(l), db.activity(l)), (2, 1e19 + 0.5));
+        assert_eq!(db.lits(l).collect::<Vec<_>>(), lits(&[4, 5]));
     }
 
     #[test]
     fn delete_updates_counts() {
         let mut db = ClauseDb::new();
-        let a = db.push(lits(&[1, 2]), false);
-        let b = db.push(lits(&[1, -2]), true);
+        let a = db.push(&lits(&[1, 2]), false);
+        let b = db.push(&lits(&[1, -2]), true);
         assert_eq!(db.num_problem(), 1);
         assert_eq!(db.num_learnt(), 1);
         db.delete(b);
@@ -243,17 +408,8 @@ mod tests {
         // double delete is a no-op
         db.delete(b);
         assert_eq!(db.num_learnt(), 0);
+        assert_eq!(db.dead_words(), HEADER + 2 + ACTIVITY);
         assert_eq!(db.iter_refs().collect::<Vec<_>>(), vec![a]);
-    }
-
-    #[test]
-    fn display_is_dimacs() {
-        let mut db = ClauseDb::new();
-        let c = db.push(
-            vec![Var::from_index(0).positive(), Var::from_index(1).negative()],
-            false,
-        );
-        assert_eq!(db.get(c).to_string(), "1 -2 0");
     }
 
     #[test]
@@ -261,22 +417,77 @@ mod tests {
         let mut db = ClauseDb::new();
         assert_eq!(db.allocations(), 0);
         assert_eq!(db.bytes_estimate(), 0);
-        let a = db.push(lits(&[1, 2]), false);
-        db.push(lits(&[3, 4]), true);
+        let a = db.push(&lits(&[1, 2]), false);
+        db.push(&lits(&[3, 4]), true);
         assert_eq!(db.allocations(), 2);
-        assert!(db.bytes_estimate() > 0);
-        let before = db.bytes_estimate();
+        assert!(db.bytes_estimate() >= 4 * db.len_words() as u64);
         db.delete(a);
-        // Deletion shrinks the literal buffer but never the allocation count.
+        db.compact();
+        // Compaction drops dead words but never the allocation count.
         assert_eq!(db.allocations(), 2);
-        assert!(db.bytes_estimate() <= before);
+        assert_eq!(db.len_words(), HEADER + 2 + ACTIVITY);
     }
 
     #[test]
     fn iter_learnt_only() {
         let mut db = ClauseDb::new();
-        db.push(lits(&[1, 2]), false);
-        let l = db.push(lits(&[3, 4]), true);
+        db.push(&lits(&[1, 2]), false);
+        let l = db.push(&lits(&[3, 4]), true);
         assert_eq!(db.iter_learnt_refs().collect::<Vec<_>>(), vec![l]);
+    }
+
+    #[test]
+    fn shrink_pads_and_keeps_activity() {
+        let mut db = ClauseDb::new();
+        let l = db.push(&lits(&[1, 2, 3, 4]), true);
+        db.set_activity(l, 3.5);
+        let p = db.push(&lits(&[5, 6]), false);
+        db.shrink(l, &lits(&[4, 2]));
+        assert_eq!(db.lits(l).collect::<Vec<_>>(), lits(&[4, 2]));
+        assert_eq!(db.activity(l), 3.5);
+        assert_eq!(db.dead_words(), 2);
+        assert_eq!(db.iter_refs().collect::<Vec<_>>(), vec![l, p]);
+    }
+
+    #[test]
+    fn compaction_keeps_arena_order_and_forwards_handles() {
+        let mut db = ClauseDb::new();
+        let a = db.push(&lits(&[1, 2, 3]), false);
+        let b = db.push(&lits(&[4, 5, 6]), true);
+        let c = db.push(&lits(&[-1, 7]), true);
+        let d = db.push(&lits(&[8, 9, -3]), false);
+        db.set_lbd(c, 2);
+        db.set_activity(c, 7.0);
+        db.shrink(d, &lits(&[8, 9]));
+        db.delete(b);
+        let fwd = db.compact();
+        assert_eq!(db.dead_words(), 0);
+        let live: Vec<ClauseRef> = db.iter_refs().collect();
+        assert_eq!(live, vec![fwd.get(a), fwd.get(c), fwd.get(d)]);
+        assert_eq!(db.lits(fwd.get(a)).collect::<Vec<_>>(), lits(&[1, 2, 3]));
+        assert_eq!(db.lits(fwd.get(c)).collect::<Vec<_>>(), lits(&[-1, 7]));
+        assert_eq!(db.lits(fwd.get(d)).collect::<Vec<_>>(), lits(&[8, 9]));
+        assert_eq!((db.lbd(fwd.get(c)), db.activity(fwd.get(c))), (2, 7.0));
+        assert_eq!(db.num_learnt(), 1);
+        assert_eq!(db.num_problem(), 2);
+    }
+
+    #[test]
+    fn offsets_below_the_tag_bit_convert() {
+        let last = BINARY_TAG as usize - 1;
+        assert_eq!(ClauseRef::from_offset(last).0, BINARY_TAG - 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "binary-watcher tag bit")]
+    fn an_offset_at_the_tag_bit_panics() {
+        ClauseRef::from_offset(BINARY_TAG as usize);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "binary-watcher tag bit")]
+    fn an_offset_past_u32_panics_instead_of_wrapping() {
+        ClauseRef::from_offset(1 << 32);
     }
 }

@@ -72,7 +72,7 @@ pub mod proof;
 pub mod simplify;
 mod solver;
 
-pub use clause::{Clause, ClauseRef};
+pub use clause::ClauseRef;
 pub use cnf::{CnfFormula, DimacsError};
 pub use lit::{LBool, Lit, Var};
 pub use luby::{luby, LubyRestarts};

@@ -9,8 +9,30 @@
 //! ([`SolverConfig::inprocess`]), conflict-budgeted solving
 //! ([`Solver::solve_bounded`]) and learnt-clause sharing between solver
 //! instances ([`ClauseSink`]).
+//!
+//! # Clause storage and watchers
+//!
+//! Clauses live in one flat `u32` arena (see the `clause` module): a short
+//! header, then the literals inline, so a watcher reaches a clause's
+//! literals in one hop. A watcher is 8 bytes, the clause handle and a
+//! blocker literal, and bit 31 of the handle word tags a binary clause. A
+//! binary clause's blocker is always its other literal, so `propagate`
+//! settles it from the watcher alone: the blocker is true (skip), unassigned
+//! (imply it) or false (conflict). Only a conflict reads the arena, to put
+//! the clause's literals in the order conflict analysis has always seen
+//! (the other literal first). Analysis reads reason clauses in place and
+//! skips the implied literal by value, since a binary reason's stored order
+//! is no longer kept up to date.
+//!
+//! `reduce_db` detaches lazily: it flags the clauses it deletes, then sweeps
+//! every watch list once, keeping the order of the watchers that stay. When
+//! dead words exceed half the arena, compaction copies the live clauses in
+//! arena order into a fresh arena and remaps the handles in the watchers
+//! and in `reason`. Neither changes the search: watch-list order, arena
+//! order and every literal order analysis reads are those of a store that
+//! detaches eagerly and never moves a clause.
 
-use crate::clause::{ClauseDb, ClauseRef};
+use crate::clause::{ClauseDb, ClauseRef, BINARY_TAG};
 use crate::lit::{LBool, Lit, Var};
 use crate::luby::luby;
 use crate::proof::Proof;
@@ -364,10 +386,79 @@ impl std::fmt::Debug for ProgressCallback {
     }
 }
 
+/// A watch-list entry: a clause handle whose bit 31 tags a binary clause,
+/// and a blocker literal. A true blocker means the clause is satisfied and
+/// need not be visited; a binary clause's blocker is its other literal.
 #[derive(Clone, Copy, Debug)]
 struct Watcher {
-    cref: ClauseRef,
+    tagged: u32,
     blocker: Lit,
+}
+
+impl Watcher {
+    #[inline]
+    fn new(cref: ClauseRef, blocker: Lit, binary: bool) -> Watcher {
+        debug_assert!(cref.0 < BINARY_TAG, "ClauseRef::from_offset bounds it");
+        let tag = if binary { BINARY_TAG } else { 0 };
+        Watcher {
+            tagged: cref.0 | tag,
+            blocker,
+        }
+    }
+
+    #[inline]
+    fn cref(self) -> ClauseRef {
+        ClauseRef(self.tagged & !BINARY_TAG)
+    }
+
+    #[inline]
+    fn is_binary(self) -> bool {
+        self.tagged & BINARY_TAG != 0
+    }
+}
+
+/// Value of `l` under `assigns`; a free function so that callers can hold
+/// the clause arena mutably at the same time.
+#[inline]
+fn value(assigns: &[LBool], l: Lit) -> LBool {
+    let v = assigns[l.var().index()];
+    if l.is_positive() {
+        v
+    } else {
+        v.negate()
+    }
+}
+
+/// Scratch for counting the distinct decision levels of a literal set,
+/// indexed by level. It grows with the deepest level ever opened, which
+/// can exceed the variable count: an assumption that is already true opens
+/// an empty level.
+#[derive(Debug, Default)]
+struct LevelStamps {
+    stamps: Vec<u64>,
+    stamp: u64,
+}
+
+impl LevelStamps {
+    fn cover(&mut self, level: usize) {
+        if self.stamps.len() <= level {
+            self.stamps.resize(level + 1, 0);
+        }
+    }
+
+    /// The LBD of `lits`: their distinct nonzero decision levels.
+    fn count(&mut self, level: &[u32], lits: impl IntoIterator<Item = Lit>) -> u32 {
+        self.stamp += 1;
+        let mut n = 0;
+        for l in lits {
+            let lv = level[l.var().index()] as usize;
+            if lv > 0 && self.stamps[lv] != self.stamp {
+                self.stamps[lv] = self.stamp;
+                n += 1;
+            }
+        }
+        n
+    }
 }
 
 /// A conflict-driven clause-learning SAT solver.
@@ -420,11 +511,8 @@ pub struct Solver {
     /// Conflict clause over assumptions from the last failed assumption solve.
     conflict_assumptions: Vec<Lit>,
     stats: SolverStats,
-    /// Scratch for LBD computation, indexed by decision level. It grows
-    /// with the deepest level ever opened, which can exceed the variable
-    /// count: an assumption that is already true opens an empty level.
-    lbd_seen: Vec<u64>,
-    lbd_stamp: u64,
+    /// Scratch for LBD computation.
+    lbd_levels: LevelStamps,
     /// DRAT proof log, when enabled.
     proof: Option<Proof>,
     /// Periodic progress hook, when installed.
@@ -512,8 +600,7 @@ impl Solver {
             unsat: false,
             conflict_assumptions: Vec::new(),
             stats: SolverStats::default(),
-            lbd_seen: Vec::new(),
-            lbd_stamp: 0,
+            lbd_levels: LevelStamps::default(),
             proof: None,
             progress: None,
             terminate: None,
@@ -581,7 +668,8 @@ impl Solver {
         self.learnt_peak
     }
 
-    /// Estimated heap footprint of the clause database in bytes.
+    /// Heap footprint of the clause database in bytes: the capacity of its
+    /// arena, dead words included.
     pub fn clause_db_bytes(&self) -> u64 {
         self.db.bytes_estimate()
     }
@@ -687,9 +775,9 @@ impl Solver {
         }
     }
 
-    fn log_delete(&mut self, clause: &[Lit]) {
+    fn log_delete(&mut self, cref: ClauseRef) {
         if let Some(p) = &mut self.proof {
-            p.delete(clause.to_vec());
+            p.delete(self.db.lits(cref).collect());
         }
     }
 
@@ -736,12 +824,7 @@ impl Solver {
     /// Current value of a literal under the partial assignment.
     #[inline]
     fn lit_value(&self, l: Lit) -> LBool {
-        let v = self.assigns[l.var().index()];
-        if l.is_positive() {
-            v
-        } else {
-            v.negate()
-        }
+        value(&self.assigns, l)
     }
 
     #[inline]
@@ -753,10 +836,7 @@ impl Solver {
     /// it.
     fn new_decision_level(&mut self) {
         self.trail_lim.push(self.trail.len());
-        let top = self.trail_lim.len();
-        if self.lbd_seen.len() <= top {
-            self.lbd_seen.resize(top + 1, 0);
-        }
+        self.lbd_levels.cover(self.trail_lim.len());
     }
 
     /// Adds a clause. Returns `false` if the solver became trivially
@@ -811,7 +891,7 @@ impl Solver {
                 }
             }
             _ => {
-                let cref = self.db.push(filtered, false);
+                let cref = self.db.push(&filtered, false);
                 self.attach(cref);
                 true
             }
@@ -819,12 +899,10 @@ impl Solver {
     }
 
     fn attach(&mut self, cref: ClauseRef) {
-        let (l0, l1) = {
-            let c = self.db.get(cref);
-            (c.lits[0], c.lits[1])
-        };
-        self.watches[(!l0).code()].push(Watcher { cref, blocker: l1 });
-        self.watches[(!l1).code()].push(Watcher { cref, blocker: l0 });
+        let (l0, l1) = (self.db.lit(cref, 0), self.db.lit(cref, 1));
+        let binary = self.db.len(cref) == 2;
+        self.watches[(!l0).code()].push(Watcher::new(cref, l1, binary));
+        self.watches[(!l1).code()].push(Watcher::new(cref, l0, binary));
     }
 
     #[inline]
@@ -848,46 +926,60 @@ impl Solver {
             let mut ws = std::mem::take(&mut self.watches[p.code()]);
             let mut i = 0;
             let mut j = 0;
+            let false_word = false_lit.code() as u32;
             'watchers: while i < ws.len() {
                 let w = ws[i];
                 i += 1;
-                if self.lit_value(w.blocker).is_true() {
+                let blocker_value = self.lit_value(w.blocker);
+                if blocker_value.is_true() {
                     ws[j] = w;
                     j += 1;
                     continue;
                 }
-                // Normalize: false_lit at position 1.
-                {
-                    let c = self.db.get_mut(w.cref);
-                    if c.lits[0] == false_lit {
-                        c.lits.swap(0, 1);
+                let cref = w.cref();
+                let (first, first_value) = if w.is_binary() {
+                    // The blocker is the other literal: the clause is unit
+                    // or conflicting, and the watcher stays as it is.
+                    ws[j] = w;
+                    j += 1;
+                    if blocker_value.is_false() {
+                        // Analysis reads a conflict clause in stored order:
+                        // the other literal first, as for a long clause.
+                        let lits = self.db.lit_words_mut(cref);
+                        if lits[0] == false_word {
+                            lits.swap(0, 1);
+                        }
                     }
-                    debug_assert_eq!(c.lits[1], false_lit);
-                }
-                let first = self.db.get(w.cref).lits[0];
-                let new_watcher = Watcher {
-                    cref: w.cref,
-                    blocker: first,
-                };
-                if first != w.blocker && self.lit_value(first).is_true() {
+                    (w.blocker, blocker_value)
+                } else {
+                    // Normalize: false_lit at position 1.
+                    let lits = self.db.lit_words_mut(cref);
+                    if lits[0] == false_word {
+                        lits.swap(0, 1);
+                    }
+                    debug_assert_eq!(lits[1], false_word);
+                    let first = Lit::from_code(lits[0] as usize);
+                    let new_watcher = Watcher::new(cref, first, false);
+                    if first != w.blocker && value(&self.assigns, first).is_true() {
+                        ws[j] = new_watcher;
+                        j += 1;
+                        continue;
+                    }
+                    // Look for a replacement watch.
+                    for k in 2..lits.len() {
+                        let lk = Lit::from_code(lits[k] as usize);
+                        if !value(&self.assigns, lk).is_false() {
+                            lits.swap(1, k);
+                            self.watches[(!lk).code()].push(new_watcher);
+                            continue 'watchers;
+                        }
+                    }
+                    // Clause is unit or conflicting.
                     ws[j] = new_watcher;
                     j += 1;
-                    continue;
-                }
-                // Look for a replacement watch.
-                let len = self.db.get(w.cref).len();
-                for k in 2..len {
-                    let lk = self.db.get(w.cref).lits[k];
-                    if !self.lit_value(lk).is_false() {
-                        self.db.get_mut(w.cref).lits.swap(1, k);
-                        self.watches[(!lk).code()].push(new_watcher);
-                        continue 'watchers;
-                    }
-                }
-                // Clause is unit or conflicting.
-                ws[j] = new_watcher;
-                j += 1;
-                if self.lit_value(first).is_false() {
+                    (first, value(&self.assigns, first))
+                };
+                if first_value.is_false() {
                     // Conflict: flush the remaining watchers and stop.
                     while i < ws.len() {
                         ws[j] = ws[i];
@@ -895,9 +987,9 @@ impl Solver {
                         i += 1;
                     }
                     self.qhead = self.trail.len();
-                    confl = Some(w.cref);
+                    confl = Some(cref);
                 } else {
-                    self.unchecked_enqueue(first, Some(w.cref));
+                    self.unchecked_enqueue(first, Some(cref));
                 }
             }
             ws.truncate(j);
@@ -926,12 +1018,12 @@ impl Solver {
     }
 
     fn cla_bump(&mut self, cref: ClauseRef) {
-        let c = self.db.get_mut(cref);
-        if !c.learnt {
+        if !self.db.is_learnt(cref) {
             return;
         }
-        c.activity += self.cla_inc;
-        if c.activity > 1e20 {
+        let activity = self.db.activity(cref) + self.cla_inc;
+        self.db.set_activity(cref, activity);
+        if activity > 1e20 {
             self.db.rescale_activity(1e20);
             self.cla_inc *= 1e-20;
         }
@@ -943,16 +1035,7 @@ impl Solver {
 
     /// Computes the LBD (number of distinct decision levels) of a literal set.
     fn lbd(&mut self, lits: &[Lit]) -> u32 {
-        self.lbd_stamp += 1;
-        let mut n = 0;
-        for &l in lits {
-            let lv = self.level[l.var().index()] as usize;
-            if lv > 0 && self.lbd_seen[lv] != self.lbd_stamp {
-                self.lbd_seen[lv] = self.lbd_stamp;
-                n += 1;
-            }
-        }
-        n
+        self.lbd_levels.count(&self.level, lits.iter().copied())
     }
 
     /// First-UIP conflict analysis. Returns the learnt clause (asserting
@@ -968,23 +1051,23 @@ impl Solver {
             // Glue refresh: a learnt clause whose literals now span fewer
             // decision levels gets its stored LBD lowered, promoting it
             // toward the protected tier of `reduce_db`.
-            let refresh: Option<Vec<Lit>> = {
-                let c = self.db.get(confl);
-                (c.learnt && c.lbd > 2).then(|| c.lits.clone())
-            };
-            if let Some(all_lits) = refresh {
-                let new_lbd = self.lbd(&all_lits).max(1);
-                let c = self.db.get_mut(confl);
-                if new_lbd < c.lbd {
-                    c.lbd = new_lbd;
+            let lbd = self.db.lbd(confl);
+            if self.db.is_learnt(confl) && lbd > 2 {
+                let new_lbd = self
+                    .lbd_levels
+                    .count(&self.level, self.db.lits(confl))
+                    .max(1);
+                if new_lbd < lbd {
+                    self.db.set_lbd(confl, new_lbd);
                 }
             }
-            let lits: Vec<Lit> = {
-                let c = self.db.get(confl);
-                let skip = usize::from(p.is_some());
-                c.lits[skip..].to_vec()
-            };
-            for q in lits {
+            // Every literal but the one `confl` implied (none for the
+            // conflict clause itself).
+            for k in 0..self.db.len(confl) {
+                let q = self.db.lit(confl, k);
+                if Some(q) == p {
+                    continue;
+                }
                 let v = q.var();
                 if !self.seen[v.index()] && self.level[v.index()] > 0 {
                     self.var_bump(v);
@@ -1024,7 +1107,7 @@ impl Solver {
         for &l in &learnt[1..] {
             let redundant = match self.reason[l.var().index()] {
                 None => false,
-                Some(r) => self.db.get(r).lits.iter().all(|&q| {
+                Some(r) => self.db.lits(r).all(|q| {
                     q.var() == l.var()
                         || self.seen[q.var().index()]
                         || self.level[q.var().index()] == 0
@@ -1077,9 +1160,8 @@ impl Solver {
                     }
                 }
                 Some(r) => {
-                    let lits: Vec<Lit> = self.db.get(r).lits[1..].to_vec();
-                    for q in lits {
-                        if self.level[q.var().index()] > 0 {
+                    for q in self.db.lits(r) {
+                        if q != l && self.level[q.var().index()] > 0 {
                             self.seen[q.var().index()] = true;
                         }
                     }
@@ -1127,41 +1209,67 @@ impl Solver {
         self.stats.db_reductions += 1;
         let target = self.db.num_learnt() / 2;
         let mut candidates: Vec<(u32, f64, ClauseRef)> = Vec::new();
-        let learnt: Vec<ClauseRef> = self.db.iter_learnt_refs().collect();
-        for cref in learnt {
-            let (len, lbd, activity, first) = {
-                let c = self.db.get(cref);
-                (c.len(), c.lbd, c.activity, c.lits[0])
-            };
-            if len <= 2 || lbd <= 2 {
+        for cref in self.db.iter_learnt_refs() {
+            let lbd = self.db.lbd(cref);
+            if self.db.len(cref) <= 2 || lbd <= 2 {
                 continue;
             }
-            // A clause is locked if it is the reason for a current assignment.
+            // A clause is locked if it is the reason for a current
+            // assignment. A long reason clause keeps its implied literal
+            // first.
+            let first = self.db.lit(cref, 0);
             if self.reason[first.var().index()] == Some(cref) && !self.lit_value(first).is_undef() {
                 continue;
             }
-            candidates.push((lbd, activity, cref));
+            candidates.push((lbd, self.db.activity(cref), cref));
         }
         // Worst first: highest glue, then least active. The sort is stable
         // over the deterministic arena iteration order, so reduction is
         // itself deterministic.
         candidates.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.total_cmp(&b.1)));
         for &(_, _, cref) in candidates.iter().take(target) {
-            let lits = self.db.get(cref).lits().to_vec();
-            self.log_delete(&lits);
-            self.detach(cref);
+            self.log_delete(cref);
             self.db.delete(cref);
             self.stats.deleted_clauses += 1;
         }
+        self.sweep_watches();
+        self.collect_garbage();
     }
 
+    /// Drops the watchers of deleted clauses from every watch list, keeping
+    /// the order of the rest.
+    fn sweep_watches(&mut self) {
+        let db = &self.db;
+        for ws in &mut self.watches {
+            ws.retain(|w| !db.is_deleted(w.cref()));
+        }
+    }
+
+    /// Compacts the clause arena once dead words exceed half of it, and
+    /// remaps the handles held by watchers and reasons. Every watcher must
+    /// point at a live clause (call after [`sweep_watches`]).
+    ///
+    /// [`sweep_watches`]: Solver::sweep_watches
+    fn collect_garbage(&mut self) {
+        if !self.db.wants_compaction() {
+            return;
+        }
+        let moved = self.db.compact();
+        for ws in &mut self.watches {
+            for w in ws {
+                *w = Watcher::new(moved.get(w.cref()), w.blocker, w.is_binary());
+            }
+        }
+        for r in self.reason.iter_mut().flatten() {
+            *r = moved.get(*r);
+        }
+    }
+
+    /// Removes a clause's two watchers now, keeping the order of the rest.
     fn detach(&mut self, cref: ClauseRef) {
-        let (l0, l1) = {
-            let c = self.db.get(cref);
-            (c.lits[0], c.lits[1])
-        };
-        self.watches[(!l0).code()].retain(|w| w.cref != cref);
-        self.watches[(!l1).code()].retain(|w| w.cref != cref);
+        let (l0, l1) = (self.db.lit(cref, 0), self.db.lit(cref, 1));
+        self.watches[(!l0).code()].retain(|w| w.cref() != cref);
+        self.watches[(!l1).code()].retain(|w| w.cref() != cref);
     }
 
     /// Runs SatELite-style preprocessing over the problem clauses as an
@@ -1213,9 +1321,8 @@ impl Solver {
         // Snapshot the problem: stored clauses plus root-level trail units.
         let mut cnf = crate::cnf::CnfFormula::new();
         cnf.new_vars(self.num_vars());
-        let refs: Vec<ClauseRef> = self.db.iter_problem_refs().collect();
-        for cref in refs {
-            cnf.add_clause(self.db.get(cref).lits().iter().copied());
+        for cref in self.db.iter_problem_refs() {
+            cnf.add_clause(self.db.lits(cref));
         }
         // The trail holds explicit unit clauses *and* literals implied by
         // root-level propagation. The implied ones exist in no stored
@@ -1527,8 +1634,8 @@ impl Solver {
                 }
                 _ => {
                     let lbd = shared.lbd.clamp(1, lits.len() as u32);
-                    let cref = self.db.push(lits, true);
-                    self.db.get_mut(cref).lbd = lbd;
+                    let cref = self.db.push(&lits, true);
+                    self.db.set_lbd(cref, lbd);
                     self.attach(cref);
                     self.cla_bump(cref);
                     self.learnt_peak = self.learnt_peak.max(self.db.num_learnt());
@@ -1586,7 +1693,7 @@ impl Solver {
         // root-falsified literals from the rest.
         let refs: Vec<ClauseRef> = self.db.iter_learnt_refs().collect();
         for cref in refs {
-            let lits: Vec<Lit> = self.db.get(cref).lits().to_vec();
+            let lits: Vec<Lit> = self.db.lits(cref).collect();
             if lits.iter().any(|&l| self.lit_value(l).is_true()) {
                 self.detach(cref);
                 self.db.delete(cref);
@@ -1615,7 +1722,7 @@ impl Solver {
                     self.unchecked_enqueue(kept[0], None);
                 }
                 _ => {
-                    self.db.get_mut(cref).lits = kept;
+                    self.db.shrink(cref, &kept);
                     self.attach(cref);
                 }
             }
@@ -1633,16 +1740,14 @@ impl Solver {
         if live.len() < 2 {
             return;
         }
-        let signature = |lits: &[Lit]| -> u64 {
-            lits.iter()
-                .fold(0u64, |acc, &l| acc | 1u64 << (l.code() & 63))
+        let signature = |lits: &mut dyn Iterator<Item = Lit>| -> u64 {
+            lits.fold(0u64, |acc, l| acc | 1u64 << (l.code() & 63))
         };
         let mut occ: Vec<Vec<u32>> = vec![Vec::new(); 2 * self.num_vars()];
         let mut sigs: Vec<u64> = Vec::with_capacity(live.len());
         for (i, &cref) in live.iter().enumerate() {
-            let lits = self.db.get(cref).lits();
-            sigs.push(signature(lits));
-            for &l in lits {
+            sigs.push(signature(&mut self.db.lits(cref)));
+            for l in self.db.lits(cref) {
                 occ[l.code()].push(i as u32);
             }
         }
@@ -1652,7 +1757,7 @@ impl Solver {
             if dead[i] {
                 continue;
             }
-            let lits_i: Vec<Lit> = self.db.get(live[i]).lits().to_vec();
+            let lits_i: Vec<Lit> = self.db.lits(live[i]).collect();
             if lits_i.len() > MAX_SUB_LEN {
                 continue;
             }
@@ -1671,11 +1776,11 @@ impl Solver {
                     break 'outer;
                 }
                 checks += 1;
-                let lits_j = self.db.get(live[j]).lits();
+                let lits_j = self.db.lits(live[j]);
                 if lits_j.len() < lits_i.len() || sigs[i] & !sigs[j] != 0 {
                     continue;
                 }
-                if lits_i.iter().all(|l| lits_j.contains(l)) {
+                if lits_i.iter().all(|&l| lits_j.clone().any(|q| q == l)) {
                     dead[j] = true;
                 }
             }
@@ -1687,6 +1792,7 @@ impl Solver {
                 self.db.delete(cref);
             }
         }
+        self.collect_garbage();
     }
 
     fn search(
@@ -1739,9 +1845,9 @@ impl Solver {
                         t.lbd.record(u64::from(lbd));
                         t.learnt_len.record(learnt.len() as u64);
                     }
-                    let cref = self.db.push(learnt.clone(), true);
+                    let cref = self.db.push(&learnt, true);
                     self.learnt_peak = self.learnt_peak.max(self.db.num_learnt());
-                    self.db.get_mut(cref).lbd = lbd;
+                    self.db.set_lbd(cref, lbd);
                     self.attach(cref);
                     self.cla_bump(cref);
                     self.unchecked_enqueue(learnt[0], Some(cref));
@@ -2678,6 +2784,46 @@ mod tests {
         assert_eq!(s.decision_level(), 3);
         assert_eq!((s.level[0], s.level[1]), (1, 3));
         assert_eq!(s.lbd(&[x, y]), 2);
+    }
+
+    #[test]
+    fn watcher_tags_only_binary_clauses() {
+        let l = Lit::from_dimacs(3).unwrap();
+        let last = ClauseRef::from_offset(BINARY_TAG as usize - 1);
+        let long = Watcher::new(last, l, false);
+        assert!(!long.is_binary());
+        assert_eq!((long.cref(), long.blocker), (last, l));
+        let binary = Watcher::new(last, l, true);
+        assert!(binary.is_binary());
+        assert_eq!(binary.cref(), last);
+    }
+
+    /// Checks that every watcher and reason points at a live clause
+    /// header, that binary tags match clause lengths, and that dead words
+    /// are at most half the arena.
+    fn assert_store_consistent(s: &Solver) {
+        let live: std::collections::HashSet<ClauseRef> = s.db.iter_refs().collect();
+        assert_eq!(live.len(), s.db.num_learnt() + s.db.num_problem());
+        for ws in &s.watches {
+            for w in ws {
+                assert!(live.contains(&w.cref()), "watcher {w:?} is stale");
+                assert_eq!(w.is_binary(), s.db.len(w.cref()) == 2);
+            }
+        }
+        for r in s.reason.iter().flatten() {
+            assert!(live.contains(r), "reason {r:?} is stale");
+        }
+        assert!(s.db.dead_words() * 2 <= s.db.len_words());
+    }
+
+    #[test]
+    fn compaction_keeps_watchers_and_reasons_on_live_clauses() {
+        // PHP(9, 8) deletes thousands of learnt clauses over 18 reductions,
+        // enough for dead words to pass half the arena and compact it.
+        let mut s = pigeonhole(9, 8, SolverConfig::default());
+        assert_eq!(s.solve(), SolveResult::Unsat);
+        assert!(s.stats().deleted_clauses > 0);
+        assert_store_consistent(&s);
     }
 
     /// PHP(`holes` + 1, `holes`) as a formula, for proof checking.
