@@ -75,7 +75,7 @@ impl Forwarding {
     /// `old` must have been live.
     #[inline]
     pub fn get(&self, old: ClauseRef) -> ClauseRef {
-        debug_assert_eq!(
+        assert_eq!(
             self.0[old.offset()] & (DELETED | PAD),
             0,
             "only live clauses are forwarded"
