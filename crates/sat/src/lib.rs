@@ -11,7 +11,8 @@
 //!
 //! * Conflict-driven clause learning with first-UIP analysis and clause
 //!   minimization ([`Solver`]).
-//! * Two-watched-literal unit propagation.
+//! * Two-watched-literal unit propagation over a flat clause arena, with
+//!   binary clauses settled from their watchers alone.
 //! * VSIDS decision heuristic with phase saving (initial polarity seeded by
 //!   [`SolverConfig::default_polarity`]).
 //! * Luby or glucose-adaptive restarts ([`RestartPolicy`]) and
