@@ -246,7 +246,7 @@ impl ClauseDb {
 
     /// The literal codes, in stored order.
     #[inline]
-    pub fn lit_words(&self, cref: ClauseRef) -> &[u32] {
+    fn lit_words(&self, cref: ClauseRef) -> &[u32] {
         let base = cref.offset() + HEADER;
         &self.arena[base..base + self.len(cref)]
     }
@@ -470,12 +470,6 @@ mod tests {
         assert_eq!((db.lbd(fwd.get(c)), db.activity(fwd.get(c))), (2, 7.0));
         assert_eq!(db.num_learnt(), 1);
         assert_eq!(db.num_problem(), 2);
-    }
-
-    #[test]
-    fn offsets_below_the_tag_bit_convert() {
-        let last = BINARY_TAG as usize - 1;
-        assert_eq!(ClauseRef::from_offset(last).0, BINARY_TAG - 1);
     }
 
     #[test]

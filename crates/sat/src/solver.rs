@@ -1740,13 +1740,13 @@ impl Solver {
         if live.len() < 2 {
             return;
         }
-        let signature = |lits: &mut dyn Iterator<Item = Lit>| -> u64 {
+        fn signature(lits: impl Iterator<Item = Lit>) -> u64 {
             lits.fold(0u64, |acc, l| acc | 1u64 << (l.code() & 63))
-        };
+        }
         let mut occ: Vec<Vec<u32>> = vec![Vec::new(); 2 * self.num_vars()];
         let mut sigs: Vec<u64> = Vec::with_capacity(live.len());
         for (i, &cref) in live.iter().enumerate() {
-            sigs.push(signature(&mut self.db.lits(cref)));
+            sigs.push(signature(self.db.lits(cref)));
             for l in self.db.lits(cref) {
                 occ[l.code()].push(i as u32);
             }
