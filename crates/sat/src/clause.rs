@@ -158,13 +158,13 @@ impl ClauseDb {
         let header = self.arena[cref.offset()];
         let old_len = (header >> LEN_SHIFT) as usize;
         assert!(lits.len() >= 2 && lits.len() <= old_len);
-        let activity = self.activity(cref);
+        let activity = (header & LEARNT != 0).then(|| self.activity(cref));
         let base = cref.offset() + HEADER;
         for (w, l) in self.arena[base..].iter_mut().zip(lits) {
             *w = l.code() as u32;
         }
         self.arena[cref.offset()] = (lits.len() as u32) << LEN_SHIFT | header & LEARNT;
-        if header & LEARNT != 0 {
+        if let Some(activity) = activity {
             self.set_activity(cref, activity);
         }
         let end = cref.offset() + Self::words(header);
@@ -222,9 +222,6 @@ impl ClauseDb {
     /// A learnt clause's activity.
     #[inline]
     pub fn activity(&self, cref: ClauseRef) -> f64 {
-        if !self.is_learnt(cref) {
-            return 0.0;
-        }
         let at = self.activity_at(cref);
         f64::from_bits(u64::from(self.arena[at]) | u64::from(self.arena[at + 1]) << 32)
     }
