@@ -1,13 +1,12 @@
-//! `mca-bench` — the benchmark and reproduction harness.
+//! `mca-bench` — the reproduction harness.
 //!
-//! One Criterion bench per evaluation artifact of the paper (experiments
-//! E1–E6 of DESIGN.md) plus micro-benchmarks of the substrates (SAT solver,
-//! VN embedding). The `repro` binary prints the paper-shaped tables for
-//! every experiment:
+//! The `repro` binary prints the paper-shaped tables for every evaluation
+//! artifact (experiments E1–E8 of DESIGN.md) and writes the `BENCH_*.json`
+//! files that `repro diff` gates:
 //!
 //! ```text
 //! cargo run --release -p mca-bench --bin repro            # all experiments
-//! cargo run --release -p mca-bench --bin repro -- --exp e5
+//! cargo run --release -p mca-bench --bin repro -- e5
 //! ```
 
 #![warn(missing_docs)]
@@ -15,8 +14,8 @@
 
 use mca_sat::{CnfFormula, Lit, Var};
 
-/// Generates a random k-SAT formula (used by the solver micro-bench and the
-/// repro harness's sanity section).
+/// Generates a deterministic random k-SAT formula: `clauses` clauses of
+/// `k` distinct variables each over `vars` variables, from `seed`.
 pub fn random_ksat(vars: usize, clauses: usize, k: usize, seed: u64) -> CnfFormula {
     // A tiny deterministic xorshift so the bench crate needs no extra deps.
     let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
