@@ -20,8 +20,10 @@
 //!   *optimized* number encoding.
 //! * [`Model::int_sig`] — Alloy-`Int`-style integer atoms (bit-blasted sums
 //!   and comparisons), its *naive* number encoding.
-//! * [`Model::translation_stats`] — SAT variable/clause counts, the metric
-//!   compared by the paper's "Abstractions Efficiency" experiment.
+//! * [`Model::to_problem`] — the relational problem whose
+//!   [`translate`](mca_relalg::Problem::translate) reports SAT
+//!   variable/clause counts, the metric compared by the paper's
+//!   "Abstractions Efficiency" experiment.
 //!
 //! # Examples
 //!

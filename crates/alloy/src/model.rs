@@ -8,7 +8,7 @@
 
 use mca_relalg::{
     AtomId, Check, CheckOutcome, Expr, Formula, Instance, Outcome, Problem, QuantVar, RelationId,
-    SolveOutcome, TranslateError, TranslationStats, Tuple, TupleSet, Universe,
+    SolveOutcome, TranslateError, Tuple, TupleSet, Universe,
 };
 use std::fmt::Write as _;
 
@@ -297,7 +297,9 @@ impl Model {
     }
 
     /// Like [`check`](Model::check), but a "valid" verdict comes with a
-    /// DRAT refutation proof verified by an independent checker.
+    /// DRAT refutation proof verified by an independent checker, optionally
+    /// after SatELite-style preprocessing (see
+    /// [`mca_relalg::Problem::check_certified`]).
     ///
     /// # Errors
     ///
@@ -305,24 +307,9 @@ impl Model {
     pub fn check_certified(
         &self,
         assertion: &Formula,
-    ) -> Result<mca_relalg::CertifiedCheck, TranslateError> {
-        self.to_problem().check_certified(assertion)
-    }
-
-    /// Like [`check_certified`](Model::check_certified), optionally running
-    /// SatELite-style preprocessing before the search (see
-    /// [`mca_relalg::Problem::check_certified_opts`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TranslateError`] on ill-formed formulas.
-    pub fn check_certified_opts(
-        &self,
-        assertion: &Formula,
         preprocess: bool,
     ) -> Result<mca_relalg::CertifiedCheck, TranslateError> {
-        self.to_problem()
-            .check_certified_opts(assertion, preprocess)
+        self.to_problem().check_certified(assertion, preprocess)
     }
 
     /// Enumerates up to `limit` instances satisfying the facts plus `goal`
@@ -342,31 +329,6 @@ impl Model {
         F: FnMut(&Instance) -> bool,
     {
         self.to_problem().enumerate(goal, limit, on_instance)
-    }
-
-    /// Translation statistics for `facts ∧ goal` without solving — the E5
-    /// clause-count probe.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TranslateError`] on ill-formed formulas.
-    pub fn translation_stats(&self, goal: &Formula) -> Result<TranslationStats, TranslateError> {
-        Ok(self.to_problem().translate(goal)?.stats)
-    }
-
-    /// Per-relation (sig and field) variable and clause counts for
-    /// `facts ∧ goal` without solving — the observability companion to
-    /// [`translation_stats`](Model::translation_stats), showing *where* an
-    /// encoding's clauses come from.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TranslateError`] on ill-formed formulas.
-    pub fn relation_stats(
-        &self,
-        goal: &Formula,
-    ) -> Result<Vec<mca_relalg::RelationStats>, TranslateError> {
-        Ok(self.to_problem().translate(goal)?.relation_stats)
     }
 
     /// The tuples of a field in an instance.

@@ -1080,7 +1080,7 @@ fn read_or_die(path: &str) -> String {
 }
 
 fn run_e1(metrics: &mut Metrics, observer: Option<SharedObserver>) -> bool {
-    let report = metrics.time("e1.run", || analysis::run_fig1_observed(observer));
+    let report = metrics.time("e1.run", || analysis::run_fig1(observer));
     println!("{report}");
     metrics.add("e1.messages", report.messages as u64);
     metrics.set_gauge("e1.converged", i64::from(report.converged));
@@ -1125,7 +1125,7 @@ fn run_e3(
     println!("E3 (Result 1) — policy matrix (exhaustive explicit-state checking)");
     let seq_start = Instant::now();
     let rows = metrics.time("e3.run", || {
-        analysis::run_policy_matrix_spanned(observer.clone(), spans)
+        analysis::run_policy_matrix(observer.clone(), spans)
     });
     let seq_secs = seq_start.elapsed().as_secs_f64();
     let mut ok = true;
@@ -1315,7 +1315,7 @@ fn run_e3_parallel(
     let entrants = diversified_configs(rt.threads().clamp(2, 8));
     let sharing = SharingConfig::default();
     let ((par_valid, report), solve_par_secs, solve_par_spread) = bench_median(reps, || {
-        parallel::check_consensus_portfolio_shared(rt, &model, &entrants, sharing)
+        parallel::check_consensus_portfolio(rt, &model, &entrants, sharing)
     });
     let verdict_match = seq_valid == par_valid;
     println!(
@@ -1407,7 +1407,7 @@ fn run_e3_parallel(
     let mut e8_seq_ok = true;
     for &(p, v) in &E8_PAR_SCOPES {
         for (label, encoding, preprocess) in E8_PAR_VARIANTS {
-            match analysis::scale_variant(p, v, label, encoding, preprocess) {
+            match analysis::scale_variant(p, v, label, encoding, preprocess, None) {
                 Ok(variant) => e8_seq_ok &= variant.valid && !variant.vacuous,
                 Err(e) => {
                     println!("  e8 {p}x{v}:{label} failed to translate: {e}");
@@ -1425,7 +1425,7 @@ fn run_e3_parallel(
                     (
                         format!("e8:{p}x{v}:{label}"),
                         move |_: &mca_sat::CancelToken| {
-                            analysis::scale_variant(p, v, label, encoding, preprocess)
+                            analysis::scale_variant(p, v, label, encoding, preprocess, None)
                         },
                     )
                 })
@@ -1600,9 +1600,7 @@ fn run_e5(metrics: &mut Metrics, observer: Option<SharedObserver>, threads: usiz
     println!("E5 (Abstractions Efficiency) — static + dynamic model, both encodings");
     println!("(paper: 259K -> 190K clauses, ~a day -> <2h, scope 3 pnodes / 2 vnodes)\n");
     let wall_start = Instant::now();
-    let rows = metrics.time("e5.run", || {
-        analysis::run_encoding_comparison_observed(observer)
-    });
+    let rows = metrics.time("e5.run", || analysis::run_encoding_comparison(observer));
     let wall_clock_secs = wall_start.elapsed().as_secs_f64();
     let mut ok = true;
     for (i, row) in rows.iter().enumerate() {
@@ -1789,7 +1787,7 @@ fn run_e8(
         }
         None => metrics
             .time("e8.run", || {
-                analysis::run_scale_sweep_spanned(&scopes, observer, spans)
+                analysis::run_scale_sweep(&scopes, observer, spans)
             })
             .expect("well-formed scale models"),
     };
@@ -1903,12 +1901,14 @@ fn run_e8(
     // at the smallest scope, with the simplifier's DRAT steps prepended to
     // the solver's, verified by the independent proof checker.
     let certified = metrics.time("e8.certify", || {
-        DynamicModel::build(
+        let model = DynamicModel::build(
             NumberEncoding::OptimizedValue,
             DynamicScenario::at_scope(2, 2),
-        )
-        .check_consensus_certified_opts(true)
-        .expect("well-formed model")
+        );
+        model
+            .model()
+            .check_certified(&model.consensus_assertion(), true)
+            .expect("well-formed model")
     });
     let cert_ok = certified.is_certified_valid();
     let cert_steps = certified.certificate.as_ref().map_or(0, |c| c.steps);

@@ -55,7 +55,7 @@ pub use diag::{Diagnostic, Layer, RuleInfo, Severity, RULES};
 
 use mca_alloy::Model;
 use mca_obs::{Event, Observer};
-use mca_relalg::{Formula, Problem, SymmetryAnalysis, TranslateError};
+use mca_relalg::{Formula, Problem, SymmetryAnalysis, TranslateError, TranslateOpts};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -225,7 +225,7 @@ pub fn lint_problem_opts(
     let mut findings = relalg_pass::run(problem, assertions);
     findings.extend(symmetry_pass(problem, opts));
 
-    let (tr, _goal_lits) = problem.translate_goals(assertions)?;
+    let (tr, _goal_lits) = problem.translate_goals(assertions, &TranslateOpts::default())?;
     let attr: BTreeMap<usize, String> = tr
         .input_vars()
         .iter()

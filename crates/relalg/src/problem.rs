@@ -7,7 +7,6 @@
 //! the Alloy Analyzer exposes as `run` and `check`.
 
 use crate::ast::{Expr, Formula, RelationId};
-use crate::circuit::B;
 use crate::error::TranslateError;
 use crate::symmetry::{SbpConfig, SbpStats};
 use crate::translate::{RelationStats, Translation, TranslationStats, Translator};
@@ -135,11 +134,6 @@ impl Problem {
         self.spans = Some(spans);
     }
 
-    /// Detaches the span recorder.
-    pub fn clear_spans(&mut self) {
-        self.spans = None;
-    }
-
     pub(crate) fn spans(&self) -> Option<&mca_obs::SpanRecorder> {
         self.spans.as_ref()
     }
@@ -219,61 +213,7 @@ impl Problem {
     /// mismatches, unbound variables, non-integer sums) and on matrices
     /// with more cells than a `usize` index addresses.
     pub fn translate(&self, goal: &Formula) -> Result<Translation, TranslateError> {
-        self.translate_opts(goal, &TranslateOpts::default())
-    }
-
-    /// [`translate`](Problem::translate) with translation options.
-    ///
-    /// With [`TranslateOpts::sbp`] set, lex-leader symmetry-breaking
-    /// predicates over validated atom permutations are conjoined with the
-    /// facts: UNSAT is preserved (symmetries map models to models) and
-    /// every model of the augmented formula is a model of the original
-    /// (SBPs only conjoin). See [`crate::SymmetryAnalysis`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TranslateError`] on ill-formed expressions.
-    pub fn translate_opts(
-        &self,
-        goal: &Formula,
-        opts: &TranslateOpts,
-    ) -> Result<Translation, TranslateError> {
-        let start = Instant::now();
-        let mut span = self.spans.as_ref().map(|r| r.enter("relalg.encode"));
-        let mut tr = Translator::new(self)?;
-        let mut root = tr.formula(goal)?;
-        for fact in &self.facts {
-            let f = tr.formula(fact)?;
-            root = tr.circuit.and2(root, f);
-        }
-        let sbp = self.apply_sbp(&mut tr, std::slice::from_ref(goal), opts);
-        root = tr.circuit.and2(root, sbp.0);
-        let emission = tr.circuit.to_cnf_opts(&[root], &[], self.dedup);
-        let (cnf, input_vars) = (emission.cnf, emission.input_vars);
-        let stats = TranslationStats {
-            primary_vars: tr.input_tuples.len(),
-            circuit_gates: tr.circuit.num_gates(),
-            cnf_vars: cnf.num_vars(),
-            cnf_clauses: cnf.num_clauses(),
-            cnf_literals: cnf.num_literals(),
-            clauses_deduped: emission.clauses_deduped,
-            sbp_predicates: sbp.1.predicates,
-            sbp_pairs: sbp.1.pairs,
-            translation_secs: start.elapsed().as_secs_f64(),
-        };
-        if let Some(span) = span.as_mut() {
-            span.field("primary_vars", stats.primary_vars as u64);
-            span.field("cnf_vars", stats.cnf_vars as u64);
-            span.field("cnf_clauses", stats.cnf_clauses as u64);
-        }
-        let relation_stats = self.relation_stats(&cnf, &input_vars, &tr.input_tuples);
-        Ok(Translation {
-            cnf,
-            stats,
-            relation_stats,
-            input_vars,
-            input_tuples: tr.input_tuples,
-        })
+        Ok(self.encode(goal, &[], &TranslateOpts::default())?.0)
     }
 
     /// Translates the facts (asserted) plus a batch of `goals` compiled to
@@ -287,36 +227,41 @@ impl Problem {
     /// from the shared fact prefix are retained across queries. This is the
     /// seam [`incremental_checker`](Problem::incremental_checker) builds on.
     ///
+    /// With [`TranslateOpts::sbp`] set, lex-leader symmetry-breaking
+    /// predicates over validated atom permutations are conjoined with the
+    /// facts: UNSAT is preserved (symmetries map models to models) and
+    /// every model of the augmented formula is a model of the original
+    /// (SBPs only conjoin). A permutation is only used when every goal is
+    /// *individually* invariant under it — goals are activated one at a
+    /// time as assumptions, so each `facts ∧ goalᵢ` must be closed under
+    /// the permutation on its own. See [`crate::SymmetryAnalysis`].
+    ///
     /// # Errors
     ///
     /// Returns a [`TranslateError`] on ill-formed expressions.
     pub fn translate_goals(
         &self,
         goals: &[Formula],
+        opts: &TranslateOpts,
     ) -> Result<(Translation, Vec<mca_sat::Lit>), TranslateError> {
-        self.translate_goals_opts(goals, &TranslateOpts::default())
+        self.encode(&Formula::true_(), goals, opts)
     }
 
-    /// [`translate_goals`](Problem::translate_goals) with translation
-    /// options.
-    ///
-    /// Under [`TranslateOpts::sbp`] a permutation is only used when every
-    /// goal is *individually* invariant under it — goals are activated one
-    /// at a time as assumptions, so each `facts ∧ goalᵢ` must be closed
-    /// under the permutation on its own.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TranslateError`] on ill-formed expressions.
-    pub fn translate_goals_opts(
+    /// The one encoder behind [`translate`](Problem::translate) and
+    /// [`translate_goals`](Problem::translate_goals): `facts ∧ asserted`
+    /// as the root, each of `goals` as an unasserted goal literal. The
+    /// gate order (asserted formula, facts, goals, SBPs) fixes the CNF
+    /// byte for byte.
+    fn encode(
         &self,
+        asserted: &Formula,
         goals: &[Formula],
         opts: &TranslateOpts,
     ) -> Result<(Translation, Vec<mca_sat::Lit>), TranslateError> {
         let start = Instant::now();
         let mut span = self.spans.as_ref().map(|r| r.enter("relalg.encode"));
         let mut tr = Translator::new(self)?;
-        let mut root = tr.formula(&Formula::true_())?;
+        let mut root = tr.formula(asserted)?;
         for fact in &self.facts {
             let f = tr.formula(fact)?;
             root = tr.circuit.and2(root, f);
@@ -325,8 +270,17 @@ impl Problem {
             .iter()
             .map(|g| tr.formula(g))
             .collect::<Result<Vec<_>, _>>()?;
-        let sbp = self.apply_sbp(&mut tr, goals, opts);
-        root = tr.circuit.and2(root, sbp.0);
+        let (sbp, sbp_stats) = match &opts.sbp {
+            Some(cfg) => {
+                // The asserted formula and each goal must be invariant on
+                // their own.
+                let invariant: Vec<Formula> =
+                    std::iter::once(asserted).chain(goals).cloned().collect();
+                crate::symmetry::build_sbp(self, &invariant, &mut tr, cfg, &opts.sbp_hints)
+            }
+            None => (tr.circuit.tru(), SbpStats::default()),
+        };
+        root = tr.circuit.and2(root, sbp);
         let emission = tr.circuit.to_cnf_opts(&[root], &goal_nodes, self.dedup);
         let (cnf, input_vars, goal_lits) = (emission.cnf, emission.input_vars, emission.goal_lits);
         let stats = TranslationStats {
@@ -336,8 +290,8 @@ impl Problem {
             cnf_clauses: cnf.num_clauses(),
             cnf_literals: cnf.num_literals(),
             clauses_deduped: emission.clauses_deduped,
-            sbp_predicates: sbp.1.predicates,
-            sbp_pairs: sbp.1.pairs,
+            sbp_predicates: sbp_stats.predicates,
+            sbp_pairs: sbp_stats.pairs,
             translation_secs: start.elapsed().as_secs_f64(),
         };
         if let Some(span) = span.as_mut() {
@@ -361,11 +315,13 @@ impl Problem {
 
     /// Builds an [`IncrementalChecker`] over a batch of assertions.
     ///
-    /// The facts are translated and loaded into a single solver **once**;
-    /// each assertion is compiled to an unasserted "¬assertion" goal
-    /// literal. [`IncrementalChecker::check`] then activates one goal as a
-    /// solver assumption, so consecutive checks reuse both the shared CNF
-    /// prefix and the clauses learnt while answering earlier checks.
+    /// The facts are translated (under `opts`, see
+    /// [`translate_goals`](Problem::translate_goals)) and loaded into a
+    /// single solver **once**; each assertion is compiled to an unasserted
+    /// "¬assertion" goal literal. [`IncrementalChecker::check`] then
+    /// activates one goal as a solver assumption, so consecutive checks
+    /// reuse both the shared CNF prefix and the clauses learnt while
+    /// answering earlier checks.
     ///
     /// With `preprocess = true` the loaded formula is first simplified
     /// in-place by [`mca_sat::Solver::preprocess`] (unit propagation,
@@ -379,32 +335,11 @@ impl Problem {
         &self,
         assertions: &[Formula],
         preprocess: bool,
-    ) -> Result<IncrementalChecker<'_>, TranslateError> {
-        self.incremental_checker_opts(assertions, preprocess, &TranslateOpts::default())
-    }
-
-    /// [`incremental_checker`](Problem::incremental_checker) with
-    /// translation options (notably symmetry breaking).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TranslateError`] on ill-formed formulas.
-    pub fn incremental_checker_opts(
-        &self,
-        assertions: &[Formula],
-        preprocess: bool,
         opts: &TranslateOpts,
     ) -> Result<IncrementalChecker<'_>, TranslateError> {
         let goals: Vec<Formula> = assertions.iter().map(|a| a.not()).collect();
-        let (translation, goal_lits) = self.translate_goals_opts(&goals, opts)?;
-        let mut solver = mca_sat::Solver::new();
-        if let Some(spans) = &self.spans {
-            solver.set_spans(spans.clone());
-        }
-        solver.new_vars(translation.cnf.num_vars());
-        for c in translation.cnf.clauses() {
-            solver.add_clause(c.iter().copied());
-        }
+        let (translation, goal_lits) = self.translate_goals(&goals, opts)?;
+        let mut solver = self.load(&translation.cnf, false);
         let simplify = preprocess.then(|| solver.preprocess());
         Ok(IncrementalChecker {
             problem: self,
@@ -415,18 +350,22 @@ impl Problem {
         })
     }
 
-    /// Builds the symmetry-breaking edge for a translation in progress:
-    /// the constant-true edge (and empty stats) when SBPs are disabled.
-    fn apply_sbp(
-        &self,
-        tr: &mut Translator<'_>,
-        goals: &[Formula],
-        opts: &TranslateOpts,
-    ) -> (B, SbpStats) {
-        match &opts.sbp {
-            Some(cfg) => crate::symmetry::build_sbp(self, goals, tr, cfg, &opts.sbp_hints),
-            None => (tr.circuit.tru(), SbpStats::default()),
+    /// A fresh solver holding `cnf`, inheriting the span recorder, with
+    /// DRAT logging switched on before the first clause when `proof` is
+    /// set (so the proof speaks about exactly these clauses).
+    fn load(&self, cnf: &mca_sat::CnfFormula, proof: bool) -> mca_sat::Solver {
+        let mut solver = mca_sat::Solver::new();
+        if let Some(spans) = &self.spans {
+            solver.set_spans(spans.clone());
         }
+        if proof {
+            solver.enable_proof();
+        }
+        solver.new_vars(cnf.num_vars());
+        for c in cnf.clauses() {
+            solver.add_clause(c.iter().copied());
+        }
+        solver
     }
 
     /// Per-relation primary-variable and clause-incidence counts: one pass
@@ -486,26 +425,9 @@ impl Problem {
     ///
     /// Returns a [`TranslateError`] on ill-formed formulas.
     pub fn solve_with_goal(&self, goal: &Formula) -> Result<SolveOutcome, TranslateError> {
-        let translation = self.translate(goal)?;
-        let start = Instant::now();
-        let mut solver = translation.cnf.to_solver();
-        if let Some(spans) = &self.spans {
-            solver.set_spans(spans.clone());
-        }
-        let result = match solver.solve() {
-            SolveResult::Sat => {
-                let model = solver.model().expect("model after Sat");
-                Outcome::Sat(self.decode(&translation, &model))
-            }
-            SolveResult::Unsat => Outcome::Unsat,
-        };
-        Ok(SolveOutcome {
-            result,
-            stats: translation.stats,
-            relation_stats: translation.relation_stats,
-            solver_stats: *solver.stats(),
-            solve_secs: start.elapsed().as_secs_f64(),
-        })
+        Ok(self
+            .solve_translation(self.translate(goal)?, false, false)
+            .0)
     }
 
     /// Checks an assertion against the facts (Alloy `check`): searches for
@@ -515,17 +437,7 @@ impl Problem {
     ///
     /// Returns a [`TranslateError`] on ill-formed formulas.
     pub fn check(&self, assertion: &Formula) -> Result<CheckOutcome, TranslateError> {
-        let outcome = self.solve_with_goal(&assertion.not())?;
-        Ok(CheckOutcome {
-            result: match outcome.result {
-                Outcome::Sat(instance) => Check::Counterexample(instance),
-                Outcome::Unsat => Check::Valid,
-            },
-            stats: outcome.stats,
-            relation_stats: outcome.relation_stats,
-            solver_stats: outcome.solver_stats,
-            solve_secs: outcome.solve_secs,
-        })
+        Ok(check_outcome(self.solve_with_goal(&assertion.not())?))
     }
 
     /// Like [`check`](Problem::check), but when the assertion is valid the
@@ -535,16 +447,8 @@ impl Problem {
     /// verdict is then: translation (differentially tested against the
     /// ground evaluator) + the proof checker — not the CDCL search itself.
     ///
-    /// # Errors
-    ///
-    /// Returns a [`TranslateError`] on ill-formed formulas.
-    pub fn check_certified(&self, assertion: &Formula) -> Result<CertifiedCheck, TranslateError> {
-        self.check_certified_opts(assertion, false)
-    }
-
-    /// Like [`check_certified`](Problem::check_certified), optionally
-    /// running SatELite-style preprocessing
-    /// ([`mca_sat::Solver::preprocess`]) before the search. Every
+    /// With `preprocess = true`, SatELite-style preprocessing
+    /// ([`mca_sat::Solver::preprocess`]) runs before the search. Every
     /// simplification step is itself logged as a DRAT step, so the proof
     /// for a preprocessed refutation still checks against the *original*
     /// translated CNF — the trust chain is unchanged. The simplification
@@ -553,59 +457,64 @@ impl Problem {
     /// # Errors
     ///
     /// Returns a [`TranslateError`] on ill-formed formulas.
-    pub fn check_certified_opts(
+    pub fn check_certified(
         &self,
         assertion: &Formula,
         preprocess: bool,
     ) -> Result<CertifiedCheck, TranslateError> {
         let translation = self.translate(&assertion.not())?;
-        let start = Instant::now();
-        let mut solver = mca_sat::Solver::new();
-        if let Some(spans) = &self.spans {
-            solver.set_spans(spans.clone());
-        }
-        solver.enable_proof();
-        solver.new_vars(translation.cnf.num_vars());
-        for c in translation.cnf.clauses() {
-            solver.add_clause(c.iter().copied());
-        }
+        let (outcome, certificate, simplify) =
+            self.solve_translation(translation, preprocess, true);
+        Ok(CertifiedCheck {
+            outcome: check_outcome(outcome),
+            certificate,
+            simplify,
+        })
+    }
+
+    /// The direct check path: loads `translation` into one solver,
+    /// optionally preprocesses, solves, checks the DRAT proof of an UNSAT
+    /// answer when `certify` is set, and decodes a model into an instance.
+    fn solve_translation(
+        &self,
+        translation: Translation,
+        preprocess: bool,
+        certify: bool,
+    ) -> (
+        SolveOutcome,
+        Option<ProofCertificate>,
+        Option<mca_sat::SimplifyStats>,
+    ) {
+        let mut solver = self.load(&translation.cnf, certify);
         let simplify = preprocess.then(|| solver.preprocess());
         let (result, certificate) = match solver.solve() {
             SolveResult::Sat => {
                 let model = solver.model().expect("model after Sat");
-                (
-                    Check::Counterexample(self.decode(&translation, &model)),
-                    None,
-                )
+                (Outcome::Sat(self.decode(&translation, &model)), None)
             }
             SolveResult::Unsat => {
-                let proof = solver.take_proof().expect("proof was enabled");
-                let mut span = self.spans.as_ref().map(|r| r.enter("sat.drat-check"));
-                let verified = mca_sat::check_drat(&translation.cnf, &proof).is_ok();
-                if let Some(span) = span.as_mut() {
-                    span.field("steps", proof.len() as u64);
-                    span.field("verified", u64::from(verified));
-                }
-                (
-                    Check::Valid,
-                    Some(ProofCertificate {
+                let certificate = solver.take_proof().map(|proof| {
+                    let mut span = self.spans.as_ref().map(|r| r.enter("sat.drat-check"));
+                    let verified = mca_sat::check_drat(&translation.cnf, &proof).is_ok();
+                    if let Some(span) = span.as_mut() {
+                        span.field("steps", proof.len() as u64);
+                        span.field("verified", u64::from(verified));
+                    }
+                    ProofCertificate {
                         verified,
                         steps: proof.len(),
-                    }),
-                )
+                    }
+                });
+                (Outcome::Unsat, certificate)
             }
         };
-        Ok(CertifiedCheck {
-            outcome: CheckOutcome {
-                result,
-                stats: translation.stats,
-                relation_stats: translation.relation_stats,
-                solver_stats: *solver.stats(),
-                solve_secs: start.elapsed().as_secs_f64(),
-            },
-            certificate,
-            simplify,
-        })
+        let outcome = SolveOutcome {
+            result,
+            stats: translation.stats,
+            relation_stats: translation.relation_stats,
+            solver_stats: *solver.stats(),
+        };
+        (outcome, certificate, simplify)
     }
 
     /// Enumerates up to `limit` instances satisfying facts ∧ `goal`,
@@ -697,8 +606,6 @@ pub struct SolveOutcome {
     pub relation_stats: Vec<RelationStats>,
     /// Search statistics of the SAT solver that produced the result.
     pub solver_stats: SolverStats,
-    /// Wall-clock seconds spent in the SAT solver.
-    pub solve_secs: f64,
 }
 
 /// Sat-or-unsat outcome of a solve.
@@ -733,8 +640,8 @@ pub struct CertifiedCheck {
     /// Present when the assertion was valid: the refutation certificate.
     pub certificate: Option<ProofCertificate>,
     /// Present when preprocessing was requested
-    /// ([`Problem::check_certified_opts`] with `preprocess = true`): what
-    /// the simplifier did before the search.
+    /// ([`Problem::check_certified`] with `preprocess = true`): what the
+    /// simplifier did before the search.
     pub simplify: Option<mca_sat::SimplifyStats>,
 }
 
@@ -760,7 +667,9 @@ impl CertifiedCheck {
 /// let r = p.declare_relation("r", TupleSet::new(1), TupleSet::from_atoms(atoms));
 /// p.require(Expr::relation(r).lone());
 /// let assertions = [Expr::relation(r).lone(), Expr::relation(r).some()];
-/// let mut inc = p.incremental_checker(&assertions, false).unwrap();
+/// let mut inc = p
+///     .incremental_checker(&assertions, false, &Default::default())
+///     .unwrap();
 /// assert!(inc.check(0).is_valid()); // lone r is a fact
 /// assert!(!inc.check(1).is_valid()); // nothing forces r non-empty
 /// ```
@@ -774,11 +683,6 @@ pub struct IncrementalChecker<'p> {
 }
 
 impl IncrementalChecker<'_> {
-    /// Number of assertions this checker was built over.
-    pub fn num_assertions(&self) -> usize {
-        self.goal_lits.len()
-    }
-
     /// Translation size statistics of the shared encoding (facts plus the
     /// unasserted goal circuits of every assertion).
     pub fn translation_stats(&self) -> &TranslationStats {
@@ -795,19 +699,6 @@ impl IncrementalChecker<'_> {
     /// so far.
     pub fn solver_stats(&self) -> &SolverStats {
         self.solver.stats()
-    }
-
-    /// Turns on per-epoch search telemetry in the shared solver. Sampling
-    /// spans every subsequent [`check`](IncrementalChecker::check), so
-    /// assumption failures across the whole incremental sweep accumulate
-    /// into one [`mca_sat::SearchTelemetry`].
-    pub fn enable_telemetry(&mut self) {
-        self.solver.enable_telemetry();
-    }
-
-    /// The accumulated search telemetry, if enabled.
-    pub fn telemetry(&self) -> Option<&mca_sat::SearchTelemetry> {
-        self.solver.telemetry()
     }
 
     /// Checks assertion `i` (as passed to
@@ -861,8 +752,6 @@ pub struct CheckOutcome {
     pub relation_stats: Vec<RelationStats>,
     /// Search statistics of the SAT solver that produced the result.
     pub solver_stats: SolverStats,
-    /// Wall-clock seconds spent in the SAT solver.
-    pub solve_secs: f64,
 }
 
 /// Valid-or-counterexample outcome of an assertion check.
@@ -886,6 +775,19 @@ impl Check {
             Check::Valid => None,
             Check::Counterexample(i) => Some(i),
         }
+    }
+}
+
+/// Reads a solve of `facts ∧ ¬assertion` as a check of the assertion.
+fn check_outcome(outcome: SolveOutcome) -> CheckOutcome {
+    CheckOutcome {
+        result: match outcome.result {
+            Outcome::Sat(instance) => Check::Counterexample(instance),
+            Outcome::Unsat => Check::Valid,
+        },
+        stats: outcome.stats,
+        relation_stats: outcome.relation_stats,
+        solver_stats: outcome.solver_stats,
     }
 }
 
@@ -1254,8 +1156,9 @@ mod tests {
             Expr::iden().in_(&re),   // refutable
         ];
         for preprocess in [false, true] {
-            let mut inc = p.incremental_checker(&assertions, preprocess).unwrap();
-            assert_eq!(inc.num_assertions(), assertions.len());
+            let mut inc = p
+                .incremental_checker(&assertions, preprocess, &TranslateOpts::default())
+                .unwrap();
             assert_eq!(inc.simplify_stats().is_some(), preprocess);
             // Query out of declaration order to exercise reuse.
             for &i in &[3usize, 0, 4, 1, 2, 3, 0] {
@@ -1279,26 +1182,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_checker_telemetry_counts_assumption_failures() {
-        let (u, _atoms) = small_universe();
-        let mut p = Problem::new(u);
-        let r = p.declare_relation("r", TupleSet::new(2), TupleSet::full(p.universe(), 2));
-        let re = Expr::relation(r);
-        p.require(re.some());
-        // `some` is a fact, so checking it assumes an unsatisfiable goal:
-        // every valid verdict is an assumption failure in the telemetry.
-        let assertions = [re.some(), re.some()];
-        let mut inc = p.incremental_checker(&assertions, false).unwrap();
-        assert!(inc.telemetry().is_none(), "telemetry is opt-in");
-        inc.enable_telemetry();
-        assert!(inc.check(0).is_valid());
-        assert!(inc.check(1).is_valid());
-        let t = inc.telemetry().expect("enabled above");
-        assert_eq!(t.assumption_failures, 2);
-        assert_eq!(t.epochs.len(), inc.solver_stats().restarts as usize + 2);
-    }
-
-    #[test]
     fn incremental_checker_unsat_facts_are_vacuously_valid() {
         let (u, atoms) = small_universe();
         let mut p = Problem::new(u);
@@ -1307,7 +1190,11 @@ mod tests {
         p.require(Expr::relation(r).no());
         for preprocess in [false, true] {
             let mut inc = p
-                .incremental_checker(&[Expr::relation(r).some()], preprocess)
+                .incremental_checker(
+                    &[Expr::relation(r).some()],
+                    preprocess,
+                    &TranslateOpts::default(),
+                )
                 .unwrap();
             assert!(inc.check(0).is_valid());
             // … but the premise query exposes the vacuity.
@@ -1323,7 +1210,11 @@ mod tests {
         p.require(Expr::relation(r).some());
         for preprocess in [false, true] {
             let mut inc = p
-                .incremental_checker(&[Expr::relation(r).lone()], preprocess)
+                .incremental_checker(
+                    &[Expr::relation(r).lone()],
+                    preprocess,
+                    &TranslateOpts::default(),
+                )
                 .unwrap();
             assert!(inc.premise_satisfiable());
             // The premise query must not disturb later checks.
@@ -1373,9 +1264,7 @@ mod tests {
         let mut p = Problem::new(u);
         let r = p.declare_relation("r", TupleSet::new(1), TupleSet::from_atoms(atoms));
         p.require(Expr::relation(r).lone());
-        let trivial = p
-            .check_certified_opts(&Expr::relation(r).lone(), true)
-            .unwrap();
+        let trivial = p.check_certified(&Expr::relation(r).lone(), true).unwrap();
         assert!(trivial.is_certified_valid());
         assert!(trivial.simplify.expect("preprocess requested").found_unsat);
 
@@ -1400,21 +1289,21 @@ mod tests {
             &fe.join(&x.expr()).lone(),
         ));
         let surjective = Formula::forall(&x, &Expr::univ(), &fe.join(&x.expr()).some());
-        let valid = p2.check_certified_opts(&surjective, true).unwrap();
+        let valid = p2.check_certified(&surjective, true).unwrap();
         assert!(valid.is_certified_valid());
         let stats = valid.simplify.expect("preprocess requested");
         assert!(!stats.found_unsat);
         assert!(valid.certificate.expect("valid").steps > 0);
 
         // Refuted assertion: no certificate, still a counterexample.
-        let refuted = p2.check_certified_opts(&fe.no(), true).unwrap();
+        let refuted = p2.check_certified(&fe.no(), true).unwrap();
         assert!(!refuted.outcome.result.is_valid());
         assert!(refuted.certificate.is_none());
         assert!(refuted.simplify.is_some());
 
-        // The plain entry point reports no simplification.
+        // Without preprocessing there is no simplification to report.
         assert!(p
-            .check_certified(&Expr::relation(r).lone())
+            .check_certified(&Expr::relation(r).lone(), false)
             .unwrap()
             .simplify
             .is_none());

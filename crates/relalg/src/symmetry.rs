@@ -754,14 +754,18 @@ mod tests {
         let assertion = Expr::relation(red).lone();
 
         let plain = p
-            .incremental_checker(std::slice::from_ref(&assertion), false)
+            .incremental_checker(
+                std::slice::from_ref(&assertion),
+                false,
+                &TranslateOpts::default(),
+            )
             .unwrap();
         let mut plain = plain;
         let plain_check = plain.check(0);
 
         let opts = TranslateOpts::with_sbp();
         let mut sbp = p
-            .incremental_checker_opts(std::slice::from_ref(&assertion), false, &opts)
+            .incremental_checker(std::slice::from_ref(&assertion), false, &opts)
             .unwrap();
         assert!(sbp.translation_stats().sbp_predicates > 0);
         let sbp_check = sbp.check(0);
@@ -779,9 +783,13 @@ mod tests {
         // A valid assertion stays valid under SBPs (UNSAT preserved).
         let valid = Expr::relation(red).some();
         let mut a = p
-            .incremental_checker(std::slice::from_ref(&valid), false)
+            .incremental_checker(
+                std::slice::from_ref(&valid),
+                false,
+                &TranslateOpts::default(),
+            )
             .unwrap();
-        let mut b = p.incremental_checker_opts(&[valid], false, &opts).unwrap();
+        let mut b = p.incremental_checker(&[valid], false, &opts).unwrap();
         assert!(a.check(0).is_valid());
         assert!(b.check(0).is_valid());
     }
@@ -804,7 +812,7 @@ mod tests {
                 sbp_hints: Vec::new(),
             };
             let mut c = p
-                .incremental_checker_opts(std::slice::from_ref(&assertion), false, &opts)
+                .incremental_checker(std::slice::from_ref(&assertion), false, &opts)
                 .unwrap();
             assert!(!c.check(0).is_valid(), "budget {per_perm}/{total}");
         }

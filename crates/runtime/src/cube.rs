@@ -14,39 +14,20 @@
 //! per-cube UNSAT answers are conclusions about the cube, not artifacts of
 //! clause-database mutation.
 //!
-//! Two schedulers share this machinery: [`solve_cubes`] (static `2^k`
-//! split) and [`solve_cubes_adaptive`] (conflict-budgeted: only cubes that
-//! exhaust their budget are split deeper, so job granularity tracks
-//! subproblem hardness instead of a fixed guess).
+//! The scheduler, [`solve_cubes_adaptive`], is conflict-budgeted: only
+//! cubes that exhaust their budget are split deeper, so job granularity
+//! tracks subproblem hardness instead of a fixed guess. A static `2^k`
+//! split is the special case `initial_split = max_split = k`.
 
 use crate::pool::Runtime;
 use mca_sat::{CancelToken, CnfFormula, Lit, SolveResult, Var};
-
-/// The outcome of a cube-and-conquer run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CubeReport {
-    /// The combined verdict (exact; see module docs).
-    pub result: SolveResult,
-    /// The variables the formula was split on, most frequent first.
-    pub split_vars: Vec<Var>,
-    /// Number of cubes conquered or cancelled (`2^split_vars.len()`).
-    pub cubes: usize,
-    /// Cubes that ran to a SAT/UNSAT verdict.
-    pub decided: usize,
-    /// Cubes cancelled after a sibling reported SAT.
-    pub cancelled: usize,
-    /// Index of the first SAT cube in cube order, if any.
-    pub sat_cube: Option<usize>,
-    /// Total conflicts across all conquered cubes.
-    pub conflicts: u64,
-}
 
 /// Picks the `k` most frequently occurring variables as split candidates
 /// (ties broken toward the lower variable index, so the choice is
 /// deterministic). Frequency is a crude but encoder-agnostic proxy for
 /// "high influence": variables mentioned by many clauses split the
 /// formula into cubes that each simplify substantially.
-pub fn top_split_vars(cnf: &CnfFormula, k: usize) -> Vec<Var> {
+pub(crate) fn top_split_vars(cnf: &CnfFormula, k: usize) -> Vec<Var> {
     let mut occurrences = vec![0u64; cnf.num_vars()];
     for clause in cnf.clauses() {
         for lit in clause {
@@ -60,7 +41,7 @@ pub fn top_split_vars(cnf: &CnfFormula, k: usize) -> Vec<Var> {
 
 /// The `2^k` sign cubes over `vars`, in binary-counter order: cube `i`
 /// assigns `vars[j]` positively iff bit `j` of `i` is set.
-pub fn sign_cubes(vars: &[Var]) -> Vec<Vec<Lit>> {
+pub(crate) fn sign_cubes(vars: &[Var]) -> Vec<Vec<Lit>> {
     let n = vars.len();
     assert!(n < usize::BITS as usize, "too many split variables");
     (0..1usize << n)
@@ -71,55 +52,6 @@ pub fn sign_cubes(vars: &[Var]) -> Vec<Vec<Lit>> {
                 .collect()
         })
         .collect()
-}
-
-/// Splits `cnf` on its `split` most frequent variables and conquers the
-/// resulting `2^split` cubes on the runtime's workers.
-///
-/// `split == 0` degenerates to a single sequential solve (one empty cube).
-pub fn solve_cubes(rt: &Runtime, cnf: &CnfFormula, split: usize) -> CubeReport {
-    let split_vars = top_split_vars(cnf, split);
-    let cubes = sign_cubes(&split_vars);
-    let token = CancelToken::new();
-    let jobs: Vec<(String, _)> = cubes
-        .iter()
-        .enumerate()
-        .map(|(i, cube)| {
-            let cube = cube.clone();
-            let cnf = cnf.clone();
-            (
-                format!("cube:{i}/{}", cubes.len()),
-                move |token: &CancelToken| -> (Option<SolveResult>, u64) {
-                    let mut solver = cnf.to_solver();
-                    solver.set_terminate(token.clone());
-                    let verdict = solver.solve_under_assumptions(&cube);
-                    if verdict == Some(SolveResult::Sat) {
-                        token.cancel();
-                    }
-                    (verdict, solver.stats().conflicts)
-                },
-            )
-        })
-        .collect();
-    let outcomes = rt.run_batch_with_token(jobs, &token);
-    let decided = outcomes.iter().filter(|(v, _)| v.is_some()).count();
-    let sat_cube = outcomes
-        .iter()
-        .position(|(v, _)| *v == Some(SolveResult::Sat));
-    let result = if sat_cube.is_some() {
-        SolveResult::Sat
-    } else {
-        SolveResult::Unsat
-    };
-    CubeReport {
-        result,
-        cubes: outcomes.len(),
-        decided,
-        cancelled: outcomes.len() - decided,
-        sat_cube,
-        conflicts: outcomes.iter().map(|(_, c)| c).sum(),
-        split_vars,
-    }
 }
 
 /// Tuning knobs for [`solve_cubes_adaptive`].
@@ -133,7 +65,8 @@ pub struct AdaptiveCubeConfig {
     pub conflict_budget: u64,
     /// Maximum split depth. Cubes that reach it (or exhaust the candidate
     /// variable ladder) run unbounded — the partition stays exhaustive, so
-    /// the combined verdict stays exact.
+    /// the combined verdict stays exact. With `max_split = initial_split`
+    /// no cube is re-split: a fixed `2^initial_split` split.
     pub max_split: usize,
 }
 
@@ -332,6 +265,15 @@ mod tests {
         assert_eq!(top_split_vars(&cnf, 2), vec![vars[2], vars[0]]);
     }
 
+    /// A fixed `2^split` split: no cube is ever re-split.
+    fn fixed_split(split: usize) -> AdaptiveCubeConfig {
+        AdaptiveCubeConfig {
+            initial_split: split,
+            max_split: split,
+            ..AdaptiveCubeConfig::default()
+        }
+    }
+
     #[test]
     fn cube_and_conquer_agrees_with_sequential_on_unsat() {
         // x1 = x2, x2 = x3, x1 != x3 — unsatisfiable equality cycle.
@@ -344,10 +286,13 @@ mod tests {
         cnf.add_clause([v[0].positive(), v[2].positive()]);
         cnf.add_clause([v[0].negative(), v[2].negative()]);
         let rt = Runtime::new(2);
-        let report = solve_cubes(&rt, &cnf, 2);
+        let report = solve_cubes_adaptive(&rt, &cnf, fixed_split(2));
         assert_eq!(report.result, SolveResult::Unsat);
-        assert_eq!(report.cubes, 4);
-        assert_eq!(report.decided, 4, "UNSAT runs conquer every cube");
+        assert_eq!(report.attempts, 4);
+        assert_eq!(
+            report.resolved_in_budget, 4,
+            "UNSAT runs conquer every cube"
+        );
         assert_eq!(report.result, cnf.to_solver().solve());
     }
 
@@ -358,7 +303,7 @@ mod tests {
         cnf.add_clause([v[0].positive(), v[1].positive()]);
         cnf.add_clause([v[2].negative(), v[3].positive()]);
         let rt = Runtime::new(2);
-        let report = solve_cubes(&rt, &cnf, 2);
+        let report = solve_cubes_adaptive(&rt, &cnf, fixed_split(2));
         assert_eq!(report.result, SolveResult::Sat);
         assert!(report.sat_cube.is_some());
         assert_eq!(report.result, cnf.to_solver().solve());
@@ -371,10 +316,10 @@ mod tests {
         cnf.add_clause([v[0].positive()]);
         cnf.add_clause([v[0].negative(), v[1].positive()]);
         let rt = Runtime::new(1);
-        let report = solve_cubes(&rt, &cnf, 0);
-        assert_eq!(report.cubes, 1);
+        let report = solve_cubes_adaptive(&rt, &cnf, fixed_split(0));
+        assert_eq!(report.attempts, 1);
         assert_eq!(report.result, SolveResult::Sat);
-        assert!(report.split_vars.is_empty());
+        assert!(report.ladder.is_empty());
     }
 
     /// PHP(n+1, n): small, UNSAT, and hard enough to generate conflicts.

@@ -13,17 +13,18 @@
 //!   [`mca_sat::SolverConfig`]s on the same CNF; the first finisher
 //!   cancels the losers through a shared [`mca_sat::CancelToken`]. The
 //!   verdict never differs from a sequential solve (complete solvers
-//!   agree); only latency and the winning configuration vary.
-//!   [`solve_portfolio_with_sharing`] additionally routes each entrant's
-//!   low-LBD learnt clauses through a [`ClauseShare`] pool so the losers'
-//!   conflict work feeds the eventual winner instead of being discarded.
-//! * **Cube-and-conquer** ([`solve_cubes`]) — split a formula on its top
-//!   decision variables into `2^k` assumption-guided subproblems that
+//!   agree); only latency and the winning configuration vary. Each
+//!   entrant's low-LBD learnt clauses are routed through a [`ClauseShare`]
+//!   pool (per its [`SharingConfig`]; `max_lbd: 0` shares nothing) so the
+//!   losers' conflict work feeds the eventual winner instead of being
+//!   discarded.
+//! * **Cube-and-conquer** ([`solve_cubes_adaptive`]) — split a formula on
+//!   its top decision variables into assumption-guided subproblems that
 //!   exhaustively partition the assignment space, and conquer them in
-//!   parallel: any SAT cube ⇒ SAT, all UNSAT ⇒ UNSAT.
-//!   [`solve_cubes_adaptive`] replaces the fixed `2^k` with a conflict
-//!   budget: cubes that exhaust it are split one variable deeper, so only
-//!   hard regions of the space pay for deep splitting.
+//!   parallel: any SAT cube ⇒ SAT, all UNSAT ⇒ UNSAT. Cubes start at
+//!   `2^initial_split` and those that exhaust a conflict budget are split
+//!   one variable deeper, so only hard regions of the space pay for deep
+//!   splitting.
 //!
 //! Job lifecycles are traced: every submission, start, finish, and
 //! cancellation is recorded and can be drained as `mca-obs`
@@ -38,7 +39,7 @@
 //! ## Example: a portfolio race
 //!
 //! ```
-//! use mca_runtime::{diversified_configs, solve_portfolio, Runtime};
+//! use mca_runtime::{diversified_configs, solve_portfolio, Runtime, SharingConfig};
 //! use mca_sat::{CnfFormula, SolveResult};
 //!
 //! // (a ∨ b) ∧ (¬a ∨ b) — satisfiable with b = true.
@@ -49,7 +50,7 @@
 //! cnf.add_clause([a.negative(), b.positive()]);
 //!
 //! let rt = Runtime::new(2);
-//! let report = solve_portfolio(&rt, &cnf, &diversified_configs(4));
+//! let report = solve_portfolio(&rt, &cnf, &diversified_configs(4), SharingConfig::default());
 //! assert_eq!(report.result, SolveResult::Sat);
 //! assert_eq!(report.entrants, 4);
 //! // The winner is one of the four raced configurations…
@@ -106,14 +107,8 @@ mod share;
 mod trace;
 
 pub use blocks::{solve_blocks_parallel, ParallelBlockSolve};
-pub use cube::{
-    sign_cubes, solve_cubes, solve_cubes_adaptive, top_split_vars, AdaptiveCubeConfig,
-    AdaptiveCubeReport, CubeReport,
-};
+pub use cube::{solve_cubes_adaptive, AdaptiveCubeConfig, AdaptiveCubeReport};
 pub use pool::{PortfolioWin, Runtime, WorkerCtx, WorkerStats};
-pub use portfolio::{
-    diversified_configs, solve_portfolio, solve_portfolio_with_sharing, PortfolioEntry,
-    PortfolioReport,
-};
+pub use portfolio::{diversified_configs, solve_portfolio, PortfolioEntry, PortfolioReport};
 pub use share::{ClauseShare, ShareEndpoint, SharingConfig};
 pub use trace::{JobPhase, JobTraceLog};

@@ -222,7 +222,7 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
 /// Dropping the runtime shuts the pool down after all submitted jobs have
 /// run. The high-level entry points ([`run_batch`](Runtime::run_batch),
 /// [`portfolio`](Runtime::portfolio), and the solver drivers
-/// [`crate::solve_portfolio`] / [`crate::solve_cubes`]) all block until
+/// [`crate::solve_portfolio`] / [`crate::solve_cubes_adaptive`]) all block until
 /// their jobs complete, so results never outlive the runtime.
 ///
 /// Jobs must not submit further work to the same runtime: all workers

@@ -8,13 +8,13 @@
 //! sequential [`mca_sat::Solver`] run in its verdict, a property pinned by
 //! the `runtime_determinism` integration test.
 //!
-//! [`solve_portfolio_with_sharing`] additionally connects the entrants
-//! through a [`ClauseShare`](crate::ClauseShare) pool: each entrant
-//! exports its low-LBD learnt clauses as it learns them and imports
-//! everyone else's at its restart boundaries. Shared clauses are logical
-//! consequences of the common formula, so the verdict guarantee is
-//! unchanged — sharing turns the losers' work into the winner's head
-//! start instead of pure waste.
+//! The entrants are connected through a [`ClauseShare`](crate::ClauseShare)
+//! pool: each entrant exports its low-LBD learnt clauses as it learns them
+//! and imports everyone else's at its restart boundaries. Shared clauses
+//! are logical consequences of the common formula, so the verdict
+//! guarantee is unchanged — sharing turns the losers' work into the
+//! winner's head start instead of pure waste. `max_lbd: 0` in the
+//! [`SharingConfig`] races the entrants without sharing.
 
 use crate::pool::Runtime;
 use crate::share::{ClauseShare, SharingConfig};
@@ -56,8 +56,8 @@ pub struct PortfolioReport {
     /// `entries`. The winner's entry duplicates `winner_telemetry`; loser
     /// entries are what per-entrant LBD summaries in BENCH_PAR read.
     pub entrant_telemetry: Vec<Option<SearchTelemetry>>,
-    /// Clauses accepted into the sharing pool's export lanes
-    /// ([`solve_portfolio_with_sharing`] only; 0 without sharing).
+    /// Clauses accepted into the sharing pool's export lanes (0 without
+    /// sharing).
     pub shared_exported: u64,
     /// Clauses pulled from the pool by importers (each clause counts once
     /// per importer that pulled it; 0 without sharing).
@@ -204,26 +204,14 @@ pub fn diversified_configs(n: usize) -> Vec<PortfolioEntry> {
 /// their next conflict or decision and are recorded as `job-cancelled` in
 /// the runtime's trace.
 ///
-/// # Panics
-///
-/// Panics if `entries` is empty.
-pub fn solve_portfolio(
-    rt: &Runtime,
-    cnf: &CnfFormula,
-    entries: &[PortfolioEntry],
-) -> PortfolioReport {
-    solve_portfolio_inner(rt, cnf, entries, None)
-}
-
-/// [`solve_portfolio`] with learnt-clause sharing between the entrants.
-///
 /// Every entrant is connected to one [`ClauseShare`](crate::ClauseShare)
 /// pool: clauses with LBD ≤ `sharing.max_lbd` are exported at each
 /// conflict and imported at each restart boundary, so the race's combined
-/// conflict work compounds instead of being thrown away with the losers.
-/// Verdicts are unchanged (imports are consequences of the shared
-/// formula); traffic totals land in the report's `shared_*` fields and in
-/// each entrant's `exported_clauses` / `imported_clauses` stats.
+/// conflict work compounds instead of being thrown away with the losers
+/// (`max_lbd: 0` exports nothing, so no clause moves). Verdicts are
+/// unchanged (imports are consequences of the shared formula); traffic
+/// totals land in the report's `shared_*` fields and in each entrant's
+/// `exported_clauses` / `imported_clauses` stats.
 ///
 /// # Panics
 ///
@@ -232,7 +220,7 @@ pub fn solve_portfolio(
 /// # Examples
 ///
 /// ```
-/// use mca_runtime::{diversified_configs, solve_portfolio_with_sharing};
+/// use mca_runtime::{diversified_configs, solve_portfolio};
 /// use mca_runtime::{Runtime, SharingConfig};
 /// use mca_sat::{CnfFormula, SolveResult};
 ///
@@ -251,31 +239,21 @@ pub fn solve_portfolio(
 /// }
 ///
 /// let rt = Runtime::new(2);
-/// let report =
-///     solve_portfolio_with_sharing(&rt, &cnf, &diversified_configs(4), SharingConfig::default());
+/// let report = solve_portfolio(&rt, &cnf, &diversified_configs(4), SharingConfig::default());
 /// assert_eq!(report.result, SolveResult::Unsat);
 /// // Glue clauses flowed between the entrants.
 /// assert_eq!(report.entrants, 4);
 /// assert!(report.shared_exported >= report.winner_stats.exported_clauses);
 /// ```
-pub fn solve_portfolio_with_sharing(
+pub fn solve_portfolio(
     rt: &Runtime,
     cnf: &CnfFormula,
     entries: &[PortfolioEntry],
     sharing: SharingConfig,
 ) -> PortfolioReport {
-    solve_portfolio_inner(rt, cnf, entries, Some(sharing))
-}
-
-fn solve_portfolio_inner(
-    rt: &Runtime,
-    cnf: &CnfFormula,
-    entries: &[PortfolioEntry],
-    sharing: Option<SharingConfig>,
-) -> PortfolioReport {
     assert!(!entries.is_empty(), "portfolio needs at least one entrant");
     let entrants = entries.len();
-    let share = sharing.map(|cfg| ClauseShare::new(entrants, cfg));
+    let share = ClauseShare::new(entrants, sharing);
     // Losers return `None` through the portfolio channel, but their final
     // stats and telemetry still matter for forensics — side-channel them
     // out, indexed by entrant.
@@ -288,16 +266,13 @@ fn solve_portfolio_inner(
         .enumerate()
         .map(|(index, entry)| {
             let label = entry.label.clone();
-            let config = match (&share, sharing) {
-                // One knob rules the race: the pool's LBD bound overrides
-                // each entrant's own export threshold.
-                (Some(_), Some(cfg)) => SolverConfig {
-                    share_lbd_max: cfg.max_lbd,
-                    ..entry.config
-                },
-                _ => entry.config,
+            // One knob rules the race: the pool's LBD bound overrides each
+            // entrant's own export threshold.
+            let config = SolverConfig {
+                share_lbd_max: sharing.max_lbd,
+                ..entry.config
             };
-            let sink = share.as_ref().map(|s| s.endpoint(index));
+            let sink = share.endpoint(index);
             let cnf = cnf.clone();
             let stats_out = stats_out.clone();
             let telemetry_out = telemetry_out.clone();
@@ -311,9 +286,7 @@ fn solve_portfolio_inner(
                     }
                     solver.set_terminate(token.clone());
                     solver.enable_telemetry();
-                    if let Some(sink) = sink {
-                        solver.set_clause_sink(sink);
-                    }
+                    solver.set_clause_sink(sink);
                     let result = solver.solve_under_assumptions(&[]);
                     stats_out.lock().expect("stats channel poisoned")[index] =
                         Some(*solver.stats());
@@ -344,15 +317,20 @@ fn solve_portfolio_inner(
         winner_telemetry,
         entrant_stats,
         entrant_telemetry,
-        shared_exported: share.as_ref().map_or(0, |s| s.exported()),
-        shared_imported: share.as_ref().map_or(0, |s| s.imported()),
-        shared_dropped: share.as_ref().map_or(0, |s| s.dropped()),
+        shared_exported: share.exported(),
+        shared_imported: share.imported(),
+        shared_dropped: share.dropped(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const NO_SHARING: SharingConfig = SharingConfig {
+        max_lbd: 0,
+        capacity: 0,
+    };
 
     #[allow(clippy::needless_range_loop)]
     fn pigeonhole(holes: usize) -> CnfFormula {
@@ -391,10 +369,11 @@ mod tests {
         let cnf = pigeonhole(4);
         let sequential = cnf.to_solver().solve();
         let rt = Runtime::new(2);
-        let report = solve_portfolio(&rt, &cnf, &diversified_configs(4));
+        let report = solve_portfolio(&rt, &cnf, &diversified_configs(4), NO_SHARING);
         assert_eq!(report.result, sequential);
         assert_eq!(report.result, SolveResult::Unsat);
         assert_eq!(report.entrants, 4);
+        assert_eq!(report.shared_exported, 0);
         // Forensics side-channel: the winner's stats and telemetry made it
         // out, and every entrant that ran left its stats behind.
         assert!(report.entrant_stats[report.winner].is_some());
@@ -421,12 +400,8 @@ mod tests {
         let sequential = cnf.to_solver().solve();
         for threads in [1, 2, 4] {
             let rt = Runtime::new(threads);
-            let report = solve_portfolio_with_sharing(
-                &rt,
-                &cnf,
-                &diversified_configs(4),
-                SharingConfig::default(),
-            );
+            let report =
+                solve_portfolio(&rt, &cnf, &diversified_configs(4), SharingConfig::default());
             assert_eq!(report.result, sequential, "verdict at {threads} threads");
             assert_eq!(report.result, SolveResult::Unsat);
             // Export accounting is consistent between the pool and the
@@ -457,12 +432,7 @@ mod tests {
     fn sharing_keeps_cancellation_latency_bounded() {
         let cnf = pigeonhole(5);
         let rt = Runtime::new(4);
-        let report = solve_portfolio_with_sharing(
-            &rt,
-            &cnf,
-            &diversified_configs(4),
-            SharingConfig::default(),
-        );
+        let report = solve_portfolio(&rt, &cnf, &diversified_configs(4), SharingConfig::default());
         // Default entrants poll every conflict; sharing must not loosen
         // the cancellation-latency bound.
         assert!(report.cancel_latency_conflicts() <= 1);
@@ -477,7 +447,7 @@ mod tests {
         cnf.add_clause([vars[4].lit(true), vars[5].lit(false)]);
         let sequential = cnf.to_solver().solve();
         let rt = Runtime::new(2);
-        let report = solve_portfolio(&rt, &cnf, &diversified_configs(3));
+        let report = solve_portfolio(&rt, &cnf, &diversified_configs(3), NO_SHARING);
         assert_eq!(report.result, sequential);
         assert_eq!(report.result, SolveResult::Sat);
         assert_eq!(

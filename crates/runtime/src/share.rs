@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 pub struct SharingConfig {
     /// Highest LBD accepted into an export lane; also installed as every
     /// entrant's [`mca_sat::SolverConfig::share_lbd_max`] by
-    /// `solve_portfolio_with_sharing`. `0` disables sharing.
+    /// [`solve_portfolio`](crate::solve_portfolio). `0` disables sharing.
     pub max_lbd: u32,
     /// Per-entrant export-lane capacity in clauses; exports past it are
     /// dropped (and counted in [`ClauseShare::dropped`]). Bounds the

@@ -70,7 +70,7 @@ mod heap;
 mod lit;
 mod luby;
 pub mod proof;
-pub mod simplify;
+mod simplify;
 mod solver;
 
 pub use clause::ClauseRef;
@@ -78,7 +78,7 @@ pub use cnf::{CnfFormula, DimacsError};
 pub use lit::{LBool, Lit, Var};
 pub use luby::{luby, LubyRestarts};
 pub use proof::{check_drat, DratError, Proof, ProofStep};
-pub use simplify::{simplify, simplify_logged, SimplifyStats};
+pub use simplify::SimplifyStats;
 pub use solver::{
     CancelToken, ClauseSink, EpochSample, Model, ProgressCallback, ProgressFn, RestartPolicy,
     SearchTelemetry, SharedClause, SolveResult, Solver, SolverConfig, SolverStats,

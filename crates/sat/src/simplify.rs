@@ -11,7 +11,8 @@ use crate::cnf::CnfFormula;
 use crate::lit::{LBool, Lit};
 use crate::proof::Proof;
 
-/// Statistics of one [`simplify`] run.
+/// Statistics of one preprocessing run
+/// ([`Solver::preprocess`](crate::Solver::preprocess)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SimplifyStats {
     /// Clauses removed by subsumption.
@@ -31,7 +32,7 @@ pub struct SimplifyStats {
 ///
 /// If the formula is detected unsatisfiable, the result contains a single
 /// empty clause and `found_unsat` is set.
-pub fn simplify(cnf: &CnfFormula) -> (CnfFormula, SimplifyStats) {
+pub(crate) fn simplify(cnf: &CnfFormula) -> (CnfFormula, SimplifyStats) {
     simplify_impl(cnf, None)
 }
 
@@ -45,7 +46,7 @@ pub fn simplify(cnf: &CnfFormula) -> (CnfFormula, SimplifyStats) {
 /// replaces; subsumed, satisfied and tautological clauses are recorded as
 /// `Delete` steps. If simplification itself refutes the formula, the empty
 /// clause is appended and the proof is already complete.
-pub fn simplify_logged(cnf: &CnfFormula, proof: &mut Proof) -> (CnfFormula, SimplifyStats) {
+pub(crate) fn simplify_logged(cnf: &CnfFormula, proof: &mut Proof) -> (CnfFormula, SimplifyStats) {
     simplify_impl(cnf, Some(proof))
 }
 

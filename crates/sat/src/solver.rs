@@ -1274,7 +1274,7 @@ impl Solver {
 
     /// Runs SatELite-style preprocessing over the problem clauses as an
     /// optional pre-solve stage: unit propagation to fixpoint, subsumption
-    /// and self-subsuming resolution (see [`simplify`](crate::simplify())).
+    /// and self-subsuming resolution.
     /// Returns the simplification statistics.
     ///
     /// The simplified formula has exactly the same model set over the

@@ -211,12 +211,8 @@ fn execute_check(
     // deterministic for a fixed formula, so the payload below does not
     // depend on the cache disposition or the serving thread.
     let solve_start = Instant::now();
-    let (mut solver, simplify_stats) = if preprocess {
-        let (simplified, stats) = mca_sat::simplify(&cnf);
-        (simplified.to_solver(), Some(stats))
-    } else {
-        (cnf.to_solver(), None)
-    };
+    let mut solver = cnf.to_solver();
+    let simplify_stats = preprocess.then(|| solver.preprocess());
     let valid = solver.solve() == mca_sat::SolveResult::Unsat;
     let solve_ns = ns_since(solve_start);
     let stats = solver.stats();

@@ -4,9 +4,10 @@
 //! incremental per-state convergence sweeps — see `docs/ARCHITECTURE.md`).
 //!
 //! Each driver returns plain data with a `Display` that prints the
-//! paper-shaped row(s); the `repro` binary, the Criterion benches, the
-//! examples and the integration tests all run through these functions so
-//! every reproduction artifact exercises identical code.
+//! paper-shaped row(s); the `repro` binary, the examples and the
+//! integration tests all run through these functions so every
+//! reproduction artifact exercises identical code. Observers and span
+//! recorders are optional arguments: with `None` no event is emitted.
 
 use crate::dynamic_model::{DynamicModel, DynamicScenario};
 use crate::encoding::NumberEncoding;
@@ -15,7 +16,7 @@ use mca_core::checker::{check_consensus, check_consensus_observed, CheckerOption
 use mca_core::scenarios::{self, PolicyCell};
 use mca_core::{Network, Simulator};
 use mca_obs::{Event, SharedObserver};
-use mca_relalg::{RelationStats, SbpConfig, TranslateError, TranslationStats};
+use mca_relalg::{RelationStats, SbpConfig, TranslateError, TranslateOpts, TranslationStats};
 use mca_sat::SolverStats;
 use std::fmt;
 use std::time::Instant;
@@ -36,14 +37,10 @@ pub struct Fig1Report {
     pub messages: usize,
 }
 
-/// Runs E1 and checks the exact vectors of Figure 1.
-pub fn run_fig1() -> Fig1Report {
-    run_fig1_observed(None)
-}
-
-/// [`run_fig1`] with an optional observer attached to the simulator, so the
-/// worked example's deliver/bid schedule lands in the trace.
-pub fn run_fig1_observed(observer: Option<SharedObserver>) -> Fig1Report {
+/// Runs E1 and checks the exact vectors of Figure 1. An observer, if any,
+/// is attached to the simulator, so the worked example's deliver/bid
+/// schedule lands in the trace.
+pub fn run_fig1(observer: Option<SharedObserver>) -> Fig1Report {
     let mut sim = scenarios::fig1();
     sim.set_observer(observer);
     let out = sim.run_synchronous(16);
@@ -143,21 +140,12 @@ fn verdict_word(converges: bool) -> &'static str {
 
 /// E3 (Result 1): checks all four policy combinations of Figure 2's
 /// configuration with the exhaustive explicit-state checker.
-pub fn run_policy_matrix() -> Vec<PolicyMatrixRow> {
-    run_policy_matrix_observed(None)
-}
-
-/// [`run_policy_matrix`] with an optional observer: each cell's exhaustive
-/// check reports `checker-progress` / `checker-done` events.
-pub fn run_policy_matrix_observed(observer: Option<SharedObserver>) -> Vec<PolicyMatrixRow> {
-    run_policy_matrix_spanned(observer, None)
-}
-
-/// [`run_policy_matrix_observed`] with an optional span recorder: each
-/// cell's exhaustive check is additionally wrapped in an `e3.cell:…` span
-/// carrying the verdict. With `None` this is byte-for-byte the unspanned
-/// path — spans are strictly opt-in and never derived from the observer.
-pub fn run_policy_matrix_spanned(
+///
+/// With an observer, each cell's exhaustive check reports
+/// `checker-progress` / `checker-done` events. With a span recorder, each
+/// cell's check is wrapped in an `e3.cell:…` span carrying the verdict.
+/// Spans are strictly opt-in and never derived from the observer.
+pub fn run_policy_matrix(
     observer: Option<SharedObserver>,
     spans: Option<&mca_obs::SpanRecorder>,
 ) -> Vec<PolicyMatrixRow> {
@@ -403,15 +391,11 @@ impl fmt::Display for EncodingRow {
 /// E5: translates and checks the dynamic MCA model at several scopes under
 /// both encodings and reports SAT sizes and times. The static sub-model's
 /// sizes are folded in through a matching [`StaticModel`] at each scope.
-pub fn run_encoding_comparison() -> Vec<EncodingRow> {
-    run_encoding_comparison_observed(None)
-}
-
-/// [`run_encoding_comparison`] with an optional observer. Each relation of
-/// each (scope, encoding) pair is reported as an
-/// [`Event::RelationEncoded`], followed by one [`Event::EncodingDone`]
-/// carrying the combined static+dynamic totals.
-pub fn run_encoding_comparison_observed(observer: Option<SharedObserver>) -> Vec<EncodingRow> {
+///
+/// With an observer, each relation of each (scope, encoding) pair is
+/// reported as an [`Event::RelationEncoded`], followed by one
+/// [`Event::EncodingDone`] carrying the combined static+dynamic totals.
+pub fn run_encoding_comparison(observer: Option<SharedObserver>) -> Vec<EncodingRow> {
     let scopes: Vec<(String, DynamicScenario, StaticScope)> = vec![
         (
             "2 pnodes, 2 vnodes".into(),
@@ -445,18 +429,15 @@ pub fn run_encoding_comparison_observed(observer: Option<SharedObserver>) -> Vec
                 optimized_vacuous: false,
             };
             for encoding in [NumberEncoding::NaiveInt, NumberEncoding::OptimizedValue] {
-                let static_model = StaticModel::build(encoding, static_scope);
-                let static_stats = static_model
-                    .translation_stats()
+                let static_translation = StaticModel::build(encoding, static_scope)
+                    .translate()
                     .expect("static model translates");
-                let static_rels = static_model
-                    .relation_stats()
-                    .expect("static model translates");
+                let static_stats = static_translation.stats;
                 let dynamic = DynamicModel::build(encoding, dyn_scenario.clone());
                 let start = Instant::now();
                 let outcome = dynamic.check_consensus().expect("dynamic model checks");
                 let secs = start.elapsed().as_secs_f64();
-                let dyn_stats = dynamic.translation_stats().expect("stats");
+                let dyn_stats = outcome.stats;
                 let combined = TranslationStats {
                     primary_vars: static_stats.primary_vars + dyn_stats.primary_vars,
                     circuit_gates: static_stats.circuit_gates + dyn_stats.circuit_gates,
@@ -468,13 +449,15 @@ pub fn run_encoding_comparison_observed(observer: Option<SharedObserver>) -> Vec
                     sbp_pairs: static_stats.sbp_pairs + dyn_stats.sbp_pairs,
                     translation_secs: static_stats.translation_secs + dyn_stats.translation_secs,
                 };
-                // The dynamic breakdown comes from the check itself (facts
-                // ∧ ¬consensus — the formula actually solved), the static
-                // one from a facts-only translation.
+                // The dynamic numbers come from the check itself (facts ∧
+                // ¬consensus — the formula actually solved), the static
+                // ones from a facts-only translation.
                 let mut relations: Vec<RelationStats> = Vec::new();
-                relations.extend(static_rels.into_iter().map(|r| RelationStats {
-                    name: format!("static:{}", r.name),
-                    ..r
+                relations.extend(static_translation.relation_stats.into_iter().map(|r| {
+                    RelationStats {
+                        name: format!("static:{}", r.name),
+                        ..r
+                    }
                 }));
                 relations.extend(outcome.relation_stats.iter().map(|r| RelationStats {
                     name: format!("dynamic:{}", r.name),
@@ -502,7 +485,7 @@ pub fn run_encoding_comparison_observed(observer: Option<SharedObserver>) -> Vec
                 let vacuous = outcome.result.is_valid() && {
                     let problem = dynamic.model().to_problem();
                     let mut inc = problem
-                        .incremental_checker(&[], false)
+                        .incremental_checker(&[], false, &TranslateOpts::default())
                         .expect("dynamic model translates");
                     !inc.premise_satisfiable()
                 };
@@ -820,38 +803,18 @@ impl fmt::Display for ScaleRow {
 /// variants (naive, optimized, optimized+preprocessed) and runs the
 /// incremental per-state convergence sweep at each scope.
 ///
-/// # Errors
-///
-/// Propagates translation errors.
-pub fn run_scale_sweep(scopes: &[(usize, usize)]) -> Result<Vec<ScaleRow>, TranslateError> {
-    run_scale_sweep_observed(scopes, None)
-}
-
-/// [`run_scale_sweep`] with an optional observer: the preprocessed
-/// variant reports a [`Event::SimplifyDone`] per scope and the sweep one
-/// [`Event::IncrementalSolve`] per state query.
+/// With an observer, the preprocessed variant reports a
+/// [`Event::SimplifyDone`] per scope and the sweep one
+/// [`Event::IncrementalSolve`] per state query. With a span recorder, each
+/// scope gets an `e8.scope:<label>` span, each variant an
+/// `e8.variant:<label>` child (whose own children are the `relalg.encode`
+/// / `sat.*` spans of that measurement), and the incremental sweep an
+/// `e8.sweep` child with per-state `verify.state-query` spans.
 ///
 /// # Errors
 ///
 /// Propagates translation errors.
-pub fn run_scale_sweep_observed(
-    scopes: &[(usize, usize)],
-    observer: Option<SharedObserver>,
-) -> Result<Vec<ScaleRow>, TranslateError> {
-    run_scale_sweep_spanned(scopes, observer, None)
-}
-
-/// [`run_scale_sweep_observed`] with an optional span recorder: each scope
-/// gets an `e8.scope:<label>` span, each variant an `e8.variant:<label>`
-/// child (whose own children are the `relalg.encode` / `sat.*` spans of
-/// that measurement), and the incremental sweep an `e8.sweep` child with
-/// per-state `verify.state-query` spans. With `None` this is byte-for-byte
-/// the unspanned path.
-///
-/// # Errors
-///
-/// Propagates translation errors.
-pub fn run_scale_sweep_spanned(
+pub fn run_scale_sweep(
     scopes: &[(usize, usize)],
     observer: Option<SharedObserver>,
     spans: Option<&mca_obs::SpanRecorder>,
@@ -860,7 +823,7 @@ pub fn run_scale_sweep_spanned(
         .iter()
         .map(|&(p, v)| {
             let span = spans.map(|r| r.enter(&format!("e8.scope:{p}x{v}")));
-            let row = scale_row_spanned(p, v, spans)?;
+            let row = scale_row(p, v, spans)?;
             drop(span);
             if let Some(obs) = &observer {
                 emit_scale_row(obs, &row);
@@ -870,22 +833,13 @@ pub fn run_scale_sweep_spanned(
         .collect()
 }
 
-/// Measures one E8 scope: all three variants plus the incremental sweep.
+/// Measures one E8 scope: all three variants plus the incremental sweep
+/// (spans as in [`run_scale_sweep`]).
 ///
 /// # Errors
 ///
 /// Propagates translation errors.
-pub fn scale_row(pnodes: usize, vnodes: usize) -> Result<ScaleRow, TranslateError> {
-    scale_row_spanned(pnodes, vnodes, None)
-}
-
-/// [`scale_row`] with an optional span recorder (see
-/// [`run_scale_sweep_spanned`]).
-///
-/// # Errors
-///
-/// Propagates translation errors.
-pub fn scale_row_spanned(
+pub fn scale_row(
     pnodes: usize,
     vnodes: usize,
     spans: Option<&mca_obs::SpanRecorder>,
@@ -894,13 +848,13 @@ pub fn scale_row_spanned(
     let mut variants = Vec::with_capacity(E8_VARIANTS.len());
     for (label, encoding, preprocess) in E8_VARIANTS {
         let span = spans.map(|r| r.enter(&format!("e8.variant:{label}")));
-        variants.push(scale_variant_spanned(
+        variants.push(scale_variant(
             pnodes, vnodes, label, encoding, preprocess, spans,
         )?);
         drop(span);
     }
     let span = spans.map(|r| r.enter("e8.sweep"));
-    let (sweep, sweep_secs) = scale_sweep_at_spanned(pnodes, vnodes, spans)?;
+    let (sweep, sweep_secs) = scale_sweep_at(pnodes, vnodes, spans)?;
     drop(span);
     Ok(ScaleRow {
         scope: scenario.scope_label(),
@@ -925,27 +879,31 @@ pub fn scale_variant(
     label: &str,
     encoding: NumberEncoding,
     preprocess: bool,
+    spans: Option<&mca_obs::SpanRecorder>,
 ) -> Result<ScaleVariant, TranslateError> {
-    scale_variant_spanned(pnodes, vnodes, label, encoding, preprocess, None)
+    measure_variant(
+        label,
+        encoding,
+        DynamicScenario::at_scope(pnodes, vnodes),
+        preprocess,
+        None,
+        spans,
+    )
 }
 
-/// [`scale_variant`] with an optional span recorder (see
-/// [`run_scale_sweep_spanned`]).
-///
-/// # Errors
-///
-/// Propagates translation errors.
-pub fn scale_variant_spanned(
-    pnodes: usize,
-    vnodes: usize,
+/// Builds the model for `scenario` and checks consensus on the scoped
+/// path, timing build + translate + (preprocess +) solve.
+fn measure_variant(
     label: &str,
     encoding: NumberEncoding,
+    scenario: DynamicScenario,
     preprocess: bool,
+    sbp: Option<&SbpConfig>,
     spans: Option<&mca_obs::SpanRecorder>,
 ) -> Result<ScaleVariant, TranslateError> {
     let start = Instant::now();
-    let model = DynamicModel::build(encoding, DynamicScenario::at_scope(pnodes, vnodes));
-    let check = model.check_consensus_opts_spanned(preprocess, spans)?;
+    let model = DynamicModel::build(encoding, scenario);
+    let check = model.check_consensus_opts(preprocess, sbp, spans)?;
     Ok(ScaleVariant {
         variant: label.to_string(),
         valid: check.valid,
@@ -1033,27 +991,18 @@ impl fmt::Display for SbpCell {
 /// Propagates translation errors.
 pub fn sbp_cell(pnodes: usize, vnodes: usize, cfg: &SbpConfig) -> Result<SbpCell, TranslateError> {
     let scenario = DynamicScenario::at_scope_symmetric(pnodes, vnodes);
-    let measure = |sbp: Option<&SbpConfig>| -> Result<ScaleVariant, TranslateError> {
-        let start = Instant::now();
-        let model = DynamicModel::build(NumberEncoding::OptimizedValue, scenario.clone());
-        let check = match sbp {
-            None => model.check_consensus_opts(false)?,
-            Some(cfg) => model.check_consensus_sbp(false, cfg)?,
-        };
-        Ok(ScaleVariant {
-            variant: if sbp.is_some() { "sbp-on" } else { "sbp-off" }.to_string(),
-            valid: check.valid,
-            vacuous: check.vacuous,
-            check_secs: start.elapsed().as_secs_f64(),
-            stats: check.stats,
-            solver: check.solver,
-            simplify: check.simplify,
-        })
-    };
+    let optimized = NumberEncoding::OptimizedValue;
     Ok(SbpCell {
         scope: scenario.scope_label(),
-        off: measure(None)?,
-        on: measure(Some(cfg))?,
+        off: measure_variant("sbp-off", optimized, scenario.clone(), false, None, None)?,
+        on: measure_variant(
+            "sbp-on",
+            optimized,
+            scenario.clone(),
+            false,
+            Some(cfg),
+            None,
+        )?,
     })
 }
 
@@ -1071,25 +1020,13 @@ pub fn run_sbp_comparison(
 }
 
 /// Runs one scope's incremental, preprocessed per-state sweep (optimized
-/// encoding); returns the sweep and its wall-clock seconds.
+/// encoding); returns the sweep and its wall-clock seconds (spans as in
+/// [`run_scale_sweep`]).
 ///
 /// # Errors
 ///
 /// Propagates translation errors.
 pub fn scale_sweep_at(
-    pnodes: usize,
-    vnodes: usize,
-) -> Result<(crate::dynamic_model::ConsensusSweep, f64), TranslateError> {
-    scale_sweep_at_spanned(pnodes, vnodes, None)
-}
-
-/// [`scale_sweep_at`] with an optional span recorder (see
-/// [`run_scale_sweep_spanned`]).
-///
-/// # Errors
-///
-/// Propagates translation errors.
-pub fn scale_sweep_at_spanned(
     pnodes: usize,
     vnodes: usize,
     spans: Option<&mca_obs::SpanRecorder>,
@@ -1099,7 +1036,7 @@ pub fn scale_sweep_at_spanned(
         NumberEncoding::OptimizedValue,
         DynamicScenario::at_scope(pnodes, vnodes),
     );
-    let sweep = model.convergence_sweep_spanned(true, spans)?;
+    let sweep = model.convergence_sweep(true, spans)?;
     Ok((sweep, start.elapsed().as_secs_f64()))
 }
 
@@ -1161,7 +1098,7 @@ mod tests {
 
     #[test]
     fn fig1_report_matches_paper() {
-        let r = run_fig1();
+        let r = run_fig1(None);
         assert!(r.converged);
         assert_eq!(r.final_bids, vec![20, 15, 30]);
         assert_eq!(r.winners, vec![1, 1, 0]);
@@ -1170,7 +1107,7 @@ mod tests {
 
     #[test]
     fn policy_matrix_matches_paper() {
-        let rows = run_policy_matrix();
+        let rows = run_policy_matrix(None, None);
         assert_eq!(rows.len(), 4);
         for row in &rows {
             assert!(row.matches_paper(), "mismatch: {row}");
@@ -1188,7 +1125,7 @@ mod tests {
     #[test]
     fn observed_encoding_comparison_reports_relations_and_solver_stats() {
         let handle = mca_obs::Handle::new(mca_obs::CollectSink::default());
-        let rows = run_encoding_comparison_observed(Some(handle.observer()));
+        let rows = run_encoding_comparison(Some(handle.observer()));
         assert!(!rows.is_empty());
         for row in &rows {
             // Both breakdowns cover the model's relations and sum to the
@@ -1221,8 +1158,7 @@ mod tests {
     #[test]
     fn scale_sweep_smoke_verdicts_agree_and_events_flow() {
         let handle = mca_obs::Handle::new(mca_obs::CollectSink::default());
-        let rows =
-            run_scale_sweep_observed(&[(2, 2)], Some(handle.observer())).expect("scale sweep");
+        let rows = run_scale_sweep(&[(2, 2)], Some(handle.observer()), None).expect("scale sweep");
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
         assert!(row.verdicts_agree(), "verdict mismatch: {row}");

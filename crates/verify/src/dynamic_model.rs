@@ -40,8 +40,7 @@
 use crate::encoding::{NumberEncoding, Numbers};
 use mca_alloy::{FieldId, Model, Multiplicity};
 use mca_relalg::{
-    AtomId, CheckOutcome, Expr, Formula, RelationStats, SbpConfig, TranslateError, TranslateOpts,
-    TranslationStats,
+    AtomId, CheckOutcome, Expr, Formula, SbpConfig, TranslateError, TranslateOpts, TranslationStats,
 };
 
 /// A concrete dynamic-model scenario.
@@ -751,58 +750,53 @@ impl DynamicModel {
     ///
     /// Propagates translation errors.
     pub fn check_consensus_certified(&self) -> Result<mca_relalg::CertifiedCheck, TranslateError> {
-        self.model.check_certified(&self.consensus_assertion())
-    }
-
-    /// [`check_consensus_certified`](Self::check_consensus_certified) with
-    /// optional SatELite-style preprocessing before the search. Every
-    /// simplification step is itself DRAT-logged, so a preprocessed "valid"
-    /// verdict still certifies against the original translated CNF; the
-    /// verdict is identical either way (preprocessing preserves the model
-    /// set).
-    ///
-    /// # Errors
-    ///
-    /// Propagates translation errors.
-    pub fn check_consensus_certified_opts(
-        &self,
-        preprocess: bool,
-    ) -> Result<mca_relalg::CertifiedCheck, TranslateError> {
         self.model
-            .check_certified_opts(&self.consensus_assertion(), preprocess)
+            .check_certified(&self.consensus_assertion(), false)
     }
 
-    /// `check consensus` with optional SatELite-style preprocessing and
-    /// full statistics — the per-variant probe of the E8 scaling sweep.
-    /// The verdict never differs from [`check_consensus`](Self::check_consensus):
-    /// preprocessing preserves the model set.
+    /// `check consensus` on the scoped path, with full statistics — the
+    /// per-variant probe of the E8 scaling sweep. The facts are asserted
+    /// and ¬consensus is a goal literal solved under an assumption; a
+    /// valid verdict is followed by the premise probe that sets
+    /// [`ScopedCheck::vacuous`].
+    ///
+    /// * `preprocess` runs SatELite-style preprocessing before the search.
+    /// * `sbp` conjoins lex-leader symmetry-breaking predicates under the
+    ///   given budgets, over the scenario's
+    ///   [`symmetry_hints`](Self::symmetry_hints) plus whatever
+    ///   bounds-level classes the relalg analysis finds.
+    /// * `spans` records `relalg.encode` / `sat.*` spans and wraps the
+    ///   consensus query in a `verify.state-query` span.
+    ///
+    /// The verdict never differs from
+    /// [`check_consensus`](Self::check_consensus): preprocessing preserves
+    /// the model set, and SBPs preserve UNSAT (symmetries map models to
+    /// models) and only conjoin for SAT — which the scenario
+    /// verdict-preservation tests pin for every shipped scenario. With
+    /// `spans = None` no span event is emitted.
     ///
     /// # Errors
     ///
     /// Propagates translation errors.
-    pub fn check_consensus_opts(&self, preprocess: bool) -> Result<ScopedCheck, TranslateError> {
-        self.check_consensus_opts_spanned(preprocess, None)
-    }
-
-    /// [`check_consensus_opts`](Self::check_consensus_opts) with an
-    /// optional span recorder: translation and solving emit
-    /// `relalg.encode` / `sat.*` spans and the consensus query itself is
-    /// wrapped in a `verify.state-query` span. With `None` this is
-    /// byte-for-byte the unspanned path — spans are strictly opt-in.
-    ///
-    /// # Errors
-    ///
-    /// Propagates translation errors.
-    pub fn check_consensus_opts_spanned(
+    pub fn check_consensus_opts(
         &self,
         preprocess: bool,
+        sbp: Option<&SbpConfig>,
         spans: Option<&mca_obs::SpanRecorder>,
     ) -> Result<ScopedCheck, TranslateError> {
         let mut problem = self.model.to_problem();
         if let Some(spans) = spans {
             problem.set_spans(spans.clone());
         }
-        let mut inc = problem.incremental_checker(&[self.consensus_assertion()], preprocess)?;
+        let opts = match sbp {
+            Some(cfg) => TranslateOpts {
+                sbp: Some(*cfg),
+                sbp_hints: self.symmetry_hints(),
+            },
+            None => TranslateOpts::default(),
+        };
+        let mut inc =
+            problem.incremental_checker(&[self.consensus_assertion()], preprocess, &opts)?;
         let mut span = spans.map(|r| r.enter("verify.state-query"));
         let valid = inc.check(0).is_valid();
         // A valid verdict is only meaningful if the facts alone are
@@ -859,47 +853,14 @@ impl DynamicModel {
         hints
     }
 
-    /// [`check_consensus_opts`](Self::check_consensus_opts) with
-    /// lex-leader symmetry breaking: scenario-derived hint permutations
-    /// plus whatever bounds-level classes the relalg analysis finds are
-    /// compiled into breaking predicates under `cfg`'s budgets. The
-    /// verdict is identical to the unbroken check — SBPs preserve UNSAT
-    /// (symmetries map models to models) and only conjoin for SAT — which
-    /// the scenario verdict-preservation tests pin for every shipped
-    /// scenario.
-    ///
-    /// # Errors
-    ///
-    /// Propagates translation errors.
-    pub fn check_consensus_sbp(
-        &self,
-        preprocess: bool,
-        cfg: &SbpConfig,
-    ) -> Result<ScopedCheck, TranslateError> {
-        let problem = self.model.to_problem();
-        let opts = TranslateOpts {
-            sbp: Some(*cfg),
-            sbp_hints: self.symmetry_hints(),
-        };
-        let mut inc =
-            problem.incremental_checker_opts(&[self.consensus_assertion()], preprocess, &opts)?;
-        let valid = inc.check(0).is_valid();
-        let vacuous = valid && !inc.premise_satisfiable();
-        Ok(ScopedCheck {
-            valid,
-            vacuous,
-            stats: *inc.translation_stats(),
-            solver: *inc.solver_stats(),
-            simplify: inc.simplify_stats().copied(),
-        })
-    }
-
     /// Incremental convergence sweep: encodes the transition-system facts
     /// **once**, then checks [`consensus_assertion_at`](Self::consensus_assertion_at) for every state
     /// `k` through one shared solver, each query activated by an
     /// assumption literal so clauses learnt on earlier states are reused
     /// on later ones. With `preprocess`, the shared clause prefix is
-    /// simplified before the first query.
+    /// simplified before the first query. With a span recorder, every
+    /// per-state query is wrapped in a `verify.state-query` span carrying
+    /// the query index, verdict, and cumulative conflict count.
     ///
     /// Per-state verdicts are identical to checking each assertion from
     /// scratch (asserted by the `sweep_matches_fresh_checks` test).
@@ -907,20 +868,7 @@ impl DynamicModel {
     /// # Errors
     ///
     /// Propagates translation errors.
-    pub fn convergence_sweep(&self, preprocess: bool) -> Result<ConsensusSweep, TranslateError> {
-        self.convergence_sweep_spanned(preprocess, None)
-    }
-
-    /// [`convergence_sweep`](Self::convergence_sweep) with an optional
-    /// span recorder: every per-state incremental query is wrapped in a
-    /// `verify.state-query` span carrying the query index, verdict, and
-    /// cumulative conflict count. With `None` this is byte-for-byte the
-    /// unspanned path.
-    ///
-    /// # Errors
-    ///
-    /// Propagates translation errors.
-    pub fn convergence_sweep_spanned(
+    pub fn convergence_sweep(
         &self,
         preprocess: bool,
         spans: Option<&mca_obs::SpanRecorder>,
@@ -932,7 +880,8 @@ impl DynamicModel {
         if let Some(spans) = spans {
             problem.set_spans(spans.clone());
         }
-        let mut inc = problem.incremental_checker(&assertions, preprocess)?;
+        let mut inc =
+            problem.incremental_checker(&assertions, preprocess, &TranslateOpts::default())?;
         let mut per_state = Vec::with_capacity(assertions.len());
         let mut conflicts_after = Vec::with_capacity(assertions.len());
         for k in 0..assertions.len() {
@@ -956,28 +905,6 @@ impl DynamicModel {
             simplify: inc.simplify_stats().copied(),
             solver: *inc.solver_stats(),
         })
-    }
-
-    /// Translation statistics for facts ∧ ¬consensus — the exact formula the
-    /// `check` command solves, and the quantity E5 compares.
-    ///
-    /// # Errors
-    ///
-    /// Propagates translation errors.
-    pub fn translation_stats(&self) -> Result<TranslationStats, TranslateError> {
-        self.model
-            .translation_stats(&self.consensus_assertion().not())
-    }
-
-    /// Per-relation variable and clause counts for facts ∧ ¬consensus —
-    /// the fine-grained E5 probe behind
-    /// [`translation_stats`](Self::translation_stats).
-    ///
-    /// # Errors
-    ///
-    /// Propagates translation errors.
-    pub fn relation_stats(&self) -> Result<Vec<RelationStats>, TranslateError> {
-        self.model.relation_stats(&self.consensus_assertion().not())
     }
 
     /// The underlying model (for instance inspection).
@@ -1037,7 +964,7 @@ mod tests {
             ("paper_scope_sound", DynamicScenario::paper_scope_sound()),
         ] {
             let dm = DynamicModel::build(NumberEncoding::OptimizedValue, scenario);
-            let check = dm.check_consensus_opts(false).unwrap();
+            let check = dm.check_consensus_opts(false, None, None).unwrap();
             assert!(!check.vacuous, "{label} reported a vacuous verdict");
         }
     }
@@ -1055,7 +982,7 @@ mod tests {
         dm.require(buff.some());
         dm.require(buff.no());
         for preprocess in [false, true] {
-            let check = dm.check_consensus_opts(preprocess).unwrap();
+            let check = dm.check_consensus_opts(preprocess, None, None).unwrap();
             assert!(check.valid, "an unsatisfiable premise validates anything");
             assert!(check.vacuous, "the vacuous flag must expose it");
         }
@@ -1204,7 +1131,7 @@ mod tests {
             DynamicScenario::two_agent_compliant(),
         );
         for preprocess in [false, true] {
-            let sweep = dm.convergence_sweep(preprocess).unwrap();
+            let sweep = dm.convergence_sweep(preprocess, None).unwrap();
             assert_eq!(sweep.per_state.len(), dm.scenario().states);
             assert_eq!(sweep.simplify.is_some(), preprocess);
             for (k, &valid) in sweep.per_state.iter().enumerate() {
@@ -1228,10 +1155,8 @@ mod tests {
     #[test]
     fn preprocessed_verdicts_match_on_all_scenarios() {
         // Every E3/E4 scenario, both refutable and valid: preprocessing
-        // must not change the consensus verdict. (The cheap non-certified
-        // path — proof-logged certification on the large scenarios is
-        // exercised separately below and costs minutes under the naive
-        // DRAT checker.)
+        // must not change the consensus verdict. (The non-certified path;
+        // the proof-logged one is exercised separately below.)
         for scenario in [
             DynamicScenario::two_agent_compliant(),
             DynamicScenario::two_agent_rebid_attack(),
@@ -1243,7 +1168,7 @@ mod tests {
             let plain = dm.check_consensus().unwrap().result.is_valid();
             let problem = dm.model().to_problem();
             let mut inc = problem
-                .incremental_checker(&[dm.consensus_assertion()], true)
+                .incremental_checker(&[dm.consensus_assertion()], true, &TranslateOpts::default())
                 .unwrap();
             assert_eq!(
                 inc.check(0).is_valid(),
@@ -1265,7 +1190,10 @@ mod tests {
             NumberEncoding::OptimizedValue,
             DynamicScenario::two_agent_compliant(),
         );
-        let out = dm.check_consensus_certified_opts(true).unwrap();
+        let out = dm
+            .model()
+            .check_certified(&dm.consensus_assertion(), true)
+            .unwrap();
         assert!(out.is_certified_valid());
         assert!(out.simplify.is_some());
         assert!(out.certificate.expect("valid").steps > 0);

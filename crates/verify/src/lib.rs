@@ -16,8 +16,7 @@
 //!   signature + `bidTriple`-style binary fields), enabling the
 //!   "Abstractions Efficiency" comparison (E5).
 //! * [`analysis`] — one driver per evaluation artifact (E1–E8), shared by
-//!   the `repro` harness, the Criterion benches, the examples and the
-//!   integration tests. E8 extends past the paper: scope-parametric
+//!   the `repro` harness, the examples and the integration tests. E8 extends past the paper: scope-parametric
 //!   scenarios ([`DynamicScenario::at_scope`]) checked under three
 //!   encoding pipelines (naive, optimized, optimized + DRAT-logged
 //!   preprocessing) with incremental per-state convergence sweeps

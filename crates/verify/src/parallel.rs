@@ -25,9 +25,8 @@ use mca_core::checker::{check_consensus, CheckerOptions};
 use mca_core::scenarios::{self, ExtendedPolicyCell, PolicyCell};
 use mca_relalg::TranslateError;
 use mca_runtime::{
-    solve_cubes, solve_cubes_adaptive, solve_portfolio, solve_portfolio_with_sharing,
-    AdaptiveCubeConfig, AdaptiveCubeReport, CubeReport, PortfolioEntry, PortfolioReport, Runtime,
-    SharingConfig,
+    solve_cubes_adaptive, solve_portfolio, AdaptiveCubeConfig, AdaptiveCubeReport, PortfolioEntry,
+    PortfolioReport, Runtime, SharingConfig,
 };
 use mca_sat::SolveResult;
 use std::fmt;
@@ -286,13 +285,13 @@ pub fn run_scale_sweep_parallel(
             jobs.push((
                 format!("e8:{p}x{v}:{label}"),
                 Box::new(move |_| {
-                    ScalePiece::Variant(scale_variant(p, v, label, encoding, preprocess))
+                    ScalePiece::Variant(scale_variant(p, v, label, encoding, preprocess, None))
                 }),
             ));
         }
         jobs.push((
             format!("e8:{p}x{v}:sweep"),
-            Box::new(move |_| ScalePiece::Sweep(scale_sweep_at(p, v))),
+            Box::new(move |_| ScalePiece::Sweep(scale_sweep_at(p, v, None))),
         ));
     }
     let jobs: Vec<(String, _)> = jobs
@@ -328,53 +327,31 @@ pub fn run_scale_sweep_parallel(
 }
 
 /// The consensus assertion checked by a portfolio of diversified solver
-/// configurations racing on the model's `facts ∧ ¬consensus` CNF.
+/// configurations racing on the model's `facts ∧ ¬consensus` CNF. The
+/// entrants exchange low-LBD learnt clauses through a
+/// [`ClauseShare`](mca_runtime::ClauseShare) pool under `sharing`
+/// (`max_lbd: 0` races them without sharing), so the losers' conflict
+/// analysis feeds the winner instead of being discarded at cancellation.
 /// Returns the validity verdict (valid ⇔ the CNF is UNSAT — never differs
-/// from [`DynamicModel::check_consensus`]) plus the race report.
-pub fn check_consensus_portfolio(
-    rt: &Runtime,
-    model: &DynamicModel,
-    entrants: &[PortfolioEntry],
-) -> (bool, PortfolioReport) {
-    let cnf = model.consensus_cnf().expect("well-formed model");
-    let report = solve_portfolio(rt, &cnf, entrants);
-    (report.result == SolveResult::Unsat, report)
-}
-
-/// Like [`check_consensus_portfolio`], but the entrants exchange low-LBD
-/// learnt clauses through a [`ClauseShare`](mca_runtime::ClauseShare)
-/// pool, so the losers' conflict analysis feeds the winner instead of
-/// being discarded at cancellation. The verdict is unchanged — imports
-/// are logical consequences of the shared CNF — and the report's
+/// from [`DynamicModel::check_consensus`], since imports are logical
+/// consequences of the shared CNF) plus the race report, whose
 /// `shared_exported` / `shared_imported` counters quantify the traffic.
-pub fn check_consensus_portfolio_shared(
+pub fn check_consensus_portfolio(
     rt: &Runtime,
     model: &DynamicModel,
     entrants: &[PortfolioEntry],
     sharing: SharingConfig,
 ) -> (bool, PortfolioReport) {
     let cnf = model.consensus_cnf().expect("well-formed model");
-    let report = solve_portfolio_with_sharing(rt, &cnf, entrants, sharing);
-    (report.result == SolveResult::Unsat, report)
-}
-
-/// The consensus assertion checked by cube-and-conquer: the CNF is split
-/// on its `split` most frequent variables and the `2^split` cubes are
-/// conquered in parallel. Valid ⇔ every cube is UNSAT.
-pub fn check_consensus_cubes(
-    rt: &Runtime,
-    model: &DynamicModel,
-    split: usize,
-) -> (bool, CubeReport) {
-    let cnf = model.consensus_cnf().expect("well-formed model");
-    let report = solve_cubes(rt, &cnf, split);
+    let report = solve_portfolio(rt, &cnf, entrants, sharing);
     (report.result == SolveResult::Unsat, report)
 }
 
 /// The consensus assertion checked by **adaptive** cube-and-conquer:
 /// cubes that resolve inside the conflict budget finish shallow; cubes
 /// that exhaust it are split one ladder variable deeper. Valid ⇔ the
-/// adaptive search is UNSAT everywhere.
+/// adaptive search is UNSAT everywhere. A fixed split on `k` variables is
+/// `initial_split = max_split = k`: cubes at the depth cap run unbounded.
 pub fn check_consensus_cubes_adaptive(
     rt: &Runtime,
     model: &DynamicModel,
@@ -395,7 +372,7 @@ mod tests {
     fn parallel_policy_matrix_matches_sequential() {
         let rt = Runtime::new(2);
         let par = run_policy_matrix_parallel(&rt);
-        let seq = run_policy_matrix();
+        let seq = run_policy_matrix(None, None);
         assert_eq!(par.len(), seq.len());
         for (p, s) in par.iter().zip(&seq) {
             assert_eq!(p.cell, s.cell);
@@ -468,7 +445,7 @@ mod tests {
                 .expect("well-formed model")
                 .result
                 .is_valid();
-            let (shared_valid, report) = check_consensus_portfolio_shared(
+            let (shared_valid, report) = check_consensus_portfolio(
                 &rt,
                 &model,
                 &diversified_configs(3),
@@ -487,7 +464,8 @@ mod tests {
     fn parallel_scale_sweep_matches_sequential() {
         let rt = Runtime::new(2);
         let par = run_scale_sweep_parallel(&rt, &[(2, 2)]).expect("parallel sweep");
-        let seq = crate::analysis::run_scale_sweep(&[(2, 2)]).expect("sequential sweep");
+        let seq =
+            crate::analysis::run_scale_sweep(&[(2, 2)], None, None).expect("sequential sweep");
         assert_eq!(par.len(), seq.len());
         for (p, s) in par.iter().zip(&seq) {
             assert_eq!(p.scope, s.scope);
@@ -516,13 +494,24 @@ mod tests {
                 .expect("well-formed model")
                 .result
                 .is_valid();
+            let no_sharing = SharingConfig {
+                max_lbd: 0,
+                ..SharingConfig::default()
+            };
             let (portfolio_valid, report) =
-                check_consensus_portfolio(&rt, &model, &diversified_configs(3));
+                check_consensus_portfolio(&rt, &model, &diversified_configs(3), no_sharing);
             assert_eq!(portfolio_valid, sequential);
             assert_eq!(report.entrants, 3);
-            let (cube_valid, cubes) = check_consensus_cubes(&rt, &model, 2);
+            assert_eq!(report.shared_exported, 0);
+            let fixed_split = AdaptiveCubeConfig {
+                initial_split: 2,
+                max_split: 2,
+                ..AdaptiveCubeConfig::default()
+            };
+            let (cube_valid, cubes) = check_consensus_cubes_adaptive(&rt, &model, fixed_split);
             assert_eq!(cube_valid, sequential);
-            assert_eq!(cubes.cubes, 4);
+            assert_eq!(cubes.attempts, 4);
+            assert_eq!(cubes.resplit, 0);
         }
     }
 }

@@ -25,9 +25,7 @@
 
 use crate::encoding::{NumberEncoding, Numbers};
 use mca_alloy::{FieldId, Model, Multiplicity, SigId};
-use mca_relalg::{
-    CheckOutcome, Formula, QuantVar, RelationStats, TranslateError, TranslationStats,
-};
+use mca_relalg::{CheckOutcome, Formula, QuantVar, TranslateError, Translation};
 
 /// Scope parameters for the static model.
 #[derive(Clone, Copy, Debug)]
@@ -276,25 +274,16 @@ impl StaticModel {
         self.model.check(assertion)
     }
 
-    /// Translation statistics for the full static model (facts only) — the
-    /// E5 probe.
+    /// Translates the full static model (facts only) — the E5 probe: its
+    /// [`stats`](Translation::stats) are the size totals and its
+    /// [`relation_stats`](Translation::relation_stats) the per-relation
+    /// variable and clause counts.
     ///
     /// # Errors
     ///
     /// Propagates translation errors.
-    pub fn translation_stats(&self) -> Result<TranslationStats, TranslateError> {
-        self.model.translation_stats(&Formula::true_())
-    }
-
-    /// Per-relation variable and clause counts for the full static model
-    /// (facts only) — the fine-grained E5 probe behind
-    /// [`translation_stats`](Self::translation_stats).
-    ///
-    /// # Errors
-    ///
-    /// Propagates translation errors.
-    pub fn relation_stats(&self) -> Result<Vec<RelationStats>, TranslateError> {
-        self.model.relation_stats(&Formula::true_())
+    pub fn translate(&self) -> Result<Translation, TranslateError> {
+        self.model.to_problem().translate(&Formula::true_())
     }
 }
 
@@ -357,7 +346,7 @@ mod tests {
         // comparisons dominate (see `dynamic_model` and experiment E5); here
         // we only check both encodings translate and report sizes.
         for e in [NumberEncoding::NaiveInt, NumberEncoding::OptimizedValue] {
-            let stats = tiny(e).translation_stats().unwrap();
+            let stats = tiny(e).translate().unwrap().stats;
             assert!(stats.cnf_clauses > 0, "{e}: clauses counted");
             assert!(stats.cnf_vars >= stats.primary_vars);
         }

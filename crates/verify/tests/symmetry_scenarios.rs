@@ -71,9 +71,11 @@ fn sbp_verdicts_match_plain_verdicts_on_all_scenarios() {
         };
         for &encoding in encodings {
             let model = DynamicModel::build(encoding, scenario.clone());
-            let plain = model.check_consensus_opts(false).expect("plain check");
+            let plain = model
+                .check_consensus_opts(false, None, None)
+                .expect("plain check");
             let sbp = model
-                .check_consensus_sbp(false, &SbpConfig::default())
+                .check_consensus_opts(false, Some(&SbpConfig::default()), None)
                 .expect("sbp check");
             assert_eq!(
                 plain.valid, sbp.valid,
@@ -102,7 +104,7 @@ fn sbp_witnesses_satisfy_the_original_formula() {
             sbp_hints: model.symmetry_hints(),
         };
         let mut inc = problem
-            .incremental_checker_opts(std::slice::from_ref(&assertion), false, &opts)
+            .incremental_checker(std::slice::from_ref(&assertion), false, &opts)
             .expect("translates");
         let check = inc.check(0);
         let witness = check.counterexample().expect("paper_scope is refutable");
@@ -131,7 +133,7 @@ fn symmetric_scenario_hints_produce_predicates() {
     );
     assert_eq!(model.symmetry_hints().len(), 1, "one item pair at 2x2");
     let sbp = model
-        .check_consensus_sbp(false, &SbpConfig::default())
+        .check_consensus_opts(false, Some(&SbpConfig::default()), None)
         .expect("sbp check");
     assert!(
         sbp.stats.sbp_predicates > 0,
@@ -151,9 +153,11 @@ fn asymmetric_scenario_has_no_item_hints() {
         DynamicScenario::at_scope(2, 2),
     );
     assert!(model.symmetry_hints().is_empty());
-    let plain = model.check_consensus_opts(false).expect("plain");
+    let plain = model
+        .check_consensus_opts(false, None, None)
+        .expect("plain");
     let sbp = model
-        .check_consensus_sbp(false, &SbpConfig::default())
+        .check_consensus_opts(false, Some(&SbpConfig::default()), None)
         .expect("sbp");
     assert_eq!(plain.valid, sbp.valid);
 }

@@ -10,7 +10,7 @@ use mca_verify::analysis::run_fig1;
 
 #[test]
 fn figure1_vectors_match_the_paper() {
-    let report = run_fig1();
+    let report = run_fig1(None);
     assert!(report.converged);
     assert_eq!(report.final_bids, vec![20, 15, 30]);
     // 0-based agents: the paper's agent 2 is index 1, agent 1 is index 0.

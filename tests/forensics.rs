@@ -260,7 +260,7 @@ fn sharing_does_not_loosen_the_cancellation_latency_bound() {
     // clause sharing unchanged.
     let cnf = pigeonhole(4);
     let rt = Runtime::new(2);
-    let report = mca_runtime::solve_portfolio_with_sharing(
+    let report = mca_runtime::solve_portfolio(
         &rt,
         &cnf,
         &mca_runtime::diversified_configs(4),
@@ -281,7 +281,12 @@ fn portfolio_cancellation_latency_is_bounded_by_the_check_interval() {
     // surfaced through the report's `cancel_latency_conflicts()`.
     let cnf = pigeonhole(4);
     let rt = Runtime::new(2);
-    let report = mca_runtime::solve_portfolio(&rt, &cnf, &mca_runtime::diversified_configs(4));
+    let no_sharing = mca_runtime::SharingConfig {
+        max_lbd: 0,
+        ..mca_runtime::SharingConfig::default()
+    };
+    let report =
+        mca_runtime::solve_portfolio(&rt, &cnf, &mca_runtime::diversified_configs(4), no_sharing);
     assert!(
         report.cancel_latency_conflicts() <= 1,
         "default entrants poll every conflict; observed latency {}",

@@ -13,8 +13,8 @@ use mca_runtime::{
 };
 use mca_sat::{CancelToken, CnfFormula, SolveResult};
 use mca_verify::parallel::{
-    check_consensus_cubes, check_consensus_portfolio, check_consensus_portfolio_shared,
-    run_extended_policy_matrix, run_policy_matrix_parallel, run_rebid_attack_parallel,
+    check_consensus_cubes_adaptive, check_consensus_portfolio, run_extended_policy_matrix,
+    run_policy_matrix_parallel, run_rebid_attack_parallel,
 };
 use mca_verify::{DynamicModel, DynamicScenario, NumberEncoding};
 
@@ -102,14 +102,24 @@ fn portfolio_and_cube_verdicts_never_differ_from_sequential() {
             .expect("well-formed model")
             .result
             .is_valid();
+        let no_sharing = SharingConfig {
+            max_lbd: 0,
+            ..SharingConfig::default()
+        };
         let (portfolio_valid, report) =
-            check_consensus_portfolio(&rt, &model, &diversified_configs(4));
+            check_consensus_portfolio(&rt, &model, &diversified_configs(4), no_sharing);
         assert_eq!(
             portfolio_valid, sequential,
             "portfolio verdict differs (winner {})",
             report.winner_label
         );
-        let (cube_valid, _) = check_consensus_cubes(&rt, &model, 3);
+        // A fixed 2^3 split: cubes at the depth cap run unbounded.
+        let fixed_split = AdaptiveCubeConfig {
+            initial_split: 3,
+            max_split: 3,
+            ..AdaptiveCubeConfig::default()
+        };
+        let (cube_valid, _) = check_consensus_cubes_adaptive(&rt, &model, fixed_split);
         assert_eq!(cube_valid, sequential, "cube verdict differs");
     }
 }
@@ -131,7 +141,7 @@ fn shared_portfolio_verdicts_are_thread_count_invariant() {
                 .expect("well-formed model")
                 .result
                 .is_valid();
-            let (shared_valid, report) = check_consensus_portfolio_shared(
+            let (shared_valid, report) = check_consensus_portfolio(
                 &rt,
                 &model,
                 &diversified_configs(4),

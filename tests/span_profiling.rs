@@ -11,7 +11,7 @@ use mca_obs::{Handle, JsonlSink, SpanRecorder};
 use mca_report::ParsedTrace;
 use mca_runtime::Runtime;
 use mca_sat::CancelToken;
-use mca_verify::analysis::run_policy_matrix_spanned;
+use mca_verify::analysis::run_policy_matrix;
 use mca_verify::{DynamicModel, DynamicScenario, NumberEncoding};
 use std::time::Instant;
 
@@ -66,7 +66,7 @@ fn spanned_sweep_outline_is_reproducible() {
             DynamicScenario::two_agent_compliant(),
         );
         let sweep = model
-            .convergence_sweep_spanned(true, Some(&spans))
+            .convergence_sweep(true, Some(&spans))
             .expect("well-formed model");
         assert!(sweep.valid_from.is_some());
         drop(spans);
@@ -95,9 +95,9 @@ fn span_recording_overhead_on_e3_is_within_five_percent() {
                 let rows = if spanned {
                     let handle = Handle::new(mca_obs::CollectSink::default());
                     let spans = SpanRecorder::new(handle.observer());
-                    run_policy_matrix_spanned(None, Some(&spans))
+                    run_policy_matrix(None, Some(&spans))
                 } else {
-                    run_policy_matrix_spanned(None, None)
+                    run_policy_matrix(None, None)
                 };
                 assert_eq!(rows.len(), 4);
                 start.elapsed().as_secs_f64()
