@@ -6,18 +6,17 @@
 //!   the outline stays byte-identical at 1 and N threads.
 //! * `search-epoch` events are keyed by logical progress (epoch index,
 //!   conflict counts) and byte-reproducible for a fixed solve.
-//! * Solver search telemetry is opt-in; even fully enabled it stays
-//!   within 1% (+10ms slack) of the plain solve on a real UNSAT search,
-//!   which bounds the no-observer cost of the feature from above — the
-//!   tier-1 experiments never enable it, so they pay strictly less.
+//! * Solver search telemetry is opt-in and only observes: enabled, it
+//!   leaves the search's conflict, decision, propagation and restart
+//!   counts unchanged. (Its wall-clock overhead gate lives in
+//!   `crates/bench/tests/wall_clock.rs`, which CI runs in release mode.)
 //! * The `repro why` rule catalog diagnoses a deliberately fine-grained
 //!   batch (the CI fixture's shape) from its trace + metrics pair.
 
 use mca_obs::{Event, Handle, JsonlSink, Metrics, SpanRecorder};
 use mca_report::{diagnose, ParsedTrace};
 use mca_runtime::Runtime;
-use mca_sat::{CancelToken, CnfFormula, SolveResult, Solver};
-use std::time::Instant;
+use mca_sat::{CancelToken, CnfFormula, SolveResult};
 
 /// `holes`+1 pigeons into `holes` holes — a small UNSAT family that
 /// forces real CDCL search (conflicts, restarts, learnt clauses).
@@ -133,35 +132,20 @@ fn search_epoch_events_are_byte_reproducible_for_a_fixed_solve() {
 }
 
 #[test]
-fn solver_telemetry_overhead_is_under_one_percent() {
-    // min-of-N on both sides: the minimum is the least noisy statistic of
-    // a repeated deterministic workload. This bounds the *enabled* cost;
-    // the disabled path (what E3 and every tier-1 experiment runs) is a
-    // branch on a `None` and strictly cheaper.
-    let runs = 3;
+fn solver_telemetry_leaves_the_search_unchanged() {
     let cnf = pigeonhole(7);
-    let time_min = |telemetry: bool| {
-        (0..runs)
-            .map(|_| {
-                let mut solver: Solver = cnf.to_solver();
-                if telemetry {
-                    solver.enable_telemetry();
-                }
-                let start = Instant::now();
-                assert_eq!(solver.solve(), SolveResult::Unsat);
-                start.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
+    let search = |telemetry: bool| {
+        let mut solver = cnf.to_solver();
+        if telemetry {
+            solver.enable_telemetry();
+        }
+        assert_eq!(solver.solve(), SolveResult::Unsat);
+        let s = *solver.stats();
+        (s.conflicts, s.decisions, s.propagations, s.restarts)
     };
-    let plain = time_min(false);
-    let with_telemetry = time_min(true);
-    // 1% relative plus 10ms absolute slack, like the span-overhead gate:
-    // the histogram records are O(1) per learnt clause, but sub-ms timer
-    // noise must not fail the build.
-    assert!(
-        with_telemetry <= plain * 1.01 + 0.010,
-        "telemetry overhead too high: plain {plain:.4}s vs enabled {with_telemetry:.4}s"
-    );
+    let plain = search(false);
+    assert!(plain.0 > 0, "pigeonhole(7) needs real search");
+    assert_eq!(plain, search(true), "telemetry must only observe");
 }
 
 #[test]
