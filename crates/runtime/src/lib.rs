@@ -5,10 +5,9 @@
 //! workloads across cores. Three execution modes:
 //!
 //! * **Batch** ([`Runtime::run_batch`]) — run a list of independent jobs
-//!   (the E3 policy-matrix cells, the E4 attack checks, `mca-vnmap`
-//!   embedding searches) and return the results in submission order. With
-//!   deterministic jobs the output is bit-identical to a sequential run,
-//!   whatever the worker count.
+//!   (the E3 policy-matrix cells, the E4 attack checks) and return the
+//!   results in submission order. With deterministic jobs the output is
+//!   bit-identical to a sequential run, whatever the worker count.
 //! * **Portfolio** ([`solve_portfolio`]) — race diversified
 //!   [`mca_sat::SolverConfig`]s on the same CNF; the first finisher
 //!   cancels the losers through a shared [`mca_sat::CancelToken`]. The

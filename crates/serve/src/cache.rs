@@ -19,11 +19,22 @@
 //! entry (and simply thrashes, correctly). All counters are plain `u64`s
 //! behind the same mutex as the maps, so a [`CacheStats`] snapshot is
 //! internally consistent.
+//!
+//! Forming either key needs the model's content hash, and hashing means
+//! building the model and rendering its Alloy source. A third map, the
+//! **model-hash memo**, remembers that hash per resolved request spec —
+//! the scenario label plus the wire encoding, which together fix the
+//! model — so a warm hit never builds a model. The memo is bounded by
+//! construction (the server accepts 5 named scenarios and 9 scopes in 2
+//! encodings: at most 28 entries), so it sits outside the byte budget,
+//! is never evicted, and has no [`CacheStats`] counter.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use mca_sat::CnfFormula;
+
+use crate::wire::WireEncoding;
 
 /// Which tier an operation touched (for trace events).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,6 +99,8 @@ struct Entry<T> {
 struct Inner {
     verdicts: HashMap<String, Entry<Arc<Vec<u8>>>>,
     translations: HashMap<String, Entry<Arc<CnfFormula>>>,
+    /// `<encoding>/<scenario label>` → the model's content hash.
+    model_hashes: HashMap<String, u64>,
     clock: u64,
     bytes: usize,
     stats: CacheStats,
@@ -98,6 +111,10 @@ struct Inner {
 /// only has to scale with the real footprint.
 fn cnf_bytes(cnf: &CnfFormula) -> usize {
     cnf.num_literals() * 8 + cnf.num_clauses() * 24 + cnf.num_vars() * 8 + 64
+}
+
+fn memo_key(label: &str, encoding: WireEncoding) -> String {
+    format!("{}/{label}", encoding.slug())
 }
 
 /// The shared content-addressed cache. All methods take `&self`; one
@@ -183,6 +200,31 @@ impl ResultCache {
                 None
             }
         }
+    }
+
+    /// The memoized content hash of the model a resolved spec denotes,
+    /// if a request for it has built that model before. Touches no
+    /// counter and no LRU clock.
+    pub fn model_hash(&self, label: &str, encoding: WireEncoding) -> Option<u64> {
+        self.lock()
+            .model_hashes
+            .get(&memo_key(label, encoding))
+            .copied()
+    }
+
+    /// Memoizes a spec's model hash. `label` must come from a successful
+    /// [`resolve_scenario`](crate::request::resolve_scenario), which is
+    /// what bounds the memo. Re-inserting stores the same value: model
+    /// build and hashing are deterministic in (scenario, encoding).
+    pub fn remember_model_hash(&self, label: &str, encoding: WireEncoding, hash: u64) {
+        self.lock()
+            .model_hashes
+            .insert(memo_key(label, encoding), hash);
+    }
+
+    /// How many specs have a memoized model hash.
+    pub fn model_hash_count(&self) -> usize {
+        self.lock().model_hashes.len()
     }
 
     /// Inserts a finished payload, evicting LRU entries past the budget.
@@ -381,5 +423,23 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.translation_hits, 1);
         assert_eq!(stats.translation_misses, 1);
+    }
+
+    #[test]
+    fn model_hash_memo_separates_encodings_and_counts_nothing() {
+        let cache = ResultCache::new(1 << 20);
+        assert_eq!(
+            cache.model_hash("paper_scope", WireEncoding::Optimized),
+            None
+        );
+        cache.remember_model_hash("paper_scope", WireEncoding::Optimized, 7);
+        cache.remember_model_hash("paper_scope", WireEncoding::Optimized, 7);
+        assert_eq!(
+            cache.model_hash("paper_scope", WireEncoding::Optimized),
+            Some(7)
+        );
+        assert_eq!(cache.model_hash("paper_scope", WireEncoding::Naive), None);
+        assert_eq!(cache.model_hash_count(), 1);
+        assert_eq!(cache.stats(), CacheStats::default());
     }
 }

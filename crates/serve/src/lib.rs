@@ -14,9 +14,12 @@
 //!
 //! Model hashes are FNV-1a 64 over the canonical Alloy source rendering,
 //! so two requests hit the same cache line exactly when they denote the
-//! same model at the same scope. Responses are deterministic and
-//! byte-identical whether computed cold, served from cache, or produced
-//! by a server with a different worker count — pinned by tests.
+//! same model at the same scope. The cache memoizes each resolved spec's
+//! model hash (at most 28 specs are accepted), so a warm hit builds no
+//! model; a request builds one only when it must translate or lint.
+//! Responses are deterministic and byte-identical whether computed cold,
+//! served from cache, or produced by a server with a different worker
+//! count — pinned by tests.
 //!
 //! The crate also contains the [`client`] library (same wire module as
 //! the server, so they cannot drift) and the [`load`] generator behind

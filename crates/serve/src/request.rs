@@ -99,10 +99,13 @@ pub struct Executed {
     pub ops: Vec<CacheOp>,
     /// The cache disposition, `None` for error responses.
     pub disposition: Option<CacheDisposition>,
-    /// Wall-clock nanoseconds in cache lookups/stores. Telemetry only:
+    /// Wall-clock nanoseconds forming the key (spec resolve and the
+    /// model-hash memo) and in cache lookups/stores. Telemetry only:
     /// never part of the response payload, so byte-determinism holds.
     pub cache_ns: u64,
-    /// Wall-clock nanoseconds building the model + translating to CNF.
+    /// Wall-clock nanoseconds in model build, content hashing and CNF
+    /// translation that actually ran: 0 on a warm verdict hit, and 0 on
+    /// a translation-tier hit whose model hash was already memoized.
     pub translate_ns: u64,
     /// Wall-clock nanoseconds solving (or running the lint analysis).
     pub solve_ns: u64,
@@ -125,6 +128,74 @@ impl Executed {
 /// Elapsed nanoseconds since `start`, saturating at `u64::MAX`.
 fn ns_since(start: Instant) -> u64 {
     start.elapsed().as_nanos().min(u64::MAX as u128) as u64
+}
+
+/// A resolved spec's model, built at most once per request and only when
+/// something has to be computed from it.
+struct LazyModel {
+    encoding: NumberEncoding,
+    scenario: DynamicScenario,
+    model: Option<DynamicModel>,
+}
+
+impl LazyModel {
+    /// The model, built on first use.
+    fn get(&mut self) -> &DynamicModel {
+        self.model
+            .get_or_insert_with(|| DynamicModel::build(self.encoding, self.scenario.clone()))
+    }
+}
+
+/// A request spec resolved to its model hash, with the timings of that
+/// step already split into the cache and translate phases.
+struct Keyed {
+    label: String,
+    scope: String,
+    hash: u64,
+    model: LazyModel,
+    cache_ns: u64,
+    translate_ns: u64,
+}
+
+/// Resolves `spec` and looks its model hash up in the memo. On a memo
+/// miss it builds and hashes the model and memoizes the hash; the built
+/// model stays in [`Keyed::model`], so the request never builds twice.
+fn key_spec(
+    spec: &ScenarioSpec,
+    encoding: WireEncoding,
+    cache: &ResultCache,
+) -> Result<Keyed, String> {
+    let start = Instant::now();
+    let (label, scenario) = resolve_scenario(spec)?;
+    let scope = scenario.scope_label();
+    let memoized = cache.model_hash(&label, encoding);
+    let mut cache_ns = ns_since(start);
+    let mut model = LazyModel {
+        encoding: number_encoding(encoding),
+        scenario,
+        model: None,
+    };
+    let mut translate_ns = 0;
+    let hash = match memoized {
+        Some(hash) => hash,
+        None => {
+            let build_start = Instant::now();
+            let hash = model.get().content_hash();
+            translate_ns = ns_since(build_start);
+            let put_start = Instant::now();
+            cache.remember_model_hash(&label, encoding, hash);
+            cache_ns += ns_since(put_start);
+            hash
+        }
+    };
+    Ok(Keyed {
+        label,
+        scope,
+        hash,
+        model,
+        cache_ns,
+        translate_ns,
+    })
 }
 
 /// Executes a `Check` or `Lint` request against the cache, computing on
@@ -151,15 +222,17 @@ fn execute_check(
     preprocess: bool,
     cache: &ResultCache,
 ) -> Executed {
-    let (label, scenario) = match resolve_scenario(spec) {
-        Ok(pair) => pair,
+    let Keyed {
+        label,
+        scope,
+        hash,
+        mut model,
+        mut cache_ns,
+        mut translate_ns,
+    } = match key_spec(spec, encoding, cache) {
+        Ok(keyed) => keyed,
         Err(msg) => return Executed::error(error_code::UNKNOWN_SCENARIO, msg),
     };
-    let scope = scenario.scope_label();
-    let build_start = Instant::now();
-    let model = DynamicModel::build(number_encoding(encoding), scenario);
-    let hash = model.content_hash();
-    let mut translate_ns = ns_since(build_start);
     let solver_config = if preprocess { "default+pre" } else { "default" };
     let vkey = verdict_key("check", hash, &scope, encoding, solver_config);
 
@@ -174,7 +247,7 @@ fn execute_check(
             cache_key: vkey,
             ops,
             disposition: Some(CacheDisposition::VerdictHit),
-            cache_ns: ns_since(lookup_start),
+            cache_ns: cache_ns + ns_since(lookup_start),
             translate_ns,
             solve_ns: 0,
         };
@@ -183,12 +256,12 @@ fn execute_check(
     // Verdict miss: try to at least reuse the translation.
     let tkey = translation_key(hash, &scope, encoding);
     let translation_lookup = cache.get_translation(&tkey, &mut ops);
-    let mut cache_ns = ns_since(lookup_start);
+    cache_ns += ns_since(lookup_start);
     let (cnf, disposition) = match translation_lookup {
         Some(cnf) => (cnf, CacheDisposition::TranslationHit),
         None => {
             let translate_start = Instant::now();
-            match model.consensus_cnf() {
+            match model.get().consensus_cnf() {
                 Ok(cnf) => {
                     translate_ns += ns_since(translate_start);
                     let cnf = Arc::new(cnf);
@@ -275,15 +348,17 @@ fn execute_check(
 }
 
 fn execute_lint(spec: &ScenarioSpec, encoding: WireEncoding, cache: &ResultCache) -> Executed {
-    let (label, scenario) = match resolve_scenario(spec) {
-        Ok(pair) => pair,
+    let Keyed {
+        label,
+        scope,
+        hash,
+        mut model,
+        mut cache_ns,
+        mut translate_ns,
+    } = match key_spec(spec, encoding, cache) {
+        Ok(keyed) => keyed,
         Err(msg) => return Executed::error(error_code::UNKNOWN_SCENARIO, msg),
     };
-    let scope = scenario.scope_label();
-    let build_start = Instant::now();
-    let model = DynamicModel::build(number_encoding(encoding), scenario);
-    let hash = model.content_hash();
-    let translate_ns = ns_since(build_start);
     let vkey = verdict_key("lint", hash, &scope, encoding, "default");
 
     let mut ops = Vec::new();
@@ -297,13 +372,16 @@ fn execute_lint(spec: &ScenarioSpec, encoding: WireEncoding, cache: &ResultCache
             cache_key: vkey,
             ops,
             disposition: Some(CacheDisposition::VerdictHit),
-            cache_ns: ns_since(lookup_start),
+            cache_ns: cache_ns + ns_since(lookup_start),
             translate_ns,
             solve_ns: 0,
         };
     }
-    let mut cache_ns = ns_since(lookup_start);
+    cache_ns += ns_since(lookup_start);
 
+    let build_start = Instant::now();
+    let model = model.get();
+    translate_ns += ns_since(build_start);
     let target = format!("serve:{label}:{}", encoding.slug());
     // Lint analysis is this request kind's "solve" phase.
     let solve_start = Instant::now();
@@ -450,6 +528,38 @@ mod tests {
         };
         let third = execute(&pre, &cache);
         assert_eq!(third.disposition, Some(CacheDisposition::TranslationHit));
+    }
+
+    /// Once a spec's model hash is memoized, neither a verdict hit nor a
+    /// translation-tier hit builds the model: both report zero translate
+    /// time.
+    #[test]
+    fn memoized_hits_report_no_translate_time() {
+        let cache = ResultCache::new(64 << 20);
+        let spec = ScenarioSpec::Named("two_agent_compliant".into());
+        let check = |preprocess| Request::Check {
+            scenario: spec.clone(),
+            encoding: WireEncoding::Optimized,
+            preprocess,
+        };
+        let lint = Request::Lint {
+            scenario: spec.clone(),
+            encoding: WireEncoding::Optimized,
+        };
+        let cold = execute(&check(false), &cache);
+        assert!(cold.translate_ns > 0 && cold.solve_ns > 0);
+        // The preprocessed twin reuses the plain variant's translation.
+        let twin = execute(&check(true), &cache);
+        assert_eq!(twin.disposition, Some(CacheDisposition::TranslationHit));
+        assert_eq!(twin.translate_ns, 0, "a translation hit built the model");
+        let lint_cold = execute(&lint, &cache);
+        assert_eq!(lint_cold.disposition, Some(CacheDisposition::Miss));
+        for req in [check(false), check(true), lint] {
+            let warm = execute(&req, &cache);
+            assert_eq!(warm.disposition, Some(CacheDisposition::VerdictHit));
+            assert_eq!((warm.translate_ns, warm.solve_ns), (0, 0), "{req:?}");
+        }
+        assert_eq!(cache.model_hash_count(), 1);
     }
 
     #[test]

@@ -615,11 +615,15 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
                     let job_req = req.clone();
                     let job_cache = shared.cache.clone();
                     let label = format!("serve:{}:{req_id}", req.kind());
+                    // The hand-off to a pool worker is queue wait too.
+                    let spawned = Instant::now();
                     shared.runtime.spawn(&label, move |_token| {
-                        let _ = tx.send(request::execute(&job_req, &job_cache));
+                        let handoff_ns = ns_since(spawned);
+                        let _ = tx.send((handoff_ns, request::execute(&job_req, &job_cache)));
                     });
-                    let executed = rx.recv().expect("pool job always reports");
+                    let (handoff_ns, executed) = rx.recv().expect("pool job always reports");
                     shared.admission.release();
+                    record.queue_ns += handoff_ns;
                     record.cache_ns = executed.cache_ns;
                     record.translate_ns = executed.translate_ns;
                     record.solve_ns = executed.solve_ns;

@@ -74,11 +74,14 @@ pub struct RequestRecord {
     pub total_ns: u64,
     /// Frame read + body decode.
     pub decode_ns: u64,
-    /// Wait for an admission-queue slot.
+    /// Wait for an admission-queue slot, plus the hand-off until a pool
+    /// worker starts the job.
     pub queue_ns: u64,
-    /// Content-addressed cache lookup(s).
+    /// Spec resolve, model-hash memo and content-addressed cache
+    /// lookup(s)/stores.
     pub cache_ns: u64,
-    /// Model build + relational translation to CNF.
+    /// Model build + hashing + relational translation to CNF, counting
+    /// only the work that ran (zero on a warm hit).
     pub translate_ns: u64,
     /// SAT solving (or lint analysis for lint requests).
     pub solve_ns: u64,

@@ -4,17 +4,22 @@
 //! byte budget, and malformed-frame robustness (the server answers with
 //! a protocol error and keeps serving — never panics, never hangs).
 
+use std::collections::BTreeSet;
 use std::io::ErrorKind;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use mca_obs::Json;
 use mca_report::{diagnose_service, ServiceStats, WhySeverity};
+use mca_sat::CnfFormula;
+use mca_serve::request;
 use mca_serve::wire::error_code;
 use mca_serve::{
-    CacheDisposition, Client, LoadConfig, Request, Response, ScenarioSpec, Server, ServerConfig,
-    TelemetryConfig, WireEncoding, WireError,
+    CacheDisposition, Client, LoadConfig, Request, Response, ResultCache, ScenarioSpec, Server,
+    ServerConfig, TelemetryConfig, WireEncoding, WireError,
 };
+use mca_verify::{DynamicModel, NumberEncoding};
 
 fn start(threads: usize, cache_bytes: usize) -> mca_serve::ServerHandle {
     let config = ServerConfig {
@@ -209,40 +214,44 @@ fn every_shipped_scenario_hits_byte_identical() {
 }
 
 /// Under a starvation-level byte budget the cache evicts constantly but
-/// verdicts stay correct and byte-identical.
+/// verdicts stay correct and byte-identical. The lint entry covers the
+/// other request kind's recompute path: its model hash stays memoized,
+/// so only the evicted report forces a model build.
 #[test]
 fn eviction_under_tiny_budget_stays_verdict_correct() {
     // ~2 KiB: far too small for a CNF entry, small enough to force
     // verdict-tier eviction churn.
     let handle = start(2, 2 << 10);
     let mut client = connect(&handle);
-    let deck: [(ScenarioSpec, bool); 3] = [
-        (named("two_agent_compliant"), false),
-        (named("two_agent_rebid_attack"), false),
-        (
-            ScenarioSpec::AtScope {
-                pnodes: 2,
-                vnodes: 2,
-            },
-            false,
-        ),
+    let check = |scenario| Request::Check {
+        scenario,
+        encoding: WireEncoding::Optimized,
+        preprocess: false,
+    };
+    let deck = [
+        check(named("two_agent_compliant")),
+        check(named("two_agent_rebid_attack")),
+        check(ScenarioSpec::AtScope {
+            pnodes: 2,
+            vnodes: 2,
+        }),
+        Request::Lint {
+            scenario: named("two_agent_compliant"),
+            encoding: WireEncoding::Optimized,
+        },
     ];
-    let mut baseline = Vec::new();
-    for (scenario, preprocess) in deck.iter().cloned() {
-        let (_, payload) = client
-            .check(scenario, WireEncoding::Optimized, preprocess)
-            .expect("cold check");
-        baseline.push(payload);
-    }
+    let mut payload = |req: &Request| match client.request(req).expect("transport ok") {
+        Response::Verdict { payload, .. } | Response::LintReport { payload, .. } => payload,
+        other => panic!("expected a payload for {req:?}, got {other:?}"),
+    };
+    let baseline: Vec<Vec<u8>> = deck.iter().map(&mut payload).collect();
     // Two more rounds: whatever got evicted is recomputed, and must be
     // byte-identical either way.
     for _ in 0..2 {
-        for (i, (scenario, preprocess)) in deck.iter().cloned().enumerate() {
-            let (_, payload) = client
-                .check(scenario, WireEncoding::Optimized, preprocess)
-                .expect("repeat check");
+        for (i, req) in deck.iter().enumerate() {
             assert_eq!(
-                payload, baseline[i],
+                payload(req),
+                baseline[i],
                 "deck entry {i} changed under eviction"
             );
         }
@@ -253,6 +262,124 @@ fn eviction_under_tiny_budget_stays_verdict_correct() {
         "a 2 KiB budget must evict; stats: {:?}",
         report.cache
     );
+}
+
+/// The model-hash memo is keyed by spec, not by content, so it must agree
+/// with a fresh `DynamicModel::build(..).content_hash()` for every spec
+/// the server accepts: 5 names and 9 scopes in 2 encodings. Each pair's
+/// translation-tier entry is seeded under its fresh hash with an empty
+/// stand-in formula, so the test solves no real model; a request reaches
+/// that entry, and stamps its payload's `model_hash`, only through the
+/// hash it memoized.
+#[test]
+fn memoized_model_hash_matches_a_fresh_build_for_every_accepted_spec() {
+    let encodings = [
+        (WireEncoding::Naive, NumberEncoding::NaiveInt),
+        (WireEncoding::Optimized, NumberEncoding::OptimizedValue),
+    ];
+    let check = |scenario: &ScenarioSpec, encoding| Request::Check {
+        scenario: scenario.clone(),
+        encoding,
+        preprocess: false,
+    };
+    let cache = ResultCache::new(64 << 20);
+    let stand_in = Arc::new(CnfFormula::new());
+    let mut specs: Vec<ScenarioSpec> = [
+        "two_agent_compliant",
+        "two_agent_rebid_attack",
+        "three_agent_line_compliant",
+        "paper_scope",
+        "paper_scope_sound",
+    ]
+    .into_iter()
+    .map(named)
+    .collect();
+    for pnodes in 2..=4 {
+        for vnodes in 1..=3 {
+            specs.push(ScenarioSpec::AtScope { pnodes, vnodes });
+        }
+    }
+    let mut hashes = BTreeSet::new();
+    for spec in &specs {
+        for (encoding, number) in encodings {
+            let (label, scenario) = request::resolve_scenario(spec).expect("accepted spec");
+            let scope = scenario.scope_label();
+            let fresh = DynamicModel::build(number, scenario).content_hash();
+            hashes.insert(fresh);
+            let tkey = request::translation_key(fresh, &scope, encoding);
+            cache.put_translation(&tkey, stand_in.clone(), &mut Vec::new());
+            let key = request::verdict_key("check", fresh, &scope, encoding, "default");
+
+            let cold = request::execute(&check(spec, encoding), &cache);
+            assert_eq!(
+                cold.disposition,
+                Some(CacheDisposition::TranslationHit),
+                "{label}/{encoding:?}: the memoized hash missed the seeded translation"
+            );
+            assert_eq!(cold.cache_key, key);
+            let Response::Verdict { payload, .. } = &cold.response else {
+                panic!("expected a verdict, got {:?}", cold.response);
+            };
+            let payload = Json::parse(std::str::from_utf8(payload).expect("UTF-8 payload"))
+                .expect("payload is JSON");
+            assert_eq!(
+                payload.get("model_hash").and_then(Json::as_str),
+                Some(format!("{fresh:016x}").as_str())
+            );
+            assert_eq!(cache.model_hash(&label, encoding), Some(fresh));
+
+            let warm = request::execute(&check(spec, encoding), &cache);
+            assert_eq!(warm.disposition, Some(CacheDisposition::VerdictHit));
+            assert_eq!(warm.cache_key, key);
+            assert_eq!(warm.translate_ns, 0, "{label}: a warm hit built the model");
+        }
+    }
+    assert_eq!(
+        hashes.len(),
+        28,
+        "every accepted pair denotes its own model"
+    );
+    assert_eq!(cache.model_hash_count(), 28);
+
+    // Rejected specs never reach the memo, through either request kind.
+    let rejected = [
+        named("no_such_scenario"),
+        ScenarioSpec::AtScope {
+            pnodes: 1,
+            vnodes: 1,
+        },
+        ScenarioSpec::AtScope {
+            pnodes: 9,
+            vnodes: 1,
+        },
+        ScenarioSpec::AtScope {
+            pnodes: 2,
+            vnodes: 0,
+        },
+    ];
+    for spec in &rejected {
+        for (encoding, _) in encodings {
+            let lint = Request::Lint {
+                scenario: spec.clone(),
+                encoding,
+            };
+            for req in [check(spec, encoding), lint] {
+                let executed = request::execute(&req, &cache);
+                assert!(
+                    matches!(
+                        executed.response,
+                        Response::Error {
+                            code: error_code::UNKNOWN_SCENARIO,
+                            ..
+                        }
+                    ),
+                    "{req:?} must be refused, got {:?}",
+                    executed.response
+                );
+            }
+        }
+    }
+    assert_eq!(cache.model_hash_count(), 28);
 }
 
 #[test]
