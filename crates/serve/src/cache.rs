@@ -214,9 +214,12 @@ impl ResultCache {
 
     /// Memoizes a spec's model hash. `label` must come from a successful
     /// [`resolve_scenario`](crate::request::resolve_scenario), which is
-    /// what bounds the memo. Re-inserting stores the same value: model
-    /// build and hashing are deterministic in (scenario, encoding).
-    pub fn remember_model_hash(&self, label: &str, encoding: WireEncoding, hash: u64) {
+    /// what bounds the memo, and `hash` must be that model's
+    /// `content_hash()`, which is what keeps keys content-addressed. Only
+    /// the request path calls this, so both hold by construction.
+    /// Re-inserting stores the same value: model build and hashing are
+    /// deterministic in (scenario, encoding).
+    pub(crate) fn remember_model_hash(&self, label: &str, encoding: WireEncoding, hash: u64) {
         self.lock()
             .model_hashes
             .insert(memo_key(label, encoding), hash);

@@ -240,9 +240,12 @@ fn eviction_under_tiny_budget_stays_verdict_correct() {
             encoding: WireEncoding::Optimized,
         },
     ];
-    let mut payload = |req: &Request| match client.request(req).expect("transport ok") {
-        Response::Verdict { payload, .. } | Response::LintReport { payload, .. } => payload,
-        other => panic!("expected a payload for {req:?}, got {other:?}"),
+    // The response kind must match the request kind: a check answered
+    // with a lint report (or the reverse) fails here, not as a baseline.
+    let mut payload = |req: &Request| match (req, client.request(req).expect("transport ok")) {
+        (Request::Check { .. }, Response::Verdict { payload, .. })
+        | (Request::Lint { .. }, Response::LintReport { payload, .. }) => payload,
+        (_, other) => panic!("expected the matching payload for {req:?}, got {other:?}"),
     };
     let baseline: Vec<Vec<u8>> = deck.iter().map(&mut payload).collect();
     // Two more rounds: whatever got evicted is recomputed, and must be
