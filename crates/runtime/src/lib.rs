@@ -25,8 +25,8 @@
 //!   one variable deeper, so only hard regions of the space pay for deep
 //!   splitting.
 //!
-//! Job lifecycles are traced: every submission, start, finish, and
-//! cancellation is recorded and can be drained as `mca-obs`
+//! Batch and portfolio job lifecycles are traced: every submission,
+//! start, finish, and cancellation is recorded and can be drained as `mca-obs`
 //! [`JobScheduled`](mca_obs::Event::JobScheduled) /
 //! [`JobStarted`](mca_obs::Event::JobStarted) /
 //! [`JobFinished`](mca_obs::Event::JobFinished) /

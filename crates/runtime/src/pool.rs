@@ -26,6 +26,19 @@ type Job = Box<dyn FnOnce(&WorkerCtx) + Send + 'static>;
 /// `(job, worker, queue_wait_ns, start_off_ns, end_off_ns)`.
 type JobWindow = (u64, usize, u64, u64, u64);
 
+/// A submitted job waiting in a worker's deque.
+struct Queued {
+    id: u64,
+    /// Submission offset from the pool epoch, so the executing worker can
+    /// account queue-wait time.
+    sched_off: u64,
+    /// Whether the job's lifecycle goes to the trace log and its window
+    /// to the span log. Detached jobs are not traced (see
+    /// [`Runtime::spawn`]).
+    traced: bool,
+    run: Job,
+}
+
 /// Context handed to every executing job.
 pub struct WorkerCtx {
     /// Index of the worker thread running the job (0-based).
@@ -72,11 +85,9 @@ struct PoolState {
 struct Shared {
     state: Mutex<PoolState>,
     signal: Condvar,
-    /// One local deque per worker; `spawn` round-robins new jobs across
-    /// them and idle workers steal from non-owned deques. Entries are
-    /// `(job, sched_off_ns, job_fn)` — the submission offset rides along so
-    /// the executing worker can account queue-wait time.
-    queues: Vec<Mutex<VecDeque<(u64, u64, Job)>>>,
+    /// One local deque per worker; `submit` round-robins new jobs across
+    /// them and idle workers steal from non-owned deques.
+    queues: Vec<Mutex<VecDeque<Queued>>>,
     jobs_executed: Vec<AtomicU64>,
     jobs_local: Vec<AtomicU64>,
     jobs_stolen: Vec<AtomicU64>,
@@ -99,10 +110,10 @@ struct Shared {
     /// from this epoch so [`Runtime::emit_job_spans`] can replay them
     /// against any recorder's clock.
     epoch: Instant,
-    /// One [`JobWindow`] per executed job, in completion order (drained
-    /// by [`Runtime::emit_job_spans`]).
+    /// One [`JobWindow`] per executed traced job, in completion order
+    /// (drained by [`Runtime::emit_job_spans`]).
     job_windows: Mutex<Vec<JobWindow>>,
-    /// `(job, label)` per submitted job.
+    /// `(job, label)` per submitted traced job.
     job_labels: Mutex<Vec<(u64, String)>>,
 }
 
@@ -126,11 +137,12 @@ impl Shared {
     /// Finds the job backing an already-claimed ticket. Jobs are enqueued
     /// before their ticket is published, so a claimed ticket's job is
     /// always discoverable; the loop only spins when another worker is
-    /// between `pop` and re-publication (never, in this design).
-    fn find_job(&self, own: usize) -> (u64, u64, Job, bool) {
+    /// between `pop` and re-publication (never, in this design). The flag
+    /// is `true` when the job was stolen from a peer.
+    fn find_job(&self, own: usize) -> (Queued, bool) {
         loop {
             if let Some(job) = self.queues[own].lock().expect("queue poisoned").pop_front() {
-                return (job.0, job.1, job.2, false);
+                return (job, false);
             }
             for offset in 1..self.queues.len() {
                 let victim = (own + offset) % self.queues.len();
@@ -139,7 +151,7 @@ impl Shared {
                     .expect("queue poisoned")
                     .pop_back();
                 if let Some(job) = stolen {
-                    return (job.0, job.1, job.2, true);
+                    return (job, true);
                 }
             }
             std::thread::yield_now();
@@ -185,31 +197,41 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
             None
         };
         shared.idle_ns[index].fetch_add(idle_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        let Some((id, sched_off, job, stolen)) = found else {
+        let Some((queued, stolen)) = found else {
             break;
         };
+        let Queued {
+            id,
+            sched_off,
+            traced,
+            run,
+        } = queued;
         if stolen {
             shared.jobs_stolen[index].fetch_add(1, Ordering::Relaxed);
         } else {
             shared.jobs_local[index].fetch_add(1, Ordering::Relaxed);
         }
-        shared.trace.record(id, JobPhase::Started { worker: index });
+        if traced {
+            shared.trace.record(id, JobPhase::Started { worker: index });
+        }
         let start_off = shared.epoch.elapsed().as_nanos() as u64;
         let queue_wait = start_off.saturating_sub(sched_off);
         shared.queue_wait_ns[index].fetch_add(queue_wait, Ordering::Relaxed);
         let start = Instant::now();
-        job(&WorkerCtx {
+        run(&WorkerCtx {
             worker: index,
             job: id,
         });
         let end_off = shared.epoch.elapsed().as_nanos() as u64;
         shared.busy_ns[index].fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         shared.jobs_executed[index].fetch_add(1, Ordering::Relaxed);
-        shared
-            .job_windows
-            .lock()
-            .expect("job windows poisoned")
-            .push((id, index, queue_wait, start_off, end_off));
+        if traced {
+            shared
+                .job_windows
+                .lock()
+                .expect("job windows poisoned")
+                .push((id, index, queue_wait, start_off, end_off));
+        }
         // Published last: a job's result can reach the submitter (the
         // `tx.send` inside the job closure) before this accounting does, so
         // the drain-side APIs wait on this counter (see `quiesce`).
@@ -295,27 +317,36 @@ impl Runtime {
         self.workers.len()
     }
 
-    /// Submits one raw job, recording its `job-scheduled` trace entry.
-    /// Returns the job id.
-    fn submit(&self, label: &str, job: Job) -> u64 {
+    /// Submits one raw job and returns its id. A labelled job is traced:
+    /// its `job-scheduled` entry is recorded here, and the worker records
+    /// its start and execution window. An unlabelled job leaves nothing
+    /// behind but the per-worker counters.
+    fn submit(&self, label: Option<&str>, job: Job) -> u64 {
         let id = self.next_job.fetch_add(1, Ordering::Relaxed);
-        self.shared.trace.record(
-            id,
-            JobPhase::Scheduled {
-                label: label.to_string(),
-            },
-        );
-        self.shared
-            .job_labels
-            .lock()
-            .expect("job labels poisoned")
-            .push((id, label.to_string()));
+        if let Some(label) = label {
+            self.shared.trace.record(
+                id,
+                JobPhase::Scheduled {
+                    label: label.to_string(),
+                },
+            );
+            self.shared
+                .job_labels
+                .lock()
+                .expect("job labels poisoned")
+                .push((id, label.to_string()));
+        }
         let queue = self.next_queue.fetch_add(1, Ordering::Relaxed) % self.shared.queues.len();
         let sched_off = self.shared.epoch.elapsed().as_nanos() as u64;
         self.shared.queues[queue]
             .lock()
             .expect("queue poisoned")
-            .push_back((id, sched_off, job));
+            .push_back(Queued {
+                id,
+                sched_off,
+                traced: label.is_some(),
+                run: job,
+            });
         let mut state = self.shared.state.lock().expect("pool state poisoned");
         state.pending += 1;
         drop(state);
@@ -359,7 +390,7 @@ impl Runtime {
             let token = token.clone();
             let shared = self.shared.clone();
             self.submit(
-                &label,
+                Some(&label),
                 Box::new(move |ctx| {
                     let cancelled_at_start = token.is_cancelled();
                     let value = f(&token);
@@ -396,27 +427,18 @@ impl Runtime {
     /// for every detached job's accounting to land before tearing down.
     ///
     /// The closure receives an uncancelled [`CancelToken`] so solver loops
-    /// keep their cooperative-cancellation shape; the job is recorded as
-    /// `job-finished` with outcome `"ok"` like batch jobs.
-    pub fn spawn<F>(&self, label: &str, f: F) -> u64
+    /// keep their cooperative-cancellation shape. Detached jobs are not
+    /// traced: a service submits one per request for as long as it runs
+    /// and never drains the job trace, so a traced detached job would grow
+    /// the trace, label and span logs by a few hundred bytes per request,
+    /// without bound. Only the per-worker counters
+    /// ([`worker_stats`](Runtime::worker_stats)) count them.
+    pub fn spawn<F>(&self, f: F) -> u64
     where
         F: FnOnce(&CancelToken) + Send + 'static,
     {
         let token = CancelToken::new();
-        let shared = self.shared.clone();
-        self.submit(
-            label,
-            Box::new(move |ctx| {
-                f(&token);
-                shared.trace.record(
-                    ctx.job,
-                    JobPhase::Finished {
-                        worker: ctx.worker,
-                        outcome: "ok".to_string(),
-                    },
-                );
-            }),
-        )
+        self.submit(None, Box::new(move |_| f(&token)))
     }
 
     /// **Portfolio mode**: races the entrants on the same problem and
@@ -457,7 +479,7 @@ impl Runtime {
             let shared = self.shared.clone();
             let job_label = label.clone();
             self.submit(
-                &job_label,
+                Some(&job_label),
                 Box::new(move |ctx| {
                     let value = if token.is_cancelled() {
                         None
@@ -722,6 +744,30 @@ mod tests {
         rt.run_batch(jobs);
         let total: u64 = rt.worker_stats().iter().map(|w| w.jobs).sum();
         assert_eq!(total, 10);
+    }
+
+    /// A service spawns one detached job per request for its whole life:
+    /// they must be counted without growing any per-job log.
+    #[test]
+    fn detached_jobs_are_counted_but_leave_no_trace() {
+        let rt = Runtime::new(2);
+        let (tx, rx) = mpsc::channel();
+        for i in 0..50u64 {
+            let tx = tx.clone();
+            rt.spawn(move |_| {
+                let _ = tx.send(i);
+            });
+        }
+        drop(tx);
+        assert_eq!(rx.iter().sum::<u64>(), (0..50).sum());
+        rt.quiesce();
+        assert_eq!(rt.worker_stats().iter().map(|w| w.jobs).sum::<u64>(), 50);
+        assert!(rt.drain_job_events().is_empty());
+        assert!(rt.shared.job_labels.lock().unwrap().is_empty());
+        assert!(rt.shared.job_windows.lock().unwrap().is_empty());
+        // Batch jobs on the same pool are still traced.
+        rt.run_batch(vec![("b".to_string(), |_: &CancelToken| ())]);
+        assert_eq!(rt.drain_job_events().len(), 3);
     }
 
     #[test]

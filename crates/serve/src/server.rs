@@ -611,13 +611,14 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
                     let queue_start = Instant::now();
                     shared.admission.acquire();
                     record.queue_ns = ns_since(queue_start);
-                    let (tx, rx) = mpsc::channel();
+                    // One result per job: a one-slot channel, allocated
+                    // here and never grown by the worker's send.
+                    let (tx, rx) = mpsc::sync_channel(1);
                     let job_req = req.clone();
                     let job_cache = shared.cache.clone();
-                    let label = format!("serve:{}:{req_id}", req.kind());
                     // The hand-off to a pool worker is queue wait too.
                     let spawned = Instant::now();
-                    shared.runtime.spawn(&label, move |_token| {
+                    shared.runtime.spawn(move |_token| {
                         let handoff_ns = ns_since(spawned);
                         let _ = tx.send((handoff_ns, request::execute(&job_req, &job_cache)));
                     });
