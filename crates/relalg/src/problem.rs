@@ -14,6 +14,7 @@ use crate::tuple::{Tuple, TupleSet};
 use crate::universe::{AtomId, Universe};
 use mca_sat::{SolveResult, SolverStats};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Options applied at translation time.
@@ -339,7 +340,8 @@ impl Problem {
     ) -> Result<IncrementalChecker<'_>, TranslateError> {
         let goals: Vec<Formula> = assertions.iter().map(|a| a.not()).collect();
         let (translation, goal_lits) = self.translate_goals(&goals, opts)?;
-        let mut solver = self.load(&translation.cnf, false);
+        let mut solver = self.new_solver();
+        load(&mut solver, &translation.cnf);
         let simplify = preprocess.then(|| solver.preprocess());
         Ok(IncrementalChecker {
             problem: self,
@@ -350,20 +352,11 @@ impl Problem {
         })
     }
 
-    /// A fresh solver holding `cnf`, inheriting the span recorder, with
-    /// DRAT logging switched on before the first clause when `proof` is
-    /// set (so the proof speaks about exactly these clauses).
-    fn load(&self, cnf: &mca_sat::CnfFormula, proof: bool) -> mca_sat::Solver {
+    /// A fresh solver inheriting the span recorder.
+    fn new_solver(&self) -> mca_sat::Solver {
         let mut solver = mca_sat::Solver::new();
         if let Some(spans) = &self.spans {
             solver.set_spans(spans.clone());
-        }
-        if proof {
-            solver.enable_proof();
-        }
-        solver.new_vars(cnf.num_vars());
-        for c in cnf.clauses() {
-            solver.add_clause(c.iter().copied());
         }
         solver
     }
@@ -443,9 +436,12 @@ impl Problem {
     /// Like [`check`](Problem::check), but when the assertion is valid the
     /// underlying UNSAT answer is certified with a DRAT proof verified by
     /// an independent unit-propagation checker
-    /// ([`mca_sat::check_drat`]). The complete trust chain for a "valid"
-    /// verdict is then: translation (differentially tested against the
-    /// ground evaluator) + the proof checker — not the CDCL search itself.
+    /// ([`mca_sat::check_drat_stream`]). The complete trust chain for a
+    /// "valid" verdict is then: translation (differentially tested against
+    /// the ground evaluator) + the proof checker — not the CDCL search
+    /// itself. The checker runs on a second thread while the solver loads
+    /// and searches, checking each step as the solver logs it, so the
+    /// check overlaps the search instead of following it.
     ///
     /// With `preprocess = true`, SatELite-style preprocessing
     /// ([`mca_sat::Solver::preprocess`]) runs before the search. Every
@@ -473,8 +469,9 @@ impl Problem {
     }
 
     /// The direct check path: loads `translation` into one solver,
-    /// optionally preprocesses, solves, checks the DRAT proof of an UNSAT
-    /// answer when `certify` is set, and decodes a model into an instance.
+    /// optionally preprocesses, solves, and decodes a model into an
+    /// instance. With `certify`, the DRAT proof of an UNSAT answer is
+    /// checked too ([`search_certified`](Problem::search_certified)).
     fn solve_translation(
         &self,
         translation: Translation,
@@ -485,28 +482,19 @@ impl Problem {
         Option<ProofCertificate>,
         Option<mca_sat::SimplifyStats>,
     ) {
-        let mut solver = self.load(&translation.cnf, certify);
-        let simplify = preprocess.then(|| solver.preprocess());
-        let (result, certificate) = match solver.solve() {
+        let (solver, result, simplify, certificate) = if certify {
+            self.search_certified(&translation.cnf, preprocess)
+        } else {
+            let mut solver = self.new_solver();
+            let (result, simplify) = search(&mut solver, &translation.cnf, preprocess);
+            (solver, result, simplify, None)
+        };
+        let result = match result {
             SolveResult::Sat => {
                 let model = solver.model().expect("model after Sat");
-                (Outcome::Sat(self.decode(&translation, &model)), None)
+                Outcome::Sat(self.decode(&translation, &model))
             }
-            SolveResult::Unsat => {
-                let certificate = solver.take_proof().map(|proof| {
-                    let mut span = self.spans.as_ref().map(|r| r.enter("sat.drat-check"));
-                    let verified = mca_sat::check_drat(&translation.cnf, &proof).is_ok();
-                    if let Some(span) = span.as_mut() {
-                        span.field("steps", proof.len() as u64);
-                        span.field("verified", u64::from(verified));
-                    }
-                    ProofCertificate {
-                        verified,
-                        steps: proof.len(),
-                    }
-                });
-                (Outcome::Unsat, certificate)
-            }
+            SolveResult::Unsat => Outcome::Unsat,
         };
         let outcome = SolveOutcome {
             result,
@@ -515,6 +503,58 @@ impl Problem {
             solver_stats: *solver.stats(),
         };
         (outcome, certificate, simplify)
+    }
+
+    /// [`search`] on a fresh solver with its DRAT proof streamed, from the
+    /// first clause on, to [`mca_sat::check_drat_stream`] on a scoped
+    /// thread: the checker loads `cnf` while the solver does, then checks
+    /// each step as the search logs it. An UNSAT answer waits for the
+    /// checker's verdict under the `sat.drat-check` span, whose
+    /// `pending_steps` counts the steps still unchecked when the search
+    /// returned; a SAT answer cancels the checker and has no certificate.
+    /// A checker panic resumes here.
+    fn search_certified(
+        &self,
+        cnf: &mca_sat::CnfFormula,
+        preprocess: bool,
+    ) -> (
+        mca_sat::Solver,
+        SolveResult,
+        Option<mca_sat::SimplifyStats>,
+        Option<ProofCertificate>,
+    ) {
+        let (cancel, checked) = (AtomicBool::new(false), AtomicUsize::new(0));
+        let mut solver = self.new_solver();
+        let proof = solver.stream_proof();
+        std::thread::scope(|scope| {
+            let checker = scope.spawn(|| mca_sat::check_drat_stream(cnf, proof, &cancel, &checked));
+            // Owned by this closure, the solver and its end of the stream
+            // drop if the search panics, so the checker stops reading
+            // before the scope waits for it.
+            let mut solver = solver;
+            let (result, simplify) = search(&mut solver, cnf, preprocess);
+            let checked_by_then = checked.load(Ordering::Relaxed);
+            let steps = solver.close_proof_stream().expect("the proof is streamed");
+            let join = |checker: std::thread::ScopedJoinHandle<'_, _>| {
+                checker
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            };
+            if result == SolveResult::Sat {
+                cancel.store(true, Ordering::Relaxed);
+                join(checker);
+                return (solver, result, simplify, None);
+            }
+            let mut span = self.spans.as_ref().map(|r| r.enter("sat.drat-check"));
+            let verified = join(checker) == Some(Ok(()));
+            if let Some(span) = span.as_mut() {
+                span.field("steps", steps as u64);
+                span.field("pending_steps", (steps - checked_by_then) as u64);
+                span.field("verified", u64::from(verified));
+            }
+            let certificate = ProofCertificate { verified, steps };
+            (solver, result, simplify, Some(certificate))
+        })
     }
 
     /// Enumerates up to `limit` instances satisfying facts ∧ `goal`,
@@ -630,6 +670,25 @@ impl Outcome {
             Outcome::Unsat => None,
         }
     }
+}
+
+/// Adds `cnf`'s variables and clauses to `solver`.
+fn load(solver: &mut mca_sat::Solver, cnf: &mca_sat::CnfFormula) {
+    solver.new_vars(cnf.num_vars());
+    for c in cnf.clauses() {
+        solver.add_clause(c.iter().copied());
+    }
+}
+
+/// Loads `cnf` into `solver`, optionally preprocesses it, and solves.
+fn search(
+    solver: &mut mca_sat::Solver,
+    cnf: &mca_sat::CnfFormula,
+    preprocess: bool,
+) -> (SolveResult, Option<mca_sat::SimplifyStats>) {
+    load(solver, cnf);
+    let simplify = preprocess.then(|| solver.preprocess());
+    (solver.solve(), simplify)
 }
 
 /// Result of [`Problem::check_certified`].
@@ -1307,6 +1366,78 @@ mod tests {
             .unwrap()
             .simplify
             .is_none());
+    }
+
+    /// The certified check streams exactly the proof a recording solver
+    /// logs on the same CNF, and its `sat.drat-check` span reports that
+    /// proof's length, how much of it was still unchecked when the search
+    /// returned, and the verdict.
+    #[test]
+    fn certified_check_streams_the_recorded_proof() {
+        let (u, _) = small_universe();
+        let mut p = Problem::new(u);
+        let f = p.declare_relation("f", TupleSet::new(2), TupleSet::full(p.universe(), 2));
+        let fe = Expr::relation(f);
+        let x = QuantVar::fresh("x");
+        p.require(Formula::forall(
+            &x,
+            &Expr::univ(),
+            &x.expr().join(&fe).one(),
+        ));
+        p.require(Formula::forall(
+            &x,
+            &Expr::univ(),
+            &fe.join(&x.expr()).lone(),
+        ));
+        let surjective = Formula::forall(&x, &Expr::univ(), &fe.join(&x.expr()).some());
+        let handle = mca_obs::Handle::new(mca_obs::CollectSink::default());
+        p.set_spans(mca_obs::SpanRecorder::new(handle.observer()));
+        for preprocess in [false, true] {
+            let translation = p.translate(&surjective.not()).unwrap();
+            let mut solver = mca_sat::Solver::new();
+            solver.enable_proof();
+            load(&mut solver, &translation.cnf);
+            if preprocess {
+                solver.preprocess();
+            }
+            assert_eq!(solver.solve(), SolveResult::Unsat);
+            let proof = solver.take_proof().expect("recorded");
+            assert!(mca_sat::check_drat(&translation.cnf, &proof).is_ok());
+
+            let certified = p.check_certified(&surjective, preprocess).unwrap();
+            let certificate = certified.certificate.expect("valid");
+            assert!(certificate.verified);
+            assert_eq!(certificate.steps, proof.len());
+            let events = handle.with(|sink| std::mem::take(&mut sink.events));
+            let id = events
+                .iter()
+                .find_map(|e| match e {
+                    mca_obs::Event::SpanEnter { id, name, .. } if name == "sat.drat-check" => {
+                        Some(*id)
+                    }
+                    _ => None,
+                })
+                .expect("a drat-check span");
+            let fields = events
+                .iter()
+                .find_map(|e| match e {
+                    mca_obs::Event::SpanExit {
+                        id: exit, fields, ..
+                    } if *exit == id => Some(fields),
+                    _ => None,
+                })
+                .expect("the span closed");
+            let field = |key: &str| {
+                fields
+                    .iter()
+                    .find(|(k, _)| k == key)
+                    .map(|&(_, v)| v)
+                    .unwrap_or_else(|| panic!("no {key} field"))
+            };
+            assert_eq!(field("steps"), proof.len() as u64);
+            assert!(field("pending_steps") <= proof.len() as u64);
+            assert_eq!(field("verified"), 1);
+        }
     }
 
     #[test]

@@ -357,9 +357,10 @@ impl ParsedTrace {
     /// these byte-for-byte.
     ///
     /// Machine-dependent fields (`peak_rss_kb`, `clause_db_bytes`,
-    /// `clause_allocs`, the scheduling-accident `worker`, and any
-    /// wall-clock `*_ns` field) are reduced to their names; deterministic
-    /// fields keep their values.
+    /// `clause_allocs`, the scheduling-accident `worker`, the proof
+    /// checker's race-dependent `pending_steps`, and any wall-clock `*_ns`
+    /// field) are reduced to their names; deterministic fields keep their
+    /// values.
     pub fn outline(&self) -> String {
         let mut out = String::new();
         for &root in &self.roots {
@@ -380,7 +381,7 @@ impl ParsedTrace {
         for (k, v) in &node.fields {
             if matches!(
                 k.as_str(),
-                "peak_rss_kb" | "clause_db_bytes" | "clause_allocs" | "worker"
+                "peak_rss_kb" | "clause_db_bytes" | "clause_allocs" | "worker" | "pending_steps"
             ) || k.ends_with("_ns")
             {
                 let _ = write!(out, " {k}");
@@ -642,6 +643,20 @@ mod tests {
         .join("\n");
         let outline = ParsedTrace::parse(&trace).outline();
         assert_eq!(outline, "runtime.job:cell job=3 worker queue_wait_ns\n");
+
+        // How far the checker thread got by the end of the search is a
+        // race; the proof length and the verdict are not.
+        let trace = [
+            enter(0, None, "sat.drat-check", 0),
+            r#"{"event":"span-exit","id":0,"t_ns":50,"steps":672,"pending_steps":17,"verified":1}"#
+                .to_string(),
+        ]
+        .join("\n");
+        let outline = ParsedTrace::parse(&trace).outline();
+        assert_eq!(
+            outline,
+            "sat.drat-check steps=672 pending_steps verified=1\n"
+        );
     }
 
     #[test]

@@ -39,6 +39,10 @@
 //! * Model enumeration over a projection set
 //!   ([`Solver::enumerate_models`]) — this is what powers Alloy-style `run`
 //!   instance enumeration upstream.
+//! * DRAT proofs of every refutation, recorded ([`Solver::enable_proof`])
+//!   or streamed ([`Solver::stream_proof`]), and an independent checker
+//!   ([`check_drat`], [`DratChecker`]) that can check a streamed proof on
+//!   its own thread while the search runs ([`check_drat_stream`]).
 //! * DIMACS CNF I/O ([`CnfFormula`]).
 //! * A brute-force oracle ([`brute`]) for differential testing.
 //!
@@ -77,7 +81,7 @@ pub use clause::ClauseRef;
 pub use cnf::{CnfFormula, DimacsError};
 pub use lit::{LBool, Lit, Var};
 pub use luby::{luby, LubyRestarts};
-pub use proof::{check_drat, DratError, Proof, ProofStep};
+pub use proof::{check_drat, check_drat_stream, DratChecker, DratError, Proof, ProofStep};
 pub use simplify::SimplifyStats;
 pub use solver::{
     CancelToken, ClauseSink, EpochSample, Model, ProgressCallback, ProgressFn, RestartPolicy,

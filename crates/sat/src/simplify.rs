@@ -9,7 +9,7 @@
 
 use crate::cnf::CnfFormula;
 use crate::lit::{LBool, Lit};
-use crate::proof::Proof;
+use crate::proof::ProofLog;
 
 /// Statistics of one preprocessing run
 /// ([`Solver::preprocess`](crate::Solver::preprocess)).
@@ -36,7 +36,7 @@ pub(crate) fn simplify(cnf: &CnfFormula) -> (CnfFormula, SimplifyStats) {
     simplify_impl(cnf, None)
 }
 
-/// Like [`simplify`], but records every transformation as DRAT steps in
+/// Like [`simplify`], but logs every transformation as DRAT steps to
 /// `proof`, so a refutation of the *simplified* formula still checks
 /// against the *original* one with [`check_drat`](crate::check_drat).
 ///
@@ -46,23 +46,29 @@ pub(crate) fn simplify(cnf: &CnfFormula) -> (CnfFormula, SimplifyStats) {
 /// replaces; subsumed, satisfied and tautological clauses are recorded as
 /// `Delete` steps. If simplification itself refutes the formula, the empty
 /// clause is appended and the proof is already complete.
-pub(crate) fn simplify_logged(cnf: &CnfFormula, proof: &mut Proof) -> (CnfFormula, SimplifyStats) {
+pub(crate) fn simplify_logged(
+    cnf: &CnfFormula,
+    proof: &mut ProofLog,
+) -> (CnfFormula, SimplifyStats) {
     simplify_impl(cnf, Some(proof))
 }
 
-fn log_add(proof: &mut Option<&mut Proof>, clause: &[Lit]) {
+fn log_add(proof: &mut Option<&mut ProofLog>, clause: &[Lit]) {
     if let Some(p) = proof.as_deref_mut() {
         p.add(clause.to_vec());
     }
 }
 
-fn log_delete(proof: &mut Option<&mut Proof>, clause: &[Lit]) {
+fn log_delete(proof: &mut Option<&mut ProofLog>, clause: &[Lit]) {
     if let Some(p) = proof.as_deref_mut() {
         p.delete(clause.to_vec());
     }
 }
 
-fn simplify_impl(cnf: &CnfFormula, mut proof: Option<&mut Proof>) -> (CnfFormula, SimplifyStats) {
+fn simplify_impl(
+    cnf: &CnfFormula,
+    mut proof: Option<&mut ProofLog>,
+) -> (CnfFormula, SimplifyStats) {
     let mut stats = SimplifyStats::default();
     let num_vars = cnf.num_vars();
 
@@ -316,9 +322,20 @@ mod tests {
     use super::*;
     use crate::brute::brute_force_count;
     use crate::lit::Var;
+    use crate::proof::Proof;
 
     fn lit(n: i64) -> Lit {
         Lit::from_dimacs(n).unwrap()
+    }
+
+    /// [`simplify_logged`] into a recorded proof.
+    fn simplify_recorded(cnf: &CnfFormula) -> (CnfFormula, SimplifyStats, Proof) {
+        let mut log = ProofLog::Record(Proof::new());
+        let (out, stats) = simplify_logged(cnf, &mut log);
+        let ProofLog::Record(proof) = log else {
+            unreachable!("a recorded log stays recorded")
+        };
+        (out, stats, proof)
     }
 
     fn cnf_of(vars: usize, clauses: &[&[i64]]) -> CnfFormula {
@@ -428,8 +445,7 @@ mod tests {
         // simplifier refutes the formula on its own — and the logged proof
         // must check against the original.
         let cnf = cnf_of(2, &[&[1, 2], &[1, -2], &[-1, 2], &[-1, -2]]);
-        let mut proof = Proof::new();
-        let (out, stats) = simplify_logged(&cnf, &mut proof);
+        let (out, stats, proof) = simplify_recorded(&cnf);
         assert!(stats.found_unsat);
         assert!(proof.derives_empty_clause());
         crate::proof::check_drat(&cnf, &proof).expect("simplifier refutation must check");
@@ -463,8 +479,7 @@ mod tests {
                 }
                 cnf.add_clause(c);
             }
-            let mut proof = Proof::new();
-            let (out, stats) = simplify_logged(&cnf, &mut proof);
+            let (out, stats, mut proof) = simplify_recorded(&cnf);
             if stats.found_unsat {
                 crate::proof::check_drat(&cnf, &proof).expect("simplifier refutation");
                 checked += 1;

@@ -35,8 +35,9 @@
 use crate::clause::{ClauseDb, ClauseRef, BINARY_TAG};
 use crate::lit::{LBool, Lit, Var};
 use crate::luby::luby;
-use crate::proof::Proof;
+use crate::proof::{Proof, ProofLog, ProofStep};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 
 /// Learnt-LBD window length for [`RestartPolicy::Adaptive`] (glucose's
@@ -169,10 +170,10 @@ pub struct SharedClause {
 /// merge order; `mca-runtime`'s `ClauseShare` visits exporter lanes in
 /// index order so the merged import sequence is deterministic.
 ///
-/// Sharing is a no-op while DRAT proof logging is active: an imported
-/// clause is a consequence of the shared formula but not a single-step
-/// RUP addition of *this* solver's log, so it would make the proof
-/// uncheckable.
+/// Sharing is a no-op while DRAT proof logging, recorded or streamed, is
+/// active: an imported clause is a consequence of the shared formula but
+/// not a single-step RUP addition of *this* solver's log, so it would make
+/// the proof uncheckable.
 pub trait ClauseSink: Send + Sync + std::fmt::Debug {
     /// Offers a freshly learnt clause (already filtered to LBD ≤
     /// [`SolverConfig::share_lbd_max`]).
@@ -513,8 +514,8 @@ pub struct Solver {
     stats: SolverStats,
     /// Scratch for LBD computation.
     lbd_levels: LevelStamps,
-    /// DRAT proof log, when enabled.
-    proof: Option<Proof>,
+    /// DRAT proof log, recorded or streamed, when enabled.
+    proof: Option<ProofLog>,
     /// Periodic progress hook, when installed.
     progress: Option<ProgressCallback>,
     /// Cooperative cancellation flag, honoured by
@@ -761,12 +762,52 @@ impl Solver {
     /// clauses) are not consequences of the original formula and would make
     /// the log unverifiable.
     pub fn enable_proof(&mut self) {
-        self.proof = Some(Proof::new());
+        self.proof = Some(ProofLog::Record(Proof::new()));
     }
 
-    /// Takes the recorded proof, if proof logging was enabled.
+    /// Takes the recorded proof, if [`enable_proof`](Solver::enable_proof)
+    /// started one. A proof stream stays open.
     pub fn take_proof(&mut self) -> Option<Proof> {
-        self.proof.take()
+        match self.proof.take() {
+            Some(ProofLog::Record(proof)) => Some(proof),
+            other => {
+                self.proof = other;
+                None
+            }
+        }
+    }
+
+    /// Starts a DRAT proof like [`enable_proof`](Solver::enable_proof),
+    /// but sends the steps over the returned channel instead of keeping
+    /// them, so a checker on another thread
+    /// ([`check_drat_stream`](crate::check_drat_stream)) can check the
+    /// proof while the search runs. Steps go out in proof order and in
+    /// batches: a batch is sent when a step is logged 1 ms or more after
+    /// the batch's first, when a solve starts its search (so the steps of
+    /// loading and preprocessing go out then), and when
+    /// [`close_proof_stream`](Solver::close_proof_stream) ends the stream.
+    /// The channel is unbounded, so the search never waits on the checker;
+    /// once the receiver is dropped, further steps go nowhere. A stream
+    /// counts as proof logging everywhere a recorded proof does.
+    pub fn stream_proof(&mut self) -> Receiver<Vec<ProofStep>> {
+        let (to, steps) = mpsc::channel();
+        self.proof = Some(ProofLog::Stream {
+            to,
+            batch: Vec::new(),
+            since: std::time::Instant::now(),
+            logged: 0,
+        });
+        steps
+    }
+
+    /// Ends a proof stream started with
+    /// [`stream_proof`](Solver::stream_proof): sends the steps not yet
+    /// sent, so its receiver sees the whole proof and then its end, and
+    /// returns the number of steps streamed. `None` if no stream was open.
+    pub fn close_proof_stream(&mut self) -> Option<usize> {
+        let logged = self.proof.as_mut()?.finish_stream()?;
+        self.proof = None;
+        Some(logged)
     }
 
     fn log_add(&mut self, clause: &[Lit]) {
@@ -1280,7 +1321,8 @@ impl Solver {
     /// The simplified formula has exactly the same model set over the
     /// solver's variables, so verdicts, models, assumption solving and
     /// enumeration are unaffected. When proof logging is enabled
-    /// ([`enable_proof`](Solver::enable_proof)), every transformation is
+    /// ([`enable_proof`](Solver::enable_proof) or
+    /// [`stream_proof`](Solver::stream_proof)), every transformation is
     /// appended to the DRAT log, so a later refutation still checks against
     /// the *original* clauses with [`check_drat`](crate::check_drat).
     ///
@@ -1443,6 +1485,11 @@ impl Solver {
     }
 
     fn solve_body(&mut self, assumptions: &[Lit], respect_cancel: bool) -> Option<SolveResult> {
+        // A proof stream sends the steps of loading and preprocessing now
+        // rather than with the first learnt clause.
+        if let Some(p) = &mut self.proof {
+            p.flush();
+        }
         self.stats.solves += 1;
         self.conflict_assumptions.clear();
         self.last_cancel_check_conflicts = self.stats.conflicts;
@@ -2702,16 +2749,44 @@ mod tests {
         assert_eq!(s4.solve(), SolveResult::Sat);
     }
 
+    /// Starts a recorded proof or, with `stream`, a streamed one; the
+    /// receiver keeps the stream open.
+    fn log_proof(
+        s: &mut Solver,
+        stream: bool,
+    ) -> Option<std::sync::mpsc::Receiver<Vec<ProofStep>>> {
+        if stream {
+            return Some(s.stream_proof());
+        }
+        s.enable_proof();
+        None
+    }
+
     #[test]
     fn sharing_is_a_no_op_under_proof_logging() {
-        let sink = Arc::new(LoopbackSink::default());
-        let mut s = pigeonhole(5, 4, SolverConfig::default());
-        s.enable_proof();
-        s.set_clause_sink(sink.clone());
-        assert_eq!(s.solve(), SolveResult::Unsat);
-        assert_eq!(s.stats().exported_clauses, 0);
-        assert_eq!(s.stats().imported_clauses, 0);
-        assert_eq!(sink.exported.load(Ordering::Relaxed), 0);
+        for stream in [false, true] {
+            let sink = Arc::new(LoopbackSink::default());
+            let mut s = pigeonhole(5, 4, SolverConfig::default());
+            let _steps = log_proof(&mut s, stream);
+            s.set_clause_sink(sink.clone());
+            assert_eq!(s.solve(), SolveResult::Unsat);
+            assert_eq!(s.stats().exported_clauses, 0);
+            assert_eq!(s.stats().imported_clauses, 0);
+            assert_eq!(sink.exported.load(Ordering::Relaxed), 0);
+
+            // Inprocessing deletes and strengthens clauses without logging
+            // them, so a second solve skips it under either log.
+            let config = SolverConfig {
+                inprocess: true,
+                ..SolverConfig::default()
+            };
+            let (mut s, g) = guarded_pigeonhole(6, 5, config);
+            let _steps = log_proof(&mut s, stream);
+            assert_eq!(s.solve_with_assumptions(&[!g]), SolveResult::Unsat);
+            assert!(s.num_learnt() > 0, "the refutation learnt clauses");
+            assert_eq!(s.solve_with_assumptions(&[!g]), SolveResult::Unsat);
+            assert_eq!(s.stats().inprocessings, 0, "stream {stream}");
+        }
     }
 
     /// PHP(n, m) with every at-most-one clause guarded by a fresh literal
