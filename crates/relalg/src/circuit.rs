@@ -70,6 +70,16 @@ enum Node {
     And(B, B),
 }
 
+/// How often CNF emission references a node.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Fanout {
+    Unreferenced,
+    /// Exactly once, uncomplemented, by another gate.
+    Single,
+    /// More than once, through a complement, or as a root or goal.
+    Shared,
+}
+
 /// A boolean circuit under construction.
 ///
 /// # Examples
@@ -275,7 +285,12 @@ impl Circuit {
     /// to CNF variable.
     ///
     /// Only nodes reachable from the roots are encoded, so dead gates cost
-    /// nothing.
+    /// nothing. An AND node referenced exactly once, uncomplemented, by
+    /// another AND node (and neither a root nor a goal) gets no variable of
+    /// its own: its parent conjoins its inputs directly. So every
+    /// `and_many`/`or_many` tree is one multi-input gate `g` over leaves
+    /// `l1..lk`, emitted as `(¬g ∨ li)` for each leaf, then
+    /// `(g ∨ ¬l1 ∨ … ∨ ¬lk)`.
     pub fn to_cnf(&self, roots: &[B]) -> (CnfFormula, Vec<Var>) {
         let (cnf, input_vars, _) = self.to_cnf_with_goals(roots, &[]);
         (cnf, input_vars)
@@ -283,7 +298,8 @@ impl Circuit {
 
     /// Like [`to_cnf`](Circuit::to_cnf), but additionally returns one CNF
     /// literal per `goals` edge *without asserting it*. Because the Tseitin
-    /// encoding is a full biconditional per gate, each returned literal is
+    /// encoding is a full biconditional per emitted gate, and a goal is
+    /// always emitted as a gate of its own, each returned literal is
     /// true in a model exactly when its edge evaluates to true — so the
     /// goals can be activated individually as solver assumptions, which is
     /// the seam incremental solving plugs into: encode the shared clause
@@ -336,24 +352,39 @@ impl Circuit {
         // Inputs get the first variables so instance decoding is stable.
         let input_vars: Vec<Var> = (0..self.num_inputs).map(|_| cnf.new_var()).collect();
 
-        // Collect reachable nodes (iterative DFS).
+        // Collect reachable nodes (iterative DFS), counting each node's
+        // fanout as its parent gates visit it. Roots and goals count as
+        // shared.
         let mut reachable = vec![false; self.nodes.len()];
+        let mut fanout = vec![Fanout::Unreferenced; self.nodes.len()];
         let mut stack: Vec<usize> = roots.iter().chain(goals.iter()).map(|r| r.node()).collect();
+        for &n in &stack {
+            fanout[n] = Fanout::Shared;
+        }
         while let Some(n) = stack.pop() {
             if reachable[n] {
                 continue;
             }
             reachable[n] = true;
             if let Node::And(a, b) = self.nodes[n] {
-                stack.push(a.node());
-                stack.push(b.node());
+                for e in [a, b] {
+                    fanout[e.node()] = match fanout[e.node()] {
+                        Fanout::Unreferenced if !e.is_complemented() => Fanout::Single,
+                        _ => Fanout::Shared,
+                    };
+                    stack.push(e.node());
+                }
             }
         }
+        // An absorbed gate has no variable: its one parent conjoins its
+        // inputs instead.
+        let absorbed =
+            |n: usize| matches!(self.nodes[n], Node::And(..)) && fanout[n] == Fanout::Single;
 
-        // Assign a literal to every reachable node.
+        // Assign a literal to every reachable node that is not absorbed.
         let mut node_lit: Vec<Option<Lit>> = vec![None; self.nodes.len()];
         for (n, node) in self.nodes.iter().enumerate() {
-            if !reachable[n] {
+            if !reachable[n] || absorbed(n) {
                 continue;
             }
             match node {
@@ -368,6 +399,7 @@ impl Circuit {
             let base = match node_lit[e.node()] {
                 Some(l) => l,
                 None => {
+                    debug_assert!(e.is_const(), "absorbed gates have no literal");
                     // Constant node: encode with a frozen variable forced true.
                     let v = cnf.new_var().positive();
                     cnf.add_clause([v]);
@@ -382,22 +414,30 @@ impl Circuit {
             }
         };
 
+        let mut leaves: Vec<Lit> = Vec::new();
+        let mut pending: Vec<B> = Vec::new();
         for (n, node) in self.nodes.iter().enumerate() {
-            if !reachable[n] {
+            let Node::And(a, b) = *node else { continue };
+            if !reachable[n] || absorbed(n) {
                 continue;
             }
-            if let Node::And(a, b) = *node {
-                let g = node_lit[n].expect("reachable gate has a literal");
-                let la = edge_lit(a, &mut cnf, &mut node_lit);
-                let lb = edge_lit(b, &mut cnf, &mut node_lit);
-                // g <-> la & lb
-                buf.extend([!g, la]);
-                emit(&mut buf, &mut cnf);
-                buf.extend([!g, lb]);
-                emit(&mut buf, &mut cnf);
-                buf.extend([g, !la, !lb]);
+            let g = node_lit[n].expect("emitted gate has a literal");
+            // Leaves left to right, each absorbed child expanded in place.
+            pending.extend([b, a]);
+            while let Some(e) = pending.pop() {
+                match self.nodes[e.node()] {
+                    Node::And(x, y) if absorbed(e.node()) => pending.extend([y, x]),
+                    _ => leaves.push(edge_lit(e, &mut cnf, &mut node_lit)),
+                }
+            }
+            // g <-> l1 & … & lk
+            for &l in &leaves {
+                buf.extend([!g, l]);
                 emit(&mut buf, &mut cnf);
             }
+            buf.push(g);
+            buf.extend(leaves.drain(..).map(|l| !l));
+            emit(&mut buf, &mut cnf);
         }
 
         for &r in roots {
@@ -567,32 +607,155 @@ mod tests {
         }
     }
 
-    #[test]
-    fn cnf_agrees_with_eval() {
-        let mut c = Circuit::new();
-        let x = c.input();
-        let y = c.input();
-        let z = c.input();
-        let f1 = c.xor2(x, y);
-        let g = c.ite(z, f1, !x);
-        let (cnf, input_vars) = c.to_cnf(&[g]);
-        // Every CNF model's projection on inputs must satisfy g under eval,
-        // and the model count on inputs must equal the eval-true count.
-        let mut solver = cnf.to_solver();
-        let mut sat_inputs = std::collections::HashSet::new();
-        solver.enumerate_models(&input_vars, 64, |m| {
-            let bits: Vec<bool> = input_vars.iter().map(|&v| m.value(v)).collect();
-            sat_inputs.insert(bits);
+    /// Input models of `cnf`, projected on `inputs`.
+    fn input_models(cnf: &CnfFormula, inputs: &[Var]) -> HashSet<Vec<bool>> {
+        let mut s = cnf.to_solver();
+        let mut out = HashSet::new();
+        s.enumerate_models(inputs, 1 << inputs.len(), |m| {
+            out.insert(inputs.iter().map(|&v| m.value(v)).collect::<Vec<_>>());
             true
         });
-        let mut expected = std::collections::HashSet::new();
-        for bits in 0..8u32 {
-            let env = move |i: u32| bits >> i & 1 == 1;
-            if c.eval(g, &env) {
-                expected.insert(vec![env(0), env(1), env(2)]);
+        out
+    }
+
+    /// A circuit with its roots, its goals, and the CNF variables its
+    /// emission with those goals spends beyond the inputs.
+    struct EmissionCase {
+        label: &'static str,
+        circuit: Circuit,
+        roots: Vec<B>,
+        goals: Vec<B>,
+        gate_vars: usize,
+    }
+
+    fn emission_cases() -> Vec<EmissionCase> {
+        let case = |label, gate_vars, build: fn(&mut Circuit) -> (Vec<B>, Vec<B>)| {
+            let mut circuit = Circuit::new();
+            let (roots, goals) = build(&mut circuit);
+            EmissionCase {
+                label,
+                circuit,
+                roots,
+                goals,
+                gate_vars,
+            }
+        };
+        fn inputs(c: &mut Circuit, k: usize) -> Vec<B> {
+            (0..k).map(|_| c.input()).collect()
+        }
+        vec![
+            case("xor and ite, no goals", 6, |c| {
+                let xs = inputs(c, 3);
+                let f = c.xor2(xs[0], xs[1]);
+                (vec![c.ite(xs[2], f, !xs[0])], vec![])
+            }),
+            case("8-input and_many", 1, |c| {
+                let xs = inputs(c, 8);
+                (vec![c.and_many(8, xs.into_iter().enumerate())], vec![])
+            }),
+            case("8-input or_many", 1, |c| {
+                let xs = inputs(c, 8);
+                (vec![c.or_many(8, xs.into_iter().enumerate())], vec![])
+            }),
+            case("subtree shared by two parents", 2, |c| {
+                let xs = inputs(c, 4);
+                let shared = c.and2(xs[0], xs[1]);
+                let p = c.and2(shared, xs[2]);
+                let q = c.and2(shared, !xs[3]);
+                // p and q are absorbed into the root; `shared` is not.
+                (vec![c.and2(p, q)], vec![])
+            }),
+            case("single-fanout gate under a complement", 2, |c| {
+                let xs = inputs(c, 3);
+                let inner = c.and2(xs[0], xs[1]);
+                (vec![c.and2(!inner, xs[2])], vec![])
+            }),
+            case("goal inside an and tree", 2, |c| {
+                let xs = inputs(c, 4);
+                let left = c.and2(xs[0], xs[1]);
+                let right = c.and2(!xs[2], xs[3]);
+                let top = c.and2(left, right);
+                // `left` keeps its variable as a goal; `right` is absorbed.
+                (vec![!top], vec![left, top])
+            }),
+            case("goals only, inside an or tree", 2, |c| {
+                let xs = inputs(c, 4);
+                let any = c.or_many(4, xs.iter().copied().enumerate());
+                let Node::And(inner, _) = c.nodes[any.node()] else {
+                    unreachable!("a 4-input tree is a gate")
+                };
+                (vec![], vec![any, inner])
+            }),
+            case("constant true root, constant goals", 1, |c| {
+                let x = c.input();
+                let (t, f) = (c.tru(), c.fls());
+                (vec![t], vec![t, f, x])
+            }),
+            case("constant false root", 0, |c| {
+                let x = c.input();
+                (vec![c.fls()], vec![!x])
+            }),
+        ]
+    }
+
+    /// Every emission agrees with `eval` on every input assignment: its
+    /// input models are exactly the assignments under which every root
+    /// holds, and each goal literal is forced to the goal's value.
+    #[test]
+    fn cnf_agrees_with_eval() {
+        for EmissionCase {
+            label,
+            circuit: c,
+            roots,
+            goals,
+            gate_vars,
+        } in emission_cases()
+        {
+            let n = c.num_inputs();
+            let holds = |bits: u32| {
+                let env = move |i: u32| bits >> i & 1 == 1;
+                roots.iter().all(|&r| c.eval(r, &env))
+            };
+            let expected: HashSet<Vec<bool>> = (0..1u32 << n)
+                .filter(|&bits| holds(bits))
+                .map(|bits| (0..n).map(|i| bits >> i & 1 == 1).collect())
+                .collect();
+            let (cnf, inputs) = c.to_cnf(&roots);
+            assert_eq!(input_models(&cnf, &inputs), expected, "{label}: roots only");
+            let (cnf, inputs, goal_lits) = c.to_cnf_with_goals(&roots, &goals);
+            assert_eq!(input_models(&cnf, &inputs), expected, "{label}: with goals");
+            assert_eq!(
+                cnf.num_vars(),
+                inputs.len() + gate_vars,
+                "{label}: variables"
+            );
+            let mut s = cnf.to_solver();
+            for bits in 0..1u32 << n {
+                let env = move |i: u32| bits >> i & 1 == 1;
+                let mut assumptions: Vec<Lit> =
+                    (0..n).map(|i| inputs[i as usize].lit(env(i))).collect();
+                assert_eq!(
+                    s.solve_with_assumptions(&assumptions).is_sat(),
+                    holds(bits),
+                    "{label}: roots at {bits:b}"
+                );
+                if !holds(bits) {
+                    continue;
+                }
+                for (&goal, &lit) in goals.iter().zip(&goal_lits) {
+                    let value = c.eval(goal, &env);
+                    for (l, want) in [(lit, value), (!lit, !value)] {
+                        assumptions.push(l);
+                        assert_eq!(
+                            s.solve_with_assumptions(&assumptions).is_sat(),
+                            want,
+                            "{label}: goal {goal:?} at {bits:b}"
+                        );
+                        assumptions.pop();
+                    }
+                }
             }
         }
-        assert_eq!(sat_inputs, expected);
     }
 
     #[test]
@@ -626,38 +789,51 @@ mod tests {
 
     #[test]
     fn dedup_drops_duplicate_clauses_and_preserves_models() {
-        let mut c = Circuit::new();
-        let x = c.input();
-        let y = c.input();
-        let g = c.or2(x, y);
         // The same root asserted twice: the second unit clause duplicates
-        // the first, and dedup must drop exactly it.
-        let deduped = c.to_cnf_opts(&[g, g], &[], true);
-        let raw = c.to_cnf_opts(&[g, g], &[], false);
-        assert_eq!(deduped.clauses_deduped, 1);
-        assert_eq!(raw.clauses_deduped, 0);
-        assert_eq!(deduped.cnf.num_clauses() + 1, raw.cnf.num_clauses());
-        // Both emissions project to the same input models.
-        let models = |cnf: &CnfFormula, inputs: &[Var]| {
-            let mut s = cnf.to_solver();
-            let mut out = std::collections::HashSet::new();
-            s.enumerate_models(inputs, 64, |m| {
-                out.insert(inputs.iter().map(|&v| m.value(v)).collect::<Vec<_>>());
-                true
-            });
-            out
-        };
-        assert_eq!(
-            models(&deduped.cnf, &deduped.input_vars),
-            models(&raw.cnf, &raw.input_vars)
+        // the first.
+        let mut twice = Circuit::new();
+        let (x, y) = (twice.input(), twice.input());
+        let g = twice.or2(x, y);
+        // One leaf reached through two absorbed subtrees of the root gate:
+        // its `(¬root ∨ x)` clause is emitted twice.
+        let mut shared_leaf = Circuit::new();
+        let (x, y, z) = (
+            shared_leaf.input(),
+            shared_leaf.input(),
+            shared_leaf.input(),
         );
+        let (left, right) = (shared_leaf.and2(x, y), shared_leaf.and2(x, z));
+        let root = shared_leaf.and2(left, right);
+        for (label, c, roots) in [
+            ("root twice", twice, vec![g, g]),
+            ("shared leaf", shared_leaf, vec![root]),
+        ] {
+            // Dedup must drop exactly the one duplicate.
+            let deduped = c.to_cnf_opts(&roots, &[], true);
+            let raw = c.to_cnf_opts(&roots, &[], false);
+            assert_eq!(deduped.clauses_deduped, 1, "{label}");
+            assert_eq!(raw.clauses_deduped, 0, "{label}");
+            assert_eq!(
+                deduped.cnf.num_clauses() + 1,
+                raw.cnf.num_clauses(),
+                "{label}"
+            );
+            // Both emissions project to the same input models.
+            assert_eq!(
+                input_models(&deduped.cnf, &deduped.input_vars),
+                input_models(&raw.cnf, &raw.input_vars),
+                "{label}"
+            );
+        }
     }
 
     #[test]
     fn dedup_is_a_no_op_on_hash_consed_emission() {
-        // Structural hashing upstream already prevents duplicate gate
-        // clauses, so a single-root emission dedups nothing — the counter
-        // is a tripwire, not a load-bearing optimization.
+        // Structural hashing gives distinct gates distinct literals, so a
+        // duplicate gate clause needs two absorbed subtrees of one gate to
+        // share a leaf (see the test above). Where none do, as here, a
+        // single-root emission dedups nothing — the counter is a tripwire,
+        // not a load-bearing optimization.
         let mut c = Circuit::new();
         let xs: Vec<B> = (0..4).map(|_| c.input()).collect();
         let parity = c.xor2(xs[0], xs[1]);

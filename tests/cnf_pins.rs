@@ -1,12 +1,14 @@
 //! Byte-identity pins for the relational translator.
 //!
 //! Each row is one check of the repository benchmark's deck (`perfbench`):
-//! the FNV-1a hash of the DIMACS bytes of `consensus_cnf()` and the number
-//! of gates in the circuit behind it. Gates are numbered in creation order
-//! and CNF variables and clauses follow that numbering, so a translator
-//! change that creates one gate more, one gate fewer, or the same gates in
-//! another order moves a hash. A refactor that claims to leave the solver's
-//! input untouched proves it here.
+//! the FNV-1a hash of the DIMACS bytes of `consensus_cnf()`, its variable
+//! and clause counts, and the number of gates in the circuit behind it.
+//! Gates are numbered in creation order and CNF variables and clauses
+//! follow that numbering, so a translator change that creates one gate
+//! more, one gate fewer, or the same gates in another order moves a hash.
+//! A change to the CNF emission alone moves the hash and the counts but
+//! not `gates`. A refactor that claims to leave the solver's input
+//! untouched proves it here.
 
 use mca_relalg::fnv1a64;
 use mca_verify::{DynamicModel, DynamicScenario, NumberEncoding};
@@ -18,6 +20,8 @@ struct Pin {
     /// The `netState` count, when it differs from the scenario's own.
     states: Option<usize>,
     gates: usize,
+    cnf_vars: usize,
+    cnf_clauses: usize,
     dimacs_fnv: u64,
     /// `conflicts`, `decisions`, `propagations`, `restarts` of a default
     /// solver on the CNF.
@@ -42,8 +46,10 @@ const PINS: &[Pin] = &[
         scenario: DynamicScenario::two_agent_compliant,
         states: Some(4),
         gates: 2179,
-        dimacs_fnv: 0x1511_add6_b085_e292,
-        search: [19, 60, 8051, 0],
+        cnf_vars: 1372,
+        cnf_clauses: 4576,
+        dimacs_fnv: 0xab1e_c4cd_b89b_563b,
+        search: [19, 197, 5220, 0],
     },
     Pin {
         label: "naive/two_agent_rebid_attack@4",
@@ -51,8 +57,10 @@ const PINS: &[Pin] = &[
         scenario: DynamicScenario::two_agent_rebid_attack,
         states: Some(4),
         gates: 2253,
-        dimacs_fnv: 0x66c0_b2e4_d352_33f1,
-        search: [36, 155, 13098, 0],
+        cnf_vars: 1397,
+        cnf_clauses: 4700,
+        dimacs_fnv: 0x4f0c_517e_4720_2651,
+        search: [21, 185, 5275, 0],
     },
     Pin {
         label: "naive/at_scope_2x2@3",
@@ -60,8 +68,10 @@ const PINS: &[Pin] = &[
         scenario: at_scope_2x2,
         states: Some(3),
         gates: 1012,
-        dimacs_fnv: 0xaf36_4f40_eb25_356e,
-        search: [6, 7, 2428, 0],
+        cnf_vars: 621,
+        cnf_clauses: 2043,
+        dimacs_fnv: 0x9285_661f_dec5_a8e4,
+        search: [6, 6, 1404, 0],
     },
     Pin {
         label: "naive/at_scope_2x2@2",
@@ -69,8 +79,10 @@ const PINS: &[Pin] = &[
         scenario: at_scope_2x2,
         states: Some(2),
         gates: 579,
-        dimacs_fnv: 0xcea4_fc35_a60d_4e12,
-        search: [0, 1, 643, 0],
+        cnf_vars: 360,
+        cnf_clauses: 1160,
+        dimacs_fnv: 0xdd88_0469_876e_02d9,
+        search: [0, 1, 360, 0],
     },
     Pin {
         label: "opt/paper_scope_sound@12",
@@ -78,8 +90,10 @@ const PINS: &[Pin] = &[
         scenario: DynamicScenario::paper_scope_sound,
         states: None,
         gates: 24274,
-        dimacs_fnv: 0x7cde_402c_de80_8147,
-        search: [9358, 24810, 15911056, 39],
+        cnf_vars: 13837,
+        cnf_clauses: 49645,
+        dimacs_fnv: 0x45cd_6db5_4b7b_51d5,
+        search: [9997, 27395, 10905053, 43],
     },
     Pin {
         label: "opt/paper_scope@10",
@@ -87,8 +101,10 @@ const PINS: &[Pin] = &[
         scenario: DynamicScenario::paper_scope,
         states: Some(10),
         gates: 19901,
-        dimacs_fnv: 0xe11e_e7d5_fd6c_b0e7,
-        search: [2333, 7559, 3658720, 13],
+        cnf_vars: 11434,
+        cnf_clauses: 40850,
+        dimacs_fnv: 0x7da3_5b13_56da_138a,
+        search: [1785, 6912, 1520397, 11],
     },
     Pin {
         label: "cert/at_scope_3x2@8",
@@ -96,8 +112,10 @@ const PINS: &[Pin] = &[
         scenario: at_scope_3x2,
         states: Some(8),
         gates: 8556,
-        dimacs_fnv: 0x139e_6219_9c6e_d31e,
-        search: [660, 1883, 851991, 5],
+        cnf_vars: 5145,
+        cnf_clauses: 17727,
+        dimacs_fnv: 0xba88_be03_7f8f_301d,
+        search: [483, 2185, 341874, 3],
     },
     Pin {
         label: "cert/two_agent_compliant",
@@ -105,8 +123,10 @@ const PINS: &[Pin] = &[
         scenario: DynamicScenario::two_agent_compliant,
         states: None,
         gates: 2527,
-        dimacs_fnv: 0x1526_9486_f0fd_f6a1,
-        search: [12, 61, 9996, 0],
+        cnf_vars: 1512,
+        cnf_clauses: 5132,
+        dimacs_fnv: 0xe7b3_530f_85dc_2479,
+        search: [14, 84, 5319, 0],
     },
     Pin {
         label: "cert/two_agent_rebid_attack",
@@ -114,8 +134,10 @@ const PINS: &[Pin] = &[
         scenario: DynamicScenario::two_agent_rebid_attack,
         states: None,
         gates: 2633,
-        dimacs_fnv: 0x8967_7ac5_1d1c_df6c,
-        search: [14, 62, 10079, 0],
+        cnf_vars: 1534,
+        cnf_clauses: 5282,
+        dimacs_fnv: 0x40b6_e7e1_c6ab_fd5d,
+        search: [8, 82, 3357, 0],
     },
 ];
 
@@ -132,12 +154,9 @@ fn deck_cnfs_are_byte_identical_to_their_pins() {
     let mut moved = Vec::new();
     for pin in PINS {
         let model = build(pin);
+        let cnf = model.consensus_cnf().expect("translates");
         let mut dimacs = Vec::new();
-        model
-            .consensus_cnf()
-            .expect("translates")
-            .write_dimacs(&mut dimacs)
-            .expect("in-memory write");
+        cnf.write_dimacs(&mut dimacs).expect("in-memory write");
         let gates = model
             .model()
             .to_problem()
@@ -145,11 +164,14 @@ fn deck_cnfs_are_byte_identical_to_their_pins() {
             .expect("translates")
             .stats
             .circuit_gates;
+        let (vars, clauses) = (cnf.num_vars(), cnf.num_clauses());
         let fnv = fnv1a64(&dimacs);
-        if (gates, fnv) != (pin.gates, pin.dimacs_fnv) {
+        if (gates, vars, clauses, fnv) != (pin.gates, pin.cnf_vars, pin.cnf_clauses, pin.dimacs_fnv)
+        {
             moved.push(format!(
-                "{}: gates {gates} (pinned {}), dimacs {fnv:#018x} (pinned {:#018x})",
-                pin.label, pin.gates, pin.dimacs_fnv
+                "{}: gates {gates} (pinned {}), vars {vars} (pinned {}), \
+                 clauses {clauses} (pinned {}), dimacs {fnv:#018x} (pinned {:#018x})",
+                pin.label, pin.gates, pin.cnf_vars, pin.cnf_clauses, pin.dimacs_fnv
             ));
         }
     }
