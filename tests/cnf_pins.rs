@@ -9,8 +9,12 @@
 //! A change to the CNF emission alone moves the hash and the counts but
 //! not `gates`. A refactor that claims to leave the solver's input
 //! untouched proves it here.
+//!
+//! The second table pins the *scoped* shape the same way: the facts
+//! asserted and ¬consensus compiled to an unasserted goal literal
+//! (`translate_goals`), as E8, the convergence sweep and lint build it.
 
-use mca_relalg::fnv1a64;
+use mca_relalg::{fnv1a64, TranslateOpts};
 use mca_verify::{DynamicModel, DynamicScenario, NumberEncoding};
 
 struct Pin {
@@ -202,4 +206,152 @@ fn deck_searches_match_their_pins() {
         }
     }
     assert!(moved.is_empty(), "searches moved:\n{}", moved.join("\n"));
+}
+
+/// One scoped-shape row: an E8 scope at its own state count.
+struct ScopedPin {
+    label: &'static str,
+    encoding: NumberEncoding,
+    scope: (usize, usize),
+    gates: usize,
+    cnf_vars: usize,
+    cnf_clauses: usize,
+    dimacs_fnv: u64,
+    /// The ¬consensus goal literal, in DIMACS numbering.
+    goal: i64,
+    /// `check_consensus_opts` with preprocessing off, then on: `valid`,
+    /// `vacuous` and `[conflicts, decisions, propagations, restarts]`.
+    checks: [(bool, bool, [u64; 4]); 2],
+}
+
+const SCOPED_PINS: &[ScopedPin] = &[
+    ScopedPin {
+        label: "naive/at_scope_2x2",
+        encoding: NAIVE,
+        scope: (2, 2),
+        gates: 2302,
+        cnf_vars: 1412,
+        cnf_clauses: 4699,
+        dimacs_fnv: 0x8ce5_bfec_6012_4d44,
+        goal: -1412,
+        checks: [
+            (true, false, [26, 133, 8900, 0]),
+            (true, false, [26, 134, 9386, 0]),
+        ],
+    },
+    ScopedPin {
+        label: "opt/at_scope_2x2",
+        encoding: OPT,
+        scope: (2, 2),
+        gates: 2312,
+        cnf_vars: 1460,
+        cnf_clauses: 4825,
+        dimacs_fnv: 0x820d_5d80_a04c_db6d,
+        goal: -1460,
+        checks: [
+            (true, false, [25, 96, 8808, 0]),
+            (true, false, [22, 93, 6938, 0]),
+        ],
+    },
+    ScopedPin {
+        label: "opt/at_scope_3x2",
+        encoding: OPT,
+        scope: (3, 2),
+        gates: 10875,
+        cnf_vars: 6541,
+        cnf_clauses: 22558,
+        dimacs_fnv: 0x0975_7b04_71cd_92c2,
+        goal: -6541,
+        checks: [
+            (true, false, [780, 3258, 671820, 5]),
+            (true, false, [527, 2432, 497115, 3]),
+        ],
+    },
+];
+
+/// `conflicts_after` of the preprocessed convergence sweep at 2×2,
+/// optimized encoding.
+const SWEEP_2X2_CONFLICTS_AFTER: &[u64] = &[26, 26, 29, 31, 33, 35];
+
+fn build_scoped(pin: &ScopedPin) -> DynamicModel {
+    DynamicModel::build(
+        pin.encoding,
+        DynamicScenario::at_scope(pin.scope.0, pin.scope.1),
+    )
+}
+
+#[test]
+fn scoped_cnfs_are_byte_identical_to_their_pins() {
+    let mut moved = Vec::new();
+    for pin in SCOPED_PINS {
+        let model = build_scoped(pin);
+        let goal = model.consensus_assertion().not();
+        let (translation, goals) = model
+            .model()
+            .to_problem()
+            .translate_goals(&[goal], &TranslateOpts::default())
+            .expect("translates");
+        let mut dimacs = Vec::new();
+        translation
+            .cnf
+            .write_dimacs(&mut dimacs)
+            .expect("in-memory write");
+        let got = (
+            translation.stats.circuit_gates,
+            translation.stats.cnf_vars,
+            translation.stats.cnf_clauses,
+            fnv1a64(&dimacs),
+            goals[0].to_dimacs(),
+        );
+        let pinned = (
+            pin.gates,
+            pin.cnf_vars,
+            pin.cnf_clauses,
+            pin.dimacs_fnv,
+            pin.goal,
+        );
+        if got != pinned {
+            moved.push(format!(
+                "{}: (gates, vars, clauses, dimacs, goal) {got:?} (pinned {pinned:?})",
+                pin.label
+            ));
+        }
+    }
+    assert!(moved.is_empty(), "scoped CNFs moved:\n{}", moved.join("\n"));
+}
+
+#[test]
+fn scoped_checks_match_their_pins() {
+    let mut moved = Vec::new();
+    for pin in SCOPED_PINS {
+        let model = build_scoped(pin);
+        for (preprocess, pinned) in [false, true].into_iter().zip(&pin.checks) {
+            let check = model
+                .check_consensus_opts(preprocess, None, None)
+                .expect("translates");
+            let s = check.solver;
+            let search = [s.conflicts, s.decisions, s.propagations, s.restarts];
+            let got = (check.valid, check.vacuous, search);
+            if got != *pinned {
+                moved.push(format!(
+                    "{} preprocess={preprocess}: (valid, vacuous, search) {got:?} \
+                     (pinned {pinned:?})",
+                    pin.label
+                ));
+            }
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "scoped checks moved:\n{}",
+        moved.join("\n")
+    );
+}
+
+#[test]
+fn scoped_sweep_matches_its_pin() {
+    let sweep = DynamicModel::build(OPT, DynamicScenario::at_scope(2, 2))
+        .convergence_sweep(true, None)
+        .expect("translates");
+    assert_eq!(sweep.conflicts_after, SWEEP_2X2_CONFLICTS_AFTER);
 }
