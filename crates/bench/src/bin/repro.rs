@@ -141,8 +141,6 @@ fn main() {
     let mut reps: usize = 5;
     let mut smoke = false;
     let mut stretch = false;
-    let mut sbp = false;
-    let mut blocks = false;
     let mut i = 0;
     while i < args.len() {
         let arg = args[i].as_str();
@@ -165,8 +163,6 @@ fn main() {
             "--trace" => trace_path = Some(flag_value("--trace")),
             "--smoke" => smoke = true,
             "--stretch" => stretch = true,
-            "--sbp" => sbp = true,
-            "--blocks" => blocks = true,
             "--threads" => {
                 let v = flag_value("--threads");
                 threads = v.parse().unwrap_or_else(|_| {
@@ -234,8 +230,6 @@ fn main() {
                     runtime.as_ref(),
                     spans.as_ref(),
                     reps,
-                    sbp,
-                    blocks,
                 )
             }
             "e4" => all_match &= run_e4(&mut metrics, runtime.as_ref()),
@@ -251,8 +245,6 @@ fn main() {
                     threads,
                     smoke,
                     stretch,
-                    sbp,
-                    blocks,
                 )
             }
             other => {
@@ -562,18 +554,14 @@ fn cmd_diff(args: &[String]) -> ! {
 }
 
 /// `repro lint [--out DIR] [--html] [--trace FILE] [--root DIR]
-/// [--fixture pathological] [--proof-logging] [--blocks]` — exits 1 when
-/// any error-severity finding fires, 2 on usage errors.
-/// `--proof-logging` and `--blocks` describe the run the report is for:
-/// under proof logging the `B002` warning flags suppressed SBPs, and
-/// `--blocks` makes `B003` report block solving as enabled.
+/// [--fixture pathological]` — exits 1 when any error-severity finding
+/// fires, 2 on usage errors.
 fn cmd_lint(args: &[String]) -> ! {
     let mut out_dir = ".".to_string();
     let mut root_dir = ".".to_string();
     let mut trace_path: Option<String> = None;
     let mut html = false;
     let mut fixture: Option<String> = None;
-    let mut lint_opts = mca_lint::LintOptions::default();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -582,8 +570,6 @@ fn cmd_lint(args: &[String]) -> ! {
             "--trace" => trace_path = Some(subcommand_flag_value(args, &mut i, "--trace")),
             "--html" => html = true,
             "--fixture" => fixture = Some(subcommand_flag_value(args, &mut i, "--fixture")),
-            "--proof-logging" => lint_opts.proof_logging = true,
-            "--blocks" => lint_opts.block_solving = true,
             other => {
                 eprintln!("unknown lint argument `{other}`");
                 std::process::exit(2);
@@ -596,7 +582,7 @@ fn cmd_lint(args: &[String]) -> ! {
                        model: &mca_alloy::Model,
                        assertions: &[mca_relalg::Formula]|
      -> mca_lint::LintReport {
-        mca_lint::lint_model_opts(target, model, assertions, &lint_opts).unwrap_or_else(|e| {
+        mca_lint::lint_model(target, model, assertions).unwrap_or_else(|e| {
             eprintln!("lint target {target} failed to translate: {e:?}");
             std::process::exit(2);
         })
@@ -630,10 +616,8 @@ fn cmd_lint(args: &[String]) -> ! {
             // Every shipped dynamic scenario. Small scopes run under both
             // encodings; the paper scopes under the optimized one (the
             // naive paper-scope encoding is E5's long pole) — except
-            // e3:paper_scope, which also gets a naive row so its dominant
-            // symmetry orbits (B001 lives at the bounds level, where the
-            // naive encoding leaves atoms interchangeable) are visible in
-            // LINT.md at paper scope.
+            // e3:paper_scope, which also gets a naive row so the flagship
+            // scope is linted under both encodings.
             let small = [
                 (
                     "e1:two_agent_compliant",
@@ -1119,8 +1103,6 @@ fn run_e3(
     rt: Option<&Runtime>,
     spans: Option<&SpanRecorder>,
     reps: usize,
-    sbp: bool,
-    blocks: bool,
 ) -> bool {
     println!("E3 (Result 1) — policy matrix (exhaustive explicit-state checking)");
     let seq_start = Instant::now();
@@ -1145,68 +1127,11 @@ fn run_e3(
             "MISMATCH ✗"
         }
     );
-    if sbp {
-        ok &= run_e3_sbp(metrics);
-    }
-    if blocks {
-        ok &= run_e3_blocks(metrics, rt);
-    }
     if let Some(rt) = rt {
         let _ = seq_secs; // superseded by the repetition methodology below
         ok &= run_e3_parallel(metrics, observer, rt, &rows, reps);
     }
     ok
-}
-
-/// `repro e3 --sbp`: one symmetry-breaking before/after cell at the
-/// paper-style 3×3 symmetric workload, so the SBP machinery is visible
-/// from the E3 entry point without the full E8 sweep.
-fn run_e3_sbp(metrics: &mut Metrics) -> bool {
-    let cfg = mca_relalg::SbpConfig::default();
-    let cell = metrics
-        .time("e3.sbp", || analysis::sbp_cell(3, 3, &cfg))
-        .expect("well-formed symmetric model");
-    println!("\n  symmetry-breaking (symmetric 3x3, optimized):");
-    println!("{cell}");
-    metrics.set_gauge("e3.sbp.predicates", cell.on.stats.sbp_predicates as i64);
-    metrics.set_gauge("e3.sbp.verdicts_agree", i64::from(cell.verdicts_agree()));
-    cell.verdicts_agree()
-}
-
-/// `repro e3 --blocks`: decompose the flagship paper-scope consensus CNF
-/// along its variable-incidence blocks and cross-check the recombined
-/// verdict against a direct whole-formula solve.
-fn run_e3_blocks(metrics: &mut Metrics, rt: Option<&Runtime>) -> bool {
-    let model = DynamicModel::build(
-        NumberEncoding::OptimizedValue,
-        DynamicScenario::paper_scope(),
-    );
-    let cnf = model.consensus_cnf().expect("well-formed model");
-    let direct_sat = metrics.time("e3.blocks.direct", || cnf.to_solver().solve().is_sat());
-    let (sat, num_blocks, largest) = metrics.time("e3.blocks.run", || match rt {
-        Some(rt) => {
-            let par = mca_runtime::solve_blocks_parallel(rt, &cnf);
-            (par.outcome.is_sat(), par.num_blocks, par.largest_block_vars)
-        }
-        None => {
-            let dec = mca_sat::blocks::decompose(&cnf);
-            let n = dec.num_blocks();
-            let largest = dec.largest_block_vars();
-            (mca_sat::blocks::solve_blocks(&cnf).is_sat(), n, largest)
-        }
-    });
-    let verdict_match = sat == direct_sat;
-    println!(
-        "\n  block solving (paper scope, optimized): {num_blocks} blocks (largest {largest} vars), verdict {}",
-        if verdict_match {
-            "matches direct solve ✓"
-        } else {
-            "MISMATCH ✗"
-        }
-    );
-    metrics.set_gauge("e3.blocks.count", num_blocks as i64);
-    metrics.set_gauge("e3.blocks.verdict_match", i64::from(verdict_match));
-    verdict_match
 }
 
 /// Benchmark methodology for the timed sections of `BENCH_PAR.json`: one
@@ -1750,7 +1675,6 @@ fn bench_e5_json(rows: &[EncodingRow], wall_clock_secs: f64, threads: usize) -> 
     ])
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_e8(
     metrics: &mut Metrics,
     observer: Option<SharedObserver>,
@@ -1759,8 +1683,6 @@ fn run_e8(
     threads: usize,
     smoke: bool,
     stretch: bool,
-    sbp: bool,
-    blocks: bool,
 ) -> bool {
     println!("E8 — scope scaling: naive vs optimized vs optimized+preprocessed");
     println!("(every variant must reach the same verdict at every scope)\n");
@@ -1799,104 +1721,6 @@ fn run_e8(
         record_e8_metrics(metrics, row);
     }
 
-    // Symmetry gauges — a bounds-only analysis of the naive 2×2 problem
-    // is cheap, scope-independent, and what `repro why`'s W009 reads to
-    // flag large orbits going unbroken.
-    {
-        let model = DynamicModel::build(NumberEncoding::NaiveInt, DynamicScenario::at_scope(2, 2));
-        let problem = model.model().to_problem();
-        let sym = mca_relalg::SymmetryAnalysis::analyze(&problem);
-        let max_class = sym.nontrivial_classes().map(<[_]>::len).max().unwrap_or(1);
-        metrics.set_gauge("sbp.enabled", i64::from(sbp));
-        metrics.set_gauge("sbp.base_classes", sym.nontrivial_classes().count() as i64);
-        metrics.set_gauge("sbp.max_class_size", max_class as i64);
-    }
-
-    // --sbp: the before/after comparison on the symmetric workload.
-    let sbp_cells = if sbp {
-        let cfg = mca_relalg::SbpConfig::default();
-        let cells = metrics
-            .time("e8.sbp", || {
-                analysis::run_sbp_comparison(&analysis::sbp_scopes(smoke), &cfg)
-            })
-            .expect("well-formed symmetric models");
-        println!("\n  symmetry-breaking (symmetric workload, optimized):");
-        for cell in &cells {
-            println!("{cell}");
-            ok &= cell.verdicts_agree();
-            let p = format!("e8.sbp.{}", cell.scope);
-            metrics.set_gauge(
-                &format!("{p}.predicates"),
-                cell.on.stats.sbp_predicates as i64,
-            );
-            metrics.set_gauge(
-                &format!("{p}.conflicts_off"),
-                cell.off.solver.conflicts as i64,
-            );
-            metrics.set_gauge(
-                &format!("{p}.conflicts_on"),
-                cell.on.solver.conflicts as i64,
-            );
-        }
-        Some(cells)
-    } else {
-        None
-    };
-
-    // --blocks: solve each scope's optimized consensus CNF by
-    // variable-disjoint blocks and cross-check against the direct verdict
-    // (the assertion is valid iff that CNF is UNSAT).
-    if blocks {
-        println!("\n  independent-block solving (optimized consensus CNF):");
-        for row in &rows {
-            let model = DynamicModel::build(
-                NumberEncoding::OptimizedValue,
-                DynamicScenario::at_scope(row.pnodes, row.vnodes),
-            );
-            let cnf = model.consensus_cnf().expect("well-formed model");
-            let (sat, num_blocks, largest, conflicts) = match rt {
-                Some(rt) => {
-                    let par = mca_runtime::solve_blocks_parallel(rt, &cnf);
-                    (
-                        par.outcome.is_sat(),
-                        par.num_blocks,
-                        par.largest_block_vars,
-                        par.conflicts,
-                    )
-                }
-                None => {
-                    let dec = mca_sat::blocks::decompose(&cnf);
-                    let (n, largest) = (dec.num_blocks(), dec.largest_block_vars());
-                    (mca_sat::blocks::solve_blocks(&cnf).is_sat(), n, largest, 0)
-                }
-            };
-            let direct_valid = row
-                .variants
-                .iter()
-                .find(|v| v.variant == "optimized")
-                .map_or(row.valid(), |v| v.valid);
-            // consensus_cnf is facts ∧ ¬consensus: the assertion is valid
-            // iff the CNF is UNSAT, so agreement means sat != valid.
-            let verdict_match = sat != direct_valid;
-            ok &= verdict_match;
-            println!(
-                "    {}: {} blocks (largest {} vars), verdict {}",
-                row.scope,
-                num_blocks,
-                largest,
-                if verdict_match {
-                    "matches direct solve ✓"
-                } else {
-                    "MISMATCH ✗"
-                }
-            );
-            let p = format!("e8.{}.blocks", row.scope);
-            metrics.set_gauge(&format!("{p}.count"), num_blocks as i64);
-            metrics.set_gauge(&format!("{p}.verdict_match"), i64::from(verdict_match));
-            metrics.set_gauge(&format!("{p}.conflicts"), conflicts as i64);
-        }
-    }
-
     // End-to-end certification: the preprocessed pipeline's "valid" verdict
     // at the smallest scope, with the simplifier's DRAT steps prepended to
     // the solver's, verified by the independent proof checker.
@@ -1927,13 +1751,7 @@ fn run_e8(
 
     write_bench_file(
         "BENCH_SCALE.json",
-        &bench_scale_json(
-            &rows,
-            &certified,
-            wall_clock_secs,
-            threads,
-            sbp_cells.as_deref(),
-        ),
+        &bench_scale_json(&rows, &certified, wall_clock_secs, threads),
     );
     println!("  scaling sweep written to BENCH_SCALE.json");
     println!(
@@ -2010,7 +1828,6 @@ fn bench_scale_json(
     certified: &mca_relalg::CertifiedCheck,
     wall_clock_secs: f64,
     threads: usize,
-    sbp_cells: Option<&[analysis::SbpCell]>,
 ) -> Json {
     let simplify_json = |s: &Option<mca_sat::SimplifyStats>| match s {
         None => Json::Null,
@@ -2140,49 +1957,6 @@ fn bench_scale_json(
                     })
                     .collect(),
             ),
-        ),
-        (
-            "sbp",
-            match sbp_cells {
-                None => Json::Null,
-                Some(cells) => {
-                    let side = |v: &analysis::ScaleVariant| {
-                        Json::obj([
-                            ("variant", Json::from(v.variant.as_str())),
-                            ("valid", Json::from(v.valid)),
-                            ("vacuous", Json::from(v.vacuous)),
-                            ("check_secs", Json::from(v.check_secs)),
-                            ("cnf_clauses", Json::from(v.stats.cnf_clauses as u64)),
-                            ("conflicts", Json::from(v.solver.conflicts)),
-                            ("propagations", Json::from(v.solver.propagations)),
-                        ])
-                    };
-                    Json::obj([
-                        ("workload", Json::from("symmetric bids, optimized encoding")),
-                        (
-                            "cells",
-                            Json::Array(
-                                cells
-                                    .iter()
-                                    .map(|c| {
-                                        Json::obj([
-                                            ("scope", Json::from(c.scope.as_str())),
-                                            (
-                                                "predicates",
-                                                Json::from(c.on.stats.sbp_predicates as u64),
-                                            ),
-                                            ("pairs", Json::from(c.on.stats.sbp_pairs as u64)),
-                                            ("verdicts_agree", Json::from(c.verdicts_agree())),
-                                            ("off", side(&c.off)),
-                                            ("on", side(&c.on)),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                }
-            },
         ),
     ])
 }

@@ -193,24 +193,6 @@ pub const RULES: &[RuleInfo] = &[
         summary: "variable-incidence graph splits into independently solvable blocks",
     },
     RuleInfo {
-        id: "B001",
-        severity: Severity::Info,
-        layer: Layer::Relalg,
-        summary: "bounds-interchangeable atoms form a nontrivial symmetry class",
-    },
-    RuleInfo {
-        id: "B002",
-        severity: Severity::Warning,
-        layer: Layer::Relalg,
-        summary: "symmetry classes detected but SBPs are suppressed under DRAT proof logging",
-    },
-    RuleInfo {
-        id: "B003",
-        severity: Severity::Info,
-        layer: Layer::Cnf,
-        summary: "CNF decomposes into variable-disjoint blocks solvable independently",
-    },
-    RuleInfo {
         id: "V001",
         severity: Severity::Error,
         layer: Layer::Relalg,

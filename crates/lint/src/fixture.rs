@@ -18,12 +18,7 @@ use mca_relalg::Formula;
 ///   vacuity check sees it (`V001`, the lone `Error`);
 /// - an assertion `some A` over a constant sig, which folds to a constant
 ///   goal whose frozen marker variable is a pure literal in its own
-///   incidence component (`C002`, `C005`, and — confirmed by the actual
-///   solver-side decomposer — `B003`);
-/// - the `A` and `B` sig atoms are pairwise bounds-interchangeable (every
-///   relation bound maps onto itself under the swap), so the symmetry
-///   pass reports two nontrivial classes (`B001`), and under proof
-///   logging the suppressed-SBP warning (`B002`).
+///   incidence component (`C002`, `C005`).
 pub fn pathological() -> (Model, Formula) {
     let mut m = Model::new();
     let a = m.sig("A", 2);

@@ -13,16 +13,10 @@
 //! 3. **CNF pass** (`C…`): never-occurring variables, pure literals,
 //!    duplicate/tautological clauses, and disconnected
 //!    variable-incidence components — over the emitted CNF.
-//! 4. **Symmetry & block pass** (`B…`): bounds-level interchangeability
-//!    classes with their estimated orbit reduction (`B001`), a warning
-//!    when symmetry-breaking predicates are suppressed because DRAT proof
-//!    logging is on (`B002`), and confirmation via the *actual* solver
-//!    decomposer ([`mca_sat::blocks::decompose`]) that the `C005`
-//!    components really are independently solvable blocks (`B003`).
-//! 5. **Vacuity detector** (`V001`): SAT-checks the fact-only premise; if
+//! 4. **Vacuity detector** (`V001`): SAT-checks the fact-only premise; if
 //!    the facts alone are unsatisfiable, *every* assertion over them is
 //!    vacuously valid and the pipeline's "VALID" verdicts are worthless.
-//! 6. **Source audit** (`S001`): every crate root must
+//! 5. **Source audit** (`S001`): every crate root must
 //!    `#![forbid(unsafe_code)]`.
 //!
 //! Findings are [`Diagnostic`]s — rule id, severity, layer, location,
@@ -55,23 +49,9 @@ pub use diag::{Diagnostic, Layer, RuleInfo, Severity, RULES};
 
 use mca_alloy::Model;
 use mca_obs::{Event, Observer};
-use mca_relalg::{Formula, Problem, SymmetryAnalysis, TranslateError, TranslateOpts};
+use mca_relalg::{Formula, Problem, TranslateError};
 use std::collections::BTreeMap;
 use std::path::Path;
-
-/// Pipeline configuration the `B…` rules report against: whether the
-/// run the lint describes has proof logging on (which suppresses
-/// symmetry-breaking predicates) and whether independent-block solving
-/// is enabled.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LintOptions {
-    /// DRAT proof logging is on for the described run — SBPs are
-    /// suppressed so the proof covers the unaugmented formula (`B002`).
-    pub proof_logging: bool,
-    /// Independent-block solving is enabled for the described run;
-    /// `B003` reports the status either way.
-    pub block_solving: bool,
-}
 
 /// All findings for one lint target, sorted most-severe first.
 #[derive(Clone, Debug)]
@@ -170,24 +150,10 @@ pub fn lint_model(
     model: &Model,
     assertions: &[Formula],
 ) -> Result<LintReport, TranslateError> {
-    lint_model_opts(target, model, assertions, &LintOptions::default())
-}
-
-/// [`lint_model`] with explicit [`LintOptions`] for the `B…` rules.
-///
-/// # Errors
-///
-/// Propagates [`TranslateError`] if the model cannot be translated.
-pub fn lint_model_opts(
-    target: impl Into<String>,
-    model: &Model,
-    assertions: &[Formula],
-    opts: &LintOptions,
-) -> Result<LintReport, TranslateError> {
     let target = target.into();
     let mut findings = model_pass::run(model, assertions);
     let problem = model.to_problem();
-    let rest = lint_problem_opts(target.clone(), &problem, assertions, opts)?;
+    let rest = lint_problem(target.clone(), &problem, assertions)?;
     findings.extend(rest.findings);
     Ok(LintReport::new(target, findings))
 }
@@ -208,24 +174,9 @@ pub fn lint_problem(
     problem: &Problem,
     assertions: &[Formula],
 ) -> Result<LintReport, TranslateError> {
-    lint_problem_opts(target, problem, assertions, &LintOptions::default())
-}
-
-/// [`lint_problem`] with explicit [`LintOptions`] for the `B…` rules.
-///
-/// # Errors
-///
-/// Propagates [`TranslateError`] on ill-formed formulas.
-pub fn lint_problem_opts(
-    target: impl Into<String>,
-    problem: &Problem,
-    assertions: &[Formula],
-    opts: &LintOptions,
-) -> Result<LintReport, TranslateError> {
     let mut findings = relalg_pass::run(problem, assertions);
-    findings.extend(symmetry_pass(problem, opts));
 
-    let (tr, _goal_lits) = problem.translate_goals(assertions, &TranslateOpts::default())?;
+    let (tr, _goal_lits) = problem.translate_goals(assertions)?;
     let attr: BTreeMap<usize, String> = tr
         .input_vars()
         .iter()
@@ -233,38 +184,6 @@ pub fn lint_problem_opts(
         .map(|(v, (rel, _tuple))| (v.index(), problem.relation(*rel).name().to_string()))
         .collect();
     findings.extend(cnf_pass::run(&tr.cnf, Some(&attr)));
-
-    // B003: confirm through the real solver-side decomposer that the
-    // CNF's incidence components (C005) are actually solvable as
-    // independent blocks, and report whether block solving is on.
-    let dec = mca_sat::blocks::decompose(&tr.cnf);
-    if dec.num_blocks() >= 2 {
-        let status = if opts.block_solving {
-            (
-                "enabled",
-                "the blocks will be solved independently and the verdicts recombined",
-            )
-        } else {
-            (
-                "disabled",
-                "pass --blocks to solve the blocks independently on the worker pool",
-            )
-        };
-        findings.push(Diagnostic {
-            rule: "B003",
-            severity: Severity::Info,
-            layer: Layer::Cnf,
-            location: format!("{} blocks", dec.num_blocks()),
-            message: format!(
-                "the CNF decomposes into {} variable-disjoint blocks (largest: {} variables) \
-                 — block solving is {}",
-                dec.num_blocks(),
-                dec.largest_block_vars(),
-                status.0
-            ),
-            suggestion: status.1.into(),
-        });
-    }
 
     if !tr.cnf.to_solver().solve().is_sat() {
         findings.push(Diagnostic {
@@ -282,57 +201,6 @@ pub fn lint_problem_opts(
     }
 
     Ok(LintReport::new(target, findings))
-}
-
-/// The `B001`/`B002` symmetry findings: one info per nontrivial
-/// bounds-interchangeability class, plus a warning when the described
-/// run suppresses SBPs under proof logging.
-fn symmetry_pass(problem: &Problem, opts: &LintOptions) -> Vec<Diagnostic> {
-    let analysis = SymmetryAnalysis::analyze(problem);
-    let nontrivial: Vec<&[mca_relalg::AtomId]> = analysis.nontrivial_classes().collect();
-    let mut findings = Vec::new();
-    for class in &nontrivial {
-        let names: Vec<&str> = class.iter().map(|&a| problem.universe().name(a)).collect();
-        // k interchangeable atoms ⇒ up to k! equivalent assignments per
-        // orbit; saturate the display for absurdly large classes.
-        let orderings = (2..=class.len() as u128)
-            .try_fold(1u128, |acc, i| acc.checked_mul(i))
-            .map_or_else(|| "more than 10^38".to_string(), |f| f.to_string());
-        findings.push(Diagnostic {
-            rule: "B001",
-            severity: Severity::Info,
-            layer: Layer::Relalg,
-            location: format!("class {{{}}}", names.join(", ")),
-            message: format!(
-                "{} bounds-interchangeable atoms — breaking this orbit could cut up to \
-                 {} equivalent assignments down to one lex-least representative",
-                class.len(),
-                orderings
-            ),
-            suggestion: "enable symmetry-breaking predicates (TranslateOpts::with_sbp) \
-                         so the solver explores only one ordering per orbit"
-                .into(),
-        });
-    }
-    if opts.proof_logging && !nontrivial.is_empty() {
-        findings.push(Diagnostic {
-            rule: "B002",
-            severity: Severity::Warning,
-            layer: Layer::Relalg,
-            location: "symmetry".into(),
-            message: format!(
-                "{} nontrivial symmetry class(es) detected, but symmetry-breaking \
-                 predicates are suppressed under DRAT proof logging (the proof must \
-                 cover the unaugmented formula)",
-                nontrivial.len()
-            ),
-            suggestion: "drop certification to let SBPs prune the symmetric search \
-                         space, or accept the unbroken space in exchange for a \
-                         checkable proof"
-                .into(),
-        });
-    }
-    findings
 }
 
 /// Runs the source hygiene audit (`S001`) over a workspace root.

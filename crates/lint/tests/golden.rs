@@ -5,20 +5,14 @@
 //! regenerate the snapshot by emitting the fixture report through a
 //! `JsonlSink` and updating `golden_pathological.jsonl`.
 
-use mca_lint::{fixture, lint_model, lint_model_opts, LintOptions, Severity};
+use mca_lint::{fixture, lint_model, Severity};
 use mca_obs::JsonlSink;
 
 const GOLDEN: &str = include_str!("golden_pathological.jsonl");
 
 fn pathological_report() -> mca_lint::LintReport {
     let (model, assertion) = fixture::pathological();
-    // Proof logging on, so the golden also pins the suppressed-SBP
-    // warning (B002) alongside the symmetry-class reports (B001).
-    let opts = LintOptions {
-        proof_logging: true,
-        block_solving: false,
-    };
-    lint_model_opts("pathological", &model, &[assertion], &opts).expect("fixture translates")
+    lint_model("pathological", &model, &[assertion]).expect("fixture translates")
 }
 
 #[test]
@@ -38,17 +32,11 @@ fn pathological_fixture_trips_every_designed_rule() {
     let report = pathological_report();
     let rules: Vec<&str> = report.findings.iter().map(|d| d.rule).collect();
     // One instance of each designed finding class, most severe first:
-    // the vacuous premise (V001) is the lone error; under proof logging
-    // the SBP suppression warning (B002) joins the unused-`ghost`
-    // warnings at all three layers (M004, R001, C001); the symmetry
-    // pass reports the two interchangeable sig-atom pairs (B001 twice),
-    // the decomposer confirms the C005 components as solvable blocks
-    // (B003), and the folded constant goal leaves a pure literal in its
-    // own component (C002, C005).
-    assert_eq!(
-        rules,
-        vec!["V001", "B002", "C001", "M004", "R001", "B001", "B001", "B003", "C002", "C005"]
-    );
+    // the vacuous premise (V001) is the lone error, the unused `ghost`
+    // warns at all three layers (M004, R001, C001), and the folded
+    // constant goal leaves a pure literal in its own component (C002,
+    // C005).
+    assert_eq!(rules, vec!["V001", "C001", "M004", "R001", "C002", "C005"]);
     assert_eq!(report.errors(), 1);
     assert!(!report.is_clean());
     assert_eq!(report.findings[0].severity, Severity::Error);

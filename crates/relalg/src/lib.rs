@@ -54,7 +54,6 @@ mod error;
 mod eval;
 mod fingerprint;
 mod problem;
-mod symmetry;
 mod translate;
 mod tuple;
 mod universe;
@@ -67,9 +66,8 @@ pub use eval::Evaluator;
 pub use fingerprint::fnv1a64;
 pub use problem::{
     CertifiedCheck, Check, CheckOutcome, IncrementalChecker, Instance, Outcome, Problem,
-    ProofCertificate, RelationDecl, SolveOutcome, TranslateOpts,
+    ProofCertificate, RelationDecl, SolveOutcome,
 };
-pub use symmetry::{SbpConfig, SbpStats, SymmetryAnalysis};
 pub use translate::{RelationStats, Translation, TranslationStats};
 pub use tuple::{Tuple, TupleSet};
 pub use universe::{AtomId, Universe};

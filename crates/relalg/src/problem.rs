@@ -8,45 +8,13 @@
 
 use crate::ast::{Expr, Formula, RelationId};
 use crate::error::TranslateError;
-use crate::symmetry::{SbpConfig, SbpStats};
 use crate::translate::{RelationStats, Translation, TranslationStats, Translator};
 use crate::tuple::{Tuple, TupleSet};
-use crate::universe::{AtomId, Universe};
+use crate::universe::Universe;
 use mca_sat::{SolveResult, SolverStats};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
-
-/// Options applied at translation time.
-///
-/// The default translates exactly as [`Problem::translate`] always has —
-/// no symmetry breaking, so existing CNFs are byte-stable. Symmetry
-/// breaking must stay off whenever the produced certificate has to speak
-/// about the *original* formula (DRAT proof logging): the certified check
-/// path ([`Problem::check_certified`]) always uses the default options by
-/// construction.
-#[derive(Clone, Debug, Default)]
-pub struct TranslateOpts {
-    /// When set, generate lex-leader symmetry-breaking predicates under
-    /// these budgets and conjoin them with the facts.
-    pub sbp: Option<SbpConfig>,
-    /// Caller-proposed candidate permutations, each a list of disjoint
-    /// atom transpositions (e.g. a scenario layer's compound item/cell
-    /// swaps). Hints are fully re-validated against bounds, interpreted
-    /// integer values, facts, and goals before use — an unsound hint is
-    /// silently dropped, never encoded. Ignored unless `sbp` is set.
-    pub sbp_hints: Vec<Vec<(AtomId, AtomId)>>,
-}
-
-impl TranslateOpts {
-    /// Enables symmetry breaking with default budgets and no hints.
-    pub fn with_sbp() -> TranslateOpts {
-        TranslateOpts {
-            sbp: Some(SbpConfig::default()),
-            sbp_hints: Vec::new(),
-        }
-    }
-}
 
 /// A declared relation with its bounds.
 #[derive(Clone, Debug)]
@@ -214,7 +182,7 @@ impl Problem {
     /// mismatches, unbound variables, non-integer sums) and on matrices
     /// with more cells than a `usize` index addresses.
     pub fn translate(&self, goal: &Formula) -> Result<Translation, TranslateError> {
-        Ok(self.encode(goal, &[], &TranslateOpts::default())?.0)
+        Ok(self.encode(goal, &[])?.0)
     }
 
     /// Translates the facts (asserted) plus a batch of `goals` compiled to
@@ -228,36 +196,25 @@ impl Problem {
     /// from the shared fact prefix are retained across queries. This is the
     /// seam [`incremental_checker`](Problem::incremental_checker) builds on.
     ///
-    /// With [`TranslateOpts::sbp`] set, lex-leader symmetry-breaking
-    /// predicates over validated atom permutations are conjoined with the
-    /// facts: UNSAT is preserved (symmetries map models to models) and
-    /// every model of the augmented formula is a model of the original
-    /// (SBPs only conjoin). A permutation is only used when every goal is
-    /// *individually* invariant under it — goals are activated one at a
-    /// time as assumptions, so each `facts ∧ goalᵢ` must be closed under
-    /// the permutation on its own. See [`crate::SymmetryAnalysis`].
-    ///
     /// # Errors
     ///
     /// Returns a [`TranslateError`] on ill-formed expressions.
     pub fn translate_goals(
         &self,
         goals: &[Formula],
-        opts: &TranslateOpts,
     ) -> Result<(Translation, Vec<mca_sat::Lit>), TranslateError> {
-        self.encode(&Formula::true_(), goals, opts)
+        self.encode(&Formula::true_(), goals)
     }
 
     /// The one encoder behind [`translate`](Problem::translate) and
     /// [`translate_goals`](Problem::translate_goals): `facts ∧ asserted`
     /// as the root, each of `goals` as an unasserted goal literal. The
-    /// gate order (asserted formula, facts, goals, SBPs) fixes the CNF
-    /// byte for byte.
+    /// gate order (asserted formula, facts, goals) fixes the CNF byte for
+    /// byte.
     fn encode(
         &self,
         asserted: &Formula,
         goals: &[Formula],
-        opts: &TranslateOpts,
     ) -> Result<(Translation, Vec<mca_sat::Lit>), TranslateError> {
         let start = Instant::now();
         let mut span = self.spans.as_ref().map(|r| r.enter("relalg.encode"));
@@ -271,17 +228,6 @@ impl Problem {
             .iter()
             .map(|g| tr.formula(g))
             .collect::<Result<Vec<_>, _>>()?;
-        let (sbp, sbp_stats) = match &opts.sbp {
-            Some(cfg) => {
-                // The asserted formula and each goal must be invariant on
-                // their own.
-                let invariant: Vec<Formula> =
-                    std::iter::once(asserted).chain(goals).cloned().collect();
-                crate::symmetry::build_sbp(self, &invariant, &mut tr, cfg, &opts.sbp_hints)
-            }
-            None => (tr.circuit.tru(), SbpStats::default()),
-        };
-        root = tr.circuit.and2(root, sbp);
         let emission = tr.circuit.to_cnf_opts(&[root], &goal_nodes, self.dedup);
         let (cnf, input_vars, goal_lits) = (emission.cnf, emission.input_vars, emission.goal_lits);
         let stats = TranslationStats {
@@ -291,8 +237,6 @@ impl Problem {
             cnf_clauses: cnf.num_clauses(),
             cnf_literals: cnf.num_literals(),
             clauses_deduped: emission.clauses_deduped,
-            sbp_predicates: sbp_stats.predicates,
-            sbp_pairs: sbp_stats.pairs,
             translation_secs: start.elapsed().as_secs_f64(),
         };
         if let Some(span) = span.as_mut() {
@@ -316,8 +260,8 @@ impl Problem {
 
     /// Builds an [`IncrementalChecker`] over a batch of assertions.
     ///
-    /// The facts are translated (under `opts`, see
-    /// [`translate_goals`](Problem::translate_goals)) and loaded into a
+    /// The facts are translated by
+    /// [`translate_goals`](Problem::translate_goals) and loaded into a
     /// single solver **once**; each assertion is compiled to an unasserted
     /// "¬assertion" goal literal. [`IncrementalChecker::check`] then
     /// activates one goal as a solver assumption, so consecutive checks
@@ -336,10 +280,9 @@ impl Problem {
         &self,
         assertions: &[Formula],
         preprocess: bool,
-        opts: &TranslateOpts,
     ) -> Result<IncrementalChecker<'_>, TranslateError> {
         let goals: Vec<Formula> = assertions.iter().map(|a| a.not()).collect();
-        let (translation, goal_lits) = self.translate_goals(&goals, opts)?;
+        let (translation, goal_lits) = self.translate_goals(&goals)?;
         let mut solver = self.new_solver();
         load(&mut solver, &translation.cnf);
         let simplify = preprocess.then(|| solver.preprocess());
@@ -726,9 +669,7 @@ impl CertifiedCheck {
 /// let r = p.declare_relation("r", TupleSet::new(1), TupleSet::from_atoms(atoms));
 /// p.require(Expr::relation(r).lone());
 /// let assertions = [Expr::relation(r).lone(), Expr::relation(r).some()];
-/// let mut inc = p
-///     .incremental_checker(&assertions, false, &Default::default())
-///     .unwrap();
+/// let mut inc = p.incremental_checker(&assertions, false).unwrap();
 /// assert!(inc.check(0).is_valid()); // lone r is a fact
 /// assert!(!inc.check(1).is_valid()); // nothing forces r non-empty
 /// ```
@@ -1215,9 +1156,7 @@ mod tests {
             Expr::iden().in_(&re),   // refutable
         ];
         for preprocess in [false, true] {
-            let mut inc = p
-                .incremental_checker(&assertions, preprocess, &TranslateOpts::default())
-                .unwrap();
+            let mut inc = p.incremental_checker(&assertions, preprocess).unwrap();
             assert_eq!(inc.simplify_stats().is_some(), preprocess);
             // Query out of declaration order to exercise reuse.
             for &i in &[3usize, 0, 4, 1, 2, 3, 0] {
@@ -1249,11 +1188,7 @@ mod tests {
         p.require(Expr::relation(r).no());
         for preprocess in [false, true] {
             let mut inc = p
-                .incremental_checker(
-                    &[Expr::relation(r).some()],
-                    preprocess,
-                    &TranslateOpts::default(),
-                )
+                .incremental_checker(&[Expr::relation(r).some()], preprocess)
                 .unwrap();
             assert!(inc.check(0).is_valid());
             // … but the premise query exposes the vacuity.
@@ -1269,11 +1204,7 @@ mod tests {
         p.require(Expr::relation(r).some());
         for preprocess in [false, true] {
             let mut inc = p
-                .incremental_checker(
-                    &[Expr::relation(r).lone()],
-                    preprocess,
-                    &TranslateOpts::default(),
-                )
+                .incremental_checker(&[Expr::relation(r).lone()], preprocess)
                 .unwrap();
             assert!(inc.premise_satisfiable());
             // The premise query must not disturb later checks.

@@ -84,11 +84,6 @@ pub struct TranslationStats {
     pub cnf_literals: usize,
     /// Duplicate and tautological clauses dropped at emission time.
     pub clauses_deduped: usize,
-    /// Lex-leader symmetry-breaking predicates conjoined with the facts
-    /// (0 unless enabled via [`TranslateOpts`](crate::TranslateOpts)).
-    pub sbp_predicates: usize,
-    /// Moved primary-variable pairs encoded across all SBPs.
-    pub sbp_pairs: usize,
     /// Wall-clock time spent translating, in seconds.
     pub translation_secs: f64,
 }
@@ -150,9 +145,6 @@ pub(crate) struct Translator<'p> {
     rel_matrices: Vec<Matrix>,
     /// (relation, tuple) behind each circuit input, in creation order.
     pub(crate) input_tuples: Vec<(RelationId, Tuple)>,
-    /// The circuit edge of each input, parallel to `input_tuples` —
-    /// symmetry-breaking predicates index primary variables through this.
-    pub(crate) input_edges: Vec<B>,
     /// Quantified-variable environment: var id -> atom index.
     env: HashMap<u32, usize>,
 }
@@ -170,7 +162,6 @@ impl<'p> Translator<'p> {
         let n = problem.universe().len();
         let mut rel_matrices = Vec::new();
         let mut input_tuples = Vec::new();
-        let mut input_edges = Vec::new();
         for rid in problem.relation_ids() {
             let decl = problem.relation(rid);
             cell_count(n, decl.arity())?;
@@ -188,7 +179,6 @@ impl<'p> Translator<'p> {
                 } else {
                     let input = circuit.input();
                     input_tuples.push((rid, t.clone()));
-                    input_edges.push(input);
                     input
                 };
                 cells.push((index, cell));
@@ -205,7 +195,6 @@ impl<'p> Translator<'p> {
             circuit,
             rel_matrices,
             input_tuples,
-            input_edges,
             env: HashMap::new(),
         })
     }

@@ -116,7 +116,6 @@ pub fn diagnose(trace: &ParsedTrace, metrics: Option<&Json>) -> Vec<WhyFinding> 
         diagnose_scheduling(m, &mut findings);
         diagnose_portfolio(m, &mut findings);
         diagnose_lbd(m, &mut findings);
-        diagnose_symmetry(m, &mut findings);
     }
     diagnose_job_granularity(trace, &mut findings);
     diagnose_search_dynamics(trace, &mut findings);
@@ -233,35 +232,7 @@ fn diagnose_portfolio(metrics: &Json, findings: &mut Vec<WhyFinding>) {
                 metric_u64(metrics, "gauges", "portfolio.cancel_latency_conflicts").unwrap_or(0)
             ),
             hint: "on short solves the race is pure overhead — skip the portfolio below a \
-                   size threshold, enable clause sharing so loser conflicts feed the winner, \
-                   or raise cancel_check_interval only on long solves",
-        });
-    }
-}
-
-/// W009 unbroken symmetry — the symmetry gauges (`sbp.*`, written by
-/// `repro e8`) show a nontrivial interchangeability class, but
-/// symmetry-breaking predicates were off for the run, so the solver
-/// explored every equivalent assignment ordering.
-fn diagnose_symmetry(metrics: &Json, findings: &mut Vec<WhyFinding>) {
-    let Some(max_class) = metric_u64(metrics, "gauges", "sbp.max_class_size") else {
-        return;
-    };
-    let enabled = metric_u64(metrics, "gauges", "sbp.enabled").unwrap_or(0);
-    if max_class >= 2 && enabled == 0 {
-        let classes = metric_u64(metrics, "gauges", "sbp.base_classes").unwrap_or(0);
-        findings.push(WhyFinding {
-            rule: "W009",
-            severity: WhySeverity::Warning,
-            summary: format!(
-                "symmetry classes of up to {max_class} interchangeable atoms went unbroken"
-            ),
-            evidence: format!(
-                "{classes} nontrivial class(es), largest {max_class} atoms; sbp.enabled = 0"
-            ),
-            hint: "re-run with --sbp so lex-leader predicates keep only one ordering \
-                   per orbit (SBPs stay off automatically under DRAT proof logging, \
-                   where the proof must cover the unaugmented formula)",
+                   size threshold, or enable clause sharing so loser conflicts feed the winner",
         });
     }
 }
@@ -689,44 +660,6 @@ mod tests {
             ("gauges".to_string(), Json::Object(gauges)),
             ("timers_ns".to_string(), Json::Object(timers)),
         ])
-    }
-
-    #[test]
-    fn unbroken_symmetry_fires_w009() {
-        let m = metrics_with(
-            &[
-                ("sbp.enabled", 0),
-                ("sbp.base_classes", 3),
-                ("sbp.max_class_size", 6),
-            ],
-            &[],
-        );
-        let findings = diagnose(&ParsedTrace::default(), Some(&m));
-        let w009 = findings.iter().find(|f| f.rule == "W009").expect("fires");
-        assert_eq!(w009.severity, WhySeverity::Warning);
-        assert!(w009.evidence.contains("largest 6"), "{}", w009.evidence);
-    }
-
-    #[test]
-    fn enabled_or_trivial_symmetry_is_quiet() {
-        for gauges in [
-            // SBPs on: nothing to flag however large the classes are.
-            [
-                ("sbp.enabled", 1),
-                ("sbp.base_classes", 3),
-                ("sbp.max_class_size", 6),
-            ],
-            // No nontrivial class: nothing to break.
-            [
-                ("sbp.enabled", 0),
-                ("sbp.base_classes", 0),
-                ("sbp.max_class_size", 1),
-            ],
-        ] {
-            let m = metrics_with(&gauges, &[]);
-            let findings = diagnose(&ParsedTrace::default(), Some(&m));
-            assert!(!findings.iter().any(|f| f.rule == "W009"), "{findings:?}");
-        }
     }
 
     #[test]

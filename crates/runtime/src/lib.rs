@@ -98,14 +98,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod blocks;
 mod cube;
 mod pool;
 mod portfolio;
 mod share;
 mod trace;
 
-pub use blocks::{solve_blocks_parallel, ParallelBlockSolve};
 pub use cube::{solve_cubes_adaptive, AdaptiveCubeConfig, AdaptiveCubeReport};
 pub use pool::{PortfolioWin, Runtime, WorkerCtx, WorkerStats};
 pub use portfolio::{diversified_configs, solve_portfolio, PortfolioEntry, PortfolioReport};

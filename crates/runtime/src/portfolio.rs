@@ -79,8 +79,8 @@ impl PortfolioReport {
             .sum()
     }
 
-    /// Worst cancellation latency any entrant observed, in conflicts
-    /// (bounded by the entrants' `cancel_check_interval`).
+    /// Worst cancellation latency any entrant observed, in conflicts (at
+    /// most 1: solvers poll the token at every conflict and decision).
     pub fn cancel_latency_conflicts(&self) -> u64 {
         self.entrant_stats
             .iter()

@@ -5,7 +5,7 @@
 //! more words:
 //!
 //! ```text
-//! cref ─► [ len << 3 | flags ] [ lbd ] [ lit 0 ] … [ lit len-1 ] ( [ activity lo ] [ activity hi ] )
+//! cref ─► [ len << 2 | flags ] [ lbd ] [ lit 0 ] … [ lit len-1 ] ( [ activity lo ] [ activity hi ] )
 //! ```
 //!
 //! A [`ClauseRef`] is the offset of the clause's header in the arena. The
@@ -33,10 +33,8 @@ const ACTIVITY: usize = 2;
 const LEARNT: u32 = 1;
 /// Header flag: the clause is deleted; its words are dead.
 const DELETED: u32 = 1 << 1;
-/// Header flag: a one-word filler left behind by [`ClauseDb::shrink`].
-const PAD: u32 = 1 << 2;
 /// The literal count starts above the flags.
-const LEN_SHIFT: u32 = 3;
+const LEN_SHIFT: u32 = 2;
 
 /// A handle to a clause: the offset of its header in the solver's clause
 /// arena.
@@ -76,7 +74,7 @@ impl Forwarding {
     #[inline]
     pub fn get(&self, old: ClauseRef) -> ClauseRef {
         assert_eq!(
-            self.0[old.offset()] & (DELETED | PAD),
+            self.0[old.offset()] & DELETED,
             0,
             "only live clauses are forwarded"
         );
@@ -88,7 +86,7 @@ impl Forwarding {
 #[derive(Default, Debug)]
 pub struct ClauseDb {
     arena: Vec<u32>,
-    /// Words of deleted clauses and padding, reclaimed by compaction.
+    /// Words of deleted clauses, reclaimed by compaction.
     dead: usize,
     /// Number of live (non-deleted) learnt clauses.
     num_learnt: usize,
@@ -152,33 +150,9 @@ impl ClauseDb {
         self.dead += Self::words(header);
     }
 
-    /// Rewrites a clause in place with `lits`, which must be no longer
-    /// than its literals. The freed words become dead padding.
-    pub fn shrink(&mut self, cref: ClauseRef, lits: &[Lit]) {
-        let header = self.arena[cref.offset()];
-        let old_len = (header >> LEN_SHIFT) as usize;
-        assert!(lits.len() >= 2 && lits.len() <= old_len);
-        let activity = (header & LEARNT != 0).then(|| self.activity(cref));
-        let base = cref.offset() + HEADER;
-        for (w, l) in self.arena[base..].iter_mut().zip(lits) {
-            *w = l.code() as u32;
-        }
-        self.arena[cref.offset()] = (lits.len() as u32) << LEN_SHIFT | header & LEARNT;
-        if let Some(activity) = activity {
-            self.set_activity(cref, activity);
-        }
-        let end = cref.offset() + Self::words(header);
-        let new_end = cref.offset() + Self::words(self.arena[cref.offset()]);
-        self.arena[new_end..end].fill(PAD);
-        self.dead += end - new_end;
-    }
-
     /// Words a clause with this header occupies, header included.
     #[inline]
     fn words(header: u32) -> usize {
-        if header & PAD != 0 {
-            return 1;
-        }
         let extra = if header & LEARNT != 0 { ACTIVITY } else { 0 };
         HEADER + (header >> LEN_SHIFT) as usize + extra
     }
@@ -296,7 +270,7 @@ impl ClauseDb {
         self.arena.len()
     }
 
-    /// Words of deleted clauses and padding not yet reclaimed.
+    /// Words of deleted clauses not yet reclaimed.
     #[cfg(test)]
     pub fn dead_words(&self) -> usize {
         self.dead
@@ -318,7 +292,7 @@ impl ClauseDb {
         while pos < old.len() {
             let header = old[pos];
             let words = Self::words(header);
-            if header & (DELETED | PAD) == 0 {
+            if header & DELETED == 0 {
                 let to = self.arena.len() as u32;
                 self.arena.extend_from_slice(&old[pos..pos + words]);
                 old[pos + 1] = to;
@@ -337,7 +311,7 @@ impl ClauseDb {
                 let at = pos;
                 let header = self.arena[at];
                 pos += Self::words(header);
-                if header & (DELETED | PAD) == 0 {
+                if header & DELETED == 0 {
                     return Some(ClauseRef(at as u32));
                 }
             }
@@ -434,19 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn shrink_pads_and_keeps_activity() {
-        let mut db = ClauseDb::new();
-        let l = db.push(&lits(&[1, 2, 3, 4]), true);
-        db.set_activity(l, 3.5);
-        let p = db.push(&lits(&[5, 6]), false);
-        db.shrink(l, &lits(&[4, 2]));
-        assert_eq!(db.lits(l).collect::<Vec<_>>(), lits(&[4, 2]));
-        assert_eq!(db.activity(l), 3.5);
-        assert_eq!(db.dead_words(), 2);
-        assert_eq!(db.iter_refs().collect::<Vec<_>>(), vec![l, p]);
-    }
-
-    #[test]
     fn compaction_keeps_arena_order_and_forwards_handles() {
         let mut db = ClauseDb::new();
         let a = db.push(&lits(&[1, 2, 3]), false);
@@ -455,7 +416,6 @@ mod tests {
         let d = db.push(&lits(&[8, 9, -3]), false);
         db.set_lbd(c, 2);
         db.set_activity(c, 7.0);
-        db.shrink(d, &lits(&[8, 9]));
         db.delete(b);
         let fwd = db.compact();
         assert_eq!(db.dead_words(), 0);
@@ -463,7 +423,7 @@ mod tests {
         assert_eq!(live, vec![fwd.get(a), fwd.get(c), fwd.get(d)]);
         assert_eq!(db.lits(fwd.get(a)).collect::<Vec<_>>(), lits(&[1, 2, 3]));
         assert_eq!(db.lits(fwd.get(c)).collect::<Vec<_>>(), lits(&[-1, 7]));
-        assert_eq!(db.lits(fwd.get(d)).collect::<Vec<_>>(), lits(&[8, 9]));
+        assert_eq!(db.lits(fwd.get(d)).collect::<Vec<_>>(), lits(&[8, 9, -3]));
         assert_eq!((db.lbd(fwd.get(c)), db.activity(fwd.get(c))), (2, 7.0));
         assert_eq!(db.num_learnt(), 1);
         assert_eq!(db.num_problem(), 2);

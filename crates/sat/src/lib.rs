@@ -18,8 +18,7 @@
 //! * Luby or glucose-adaptive restarts ([`RestartPolicy`]) and
 //!   glucose-style tiered learnt-clause reduction keyed on LBD.
 //! * Incremental solving under assumptions with failed-assumption
-//!   extraction, optional light inprocessing between calls
-//!   ([`SolverConfig::inprocess`]), and conflict-budgeted solving
+//!   extraction, and conflict-budgeted solving
 //!   ([`Solver::solve_bounded`]) for adaptive cube-and-conquer.
 //! * Learnt-clause sharing between solver instances: install a
 //!   [`ClauseSink`] with [`Solver::set_clause_sink`] and low-LBD learnt
@@ -29,10 +28,8 @@
 //! * Cooperative cross-thread cancellation: share a [`CancelToken`] via
 //!   [`Solver::set_terminate`] and drive the search with
 //!   [`Solver::solve_under_assumptions`] — the loop checks the token at
-//!   every decision and conflict (throttled by
-//!   [`SolverConfig::cancel_check_interval`], default 1). This is what the
-//!   `mca-runtime` portfolio and cube-and-conquer engines use to cancel
-//!   losing solver instances.
+//!   every decision and conflict. This is what the `mca-runtime` portfolio
+//!   and cube-and-conquer engines use to cancel losing solver instances.
 //! * Opt-in search telemetry ([`Solver::enable_telemetry`]): per-restart-
 //!   epoch [`EpochSample`]s, learnt-clause LBD/length histograms, and
 //!   assumption-failure counts in a [`SearchTelemetry`].
@@ -66,7 +63,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod blocks;
 pub mod brute;
 mod clause;
 mod cnf;

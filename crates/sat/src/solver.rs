@@ -4,11 +4,9 @@
 //! two-watched-literal propagation, first-UIP conflict analysis with clause
 //! minimization, VSIDS decision heuristic with phase saving, Luby or
 //! glucose-adaptive restarts ([`RestartPolicy`]), glucose-style tiered
-//! learnt-clause database reduction keyed on LBD, optional light
-//! inprocessing between incremental calls
-//! ([`SolverConfig::inprocess`]), conflict-budgeted solving
-//! ([`Solver::solve_bounded`]) and learnt-clause sharing between solver
-//! instances ([`ClauseSink`]).
+//! learnt-clause database reduction keyed on LBD, conflict-budgeted
+//! solving ([`Solver::solve_bounded`]) and learnt-clause sharing between
+//! solver instances ([`ClauseSink`]).
 //!
 //! # Clause storage and watchers
 //!
@@ -206,14 +204,6 @@ pub struct SolverConfig {
     /// sign-negative default; portfolio solving flips it to diversify
     /// entrants.
     pub default_polarity: bool,
-    /// Poll the [`CancelToken`] at most once per this many conflicts (the
-    /// decision-point poll is throttled by the same conflict distance). The
-    /// default of 1 keeps the historical check-every-conflict-and-decision
-    /// behaviour; larger values trade cancellation latency for fewer atomic
-    /// loads. A cancelled solve stops within `cancel_check_interval`
-    /// conflicts of the token being set — the latency actually observed is
-    /// recorded in [`SolverStats::cancel_latency_conflicts`].
-    pub cancel_check_interval: u64,
     /// Restart cadence: [`RestartPolicy::Luby`] (default, conflict-count
     /// scheduled) or [`RestartPolicy::Adaptive`] (glucose-style, LBD
     /// triggered). Adaptive restarts help UNSAT-leaning instances that
@@ -225,13 +215,6 @@ pub struct SolverConfig {
     /// high-quality "glue" clauses (cheap, low import pressure); higher
     /// values share more but cost the importers propagation work.
     pub share_lbd_max: u32,
-    /// Run light inprocessing at the start of every solve call after the
-    /// first: learnt clauses satisfied at the root level are deleted,
-    /// root-falsified literals are stripped (with unit propagation to
-    /// fixpoint), and a bounded learnt-vs-learnt backward-subsumption pass
-    /// removes duplicates accumulated across incremental queries. Skipped
-    /// while DRAT proof logging is active. Off by default.
-    pub inprocess: bool,
 }
 
 impl Default for SolverConfig {
@@ -243,10 +226,8 @@ impl Default for SolverConfig {
             phase_saving: true,
             reduce_db: true,
             default_polarity: false,
-            cancel_check_interval: 1,
             restart_policy: RestartPolicy::Luby,
             share_lbd_max: 4,
-            inprocess: false,
         }
     }
 }
@@ -274,9 +255,9 @@ pub struct SolverStats {
     pub solves: u64,
     /// Worst observed cancellation latency, in conflicts: when a solve was
     /// cancelled, how many conflicts elapsed between the last poll that saw
-    /// the token clear and the poll that observed it set. Bounded above by
-    /// [`SolverConfig::cancel_check_interval`]; 0 if no solve on this
-    /// solver was ever cancelled.
+    /// the token clear and the poll that observed it set. The token is
+    /// polled at every conflict and decision, so this is at most 1; 0 if
+    /// no solve on this solver was ever cancelled.
     pub cancel_latency_conflicts: u64,
     /// Learnt clauses offered to a [`ClauseSink`] (export side of clause
     /// sharing). 0 without a sink.
@@ -285,14 +266,6 @@ pub struct SolverStats {
     /// side of clause sharing). Counted after root-level filtering skips
     /// already-satisfied imports.
     pub imported_clauses: u64,
-    /// Inprocessing passes run (see [`SolverConfig::inprocess`]).
-    pub inprocessings: u64,
-    /// Root-falsified literals stripped from learnt clauses by
-    /// inprocessing.
-    pub inprocess_strengthened: u64,
-    /// Learnt clauses deleted by inprocessing (root-satisfied or subsumed
-    /// by another learnt clause).
-    pub inprocess_subsumed: u64,
 }
 
 /// Search progress accumulated over one restart epoch (the stretch of
@@ -577,10 +550,6 @@ impl Solver {
             "clause_decay must be in (0, 1)"
         );
         assert!(config.restart_base > 0, "restart_base must be positive");
-        assert!(
-            config.cancel_check_interval > 0,
-            "cancel_check_interval must be positive"
-        );
         Solver {
             db: ClauseDb::new(),
             watches: Vec::new(),
@@ -1306,13 +1275,6 @@ impl Solver {
         }
     }
 
-    /// Removes a clause's two watchers now, keeping the order of the rest.
-    fn detach(&mut self, cref: ClauseRef) {
-        let (l0, l1) = (self.db.lit(cref, 0), self.db.lit(cref, 1));
-        self.watches[(!l0).code()].retain(|w| w.cref() != cref);
-        self.watches[(!l1).code()].retain(|w| w.cref() != cref);
-    }
-
     /// Runs SatELite-style preprocessing over the problem clauses as an
     /// optional pre-solve stage: unit propagation to fixpoint, subsumption
     /// and self-subsuming resolution.
@@ -1502,16 +1464,6 @@ impl Solver {
             self.unsat = true;
             return Some(SolveResult::Unsat);
         }
-        if self.config.inprocess
-            && self.proof.is_none()
-            && self.stats.solves > 1
-            && self.db.num_learnt() > 0
-        {
-            self.inprocess();
-            if self.unsat {
-                return Some(SolveResult::Unsat);
-            }
-        }
         self.import_shared();
         if self.unsat {
             return Some(SolveResult::Unsat);
@@ -1583,9 +1535,7 @@ impl Solver {
         }
     }
 
-    /// Polls the cancellation token, at most once per
-    /// [`cancel_check_interval`](SolverConfig::cancel_check_interval)
-    /// conflicts of search progress. A poll that sees the token clear
+    /// Polls the cancellation token. A poll that sees the token clear
     /// re-anchors the latency window; one that sees it set records the
     /// conflicts burnt since the anchor into
     /// [`SolverStats::cancel_latency_conflicts`].
@@ -1594,15 +1544,12 @@ impl Solver {
         if !respect_cancel || self.terminate.is_none() {
             return false;
         }
-        let since = self.stats.conflicts - self.last_cancel_check_conflicts;
-        if since + 1 < self.config.cancel_check_interval {
-            return false;
-        }
         if self
             .terminate
             .as_ref()
             .is_some_and(CancelToken::is_cancelled)
         {
+            let since = self.stats.conflicts - self.last_cancel_check_conflicts;
             self.stats.cancel_latency_conflicts = self.stats.cancel_latency_conflicts.max(since);
             true
         } else {
@@ -1720,126 +1667,6 @@ impl Solver {
         let recent = self.lbd_window_sum as f64 / self.lbd_window.len() as f64;
         let global = self.lbd_global_sum as f64 / self.lbd_global_count as f64;
         recent * 0.8 > global
-    }
-
-    /// Light inprocessing between incremental calls (see
-    /// [`SolverConfig::inprocess`]). Runs with the trail at the root
-    /// level, proof logging off.
-    fn inprocess(&mut self) {
-        debug_assert_eq!(self.decision_level(), 0);
-        debug_assert!(self.proof.is_none());
-        self.stats.inprocessings += 1;
-        // Root-level facts need no reason clauses: clearing them unlocks
-        // every learnt clause so the passes below may delete or
-        // strengthen any of them.
-        for i in 0..self.trail.len() {
-            let v = self.trail[i].var();
-            self.reason[v.index()] = None;
-        }
-        // Pass 1: delete root-satisfied learnt clauses; strip
-        // root-falsified literals from the rest.
-        let refs: Vec<ClauseRef> = self.db.iter_learnt_refs().collect();
-        for cref in refs {
-            let lits: Vec<Lit> = self.db.lits(cref).collect();
-            if lits.iter().any(|&l| self.lit_value(l).is_true()) {
-                self.detach(cref);
-                self.db.delete(cref);
-                self.stats.inprocess_subsumed += 1;
-                continue;
-            }
-            let kept: Vec<Lit> = lits
-                .iter()
-                .copied()
-                .filter(|&l| !self.lit_value(l).is_false())
-                .collect();
-            if kept.len() == lits.len() {
-                continue;
-            }
-            self.stats.inprocess_strengthened += (lits.len() - kept.len()) as u64;
-            self.detach(cref);
-            match kept.len() {
-                0 => {
-                    self.db.delete(cref);
-                    self.unsat = true;
-                    return;
-                }
-                1 => {
-                    self.db.delete(cref);
-                    // Not satisfied and not falsified, hence unassigned.
-                    self.unchecked_enqueue(kept[0], None);
-                }
-                _ => {
-                    self.db.shrink(cref, &kept);
-                    self.attach(cref);
-                }
-            }
-        }
-        // Unit-propagation fixpoint over strengthening-derived units.
-        if self.propagate().is_some() {
-            self.unsat = true;
-            return;
-        }
-        // Pass 2: bounded backward subsumption among the surviving learnt
-        // clauses — a clause containing another as a subset is redundant.
-        const MAX_SUB_LEN: usize = 16;
-        const CHECK_BUDGET: usize = 20_000;
-        let live: Vec<ClauseRef> = self.db.iter_learnt_refs().collect();
-        if live.len() < 2 {
-            return;
-        }
-        fn signature(lits: impl Iterator<Item = Lit>) -> u64 {
-            lits.fold(0u64, |acc, l| acc | 1u64 << (l.code() & 63))
-        }
-        let mut occ: Vec<Vec<u32>> = vec![Vec::new(); 2 * self.num_vars()];
-        let mut sigs: Vec<u64> = Vec::with_capacity(live.len());
-        for (i, &cref) in live.iter().enumerate() {
-            sigs.push(signature(self.db.lits(cref)));
-            for l in self.db.lits(cref) {
-                occ[l.code()].push(i as u32);
-            }
-        }
-        let mut dead = vec![false; live.len()];
-        let mut checks = 0usize;
-        'outer: for i in 0..live.len() {
-            if dead[i] {
-                continue;
-            }
-            let lits_i: Vec<Lit> = self.db.lits(live[i]).collect();
-            if lits_i.len() > MAX_SUB_LEN {
-                continue;
-            }
-            // The rarest literal's occurrence list bounds the candidates.
-            let pivot = lits_i
-                .iter()
-                .copied()
-                .min_by_key(|l| occ[l.code()].len())
-                .expect("clauses are non-empty");
-            for &cj in &occ[pivot.code()] {
-                let j = cj as usize;
-                if j == i || dead[j] {
-                    continue;
-                }
-                if checks >= CHECK_BUDGET {
-                    break 'outer;
-                }
-                checks += 1;
-                let lits_j = self.db.lits(live[j]);
-                if lits_j.len() < lits_i.len() || sigs[i] & !sigs[j] != 0 {
-                    continue;
-                }
-                if lits_i.iter().all(|&l| lits_j.clone().any(|q| q == l)) {
-                    dead[j] = true;
-                }
-            }
-        }
-        for (i, &cref) in live.iter().enumerate() {
-            if dead[i] {
-                self.stats.inprocess_subsumed += 1;
-                self.detach(cref);
-                self.db.delete(cref);
-            }
-        }
-        self.collect_garbage();
     }
 
     fn search(
@@ -2413,33 +2240,27 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_observed_within_check_interval_conflicts() {
-        for interval in [1u64, 8] {
-            let config = SolverConfig {
-                cancel_check_interval: interval,
-                ..SolverConfig::default()
-            };
-            let mut s = pigeonhole(7, 6, config);
-            let token = CancelToken::new();
-            s.set_terminate(token.clone());
-            let cancel_at = 20u64;
-            let t = token.clone();
-            s.set_progress(cancel_at, move |_, _| t.cancel());
-            assert_eq!(s.solve_under_assumptions(&[]), None);
-            let stats = *s.stats();
-            // The progress hook set the token at `cancel_at` conflicts; the
-            // solver must stop within one check interval of that.
-            assert!(
-                stats.conflicts - cancel_at <= interval,
-                "interval {interval}: cancelled at {cancel_at} but ran to {}",
-                stats.conflicts
-            );
-            assert!(
-                stats.cancel_latency_conflicts <= interval,
-                "interval {interval}: recorded latency {}",
-                stats.cancel_latency_conflicts
-            );
-        }
+    fn cancellation_observed_within_one_conflict() {
+        let mut s = pigeonhole(7, 6, SolverConfig::default());
+        let token = CancelToken::new();
+        s.set_terminate(token.clone());
+        let cancel_at = 20u64;
+        let t = token.clone();
+        s.set_progress(cancel_at, move |_, _| t.cancel());
+        assert_eq!(s.solve_under_assumptions(&[]), None);
+        let stats = *s.stats();
+        // The progress hook set the token at `cancel_at` conflicts; the
+        // solver must stop within one conflict of that.
+        assert!(
+            stats.conflicts - cancel_at <= 1,
+            "cancelled at {cancel_at} but ran to {}",
+            stats.conflicts
+        );
+        assert!(
+            stats.cancel_latency_conflicts <= 1,
+            "recorded latency {}",
+            stats.cancel_latency_conflicts
+        );
     }
 
     #[test]
@@ -2773,78 +2594,7 @@ mod tests {
             assert_eq!(s.stats().exported_clauses, 0);
             assert_eq!(s.stats().imported_clauses, 0);
             assert_eq!(sink.exported.load(Ordering::Relaxed), 0);
-
-            // Inprocessing deletes and strengthens clauses without logging
-            // them, so a second solve skips it under either log.
-            let config = SolverConfig {
-                inprocess: true,
-                ..SolverConfig::default()
-            };
-            let (mut s, g) = guarded_pigeonhole(6, 5, config);
-            let _steps = log_proof(&mut s, stream);
-            assert_eq!(s.solve_with_assumptions(&[!g]), SolveResult::Unsat);
-            assert!(s.num_learnt() > 0, "the refutation learnt clauses");
-            assert_eq!(s.solve_with_assumptions(&[!g]), SolveResult::Unsat);
-            assert_eq!(s.stats().inprocessings, 0, "stream {stream}");
         }
-    }
-
-    /// PHP(n, m) with every at-most-one clause guarded by a fresh literal
-    /// `g`: UNSAT under the assumption `!g`, SAT under `g`. Conflicts under
-    /// the assumption learn clauses without ever deriving the empty clause
-    /// at the root, so the learnt database survives between calls — the
-    /// shape incremental inprocessing targets.
-    fn guarded_pigeonhole(n: usize, m: usize, config: SolverConfig) -> (Solver, Lit) {
-        let mut s = Solver::with_config(config);
-        let g = s.new_var().positive();
-        let p: Vec<Vec<Lit>> = (0..n)
-            .map(|_| (0..m).map(|_| s.new_var().positive()).collect())
-            .collect();
-        for row in &p {
-            s.add_clause(row.iter().copied());
-        }
-        for (i1, row1) in p.iter().enumerate() {
-            for row2 in &p[i1 + 1..] {
-                for (&a, &b) in row1.iter().zip(row2) {
-                    s.add_clause([g, !a, !b]);
-                }
-            }
-        }
-        (s, g)
-    }
-
-    #[test]
-    fn inprocessing_preserves_incremental_verdicts() {
-        let config = SolverConfig {
-            inprocess: true,
-            ..SolverConfig::default()
-        };
-        let (mut s, g) = guarded_pigeonhole(6, 5, config);
-        assert_eq!(s.solve_with_assumptions(&[!g]), SolveResult::Unsat);
-        assert!(s.num_learnt() > 0, "the refutation learnt clauses");
-        // Second call triggers inprocessing over the learnt database.
-        assert_eq!(s.solve_with_assumptions(&[!g]), SolveResult::Unsat);
-        assert!(s.stats().inprocessings >= 1, "pass ran between calls");
-        // The guard released, the formula is satisfiable — and verdicts
-        // survived whatever inprocessing deleted.
-        assert_eq!(s.solve_with_assumptions(&[g]), SolveResult::Sat);
-    }
-
-    #[test]
-    fn inprocessing_strips_root_falsified_literals() {
-        let config = SolverConfig {
-            inprocess: true,
-            ..SolverConfig::default()
-        };
-        let (mut s, g) = guarded_pigeonhole(6, 5, config);
-        assert_eq!(s.solve_with_assumptions(&[!g]), SolveResult::Unsat);
-        assert!(s.num_learnt() > 0);
-        // Fixing the guard true at the root satisfies (or shortens) learnt
-        // clauses that mention it; the next call's inprocessing pass
-        // cleans the database against that root assignment.
-        s.add_clause([g]);
-        assert_eq!(s.solve(), SolveResult::Sat);
-        assert!(s.stats().inprocessings >= 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use mca_core::checker::{check_consensus, check_consensus_observed, CheckerOption
 use mca_core::scenarios::{self, PolicyCell};
 use mca_core::{Network, Simulator};
 use mca_obs::{Event, SharedObserver};
-use mca_relalg::{RelationStats, SbpConfig, TranslateError, TranslateOpts, TranslationStats};
+use mca_relalg::{RelationStats, TranslateError, TranslationStats};
 use mca_sat::SolverStats;
 use std::fmt;
 use std::time::Instant;
@@ -445,8 +445,6 @@ pub fn run_encoding_comparison(observer: Option<SharedObserver>) -> Vec<Encoding
                     cnf_clauses: static_stats.cnf_clauses + dyn_stats.cnf_clauses,
                     cnf_literals: static_stats.cnf_literals + dyn_stats.cnf_literals,
                     clauses_deduped: static_stats.clauses_deduped + dyn_stats.clauses_deduped,
-                    sbp_predicates: static_stats.sbp_predicates + dyn_stats.sbp_predicates,
-                    sbp_pairs: static_stats.sbp_pairs + dyn_stats.sbp_pairs,
                     translation_secs: static_stats.translation_secs + dyn_stats.translation_secs,
                 };
                 // The dynamic numbers come from the check itself (facts ∧
@@ -485,7 +483,7 @@ pub fn run_encoding_comparison(observer: Option<SharedObserver>) -> Vec<Encoding
                 let vacuous = outcome.result.is_valid() && {
                     let problem = dynamic.model().to_problem();
                     let mut inc = problem
-                        .incremental_checker(&[], false, &TranslateOpts::default())
+                        .incremental_checker(&[], false)
                         .expect("dynamic model translates");
                     !inc.premise_satisfiable()
                 };
@@ -868,7 +866,9 @@ pub fn scale_row(
 }
 
 /// Measures a single E8 (scope, variant) cell — the unit of work the
-/// parallel driver fans across the runtime's batch pool.
+/// parallel driver fans across the runtime's batch pool: builds the model
+/// and checks consensus on the scoped path, timing build + translate +
+/// (preprocess +) solve.
 ///
 /// # Errors
 ///
@@ -881,29 +881,9 @@ pub fn scale_variant(
     preprocess: bool,
     spans: Option<&mca_obs::SpanRecorder>,
 ) -> Result<ScaleVariant, TranslateError> {
-    measure_variant(
-        label,
-        encoding,
-        DynamicScenario::at_scope(pnodes, vnodes),
-        preprocess,
-        None,
-        spans,
-    )
-}
-
-/// Builds the model for `scenario` and checks consensus on the scoped
-/// path, timing build + translate + (preprocess +) solve.
-fn measure_variant(
-    label: &str,
-    encoding: NumberEncoding,
-    scenario: DynamicScenario,
-    preprocess: bool,
-    sbp: Option<&SbpConfig>,
-    spans: Option<&mca_obs::SpanRecorder>,
-) -> Result<ScaleVariant, TranslateError> {
     let start = Instant::now();
-    let model = DynamicModel::build(encoding, scenario);
-    let check = model.check_consensus_opts(preprocess, sbp, spans)?;
+    let model = DynamicModel::build(encoding, DynamicScenario::at_scope(pnodes, vnodes));
+    let check = model.check_consensus_opts(preprocess, spans)?;
     Ok(ScaleVariant {
         variant: label.to_string(),
         valid: check.valid,
@@ -913,110 +893,6 @@ fn measure_variant(
         solver: check.solver,
         simplify: check.simplify,
     })
-}
-
-// ------------------------------------------------------------ E8/SBP ----
-
-/// The scope axis of the SBP before/after comparison. The symmetric
-/// workload is solved at each scope with SBPs off and on; `smoke` keeps
-/// only the smallest scope for CI.
-pub fn sbp_scopes(smoke: bool) -> Vec<(usize, usize)> {
-    if smoke {
-        vec![(2, 2)]
-    } else {
-        vec![(2, 2), (3, 3), (4, 3)]
-    }
-}
-
-/// One scope cell of the SBP comparison: the symmetric workload
-/// ([`DynamicScenario::at_scope_symmetric`], optimized encoding) checked
-/// with symmetry-breaking predicates off and on.
-#[derive(Clone, Debug)]
-pub struct SbpCell {
-    /// Scope label, e.g. `"4x3"`.
-    pub scope: String,
-    /// Baseline measurement, no SBPs (`variant` is `"sbp-off"`).
-    pub off: ScaleVariant,
-    /// The same check with lex-leader SBPs appended (`"sbp-on"`); its
-    /// `stats` carry the predicate counts.
-    pub on: ScaleVariant,
-}
-
-impl SbpCell {
-    /// `true` when both sides reach the same verdict *and* vacuity —
-    /// the soundness requirement SBPs must never violate.
-    pub fn verdicts_agree(&self) -> bool {
-        self.off.valid == self.on.valid && self.off.vacuous == self.on.vacuous
-    }
-
-    /// Conflicts saved by the SBPs (negative when they cost conflicts).
-    pub fn conflicts_saved(&self) -> i64 {
-        self.off.solver.conflicts as i64 - self.on.solver.conflicts as i64
-    }
-}
-
-impl fmt::Display for SbpCell {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "  sbp {} ({} predicates over {} pairs): {}",
-            self.scope,
-            self.on.stats.sbp_predicates,
-            self.on.stats.sbp_pairs,
-            if self.verdicts_agree() {
-                "verdicts agree ✓"
-            } else {
-                "VERDICT MISMATCH ✗"
-            }
-        )?;
-        for v in [&self.off, &self.on] {
-            writeln!(
-                f,
-                "    {:<8} valid={} clauses={:>8} conflicts={:>7} check={:>8.3}s",
-                v.variant, v.valid, v.stats.cnf_clauses, v.solver.conflicts, v.check_secs
-            )?;
-        }
-        write!(
-            f,
-            "    conflicts saved by SBPs: {:+}",
-            self.conflicts_saved()
-        )
-    }
-}
-
-/// Measures one SBP comparison cell at `(pnodes, vnodes)`.
-///
-/// # Errors
-///
-/// Propagates translation errors.
-pub fn sbp_cell(pnodes: usize, vnodes: usize, cfg: &SbpConfig) -> Result<SbpCell, TranslateError> {
-    let scenario = DynamicScenario::at_scope_symmetric(pnodes, vnodes);
-    let optimized = NumberEncoding::OptimizedValue;
-    Ok(SbpCell {
-        scope: scenario.scope_label(),
-        off: measure_variant("sbp-off", optimized, scenario.clone(), false, None, None)?,
-        on: measure_variant(
-            "sbp-on",
-            optimized,
-            scenario.clone(),
-            false,
-            Some(cfg),
-            None,
-        )?,
-    })
-}
-
-/// E8's SBP before/after comparison: every scope of [`sbp_scopes`]
-/// measured with symmetry-breaking predicates off and on.
-///
-/// # Errors
-///
-/// Propagates translation errors.
-pub fn run_sbp_comparison(
-    scopes: &[(usize, usize)],
-    cfg: &SbpConfig,
-) -> Result<Vec<SbpCell>, TranslateError> {
-    scopes.iter().map(|&(p, v)| sbp_cell(p, v, cfg)).collect()
 }
 
 /// Runs one scope's incremental, preprocessed per-state sweep (optimized

@@ -39,9 +39,7 @@
 
 use crate::encoding::{NumberEncoding, Numbers};
 use mca_alloy::{FieldId, Model, Multiplicity};
-use mca_relalg::{
-    AtomId, CheckOutcome, Expr, Formula, SbpConfig, TranslateError, TranslateOpts, TranslationStats,
-};
+use mca_relalg::{AtomId, CheckOutcome, Expr, Formula, TranslateError, TranslationStats};
 
 /// A concrete dynamic-model scenario.
 #[derive(Clone, Debug)]
@@ -142,29 +140,6 @@ impl DynamicScenario {
             bids,
             links,
             attackers: Vec::new(),
-        }
-    }
-
-    /// [`at_scope`](Self::at_scope) with a *symmetric workload*: every
-    /// agent bids the same value on every item (`1 + p mod n_phys`, so
-    /// the highest-indexed agent is the unique maximal bidder for each
-    /// item). Because bid columns are identical across items, the items
-    /// are genuinely interchangeable — the scenario the SBP before/after
-    /// benchmark uses, since symmetry breaking can only prune orbits
-    /// that exist. Topology and state budget are unchanged from
-    /// `at_scope` (see that constructor's doc comment for how the budget
-    /// relates to the validity threshold).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_phys < 2` or `n_virt == 0`.
-    pub fn at_scope_symmetric(n_phys: usize, n_virt: usize) -> DynamicScenario {
-        let bids = (0..n_phys)
-            .map(|p| vec![1 + (p % n_phys) as i64; n_virt])
-            .collect();
-        DynamicScenario {
-            bids,
-            ..DynamicScenario::at_scope(n_phys, n_virt)
         }
     }
 
@@ -761,19 +736,12 @@ impl DynamicModel {
     /// [`ScopedCheck::vacuous`].
     ///
     /// * `preprocess` runs SatELite-style preprocessing before the search.
-    /// * `sbp` conjoins lex-leader symmetry-breaking predicates under the
-    ///   given budgets, over the scenario's
-    ///   [`symmetry_hints`](Self::symmetry_hints) plus whatever
-    ///   bounds-level classes the relalg analysis finds.
     /// * `spans` records `relalg.encode` / `sat.*` spans and wraps the
     ///   consensus query in a `verify.state-query` span.
     ///
     /// The verdict never differs from
     /// [`check_consensus`](Self::check_consensus): preprocessing preserves
-    /// the model set, and SBPs preserve UNSAT (symmetries map models to
-    /// models) and only conjoin for SAT — which the scenario
-    /// verdict-preservation tests pin for every shipped scenario. With
-    /// `spans = None` no span event is emitted.
+    /// the model set. With `spans = None` no span event is emitted.
     ///
     /// # Errors
     ///
@@ -781,22 +749,13 @@ impl DynamicModel {
     pub fn check_consensus_opts(
         &self,
         preprocess: bool,
-        sbp: Option<&SbpConfig>,
         spans: Option<&mca_obs::SpanRecorder>,
     ) -> Result<ScopedCheck, TranslateError> {
         let mut problem = self.model.to_problem();
         if let Some(spans) = spans {
             problem.set_spans(spans.clone());
         }
-        let opts = match sbp {
-            Some(cfg) => TranslateOpts {
-                sbp: Some(*cfg),
-                sbp_hints: self.symmetry_hints(),
-            },
-            None => TranslateOpts::default(),
-        };
-        let mut inc =
-            problem.incremental_checker(&[self.consensus_assertion()], preprocess, &opts)?;
+        let mut inc = problem.incremental_checker(&[self.consensus_assertion()], preprocess)?;
         let mut span = spans.map(|r| r.enter("verify.state-query"));
         let valid = inc.check(0).is_valid();
         // A valid verdict is only meaningful if the facts alone are
@@ -817,40 +776,6 @@ impl DynamicModel {
             solver: *inc.solver_stats(),
             simplify: inc.simplify_stats().copied(),
         })
-    }
-
-    /// Candidate symmetry permutations derived from the scenario: for
-    /// every pair of items with identical bid columns, the swap of the
-    /// two `vnode` atoms — composed, under the optimized encoding, with
-    /// the swap of the corresponding `(state, agent)` cell atoms, since
-    /// the constant `cellItem` field would otherwise pin every cell.
-    ///
-    /// These are *hints* in the [`TranslateOpts::sbp_hints`] sense: the
-    /// relalg symmetry engine re-validates each one against bounds,
-    /// interpreted values, facts, and goals before use, so a hint that a
-    /// scenario detail (say, an attacker whose rebids distinguish items)
-    /// silently breaks is dropped rather than unsoundly encoded.
-    pub fn symmetry_hints(&self) -> Vec<Vec<(AtomId, AtomId)>> {
-        let mut hints = Vec::new();
-        for v1 in 0..self.scenario.vnodes {
-            for v2 in v1 + 1..self.scenario.vnodes {
-                let columns_equal = (0..self.scenario.pnodes)
-                    .all(|p| self.scenario.bids[p][v1] == self.scenario.bids[p][v2]);
-                if !columns_equal {
-                    continue;
-                }
-                let mut pairs = vec![(self.vnode_atoms[v1], self.vnode_atoms[v2])];
-                if let Views::Optimized { cells, .. } = &self.views {
-                    for per_state in cells {
-                        for per_agent in per_state {
-                            pairs.push((per_agent[v1], per_agent[v2]));
-                        }
-                    }
-                }
-                hints.push(pairs);
-            }
-        }
-        hints
     }
 
     /// Incremental convergence sweep: encodes the transition-system facts
@@ -880,8 +805,7 @@ impl DynamicModel {
         if let Some(spans) = spans {
             problem.set_spans(spans.clone());
         }
-        let mut inc =
-            problem.incremental_checker(&assertions, preprocess, &TranslateOpts::default())?;
+        let mut inc = problem.incremental_checker(&assertions, preprocess)?;
         let mut per_state = Vec::with_capacity(assertions.len());
         let mut conflicts_after = Vec::with_capacity(assertions.len());
         for k in 0..assertions.len() {
@@ -964,7 +888,7 @@ mod tests {
             ("paper_scope_sound", DynamicScenario::paper_scope_sound()),
         ] {
             let dm = DynamicModel::build(NumberEncoding::OptimizedValue, scenario);
-            let check = dm.check_consensus_opts(false, None, None).unwrap();
+            let check = dm.check_consensus_opts(false, None).unwrap();
             assert!(!check.vacuous, "{label} reported a vacuous verdict");
         }
     }
@@ -982,7 +906,7 @@ mod tests {
         dm.require(buff.some());
         dm.require(buff.no());
         for preprocess in [false, true] {
-            let check = dm.check_consensus_opts(preprocess, None, None).unwrap();
+            let check = dm.check_consensus_opts(preprocess, None).unwrap();
             assert!(check.valid, "an unsatisfiable premise validates anything");
             assert!(check.vacuous, "the vacuous flag must expose it");
         }
@@ -1168,7 +1092,7 @@ mod tests {
             let plain = dm.check_consensus().unwrap().result.is_valid();
             let problem = dm.model().to_problem();
             let mut inc = problem
-                .incremental_checker(&[dm.consensus_assertion()], true, &TranslateOpts::default())
+                .incremental_checker(&[dm.consensus_assertion()], true)
                 .unwrap();
             assert_eq!(
                 inc.check(0).is_valid(),

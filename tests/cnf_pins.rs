@@ -14,7 +14,7 @@
 //! asserted and ¬consensus compiled to an unasserted goal literal
 //! (`translate_goals`), as E8, the convergence sweep and lint build it.
 
-use mca_relalg::{fnv1a64, TranslateOpts};
+use mca_relalg::fnv1a64;
 use mca_verify::{DynamicModel, DynamicScenario, NumberEncoding};
 
 struct Pin {
@@ -289,7 +289,7 @@ fn scoped_cnfs_are_byte_identical_to_their_pins() {
         let (translation, goals) = model
             .model()
             .to_problem()
-            .translate_goals(&[goal], &TranslateOpts::default())
+            .translate_goals(&[goal])
             .expect("translates");
         let mut dimacs = Vec::new();
         translation
@@ -327,7 +327,7 @@ fn scoped_checks_match_their_pins() {
         let model = build_scoped(pin);
         for (preprocess, pinned) in [false, true].into_iter().zip(&pin.checks) {
             let check = model
-                .check_consensus_opts(preprocess, None, None)
+                .check_consensus_opts(preprocess, None)
                 .expect("translates");
             let s = check.solver;
             let search = [s.conflicts, s.decisions, s.propagations, s.restarts];

@@ -260,9 +260,9 @@ fn sharing_does_not_loosen_the_cancellation_latency_bound() {
 
 #[test]
 fn portfolio_cancellation_latency_is_bounded_by_the_check_interval() {
-    // A cancelled portfolio loser stops within `cancel_check_interval`
-    // conflicts of the token being set — here the default interval of 1,
-    // surfaced through the report's `cancel_latency_conflicts()`.
+    // A cancelled portfolio loser stops within one conflict of the token
+    // being set, since the solver polls it at every conflict and decision;
+    // the report surfaces this as `cancel_latency_conflicts()`.
     let cnf = pigeonhole(4);
     let rt = Runtime::new(2);
     let no_sharing = mca_runtime::SharingConfig {
@@ -273,7 +273,7 @@ fn portfolio_cancellation_latency_is_bounded_by_the_check_interval() {
         mca_runtime::solve_portfolio(&rt, &cnf, &mca_runtime::diversified_configs(4), no_sharing);
     assert!(
         report.cancel_latency_conflicts() <= 1,
-        "default entrants poll every conflict; observed latency {}",
+        "entrants poll every conflict; observed latency {}",
         report.cancel_latency_conflicts()
     );
     // The wasted-work accounting covers every entrant that ran.
