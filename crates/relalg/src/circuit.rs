@@ -80,6 +80,14 @@ enum Fanout {
     Shared,
 }
 
+/// Polarity bits: the directions of a gate's definition
+/// `g ↔ l1 ∧ … ∧ lk` that CNF emission needs (Plaisted & Greenbaum, 1986).
+/// `POS` is `g → li` for each leaf, needed where the roots can force the
+/// gate true; `NEG` is `l1 ∧ … ∧ lk → g`, needed where they can force it
+/// false.
+const POS: u8 = 1;
+const NEG: u8 = 2;
+
 /// A boolean circuit under construction.
 ///
 /// # Examples
@@ -289,19 +297,29 @@ impl Circuit {
     /// another AND node (and neither a root nor a goal) gets no variable of
     /// its own: its parent conjoins its inputs directly. So every
     /// `and_many`/`or_many` tree is one multi-input gate `g` over leaves
-    /// `l1..lk`, emitted as `(¬g ∨ li)` for each leaf, then
-    /// `(g ∨ ¬l1 ∨ … ∨ ¬lk)`.
+    /// `l1..lk`.
+    ///
+    /// Each gate is emitted only in the directions the roots need
+    /// (Plaisted–Greenbaum polarity): a root edge needs its gate true, or
+    /// false if the edge is complemented; a gate needed true needs its
+    /// leaves true, and a complemented edge swaps the two. A gate needed
+    /// true gets `(¬g ∨ li)` for each leaf, one needed false gets
+    /// `(g ∨ ¬l1 ∨ … ∨ ¬lk)`, and one needed both ways gets both, in that
+    /// order. The input models are exactly the assignments under which
+    /// every root holds, but a gate variable need not equal its gate's
+    /// value in a model.
     pub fn to_cnf(&self, roots: &[B]) -> (CnfFormula, Vec<Var>) {
         let (cnf, input_vars, _) = self.to_cnf_with_goals(roots, &[]);
         (cnf, input_vars)
     }
 
     /// Like [`to_cnf`](Circuit::to_cnf), but additionally returns one CNF
-    /// literal per `goals` edge *without asserting it*. Because the Tseitin
-    /// encoding is a full biconditional per emitted gate, and a goal is
-    /// always emitted as a gate of its own, each returned literal is
-    /// true in a model exactly when its edge evaluates to true — so the
-    /// goals can be activated individually as solver assumptions, which is
+    /// literal per `goals` edge *without asserting it*. A goal is always
+    /// emitted as a gate of its own and is needed both true and false, so
+    /// it and every gate under it get the full biconditional
+    /// `g ↔ l1 ∧ … ∧ lk`. Each returned literal is therefore true in a
+    /// model exactly when its edge evaluates to true — so the goals can be
+    /// activated individually as solver assumptions, which is
     /// the seam incremental solving plugs into: encode the shared clause
     /// prefix once, then flip between goals across
     /// [`solve_with_assumptions`](mca_sat::Solver::solve_with_assumptions)
@@ -352,39 +370,50 @@ impl Circuit {
         // Inputs get the first variables so instance decoding is stable.
         let input_vars: Vec<Var> = (0..self.num_inputs).map(|_| cnf.new_var()).collect();
 
-        // Collect reachable nodes (iterative DFS), counting each node's
-        // fanout as its parent gates visit it. Roots and goals count as
-        // shared.
-        let mut reachable = vec![false; self.nodes.len()];
+        // One sweep from the last node down computes each node's polarity
+        // and fanout: `and2` creates every node after its inputs, so all of
+        // a node's parents are visited before it. Roots and goals count as
+        // shared; polarity 0 marks a node no root or goal reaches.
+        let mut polarity = vec![0u8; self.nodes.len()];
         let mut fanout = vec![Fanout::Unreferenced; self.nodes.len()];
-        let mut stack: Vec<usize> = roots.iter().chain(goals.iter()).map(|r| r.node()).collect();
-        for &n in &stack {
-            fanout[n] = Fanout::Shared;
+        for &r in roots {
+            polarity[r.node()] |= if r.is_complemented() { NEG } else { POS };
+            fanout[r.node()] = Fanout::Shared;
         }
-        while let Some(n) = stack.pop() {
-            if reachable[n] {
+        for &g in goals {
+            polarity[g.node()] = POS | NEG;
+            fanout[g.node()] = Fanout::Shared;
+        }
+        for n in (0..self.nodes.len()).rev() {
+            let Node::And(a, b) = self.nodes[n] else {
+                continue;
+            };
+            let pol = polarity[n];
+            if pol == 0 {
                 continue;
             }
-            reachable[n] = true;
-            if let Node::And(a, b) = self.nodes[n] {
-                for e in [a, b] {
-                    fanout[e.node()] = match fanout[e.node()] {
-                        Fanout::Unreferenced if !e.is_complemented() => Fanout::Single,
-                        _ => Fanout::Shared,
-                    };
-                    stack.push(e.node());
-                }
+            for e in [a, b] {
+                // A complemented edge swaps the directions its target needs.
+                polarity[e.node()] |= if e.is_complemented() {
+                    (pol & POS) << 1 | (pol & NEG) >> 1
+                } else {
+                    pol
+                };
+                fanout[e.node()] = match fanout[e.node()] {
+                    Fanout::Unreferenced if !e.is_complemented() => Fanout::Single,
+                    _ => Fanout::Shared,
+                };
             }
         }
         // An absorbed gate has no variable: its one parent conjoins its
-        // inputs instead.
+        // inputs instead, and it has that parent's polarity.
         let absorbed =
             |n: usize| matches!(self.nodes[n], Node::And(..)) && fanout[n] == Fanout::Single;
 
         // Assign a literal to every reachable node that is not absorbed.
         let mut node_lit: Vec<Option<Lit>> = vec![None; self.nodes.len()];
         for (n, node) in self.nodes.iter().enumerate() {
-            if !reachable[n] || absorbed(n) {
+            if polarity[n] == 0 || absorbed(n) {
                 continue;
             }
             match node {
@@ -418,7 +447,8 @@ impl Circuit {
         let mut pending: Vec<B> = Vec::new();
         for (n, node) in self.nodes.iter().enumerate() {
             let Node::And(a, b) = *node else { continue };
-            if !reachable[n] || absorbed(n) {
+            let pol = polarity[n];
+            if pol == 0 || absorbed(n) {
                 continue;
             }
             let g = node_lit[n].expect("emitted gate has a literal");
@@ -430,14 +460,20 @@ impl Circuit {
                     _ => leaves.push(edge_lit(e, &mut cnf, &mut node_lit)),
                 }
             }
-            // g <-> l1 & … & lk
-            for &l in &leaves {
-                buf.extend([!g, l]);
+            // g -> l1 & … & lk
+            if pol & POS != 0 {
+                for &l in &leaves {
+                    buf.extend([!g, l]);
+                    emit(&mut buf, &mut cnf);
+                }
+            }
+            // l1 & … & lk -> g
+            if pol & NEG != 0 {
+                buf.push(g);
+                buf.extend(leaves.iter().map(|&l| !l));
                 emit(&mut buf, &mut cnf);
             }
-            buf.push(g);
-            buf.extend(leaves.drain(..).map(|l| !l));
-            emit(&mut buf, &mut cnf);
+            leaves.clear();
         }
 
         for &r in roots {
@@ -618,18 +654,19 @@ mod tests {
         out
     }
 
-    /// A circuit with its roots, its goals, and the CNF variables its
-    /// emission with those goals spends beyond the inputs.
+    /// A circuit with its roots, its goals, and the CNF variables beyond
+    /// the inputs and the clauses its emission with those goals spends.
     struct EmissionCase {
         label: &'static str,
         circuit: Circuit,
         roots: Vec<B>,
         goals: Vec<B>,
         gate_vars: usize,
+        clauses: usize,
     }
 
     fn emission_cases() -> Vec<EmissionCase> {
-        let case = |label, gate_vars, build: fn(&mut Circuit) -> (Vec<B>, Vec<B>)| {
+        let case = |label, gate_vars, clauses, build: fn(&mut Circuit) -> (Vec<B>, Vec<B>)| {
             let mut circuit = Circuit::new();
             let (roots, goals) = build(&mut circuit);
             EmissionCase {
@@ -638,26 +675,27 @@ mod tests {
                 roots,
                 goals,
                 gate_vars,
+                clauses,
             }
         };
         fn inputs(c: &mut Circuit, k: usize) -> Vec<B> {
             (0..k).map(|_| c.input()).collect()
         }
         vec![
-            case("xor and ite, no goals", 6, |c| {
+            case("xor and ite, no goals", 6, 11, |c| {
                 let xs = inputs(c, 3);
                 let f = c.xor2(xs[0], xs[1]);
                 (vec![c.ite(xs[2], f, !xs[0])], vec![])
             }),
-            case("8-input and_many", 1, |c| {
+            case("8-input and_many", 1, 9, |c| {
                 let xs = inputs(c, 8);
                 (vec![c.and_many(8, xs.into_iter().enumerate())], vec![])
             }),
-            case("8-input or_many", 1, |c| {
+            case("8-input or_many", 1, 2, |c| {
                 let xs = inputs(c, 8);
                 (vec![c.or_many(8, xs.into_iter().enumerate())], vec![])
             }),
-            case("subtree shared by two parents", 2, |c| {
+            case("subtree shared by two parents", 2, 6, |c| {
                 let xs = inputs(c, 4);
                 let shared = c.and2(xs[0], xs[1]);
                 let p = c.and2(shared, xs[2]);
@@ -665,12 +703,12 @@ mod tests {
                 // p and q are absorbed into the root; `shared` is not.
                 (vec![c.and2(p, q)], vec![])
             }),
-            case("single-fanout gate under a complement", 2, |c| {
+            case("single-fanout gate under a complement", 2, 4, |c| {
                 let xs = inputs(c, 3);
                 let inner = c.and2(xs[0], xs[1]);
                 (vec![c.and2(!inner, xs[2])], vec![])
             }),
-            case("goal inside an and tree", 2, |c| {
+            case("goal inside an and tree", 2, 8, |c| {
                 let xs = inputs(c, 4);
                 let left = c.and2(xs[0], xs[1]);
                 let right = c.and2(!xs[2], xs[3]);
@@ -678,7 +716,7 @@ mod tests {
                 // `left` keeps its variable as a goal; `right` is absorbed.
                 (vec![!top], vec![left, top])
             }),
-            case("goals only, inside an or tree", 2, |c| {
+            case("goals only, inside an or tree", 2, 7, |c| {
                 let xs = inputs(c, 4);
                 let any = c.or_many(4, xs.iter().copied().enumerate());
                 let Node::And(inner, _) = c.nodes[any.node()] else {
@@ -686,14 +724,48 @@ mod tests {
                 };
                 (vec![], vec![any, inner])
             }),
-            case("constant true root, constant goals", 1, |c| {
+            case("constant true root, constant goals", 1, 1, |c| {
                 let x = c.input();
                 let (t, f) = (c.tru(), c.fls());
                 (vec![t], vec![t, f, x])
             }),
-            case("constant false root", 0, |c| {
+            case("constant false root", 0, 1, |c| {
                 let x = c.input();
                 (vec![c.fls()], vec![!x])
+            }),
+            case("subtree reached both ways by the root", 4, 8, |c| {
+                let xs = inputs(c, 4);
+                let s = c.and2(xs[0], xs[1]);
+                let a = c.and2(s, xs[2]);
+                let b = c.and2(!s, xs[3]);
+                // `a` and `b` are needed false, so `s` is needed false
+                // through `a` and true through `b`: it keeps both
+                // directions, they keep only their long clauses.
+                (vec![c.and2(!a, !b)], vec![])
+            }),
+            case("subtree shared by the root and a goal", 3, 8, |c| {
+                let xs = inputs(c, 4);
+                let s = c.and2(xs[0], xs[1]);
+                // The root needs `s` only true; the goal above it needs
+                // `s` both ways.
+                let root = c.or2(s, xs[2]);
+                (vec![root], vec![c.and2(s, xs[3])])
+            }),
+            case("complemented root: NEG only", 2, 4, |c| {
+                let xs = inputs(c, 3);
+                let s = c.and2(xs[0], xs[1]);
+                let t = c.and2(xs[1], xs[2]);
+                // The root gate, `s` absorbed, gets one long clause and no
+                // binaries; `t`, under a complement, gets two binaries.
+                (vec![!c.and2(s, !t)], vec![])
+            }),
+            case("and_many root: POS only", 2, 6, |c| {
+                let xs = inputs(c, 5);
+                let o = c.or2(xs[3], xs[4]);
+                // Four binaries for the root gate and no long clause; the
+                // or under it gets one long clause.
+                let cells = [xs[0], !xs[1], xs[2], o];
+                (vec![c.and_many(4, cells.into_iter().enumerate())], vec![])
             }),
         ]
     }
@@ -709,6 +781,7 @@ mod tests {
             roots,
             goals,
             gate_vars,
+            clauses,
         } in emission_cases()
         {
             let n = c.num_inputs();
@@ -729,6 +802,7 @@ mod tests {
                 inputs.len() + gate_vars,
                 "{label}: variables"
             );
+            assert_eq!(cnf.num_clauses(), clauses, "{label}: clauses");
             let mut s = cnf.to_solver();
             for bits in 0..1u32 << n {
                 let env = move |i: u32| bits >> i & 1 == 1;

@@ -51,9 +51,9 @@ const PINS: &[Pin] = &[
         states: Some(4),
         gates: 2179,
         cnf_vars: 1372,
-        cnf_clauses: 4576,
-        dimacs_fnv: 0xab1e_c4cd_b89b_563b,
-        search: [19, 197, 5220, 0],
+        cnf_clauses: 2921,
+        dimacs_fnv: 0x7c01_6e73_7671_82c2,
+        search: [9, 141, 2902, 0],
     },
     Pin {
         label: "naive/two_agent_rebid_attack@4",
@@ -62,9 +62,9 @@ const PINS: &[Pin] = &[
         states: Some(4),
         gates: 2253,
         cnf_vars: 1397,
-        cnf_clauses: 4700,
-        dimacs_fnv: 0x4f0c_517e_4720_2651,
-        search: [21, 185, 5275, 0],
+        cnf_clauses: 3042,
+        dimacs_fnv: 0xf146_fc3b_6a16_ccd1,
+        search: [7, 407, 2153, 0],
     },
     Pin {
         label: "naive/at_scope_2x2@3",
@@ -73,9 +73,9 @@ const PINS: &[Pin] = &[
         states: Some(3),
         gates: 1012,
         cnf_vars: 621,
-        cnf_clauses: 2043,
-        dimacs_fnv: 0x9285_661f_dec5_a8e4,
-        search: [6, 6, 1404, 0],
+        cnf_clauses: 1145,
+        dimacs_fnv: 0xa96a_df61_352a_8ba0,
+        search: [5, 11, 1111, 0],
     },
     Pin {
         label: "naive/at_scope_2x2@2",
@@ -84,9 +84,9 @@ const PINS: &[Pin] = &[
         states: Some(2),
         gates: 579,
         cnf_vars: 360,
-        cnf_clauses: 1160,
-        dimacs_fnv: 0xdd88_0469_876e_02d9,
-        search: [0, 1, 360, 0],
+        cnf_clauses: 653,
+        dimacs_fnv: 0xc03c_50c3_e34f_d6ea,
+        search: [0, 60, 360, 0],
     },
     Pin {
         label: "opt/paper_scope_sound@12",
@@ -95,9 +95,9 @@ const PINS: &[Pin] = &[
         states: None,
         gates: 24274,
         cnf_vars: 13837,
-        cnf_clauses: 49645,
-        dimacs_fnv: 0x45cd_6db5_4b7b_51d5,
-        search: [9997, 27395, 10905053, 43],
+        cnf_clauses: 30231,
+        dimacs_fnv: 0x6ae4_008c_cb3b_b058,
+        search: [10550, 36652, 7493271, 45],
     },
     Pin {
         label: "opt/paper_scope@10",
@@ -106,9 +106,9 @@ const PINS: &[Pin] = &[
         states: Some(10),
         gates: 19901,
         cnf_vars: 11434,
-        cnf_clauses: 40850,
-        dimacs_fnv: 0x7da3_5b13_56da_138a,
-        search: [1785, 6912, 1520397, 11],
+        cnf_clauses: 24799,
+        dimacs_fnv: 0x4c79_2a4c_c365_4ebc,
+        search: [2270, 18084, 1458235, 13],
     },
     Pin {
         label: "cert/at_scope_3x2@8",
@@ -117,9 +117,9 @@ const PINS: &[Pin] = &[
         states: Some(8),
         gates: 8556,
         cnf_vars: 5145,
-        cnf_clauses: 17727,
-        dimacs_fnv: 0xba88_be03_7f8f_301d,
-        search: [483, 2185, 341874, 3],
+        cnf_clauses: 10671,
+        dimacs_fnv: 0xc383_cc61_2153_dfce,
+        search: [533, 2221, 313910, 4],
     },
     Pin {
         label: "cert/two_agent_compliant",
@@ -128,9 +128,9 @@ const PINS: &[Pin] = &[
         states: None,
         gates: 2527,
         cnf_vars: 1512,
-        cnf_clauses: 5132,
-        dimacs_fnv: 0xe7b3_530f_85dc_2479,
-        search: [14, 84, 5319, 0],
+        cnf_clauses: 2914,
+        dimacs_fnv: 0xd2ce_aa54_6460_e88b,
+        search: [10, 300, 3793, 0],
     },
     Pin {
         label: "cert/two_agent_rebid_attack",
@@ -139,9 +139,9 @@ const PINS: &[Pin] = &[
         states: None,
         gates: 2633,
         cnf_vars: 1534,
-        cnf_clauses: 5282,
-        dimacs_fnv: 0x40b6_e7e1_c6ab_fd5d,
-        search: [8, 82, 3357, 0],
+        cnf_clauses: 3052,
+        dimacs_fnv: 0xb690_bfb0_a676_4f87,
+        search: [8, 482, 3373, 0],
     },
 ];
 
@@ -231,12 +231,12 @@ const SCOPED_PINS: &[ScopedPin] = &[
         scope: (2, 2),
         gates: 2302,
         cnf_vars: 1412,
-        cnf_clauses: 4699,
-        dimacs_fnv: 0x8ce5_bfec_6012_4d44,
+        cnf_clauses: 2676,
+        dimacs_fnv: 0xf052_04b7_3056_c5a2,
         goal: -1412,
         checks: [
-            (true, false, [26, 133, 8900, 0]),
-            (true, false, [26, 134, 9386, 0]),
+            (true, false, [20, 511, 9471, 0]),
+            (true, false, [13, 566, 5522, 0]),
         ],
     },
     ScopedPin {
@@ -245,12 +245,12 @@ const SCOPED_PINS: &[ScopedPin] = &[
         scope: (2, 2),
         gates: 2312,
         cnf_vars: 1460,
-        cnf_clauses: 4825,
-        dimacs_fnv: 0x820d_5d80_a04c_db6d,
+        cnf_clauses: 2820,
+        dimacs_fnv: 0xda9a_b3cc_5913_0730,
         goal: -1460,
         checks: [
-            (true, false, [25, 96, 8808, 0]),
-            (true, false, [22, 93, 6938, 0]),
+            (true, false, [28, 682, 7325, 0]),
+            (true, false, [31, 659, 8770, 0]),
         ],
     },
     ScopedPin {
@@ -259,19 +259,19 @@ const SCOPED_PINS: &[ScopedPin] = &[
         scope: (3, 2),
         gates: 10875,
         cnf_vars: 6541,
-        cnf_clauses: 22558,
-        dimacs_fnv: 0x0975_7b04_71cd_92c2,
+        cnf_clauses: 13764,
+        dimacs_fnv: 0x2c39_313a_b6cd_cb09,
         goal: -6541,
         checks: [
-            (true, false, [780, 3258, 671820, 5]),
-            (true, false, [527, 2432, 497115, 3]),
+            (true, false, [842, 7272, 559155, 6]),
+            (true, false, [539, 6288, 392332, 4]),
         ],
     },
 ];
 
 /// `conflicts_after` of the preprocessed convergence sweep at 2×2,
 /// optimized encoding.
-const SWEEP_2X2_CONFLICTS_AFTER: &[u64] = &[26, 26, 29, 31, 33, 35];
+const SWEEP_2X2_CONFLICTS_AFTER: &[u64] = &[10, 10, 16, 18, 21, 23];
 
 fn build_scoped(pin: &ScopedPin) -> DynamicModel {
     DynamicModel::build(
