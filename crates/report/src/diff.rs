@@ -133,17 +133,21 @@ const ALIGN_KEYS: [&str; 7] = [
     "phase",
 ];
 
-fn align_key(v: &Json) -> Option<(String, String)> {
-    for key in ALIGN_KEYS {
-        if let Some(s) = v.get(key) {
-            let rendered = match s {
+/// An object's identity for array alignment: every [`ALIGN_KEYS`] entry
+/// it carries, rendered as `scope=3x2,variant=optimized`. All of them,
+/// not the first: `BENCH_PAR.json`'s E8 cells share a scope per variant.
+fn align_key(v: &Json) -> Option<String> {
+    let parts: Vec<String> = ALIGN_KEYS
+        .iter()
+        .filter_map(|&key| {
+            let rendered = match v.get(key)? {
                 Json::Str(s) => s.clone(),
                 other => other.render(),
             };
-            return Some((key.to_string(), rendered));
-        }
-    }
-    None
+            Some(format!("{key}={rendered}"))
+        })
+        .collect();
+    (!parts.is_empty()).then(|| parts.join(","))
 }
 
 /// Diffs two parsed BENCH documents under `cfg`.
@@ -174,11 +178,11 @@ fn walk(old: &Json, new: &Json, path: String, cfg: &DiffConfig, out: &mut DiffOu
         (Json::Array(old_items), Json::Array(new_items)) => {
             for (i, old_item) in old_items.iter().enumerate() {
                 let (label, new_item) = match align_key(old_item) {
-                    Some((key, value)) => {
-                        let matched = new_items.iter().find(|cand| {
-                            align_key(cand).is_some_and(|(k, v)| k == key && v == value)
-                        });
-                        (format!("[{key}={value}]"), matched)
+                    Some(id) => {
+                        let matched = new_items
+                            .iter()
+                            .find(|cand| align_key(cand).as_ref() == Some(&id));
+                        (format!("[{id}]"), matched)
                     }
                     None => (format!("[{i}]"), new_items.get(i)),
                 };
@@ -310,6 +314,33 @@ mod tests {
         let out = diff_bench(&old, &new, &DiffConfig::default());
         assert!(out.is_clean());
         assert_eq!(out.compared, 0);
+    }
+
+    #[test]
+    fn elements_align_on_every_identity_key() {
+        // Two cells per scope, one per variant: aligning on the scope
+        // alone paired the optimized cell with the optimized+pre one.
+        let cells = |first: u64, second: u64| {
+            Json::parse(&format!(
+                r#"{{"cells":[
+                    {{"scope":"3x2","variant":"optimized","conflicts":{first}}},
+                    {{"scope":"3x2","variant":"optimized+pre","conflicts":{second}}}]}}"#
+            ))
+            .unwrap()
+        };
+        let strict = DiffConfig {
+            max_conflict_ratio: 1.0,
+            ..DiffConfig::default()
+        };
+        let out = diff_bench(&cells(842, 539), &cells(842, 539), &strict);
+        assert!(out.is_clean(), "{:?}", out.regressions);
+        assert_eq!(out.compared, 2);
+        let out = diff_bench(&cells(842, 539), &cells(842, 540), &strict);
+        assert_eq!(out.regressions.len(), 1);
+        assert_eq!(
+            out.regressions[0].path,
+            "cells[scope=3x2,variant=optimized+pre].conflicts"
+        );
     }
 
     #[test]
