@@ -35,8 +35,8 @@
 //! parallelism; `--threads 1` forces the sequential drivers). Outcomes are
 //! identical at every thread count — parallelism only changes wall-clock —
 //! and a multi-threaded E3 run also records the sequential-vs-parallel
-//! comparison (including a solver-portfolio race on the paper-scope
-//! optimized encoding) in `BENCH_PAR.json`.
+//! comparison (the extended policy matrix and the coarse E8 scaling
+//! cells) in `BENCH_PAR.json`.
 //!
 //! Running E5 also (re)generates `BENCH_E5.json` in the current directory:
 //! the per-encoding variable/clause counts and solver statistics that seed
@@ -80,7 +80,7 @@ use mca_report::{
     diff_bench, render_html, render_lint_markdown, render_markdown, DiffConfig, ParsedTrace,
     ReportOptions,
 };
-use mca_runtime::{diversified_configs, AdaptiveCubeConfig, Runtime, SharingConfig};
+use mca_runtime::Runtime;
 use mca_verify::analysis::{self, EncodingRow};
 use mca_verify::parallel;
 use mca_verify::{DynamicModel, DynamicScenario, NumberEncoding, StaticModel, StaticScope};
@@ -1105,11 +1105,7 @@ fn run_e3(
     reps: usize,
 ) -> bool {
     println!("E3 (Result 1) — policy matrix (exhaustive explicit-state checking)");
-    let seq_start = Instant::now();
-    let rows = metrics.time("e3.run", || {
-        analysis::run_policy_matrix(observer.clone(), spans)
-    });
-    let seq_secs = seq_start.elapsed().as_secs_f64();
+    let rows = metrics.time("e3.run", || analysis::run_policy_matrix(observer, spans));
     let mut ok = true;
     for row in &rows {
         println!("{row}");
@@ -1128,8 +1124,7 @@ fn run_e3(
         }
     );
     if let Some(rt) = rt {
-        let _ = seq_secs; // superseded by the repetition methodology below
-        ok &= run_e3_parallel(metrics, observer, rt, &rows, reps);
+        ok &= run_e3_parallel(metrics, rt, &rows, reps);
     }
     ok
 }
@@ -1168,16 +1163,14 @@ const E8_PAR_VARIANTS: [(&str, NumberEncoding, bool); 2] = [
 
 /// The multi-threaded E3 section: re-runs the matrix on the pool, checks
 /// outcome equality against the sequential rows, times the extended
-/// 16-cell matrix sequential-vs-chunked, races a clause-sharing solver
-/// portfolio, fans the E8 scaling cells out as coarse jobs, runs an
-/// adaptive cube-and-conquer solve, and records everything in
-/// `BENCH_PAR.json`. Timed sections use the warmup + median-of-reps
-/// methodology of [`bench_median`] — except the sequential E8 baseline,
-/// which is measured **once** (it is multi-second work whose repetition
-/// would dwarf the rest of the run and pad the trace with idle workers).
+/// 16-cell matrix sequential-vs-chunked, fans the E8 scaling cells out as
+/// coarse jobs, and records everything in `BENCH_PAR.json`. Timed
+/// sections use the warmup + median-of-reps methodology of
+/// [`bench_median`] — except the sequential E8 baseline, which is measured
+/// **once** (it is multi-second work whose repetition would dwarf the rest
+/// of the run and pad the trace with idle workers).
 fn run_e3_parallel(
     metrics: &mut Metrics,
-    observer: Option<SharedObserver>,
     rt: &Runtime,
     seq_rows: &[analysis::PolicyMatrixRow],
     reps: usize,
@@ -1223,103 +1216,6 @@ fn run_e3_parallel(
         "  extended matrix: sequential {seq_secs:.3}s (±{seq_spread:.2}) vs chunked {par_secs:.3}s (±{par_spread:.2}) — speedup {speedup:.2}x"
     );
 
-    // Portfolio race on the paper-scope optimized encoding — the formula
-    // E5 identifies as the suite's flagship SAT workload. Entrants
-    // exchange low-LBD learnt clauses, so losers' work is not pure waste.
-    let model = DynamicModel::build(
-        NumberEncoding::OptimizedValue,
-        DynamicScenario::paper_scope(),
-    );
-    let (seq_valid, solve_seq_secs, solve_seq_spread) = bench_median(reps, || {
-        model
-            .check_consensus()
-            .expect("well-formed model")
-            .result
-            .is_valid()
-    });
-    let entrants = diversified_configs(rt.threads().clamp(2, 8));
-    let sharing = SharingConfig::default();
-    let ((par_valid, report), solve_par_secs, solve_par_spread) = bench_median(reps, || {
-        parallel::check_consensus_portfolio(rt, &model, &entrants, sharing)
-    });
-    let verdict_match = seq_valid == par_valid;
-    println!(
-        "  portfolio (paper scope, optimized): sequential {solve_seq_secs:.3}s (±{solve_seq_spread:.2}) vs race {solve_par_secs:.3}s (±{solve_par_spread:.2}) — winner {} of {} entrants, verdict {}",
-        report.winner_label,
-        report.entrants,
-        if verdict_match { "identical ✓" } else { "DIFFERS ✗" }
-    );
-    println!(
-        "  clause sharing: {} exported, {} imported, {} dropped (max_lbd {}, winner imported {})",
-        report.shared_exported,
-        report.shared_imported,
-        report.shared_dropped,
-        sharing.max_lbd,
-        report.winner_stats.imported_clauses,
-    );
-
-    // Forensics drain: the winner's search telemetry goes three ways —
-    // per-epoch `search-epoch` events into the logical trace (keyed by
-    // epoch index, deterministic for a fixed winner), LBD / learnt-length
-    // histograms into the metrics registry, and cancellation-waste gauges
-    // that `repro why`'s W004 rule reads.
-    if let Some(obs) = &observer {
-        let label = format!("portfolio:{}", report.winner_label);
-        for e in &report.winner_telemetry.epochs {
-            obs.emit(&mca_obs::Event::SearchEpoch {
-                label: label.clone(),
-                epoch: e.epoch,
-                conflicts: e.conflicts,
-                decisions: e.decisions,
-                propagations: e.propagations,
-                learnt: e.learnt_live,
-            });
-        }
-    }
-    metrics.merge_histogram("sat.lbd", &report.winner_telemetry.lbd);
-    metrics.merge_histogram("sat.learnt_len", &report.winner_telemetry.learnt_len);
-    metrics.set_gauge(
-        "portfolio.winner_conflicts",
-        report.winner_stats.conflicts as i64,
-    );
-    metrics.set_gauge("portfolio.loser_conflicts", report.loser_conflicts() as i64);
-    metrics.set_gauge(
-        "portfolio.cancel_latency_conflicts",
-        report.cancel_latency_conflicts() as i64,
-    );
-    metrics.set_gauge("portfolio.shared_exported", report.shared_exported as i64);
-    metrics.set_gauge("portfolio.shared_imported", report.shared_imported as i64);
-
-    // Per-entrant LBD summaries: how glue-rich each configuration's
-    // clause stream was — the quality signal behind the sharing filter.
-    let entrant_lbd: Vec<Json> = entrants
-        .iter()
-        .zip(&report.entrant_telemetry)
-        .zip(&report.entrant_stats)
-        .map(|((entry, telemetry), stats)| {
-            let lbd = telemetry.as_ref().map(|t| &t.lbd);
-            Json::obj([
-                ("label", Json::from(entry.label.as_str())),
-                (
-                    "learnt",
-                    Json::from(lbd.map_or(0, mca_obs::Histogram::count)),
-                ),
-                (
-                    "lbd_mean",
-                    Json::from(lbd.and_then(mca_obs::Histogram::mean).unwrap_or(0.0)),
-                ),
-                (
-                    "exported",
-                    Json::from(stats.as_ref().map_or(0, |s| s.exported_clauses)),
-                ),
-                (
-                    "imported",
-                    Json::from(stats.as_ref().map_or(0, |s| s.imported_clauses)),
-                ),
-            ])
-        })
-        .collect();
-
     // Coarse-grained E8 section: the competitive encoding variants at
     // growing scopes, fanned out as |scopes| × |variants| jobs each big
     // enough (up to seconds) to amortize scheduling. The sequential
@@ -1347,12 +1243,9 @@ fn run_e3_parallel(
             .iter()
             .flat_map(|&(p, v)| {
                 E8_PAR_VARIANTS.map(move |(label, encoding, preprocess)| {
-                    (
-                        format!("e8:{p}x{v}:{label}"),
-                        move |_: &mca_sat::CancelToken| {
-                            analysis::scale_variant(p, v, label, encoding, preprocess, None)
-                        },
-                    )
+                    (format!("e8:{p}x{v}:{label}"), move || {
+                        analysis::scale_variant(p, v, label, encoding, preprocess, None)
+                    })
                 })
             })
             .collect();
@@ -1390,27 +1283,6 @@ fn run_e3_parallel(
         if e8_match { "all valid ✓" } else { "UNEXPECTED ✗" }
     );
 
-    // Adaptive cube-and-conquer on the same flagship formula: budget-
-    // bound cubes split deeper only where the search is actually hard.
-    let cube_config = AdaptiveCubeConfig::default();
-    let (cube_valid, cube_report) =
-        parallel::check_consensus_cubes_adaptive(rt, &model, cube_config);
-    let cube_match = cube_valid == seq_valid;
-    println!(
-        "  adaptive cubes: {} attempts ({} in budget, {} resplit, depth ≤ {}), verdict {}",
-        cube_report.attempts,
-        cube_report.resolved_in_budget,
-        cube_report.resplit,
-        cube_report.max_depth,
-        if cube_match {
-            "identical ✓"
-        } else {
-            "DIFFERS ✗"
-        }
-    );
-    metrics.set_gauge("cubes.attempts", cube_report.attempts as i64);
-    metrics.set_gauge("cubes.resplit", cube_report.resplit as i64);
-
     let bench = Json::obj([
         ("threads", Json::from(rt.threads() as u64)),
         ("reps", Json::from(reps as u64)),
@@ -1426,40 +1298,6 @@ fn run_e3_parallel(
                 ("outcomes_match", Json::from(outcomes_match)),
                 ("extended_cells", Json::from(xrows.len() as u64)),
                 ("extended_matching", Json::from(xmatch as u64)),
-            ]),
-        ),
-        (
-            "portfolio",
-            Json::obj([
-                ("scope", Json::from("3 pnodes, 2 vnodes (paper scope)")),
-                ("encoding", Json::from("optimized")),
-                ("seq_secs", Json::from(solve_seq_secs)),
-                ("seq_spread", Json::from(solve_seq_spread)),
-                ("par_secs", Json::from(solve_par_secs)),
-                ("par_spread", Json::from(solve_par_spread)),
-                (
-                    "speedup",
-                    Json::from(solve_seq_secs / solve_par_secs.max(1e-9)),
-                ),
-                ("verdict_match", Json::from(verdict_match)),
-                ("valid", Json::from(par_valid)),
-                ("winner", Json::from(report.winner_label.as_str())),
-                ("entrants", Json::from(report.entrants as u64)),
-                (
-                    "winner_conflicts",
-                    Json::from(report.winner_stats.conflicts),
-                ),
-                ("winner_restarts", Json::from(report.winner_stats.restarts)),
-                ("loser_conflicts", Json::from(report.loser_conflicts())),
-                (
-                    "cancel_latency_conflicts",
-                    Json::from(report.cancel_latency_conflicts()),
-                ),
-                ("shared_exported", Json::from(report.shared_exported)),
-                ("shared_imported", Json::from(report.shared_imported)),
-                ("shared_dropped", Json::from(report.shared_dropped)),
-                ("share_max_lbd", Json::from(u64::from(sharing.max_lbd))),
-                ("entrant_lbd", Json::Array(entrant_lbd)),
             ]),
         ),
         (
@@ -1482,30 +1320,10 @@ fn run_e3_parallel(
                 ("cells", Json::Array(e8_cell_json)),
             ]),
         ),
-        (
-            "cubes",
-            Json::obj([
-                (
-                    "initial_split",
-                    Json::from(cube_config.initial_split as u64),
-                ),
-                ("conflict_budget", Json::from(cube_config.conflict_budget)),
-                ("max_split", Json::from(cube_config.max_split as u64)),
-                ("attempts", Json::from(cube_report.attempts as u64)),
-                (
-                    "resolved_in_budget",
-                    Json::from(cube_report.resolved_in_budget as u64),
-                ),
-                ("resplit", Json::from(cube_report.resplit as u64)),
-                ("max_depth", Json::from(cube_report.max_depth as u64)),
-                ("conflicts", Json::from(cube_report.conflicts)),
-                ("verdict_match", Json::from(cube_match)),
-            ]),
-        ),
     ]);
     write_bench_file("BENCH_PAR.json", &bench);
     println!("  sequential-vs-parallel comparison written to BENCH_PAR.json");
-    outcomes_match && verdict_match && e8_match && cube_match
+    outcomes_match && e8_match
 }
 
 fn run_e4(metrics: &mut Metrics, rt: Option<&Runtime>) -> bool {

@@ -111,7 +111,7 @@ pub enum Event {
     JobScheduled {
         /// Runtime-assigned job id (submission order).
         job: u64,
-        /// Human label (e.g. `"e3:cell2"`, `"portfolio:cfg1"`).
+        /// Human label (e.g. `"e3:pair0"`, `"e8:3x2:optimized"`).
         label: String,
     },
     /// A worker picked the job up and began executing it. Which worker ran
@@ -128,12 +128,6 @@ pub enum Event {
         job: u64,
         /// Outcome label (e.g. `"sat"`, `"unsat"`, `"ok"`).
         outcome: String,
-    },
-    /// The job observed its cancellation token and stopped early (e.g. a
-    /// losing portfolio entrant after the winner returned).
-    JobCancelled {
-        /// Runtime-assigned job id.
-        job: u64,
     },
     /// The SAT preprocessor (unit propagation + subsumption +
     /// self-subsuming resolution) finished simplifying a formula.
@@ -164,26 +158,6 @@ pub enum Event {
         valid: bool,
         /// The session solver's cumulative conflict count after the query.
         conflicts: u64,
-    },
-    /// One restart epoch of a CDCL search finished. Epochs are keyed by
-    /// logical progress (the restart index and conflict counts), never by
-    /// wall clock, so the stream is deterministic for a fixed formula and
-    /// solver configuration and belongs in the reproducible event trace.
-    /// Drivers replay these post-hoc from the solver's `SearchTelemetry`
-    /// samples in epoch order.
-    SearchEpoch {
-        /// Human label for the solve (e.g. `"portfolio:default"`).
-        label: String,
-        /// Zero-based restart-epoch index.
-        epoch: u64,
-        /// Conflicts encountered within this epoch.
-        conflicts: u64,
-        /// Decisions made within this epoch.
-        decisions: u64,
-        /// Literals propagated within this epoch.
-        propagations: u64,
-        /// Learnt clauses live in the database at the end of the epoch.
-        learnt: u64,
     },
     /// A hierarchical profiling span opened. Spans are the deliberate
     /// exception to the no-wall-clock rule: `t_ns` is a monotonic offset
@@ -294,20 +268,6 @@ pub enum Event {
         /// Response encode + socket write.
         write_ns: u64,
     },
-    /// Periodic SAT-solver progress (forwarded from the solver's progress
-    /// callback, typically every N conflicts).
-    SolverProgress {
-        /// Conflicts so far.
-        conflicts: u64,
-        /// Decisions so far.
-        decisions: u64,
-        /// Unit propagations so far.
-        propagations: u64,
-        /// Restarts so far.
-        restarts: u64,
-        /// Learnt clauses currently in the database.
-        learnt: u64,
-    },
 }
 
 impl Event {
@@ -326,10 +286,8 @@ impl Event {
             Event::JobScheduled { .. } => "job-scheduled",
             Event::JobStarted { .. } => "job-started",
             Event::JobFinished { .. } => "job-finished",
-            Event::JobCancelled { .. } => "job-cancelled",
             Event::SimplifyDone { .. } => "simplify-done",
             Event::IncrementalSolve { .. } => "incremental-solve",
-            Event::SearchEpoch { .. } => "search-epoch",
             Event::SpanEnter { .. } => "span-enter",
             Event::SpanExit { .. } => "span-exit",
             Event::LintFinding { .. } => "lint-finding",
@@ -338,7 +296,6 @@ impl Event {
             Event::ServeResponse { .. } => "serve-response",
             Event::ServeCache { .. } => "serve-cache",
             Event::ServeSpan { .. } => "serve-span",
-            Event::SolverProgress { .. } => "solver-progress",
         }
     }
 
@@ -458,7 +415,6 @@ impl Event {
                 ("job", job.into()),
                 ("outcome", outcome.as_str().into()),
             ]),
-            Event::JobCancelled { job } => Json::obj([("event", kind), ("job", job.into())]),
             Event::SimplifyDone {
                 ref label,
                 subsumed,
@@ -486,22 +442,6 @@ impl Event {
                 ("query", query.into()),
                 ("valid", valid.into()),
                 ("conflicts", conflicts.into()),
-            ]),
-            Event::SearchEpoch {
-                ref label,
-                epoch,
-                conflicts,
-                decisions,
-                propagations,
-                learnt,
-            } => Json::obj([
-                ("event", kind),
-                ("label", label.as_str().into()),
-                ("epoch", epoch.into()),
-                ("conflicts", conflicts.into()),
-                ("decisions", decisions.into()),
-                ("propagations", propagations.into()),
-                ("learnt", learnt.into()),
             ]),
             Event::SpanEnter {
                 id,
@@ -610,20 +550,6 @@ impl Event {
                 ("solve_ns", solve_ns.into()),
                 ("write_ns", write_ns.into()),
             ]),
-            Event::SolverProgress {
-                conflicts,
-                decisions,
-                propagations,
-                restarts,
-                learnt,
-            } => Json::obj([
-                ("event", kind),
-                ("conflicts", conflicts.into()),
-                ("decisions", decisions.into()),
-                ("propagations", propagations.into()),
-                ("restarts", restarts.into()),
-                ("learnt", learnt.into()),
-            ]),
         }
     }
 
@@ -649,22 +575,6 @@ mod tests {
         assert_eq!(
             e.to_json_line(),
             r#"{"event":"deliver","step":3,"from":0,"to":1,"seq":2,"view_changed":true}"#
-        );
-    }
-
-    #[test]
-    fn search_epoch_renders_stably() {
-        let e = Event::SearchEpoch {
-            label: "portfolio:default".to_string(),
-            epoch: 2,
-            conflicts: 200,
-            decisions: 512,
-            propagations: 9001,
-            learnt: 77,
-        };
-        assert_eq!(
-            e.to_json_line(),
-            r#"{"event":"search-epoch","label":"portfolio:default","epoch":2,"conflicts":200,"decisions":512,"propagations":9001,"learnt":77}"#
         );
     }
 
@@ -720,7 +630,6 @@ mod tests {
             r#"{"event":"job-finished","job":0,"outcome":"unsat"}"#
         );
         assert_eq!(Event::JobStarted { job: 1 }.kind(), "job-started");
-        assert_eq!(Event::JobCancelled { job: 1 }.kind(), "job-cancelled");
     }
 
     #[test]
@@ -864,12 +773,11 @@ mod tests {
     fn no_event_field_is_wall_clock() {
         // Events must be reproducible across runs: the JSON rendering of a
         // fixed event is a pure function of its payload.
-        let e = Event::SolverProgress {
+        let e = Event::IncrementalSolve {
+            label: "e8:2x2:sweep".into(),
+            query: 3,
+            valid: true,
             conflicts: 100,
-            decisions: 250,
-            propagations: 9000,
-            restarts: 1,
-            learnt: 42,
         };
         assert_eq!(e.to_json_line(), e.to_json_line());
     }

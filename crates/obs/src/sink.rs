@@ -81,11 +81,9 @@ pub struct SummarySink {
     counts: BTreeMap<&'static str, u64>,
     last_step: u64,
     last_checker_states: u64,
-    last_solver: Option<(u64, u64, u64, u64)>,
     converged: Option<bool>,
     relations: Vec<(String, u64, u64)>,
     jobs_finished: u64,
-    jobs_cancelled: u64,
     spans_open: u64,
     spans_closed: u64,
     metrics: Option<Rc<RefCell<Metrics>>>,
@@ -130,19 +128,8 @@ impl SummarySink {
         if self.last_checker_states > 0 {
             let _ = writeln!(out, "  states explored: {}", self.last_checker_states);
         }
-        if let Some((conflicts, decisions, propagations, restarts)) = self.last_solver {
-            let _ = writeln!(
-                out,
-                "  solver: {conflicts} conflicts, {decisions} decisions, \
-                 {propagations} propagations, {restarts} restarts"
-            );
-        }
-        if self.jobs_finished + self.jobs_cancelled > 0 {
-            let _ = writeln!(
-                out,
-                "  runtime jobs: {} finished, {} cancelled",
-                self.jobs_finished, self.jobs_cancelled
-            );
+        if self.jobs_finished > 0 {
+            let _ = writeln!(out, "  runtime jobs: {} finished", self.jobs_finished);
         }
         if self.spans_open + self.spans_closed > 0 {
             let _ = writeln!(
@@ -196,15 +183,6 @@ impl Observer for SummarySink {
             } => {
                 self.last_checker_states = self.last_checker_states.max(*states_explored);
             }
-            Event::SolverProgress {
-                conflicts,
-                decisions,
-                propagations,
-                restarts,
-                ..
-            } => {
-                self.last_solver = Some((*conflicts, *decisions, *propagations, *restarts));
-            }
             Event::RelationEncoded {
                 relation,
                 vars,
@@ -215,9 +193,6 @@ impl Observer for SummarySink {
             }
             Event::JobFinished { .. } => {
                 self.jobs_finished += 1;
-            }
-            Event::JobCancelled { .. } => {
-                self.jobs_cancelled += 1;
             }
             Event::SpanEnter { .. } => {
                 self.spans_open += 1;
@@ -230,7 +205,6 @@ impl Observer for SummarySink {
             | Event::JobStarted { .. }
             | Event::SimplifyDone { .. }
             | Event::IncrementalSolve { .. }
-            | Event::SearchEpoch { .. }
             | Event::LintFinding { .. }
             | Event::LintDone { .. }
             | Event::ServeRequest { .. }

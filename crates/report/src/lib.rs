@@ -46,5 +46,5 @@ pub use lint::{render_lint_markdown, LintFinding, LintSummary, ParsedLint};
 pub use render::{render_html, render_markdown, ReportOptions};
 pub use service::{render_service_dashboard, Series, ServiceStats};
 pub use timeline::render_timeline_html;
-pub use trace::{ParsedTrace, SearchEpochRow, ServeSummary, SpanNode};
+pub use trace::{ParsedTrace, ServeSummary, SpanNode};
 pub use why::{diagnose, diagnose_service, render_why_markdown, WhyFinding, WhySeverity};

@@ -105,10 +105,6 @@ pub fn render_markdown(
         out.push('\n');
     }
 
-    if !trace.search_epochs.is_empty() {
-        render_search_dynamics(trace, &mut out);
-    }
-
     if !trace.serve.is_empty() {
         render_service(trace, &mut out);
     }
@@ -258,44 +254,6 @@ fn render_service(trace: &ParsedTrace, out: &mut String) {
     }
 }
 
-/// Renders the per-epoch CDCL search table replayed from `search-epoch`
-/// events. Epochs are grouped by solve label so a portfolio run shows one
-/// table per entrant that reported telemetry (usually just the winner).
-fn render_search_dynamics(trace: &ParsedTrace, out: &mut String) {
-    out.push_str("## Search dynamics\n\n");
-    let mut labels: Vec<&str> = trace
-        .search_epochs
-        .iter()
-        .map(|e| e.label.as_str())
-        .collect();
-    labels.dedup();
-    labels.sort_unstable();
-    labels.dedup();
-    for label in labels {
-        let rows: Vec<_> = trace
-            .search_epochs
-            .iter()
-            .filter(|e| e.label == label)
-            .collect();
-        let conflicts: u64 = rows.iter().map(|e| e.conflicts).sum();
-        let _ = writeln!(
-            out,
-            "### `{label}` — {} epochs, {conflicts} conflicts\n",
-            rows.len()
-        );
-        out.push_str("| epoch | conflicts | decisions | propagations | learnt live |\n");
-        out.push_str("|---:|---:|---:|---:|---:|\n");
-        for e in rows {
-            let _ = writeln!(
-                out,
-                "| {} | {} | {} | {} | {} |",
-                e.epoch, e.conflicts, e.decisions, e.propagations, e.learnt
-            );
-        }
-        out.push('\n');
-    }
-}
-
 fn render_metrics(metrics: &Json, out: &mut String) {
     let mut scalar_section = |key: &str, title: &str| {
         if let Some(Json::Object(pairs)) = metrics.get(key) {
@@ -435,20 +393,6 @@ mod tests {
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.contains("&lt;b&gt; &amp; c"));
         assert!(!html.contains("<script"));
-    }
-
-    #[test]
-    fn search_dynamics_section_groups_epochs_by_label() {
-        let lines = [
-            r#"{"event":"search-epoch","label":"portfolio:cfg0:default","epoch":0,"conflicts":10,"decisions":20,"propagations":100,"learnt":4}"#,
-            r#"{"event":"search-epoch","label":"portfolio:cfg0:default","epoch":1,"conflicts":30,"decisions":44,"propagations":250,"learnt":9}"#,
-        ]
-        .join("\n");
-        let trace = ParsedTrace::parse(&lines);
-        let report = render_markdown(&trace, None, &ReportOptions::default());
-        assert!(report.contains("## Search dynamics"));
-        assert!(report.contains("### `portfolio:cfg0:default` — 2 epochs, 40 conflicts"));
-        assert!(report.contains("| 1 | 30 | 44 | 250 | 9 |"));
     }
 
     #[test]

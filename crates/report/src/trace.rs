@@ -41,24 +41,6 @@ impl SpanNode {
     }
 }
 
-/// One `search-epoch` event: a restart epoch's worth of CDCL search
-/// progress, replayed into the trace by a solver driver.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SearchEpochRow {
-    /// The solve's human label (e.g. `"portfolio:cfg0:default"`).
-    pub label: String,
-    /// Zero-based restart-epoch index.
-    pub epoch: u64,
-    /// Conflicts within the epoch.
-    pub conflicts: u64,
-    /// Decisions within the epoch.
-    pub decisions: u64,
-    /// Literals propagated within the epoch.
-    pub propagations: u64,
-    /// Learnt clauses live at the end of the epoch.
-    pub learnt: u64,
-}
-
 /// Tallies of the `serve-*` events an mca-serve daemon writes with
 /// `repro serve --trace` — the report's "Service" section reads these.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -96,9 +78,6 @@ pub struct ParsedTrace {
     pub roots: Vec<usize>,
     /// Count of every event kind seen (including span events).
     pub event_counts: BTreeMap<String, u64>,
-    /// Every `search-epoch` event, in trace order — the report's
-    /// search-dynamics section and `repro why`'s restart rules read these.
-    pub search_epochs: Vec<SearchEpochRow>,
     /// Tallies of `serve-*` events (empty unless the trace came from an
     /// mca-serve daemon).
     pub serve: ServeSummary,
@@ -229,27 +208,6 @@ impl ParsedTrace {
                             }
                         }
                     }
-                }
-                "search-epoch" => {
-                    let (Some(label), Some(epoch)) = (
-                        value.get("label").and_then(Json::as_str),
-                        value.get("epoch").and_then(Json::as_u64),
-                    ) else {
-                        out.diagnostics.push(format!(
-                            "line {}: search-epoch missing label/epoch",
-                            lineno + 1
-                        ));
-                        continue;
-                    };
-                    let field = |k: &str| value.get(k).and_then(Json::as_u64).unwrap_or(0);
-                    out.search_epochs.push(SearchEpochRow {
-                        label: label.to_string(),
-                        epoch,
-                        conflicts: field("conflicts"),
-                        decisions: field("decisions"),
-                        propagations: field("propagations"),
-                        learnt: field("learnt"),
-                    });
                 }
                 "serve-request" => {
                     out.serve.requests += 1;
@@ -585,25 +543,6 @@ mod tests {
         // `mid` is unclosed too, so `leaf` clamps to `root`'s exit.
         assert_eq!(parsed.spans[2].end_ns, 90);
         assert_eq!(parsed.spans[1].end_ns, 90);
-    }
-
-    #[test]
-    fn search_epoch_events_are_collected_in_order() {
-        let trace = [
-            r#"{"event":"search-epoch","label":"portfolio:cfg0","epoch":0,"conflicts":100,"decisions":250,"propagations":9000,"learnt":80}"#,
-            r#"{"event":"search-epoch","label":"portfolio:cfg0","epoch":1,"conflicts":50,"decisions":120,"propagations":4000,"learnt":110}"#,
-            r#"{"event":"search-epoch"}"#,
-        ]
-        .join("\n");
-        let parsed = ParsedTrace::parse(&trace);
-        assert_eq!(parsed.search_epochs.len(), 2);
-        assert_eq!(parsed.search_epochs[0].epoch, 0);
-        assert_eq!(parsed.search_epochs[1].conflicts, 50);
-        assert_eq!(parsed.event_counts.get("search-epoch"), Some(&3));
-        assert!(parsed
-            .diagnostics
-            .iter()
-            .any(|d| d.contains("search-epoch missing")));
     }
 
     #[test]

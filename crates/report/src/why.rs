@@ -8,9 +8,8 @@
 //! EXPERIMENTS.md ("Performance forensics").
 //!
 //! Rules read only what the observability layers already record: worker
-//! gauges/timers from `mca_runtime`'s `record_metrics`, job spans from
-//! the opt-in `--trace` stream, and `search-epoch` events replayed from
-//! the solver's telemetry. A diagnosis is a *hypothesis ranked by
+//! gauges/timers from `mca_runtime`'s `record_metrics` and job spans from
+//! the opt-in `--trace` stream. A diagnosis is a *hypothesis ranked by
 //! evidence*, not a verdict — the report says what the numbers show and
 //! what usually causes it.
 
@@ -64,7 +63,6 @@ struct WorkerTotals {
     workers: u64,
     jobs: u64,
     steals: u64,
-    cancelled: u64,
     busy_ns: u64,
     queue_wait_ns: u64,
     idle_ns: u64,
@@ -91,7 +89,6 @@ fn worker_totals(metrics: &Json) -> Option<WorkerTotals> {
         t.jobs += jobs;
         t.max_worker_jobs = t.max_worker_jobs.max(jobs);
         t.steals += metric_i64_as_u64(metrics, "gauges", &format!("runtime.w{w}.steals"))?;
-        t.cancelled += metric_i64_as_u64(metrics, "gauges", &format!("runtime.w{w}.cancelled"))?;
         t.busy_ns += metric_u64(metrics, "timers_ns", &format!("runtime.w{w}.busy"))?;
         t.queue_wait_ns += metric_u64(metrics, "timers_ns", &format!("runtime.w{w}.queue_wait"))?;
         t.idle_ns += metric_u64(metrics, "timers_ns", &format!("runtime.w{w}.idle"))?;
@@ -114,11 +111,8 @@ pub fn diagnose(trace: &ParsedTrace, metrics: Option<&Json>) -> Vec<WhyFinding> 
     let mut findings = Vec::new();
     if let Some(m) = metrics {
         diagnose_scheduling(m, &mut findings);
-        diagnose_portfolio(m, &mut findings);
-        diagnose_lbd(m, &mut findings);
     }
     diagnose_job_granularity(trace, &mut findings);
-    diagnose_search_dynamics(trace, &mut findings);
     findings.sort_by(|a, b| b.severity.cmp(&a.severity).then(a.rule.cmp(b.rule)));
     findings
 }
@@ -200,71 +194,6 @@ fn diagnose_scheduling(metrics: &Json, findings: &mut Vec<WhyFinding>) {
     }
 }
 
-/// W004 cancellation waste — portfolio losers burning a large share of
-/// the winner's work before they observe the token. Loser conflicts that
-/// flowed back through the clause-sharing pool
-/// (`portfolio.shared_imported`) are not pure waste — that work reached
-/// other entrants as learnt clauses — so they are credited against the
-/// loser total before the thresholds apply.
-fn diagnose_portfolio(metrics: &Json, findings: &mut Vec<WhyFinding>) {
-    let winner = metric_u64(metrics, "gauges", "portfolio.winner_conflicts");
-    let losers = metric_u64(metrics, "gauges", "portfolio.loser_conflicts");
-    let (Some(winner), Some(losers)) = (winner, losers) else {
-        return;
-    };
-    let imported = metric_u64(metrics, "gauges", "portfolio.shared_imported").unwrap_or(0);
-    let wasted = losers.saturating_sub(imported);
-    if winner > 0 && wasted * 2 >= winner {
-        let ratio = pct(wasted, winner);
-        findings.push(WhyFinding {
-            rule: "W004",
-            severity: if wasted >= winner {
-                WhySeverity::Critical
-            } else {
-                WhySeverity::Warning
-            },
-            summary: format!(
-                "portfolio losers consumed {ratio:.0}% of the winner's conflicts before cancelling"
-            ),
-            evidence: format!(
-                "loser conflicts {losers} vs winner {winner} ({imported} credited as shared-clause \
-                 imports); observed cancel latency {} conflicts",
-                metric_u64(metrics, "gauges", "portfolio.cancel_latency_conflicts").unwrap_or(0)
-            ),
-            hint: "on short solves the race is pure overhead — skip the portfolio below a \
-                   size threshold, or enable clause sharing so loser conflicts feed the winner",
-        });
-    }
-}
-
-/// W007 heavy LBD tail — learnt clauses are mostly low-quality.
-fn diagnose_lbd(metrics: &Json, findings: &mut Vec<WhyFinding>) {
-    let Some(h) = metrics.get("histograms").and_then(|h| h.get("sat.lbd")) else {
-        return;
-    };
-    let (Some(count), Some(sum)) = (
-        h.get("count").and_then(Json::as_u64),
-        h.get("sum").and_then(Json::as_u64),
-    ) else {
-        return;
-    };
-    if count >= 64 {
-        let mean = sum as f64 / count as f64;
-        if mean > 8.0 {
-            findings.push(WhyFinding {
-                rule: "W007",
-                severity: WhySeverity::Info,
-                summary: format!(
-                    "mean learnt-clause LBD is {mean:.1} — few glue clauses, weak learning"
-                ),
-                evidence: format!("{count} learnt clauses, LBD sum {sum}"),
-                hint: "the encoding produces long dependency chains; variable ordering or \
-                       a tighter encoding usually helps more than solver tuning",
-            });
-        }
-    }
-}
-
 /// W005 sub-millisecond jobs — per-job pool overhead dwarfs the work.
 fn diagnose_job_granularity(trace: &ParsedTrace, findings: &mut Vec<WhyFinding>) {
     let mut durations: Vec<u64> = trace
@@ -299,33 +228,6 @@ fn diagnose_job_granularity(trace: &ParsedTrace, findings: &mut Vec<WhyFinding>)
             hint: "a submit/claim/steal round-trip costs microseconds; batch cells into \
                    fewer jobs or keep sub-millisecond workloads sequential",
         });
-    }
-}
-
-/// W006 restart churn — many epochs with little progress per epoch.
-fn diagnose_search_dynamics(trace: &ParsedTrace, findings: &mut Vec<WhyFinding>) {
-    // Group epochs by solve label; diagnose the busiest solve.
-    let mut per_label: std::collections::BTreeMap<&str, (u64, u64)> =
-        std::collections::BTreeMap::new();
-    for e in &trace.search_epochs {
-        let entry = per_label.entry(e.label.as_str()).or_insert((0, 0));
-        entry.0 += 1;
-        entry.1 += e.conflicts;
-    }
-    for (label, (epochs, conflicts)) in per_label {
-        if epochs >= 8 && conflicts / epochs < 32 {
-            findings.push(WhyFinding {
-                rule: "W006",
-                severity: WhySeverity::Info,
-                summary: format!(
-                    "`{label}` restarted {epochs} times averaging {} conflicts per epoch",
-                    conflicts / epochs
-                ),
-                evidence: format!("{conflicts} conflicts across {epochs} epochs"),
-                hint: "restart cadence outpaces learning; a larger restart_base \
-                       (e.g. the portfolio's `stable` entrant) may search deeper",
-            });
-        }
     }
 }
 
@@ -523,8 +425,7 @@ fn diagnose_slow_phase(flight: &Json, findings: &mut Vec<WhyFinding>) {
             total as f64 / 1e6
         ),
         hint: "translate-bound outliers want the translation cache tier (check its hit \
-               rate) or a cheaper encoding; solve-bound outliers want preprocessing or \
-               the portfolio",
+               rate) or a cheaper encoding; solve-bound outliers want preprocessing",
     });
 }
 
@@ -617,21 +518,6 @@ pub fn render_why_markdown(findings: &[WhyFinding], source: &str) -> String {
 mod tests {
     use super::*;
 
-    fn metrics_with(gauges: &[(&str, u64)], timers: &[(&str, u64)]) -> Json {
-        let g: Vec<(String, Json)> = gauges
-            .iter()
-            .map(|(k, v)| (k.to_string(), Json::from(*v)))
-            .collect();
-        let t: Vec<(String, Json)> = timers
-            .iter()
-            .map(|(k, v)| (k.to_string(), Json::from(*v)))
-            .collect();
-        Json::Object(vec![
-            ("gauges".to_string(), Json::Object(g)),
-            ("timers_ns".to_string(), Json::Object(t)),
-        ])
-    }
-
     fn worker_metrics(
         jobs: [u64; 2],
         steals: [u64; 2],
@@ -648,7 +534,6 @@ mod tests {
                 Json::from(jobs[w] - steals[w]),
             ));
             gauges.push((format!("runtime.w{w}.steals"), Json::from(steals[w])));
-            gauges.push((format!("runtime.w{w}.cancelled"), Json::from(0u64)));
             timers.push((format!("runtime.w{w}.busy"), Json::from(busy[w])));
             timers.push((
                 format!("runtime.w{w}.queue_wait"),
@@ -715,68 +600,6 @@ mod tests {
         let findings = diagnose(&trace, None);
         let w005 = findings.iter().find(|f| f.rule == "W005").expect("fires");
         assert_eq!(w005.severity, WhySeverity::Critical);
-    }
-
-    #[test]
-    fn cancellation_waste_fires_w004() {
-        let m = metrics_with(
-            &[
-                ("portfolio.winner_conflicts", 100),
-                ("portfolio.loser_conflicts", 93),
-                ("portfolio.cancel_latency_conflicts", 1),
-            ],
-            &[],
-        );
-        let findings = diagnose(&ParsedTrace::default(), Some(&m));
-        let f = findings.iter().find(|f| f.rule == "W004").expect("fires");
-        assert!(f.summary.contains("93%"), "{}", f.summary);
-    }
-
-    #[test]
-    fn shared_clause_imports_are_credited_against_w004() {
-        // Losers burnt 120 conflicts against the winner's 100 — critical
-        // without sharing — but 80 clauses flowed back through the pool,
-        // leaving only 40 wasted: below the 2× fire threshold entirely.
-        let m = metrics_with(
-            &[
-                ("portfolio.winner_conflicts", 100),
-                ("portfolio.loser_conflicts", 120),
-                ("portfolio.shared_imported", 80),
-            ],
-            &[],
-        );
-        let findings = diagnose(&ParsedTrace::default(), Some(&m));
-        assert!(
-            !findings.iter().any(|f| f.rule == "W004"),
-            "imports must offset loser conflicts: {findings:?}"
-        );
-        // Partial credit still fires, but demoted from critical.
-        let m = metrics_with(
-            &[
-                ("portfolio.winner_conflicts", 100),
-                ("portfolio.loser_conflicts", 120),
-                ("portfolio.shared_imported", 30),
-            ],
-            &[],
-        );
-        let findings = diagnose(&ParsedTrace::default(), Some(&m));
-        let f = findings.iter().find(|f| f.rule == "W004").expect("fires");
-        assert_eq!(f.severity, WhySeverity::Warning);
-        assert!(f.evidence.contains("30 credited"), "{}", f.evidence);
-    }
-
-    #[test]
-    fn restart_churn_fires_w006() {
-        let lines: Vec<String> = (0..10u64)
-            .map(|e| {
-                format!(
-                    r#"{{"event":"search-epoch","label":"solve","epoch":{e},"conflicts":10,"decisions":20,"propagations":100,"learnt":5}}"#
-                )
-            })
-            .collect();
-        let trace = ParsedTrace::parse(&lines.join("\n"));
-        let findings = diagnose(&trace, None);
-        assert!(findings.iter().any(|f| f.rule == "W006"), "{findings:?}");
     }
 
     #[test]

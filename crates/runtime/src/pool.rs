@@ -12,7 +12,6 @@
 
 use crate::trace::{JobPhase, JobTraceLog};
 use mca_obs::{Event, Metrics, SharedObserver};
-use mca_sat::CancelToken;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -60,8 +59,6 @@ pub struct WorkerStats {
     pub local_pops: u64,
     /// Jobs this worker stole from a peer's deque.
     pub steals: u64,
-    /// Jobs that started under an already-cancelled token on this worker.
-    pub cancelled: u64,
     /// Nanoseconds spent executing jobs (excludes idle time).
     pub busy_ns: u64,
     /// Nanoseconds jobs run by this worker spent enqueued (submission to
@@ -70,10 +67,6 @@ pub struct WorkerStats {
     /// Nanoseconds this worker spent idle: parked on the condvar or
     /// spinning for a claimable job.
     pub idle_ns: u64,
-    /// Nanoseconds between a portfolio winner setting the shared
-    /// [`CancelToken`] and this worker's cancelled jobs reporting in,
-    /// summed over observations.
-    pub cancel_latency_ns: u64,
 }
 
 struct PoolState {
@@ -91,15 +84,9 @@ struct Shared {
     jobs_executed: Vec<AtomicU64>,
     jobs_local: Vec<AtomicU64>,
     jobs_stolen: Vec<AtomicU64>,
-    jobs_cancelled: Vec<AtomicU64>,
     busy_ns: Vec<AtomicU64>,
     queue_wait_ns: Vec<AtomicU64>,
     idle_ns: Vec<AtomicU64>,
-    cancel_observe_ns: Vec<AtomicU64>,
-    /// Epoch offset (plus one, 0 = unset) at which the current portfolio
-    /// race's token was cancelled — the anchor for cancellation-latency
-    /// accounting. Reset at the start of each race.
-    cancel_set_off: AtomicU64,
     /// Jobs whose post-run accounting (counters + execution window) has
     /// been published. A job's *result* can reach the submitter before its
     /// accounting lands, so drain-side readers wait for this to catch up
@@ -156,32 +143,6 @@ impl Shared {
             }
             std::thread::yield_now();
         }
-    }
-
-    /// Marks the cancellation anchor for the current portfolio race: the
-    /// first call after a [`reset_cancel_anchor`](Shared::reset_cancel_anchor)
-    /// wins; later calls are no-ops.
-    fn note_cancel_set(&self) {
-        let off = self.epoch.elapsed().as_nanos() as u64 + 1;
-        let _ = self
-            .cancel_set_off
-            .compare_exchange(0, off, Ordering::AcqRel, Ordering::Acquire);
-    }
-
-    /// Accounts one cancelled job on `worker`, attributing the wall-clock
-    /// gap since the race's cancellation anchor (if one was recorded).
-    fn note_cancel_observed(&self, worker: usize) {
-        self.jobs_cancelled[worker].fetch_add(1, Ordering::Relaxed);
-        let set = self.cancel_set_off.load(Ordering::Acquire);
-        if set == 0 {
-            return;
-        }
-        let now = self.epoch.elapsed().as_nanos() as u64 + 1;
-        self.cancel_observe_ns[worker].fetch_add(now.saturating_sub(set), Ordering::Relaxed);
-    }
-
-    fn reset_cancel_anchor(&self) {
-        self.cancel_set_off.store(0, Ordering::Release);
     }
 }
 
@@ -242,10 +203,8 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
 /// A fixed-size work-stealing pool of verification workers.
 ///
 /// Dropping the runtime shuts the pool down after all submitted jobs have
-/// run. The high-level entry points ([`run_batch`](Runtime::run_batch),
-/// [`portfolio`](Runtime::portfolio), and the solver drivers
-/// [`crate::solve_portfolio`] / [`crate::solve_cubes_adaptive`]) all block until
-/// their jobs complete, so results never outlive the runtime.
+/// run. [`run_batch`](Runtime::run_batch) blocks until its jobs complete,
+/// so batch results never outlive the runtime.
 ///
 /// Jobs must not submit further work to the same runtime: all workers
 /// could then be blocked waiting on jobs that no thread is free to run.
@@ -283,12 +242,9 @@ impl Runtime {
             jobs_executed: (0..threads).map(|_| AtomicU64::new(0)).collect(),
             jobs_local: (0..threads).map(|_| AtomicU64::new(0)).collect(),
             jobs_stolen: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-            jobs_cancelled: (0..threads).map(|_| AtomicU64::new(0)).collect(),
             busy_ns: (0..threads).map(|_| AtomicU64::new(0)).collect(),
             queue_wait_ns: (0..threads).map(|_| AtomicU64::new(0)).collect(),
             idle_ns: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-            cancel_observe_ns: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-            cancel_set_off: AtomicU64::new(0),
             jobs_accounted: AtomicU64::new(0),
             trace: JobTraceLog::default(),
             epoch: Instant::now(),
@@ -357,53 +313,29 @@ impl Runtime {
     /// **Batch mode**: runs every job to completion and returns the results
     /// in submission order, regardless of which workers ran what — batch
     /// output is therefore deterministic whenever the jobs themselves are.
-    ///
-    /// Each job receives a shared [`CancelToken`] (uncancelled unless
-    /// `token` is supplied pre-armed by the caller); jobs that observe a
-    /// cancellation and return early should report it by returning their
-    /// `T` anyway — use [`portfolio`](Runtime::portfolio) for first-result
-    /// / cancel-losers semantics.
+    /// Each job is traced as `job-scheduled`, `job-started` and
+    /// `job-finished` with outcome `"ok"`.
     pub fn run_batch<T, F>(&self, jobs: Vec<(String, F)>) -> Vec<T>
     where
         T: Send + 'static,
-        F: FnOnce(&CancelToken) -> T + Send + 'static,
-    {
-        self.run_batch_with_token(jobs, &CancelToken::new())
-    }
-
-    /// [`run_batch`](Runtime::run_batch) with a caller-provided token, so a
-    /// batch can be cancelled from outside (or a job can cancel its
-    /// siblings, as cube-and-conquer does on a SAT cube). Every closure
-    /// runs and returns its `T` — cancellation is cooperative, so a job
-    /// that finds the token cancelled should return a cheap sentinel value.
-    /// Jobs that start under an already-cancelled token are recorded as
-    /// `job-cancelled`; all others as `job-finished` with outcome `"ok"`.
-    pub fn run_batch_with_token<T, F>(&self, jobs: Vec<(String, F)>, token: &CancelToken) -> Vec<T>
-    where
-        T: Send + 'static,
-        F: FnOnce(&CancelToken) -> T + Send + 'static,
+        F: FnOnce() -> T + Send + 'static,
     {
         let n = jobs.len();
         let (tx, rx) = mpsc::channel::<(usize, T)>();
         for (index, (label, f)) in jobs.into_iter().enumerate() {
             let tx = tx.clone();
-            let token = token.clone();
-            let shared = self.shared.clone();
+            let trace = self.shared.trace.clone();
             self.submit(
                 Some(&label),
                 Box::new(move |ctx| {
-                    let cancelled_at_start = token.is_cancelled();
-                    let value = f(&token);
-                    let phase = if cancelled_at_start {
-                        shared.note_cancel_observed(ctx.worker);
-                        JobPhase::Cancelled { worker: ctx.worker }
-                    } else {
+                    let value = f();
+                    trace.record(
+                        ctx.job,
                         JobPhase::Finished {
                             worker: ctx.worker,
                             outcome: "ok".to_string(),
-                        }
-                    };
-                    shared.trace.record(ctx.job, phase);
+                        },
+                    );
                     let _ = tx.send((index, value));
                 }),
             );
@@ -426,112 +358,16 @@ impl Runtime {
     /// owns, and shutdown paths call [`quiesce`](Runtime::quiesce) to wait
     /// for every detached job's accounting to land before tearing down.
     ///
-    /// The closure receives an uncancelled [`CancelToken`] so solver loops
-    /// keep their cooperative-cancellation shape. Detached jobs are not
-    /// traced: a service submits one per request for as long as it runs
-    /// and never drains the job trace, so a traced detached job would grow
-    /// the trace, label and span logs by a few hundred bytes per request,
-    /// without bound. Only the per-worker counters
-    /// ([`worker_stats`](Runtime::worker_stats)) count them.
+    /// Detached jobs are not traced: a service submits one per request for
+    /// as long as it runs and never drains the job trace, so a traced
+    /// detached job would grow the trace, label and span logs by a few
+    /// hundred bytes per request, without bound. Only the per-worker
+    /// counters ([`worker_stats`](Runtime::worker_stats)) count them.
     pub fn spawn<F>(&self, f: F) -> u64
     where
-        F: FnOnce(&CancelToken) + Send + 'static,
+        F: FnOnce() + Send + 'static,
     {
-        let token = CancelToken::new();
-        self.submit(None, Box::new(move |_| f(&token)))
-    }
-
-    /// **Portfolio mode**: races the entrants on the same problem and
-    /// returns the first non-`None` result, cancelling the shared token so
-    /// the losers stop early. Entrants that observe the cancellation return
-    /// `None` and are recorded as `job-cancelled`.
-    ///
-    /// Returns `None` only if every entrant returned `None` (e.g. a
-    /// pre-cancelled token).
-    pub fn portfolio<T, F>(&self, entrants: Vec<(String, F)>) -> Option<PortfolioWin<T>>
-    where
-        T: Send + 'static,
-        F: FnOnce(&CancelToken) -> Option<T> + Send + 'static,
-    {
-        let token = CancelToken::new();
-        self.portfolio_with_token(entrants, &token)
-    }
-
-    /// [`portfolio`](Runtime::portfolio) with a caller-provided token.
-    pub fn portfolio_with_token<T, F>(
-        &self,
-        entrants: Vec<(String, F)>,
-        token: &CancelToken,
-    ) -> Option<PortfolioWin<T>>
-    where
-        T: Send + 'static,
-        F: FnOnce(&CancelToken) -> Option<T> + Send + 'static,
-    {
-        let n = entrants.len();
-        self.shared.reset_cancel_anchor();
-        // usize::MAX = no winner yet; compare_exchange elects exactly one.
-        let winner = Arc::new(AtomicUsize::new(usize::MAX));
-        let (tx, rx) = mpsc::channel::<(usize, String, Option<T>)>();
-        for (index, (label, f)) in entrants.into_iter().enumerate() {
-            let tx = tx.clone();
-            let token = token.clone();
-            let winner = winner.clone();
-            let shared = self.shared.clone();
-            let job_label = label.clone();
-            self.submit(
-                Some(&job_label),
-                Box::new(move |ctx| {
-                    let value = if token.is_cancelled() {
-                        None
-                    } else {
-                        f(&token)
-                    };
-                    let phase = match &value {
-                        Some(_)
-                            if winner
-                                .compare_exchange(
-                                    usize::MAX,
-                                    index,
-                                    Ordering::AcqRel,
-                                    Ordering::Acquire,
-                                )
-                                .is_ok() =>
-                        {
-                            token.cancel();
-                            shared.note_cancel_set();
-                            JobPhase::Finished {
-                                worker: ctx.worker,
-                                outcome: "won".to_string(),
-                            }
-                        }
-                        Some(_) => JobPhase::Finished {
-                            worker: ctx.worker,
-                            outcome: "lost".to_string(),
-                        },
-                        None => {
-                            shared.note_cancel_observed(ctx.worker);
-                            JobPhase::Cancelled { worker: ctx.worker }
-                        }
-                    };
-                    shared.trace.record(ctx.job, phase);
-                    let _ = tx.send((index, label, value));
-                }),
-            );
-        }
-        drop(tx);
-        let mut results: Vec<Option<(String, T)>> = (0..n).map(|_| None).collect();
-        for (index, label, value) in rx {
-            if let Some(v) = value {
-                results[index] = Some((label, v));
-            }
-        }
-        let winner = winner.load(Ordering::Acquire);
-        let (label, result) = results.into_iter().nth(winner.min(n)).flatten()?;
-        Some(PortfolioWin {
-            winner,
-            label,
-            result,
-        })
+        self.submit(None, Box::new(move |_| f()))
     }
 
     /// Drains the recorded job trace as `mca-obs` events, sorted by
@@ -599,7 +435,7 @@ impl Runtime {
 
     /// Waits until every submitted job's post-run accounting is published.
     ///
-    /// Batch and portfolio entry points return when the last job's
+    /// [`run_batch`](Runtime::run_batch) returns when the last job's
     /// *result* arrives, which can be a few instructions before the worker
     /// pushes that job's counters and execution window. The gap is tiny
     /// and bounded (the worker is between `job()` returning and its next
@@ -622,19 +458,17 @@ impl Runtime {
                 jobs: self.shared.jobs_executed[i].load(Ordering::Relaxed),
                 local_pops: self.shared.jobs_local[i].load(Ordering::Relaxed),
                 steals: self.shared.jobs_stolen[i].load(Ordering::Relaxed),
-                cancelled: self.shared.jobs_cancelled[i].load(Ordering::Relaxed),
                 busy_ns: self.shared.busy_ns[i].load(Ordering::Relaxed),
                 queue_wait_ns: self.shared.queue_wait_ns[i].load(Ordering::Relaxed),
                 idle_ns: self.shared.idle_ns[i].load(Ordering::Relaxed),
-                cancel_latency_ns: self.shared.cancel_observe_ns[i].load(Ordering::Relaxed),
             })
             .collect()
     }
 
     /// Records per-worker gauges and timers into a metrics registry under
     /// `prefix` (e.g. `runtime.w0.jobs`, `runtime.w1.busy`). Job counts
-    /// (total, local pops, steals, cancellations) land as gauges;
-    /// busy/queue-wait/idle/cancel-latency time as timers. This is the
+    /// (total, local pops, steals) land as gauges; busy/queue-wait/idle
+    /// time as timers. This is the
     /// deterministic drain of the per-worker counters: registry keys are
     /// sorted, values are logical job counts plus wall-clock durations that
     /// belong in metrics (never in the event trace), and `repro why` reads
@@ -645,14 +479,9 @@ impl Runtime {
             metrics.set_gauge(&format!("{prefix}.w{i}.jobs"), w.jobs as i64);
             metrics.set_gauge(&format!("{prefix}.w{i}.local_pops"), w.local_pops as i64);
             metrics.set_gauge(&format!("{prefix}.w{i}.steals"), w.steals as i64);
-            metrics.set_gauge(&format!("{prefix}.w{i}.cancelled"), w.cancelled as i64);
             metrics.add_timer_ns(&format!("{prefix}.w{i}.busy"), w.busy_ns);
             metrics.add_timer_ns(&format!("{prefix}.w{i}.queue_wait"), w.queue_wait_ns);
             metrics.add_timer_ns(&format!("{prefix}.w{i}.idle"), w.idle_ns);
-            metrics.add_timer_ns(
-                &format!("{prefix}.w{i}.cancel_latency"),
-                w.cancel_latency_ns,
-            );
         }
     }
 }
@@ -670,17 +499,6 @@ impl Drop for Runtime {
     }
 }
 
-/// The winning entrant of a [`Runtime::portfolio`] race.
-#[derive(Clone, Debug)]
-pub struct PortfolioWin<T> {
-    /// Index of the winning entrant in submission order.
-    pub winner: usize,
-    /// The winning entrant's label.
-    pub label: String,
-    /// The winner's result.
-    pub result: T,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -689,58 +507,16 @@ mod tests {
     fn batch_returns_results_in_submission_order() {
         let rt = Runtime::new(4);
         let jobs: Vec<(String, _)> = (0..32)
-            .map(|i| (format!("square:{i}"), move |_: &CancelToken| i * i))
+            .map(|i| (format!("square:{i}"), move || i * i))
             .collect();
         let results = rt.run_batch(jobs);
         assert_eq!(results, (0..32).map(|i| i * i).collect::<Vec<_>>());
     }
 
     #[test]
-    fn portfolio_elects_exactly_one_winner_and_cancels_losers() {
-        let rt = Runtime::new(3);
-        let entrants: Vec<(String, _)> = (0..6)
-            .map(|i| {
-                (format!("entrant:{i}"), move |token: &CancelToken| {
-                    if token.is_cancelled() {
-                        None
-                    } else {
-                        Some(i)
-                    }
-                })
-            })
-            .collect();
-        let win = rt.portfolio(entrants).expect("some entrant finishes");
-        assert!(win.winner < 6);
-        assert_eq!(win.label, format!("entrant:{}", win.winner));
-        let events = rt.drain_job_events();
-        let won = events
-            .iter()
-            .filter(|e| matches!(e, Event::JobFinished { outcome, .. } if outcome == "won"))
-            .count();
-        assert_eq!(won, 1, "exactly one winner in {events:?}");
-    }
-
-    #[test]
-    fn pre_cancelled_portfolio_returns_none() {
-        let rt = Runtime::new(2);
-        let token = CancelToken::new();
-        token.cancel();
-        let entrants: Vec<(String, _)> = (0..4)
-            .map(|i| {
-                (format!("e:{i}"), move |t: &CancelToken| {
-                    (!t.is_cancelled()).then_some(i)
-                })
-            })
-            .collect();
-        assert!(rt.portfolio_with_token(entrants, &token).is_none());
-    }
-
-    #[test]
     fn worker_stats_cover_all_executed_jobs() {
         let rt = Runtime::new(2);
-        let jobs: Vec<(String, _)> = (0..10)
-            .map(|i| (format!("j{i}"), move |_: &CancelToken| i))
-            .collect();
+        let jobs: Vec<(String, _)> = (0..10).map(|i| (format!("j{i}"), move || i)).collect();
         rt.run_batch(jobs);
         let total: u64 = rt.worker_stats().iter().map(|w| w.jobs).sum();
         assert_eq!(total, 10);
@@ -754,7 +530,7 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for i in 0..50u64 {
             let tx = tx.clone();
-            rt.spawn(move |_| {
+            rt.spawn(move || {
                 let _ = tx.send(i);
             });
         }
@@ -766,16 +542,14 @@ mod tests {
         assert!(rt.shared.job_labels.lock().unwrap().is_empty());
         assert!(rt.shared.job_windows.lock().unwrap().is_empty());
         // Batch jobs on the same pool are still traced.
-        rt.run_batch(vec![("b".to_string(), |_: &CancelToken| ())]);
+        rt.run_batch(vec![("b".to_string(), || ())]);
         assert_eq!(rt.drain_job_events().len(), 3);
     }
 
     #[test]
     fn emit_job_spans_replays_windows_in_job_id_order() {
         let rt = Runtime::new(3);
-        let jobs: Vec<(String, _)> = (0..8)
-            .map(|i| (format!("job:{i}"), move |_: &CancelToken| i))
-            .collect();
+        let jobs: Vec<(String, _)> = (0..8).map(|i| (format!("job:{i}"), move || i)).collect();
         rt.run_batch(jobs);
         let handle = mca_obs::Handle::new(mca_obs::CollectSink::default());
         let spans = mca_obs::SpanRecorder::new(handle.observer());
@@ -805,7 +579,7 @@ mod tests {
         let rt = Runtime::new(2);
         let jobs: Vec<(String, _)> = (0..12u64)
             .map(|i| {
-                (format!("j{i}"), move |_: &CancelToken| {
+                (format!("j{i}"), move || {
                     (0..10_000u64).fold(i, |acc, x| acc.wrapping_add(x))
                 })
             })
@@ -818,45 +592,27 @@ mod tests {
             stats.iter().map(|w| w.local_pops + w.steals).sum::<u64>(),
             12
         );
-        // Nothing was cancelled, and someone was idle at some point (the
-        // pool existed before the first submission).
-        assert_eq!(stats.iter().map(|w| w.cancelled).sum::<u64>(), 0);
+        // Someone was idle at some point (the pool existed before the
+        // first submission).
         assert!(stats.iter().any(|w| w.idle_ns > 0));
-    }
-
-    #[test]
-    fn cancelled_batch_jobs_are_counted_per_worker() {
-        let rt = Runtime::new(2);
-        let token = CancelToken::new();
-        token.cancel();
-        let jobs: Vec<(String, _)> = (0..6u64)
-            .map(|i| (format!("j{i}"), move |_: &CancelToken| i))
-            .collect();
-        rt.run_batch_with_token(jobs, &token);
-        assert_eq!(
-            rt.worker_stats().iter().map(|w| w.cancelled).sum::<u64>(),
-            6
-        );
     }
 
     #[test]
     fn record_metrics_exposes_per_worker_scheduling_counters() {
         let rt = Runtime::new(2);
-        let jobs: Vec<(String, _)> = (0..4u64)
-            .map(|i| (format!("j{i}"), move |_: &CancelToken| i))
-            .collect();
+        let jobs: Vec<(String, _)> = (0..4u64).map(|i| (format!("j{i}"), move || i)).collect();
         rt.run_batch(jobs);
         let mut metrics = Metrics::new();
         rt.record_metrics(&mut metrics, "runtime");
         assert_eq!(metrics.gauge("runtime.threads"), Some(2));
-        for key in ["jobs", "local_pops", "steals", "cancelled"] {
+        for key in ["jobs", "local_pops", "steals"] {
             assert!(
                 metrics.gauge(&format!("runtime.w0.{key}")).is_some(),
                 "missing gauge runtime.w0.{key}"
             );
         }
         let rendered = metrics.to_json().render();
-        for key in ["busy", "queue_wait", "idle", "cancel_latency"] {
+        for key in ["busy", "queue_wait", "idle"] {
             assert!(
                 rendered.contains(&format!("runtime.w1.{key}")),
                 "missing timer runtime.w1.{key} in {rendered}"

@@ -5,7 +5,7 @@
 //! (the doctrine of `mca-obs`: events keyed by logical progress, never
 //! wall-clock), the log is drained sorted by `(job id, phase rank)` —
 //! job ids are assigned in submission order, and a job's phases have a
-//! fixed rank (`scheduled < started < finished/cancelled`). For a fixed
+//! fixed rank (`scheduled < started < finished`). For a fixed
 //! workload the drained event sequence is therefore identical no matter
 //! how many workers ran it or how they interleaved.
 //!
@@ -34,13 +34,8 @@ pub enum JobPhase {
     Finished {
         /// Executing worker index.
         worker: usize,
-        /// Outcome label (`"ok"`, `"won"`, `"lost"`, `"sat"`, …).
+        /// Outcome label (`"ok"` for every batch job).
         outcome: String,
-    },
-    /// The job observed its cancellation token and stopped early.
-    Cancelled {
-        /// Executing worker index.
-        worker: usize,
     },
 }
 
@@ -50,7 +45,7 @@ impl JobPhase {
         match self {
             JobPhase::Scheduled { .. } => 0,
             JobPhase::Started { .. } => 1,
-            JobPhase::Finished { .. } | JobPhase::Cancelled { .. } => 2,
+            JobPhase::Finished { .. } => 2,
         }
     }
 }
@@ -86,7 +81,6 @@ impl JobTraceLog {
                 JobPhase::Scheduled { label } => Event::JobScheduled { job, label },
                 JobPhase::Started { .. } => Event::JobStarted { job },
                 JobPhase::Finished { outcome, .. } => Event::JobFinished { job, outcome },
-                JobPhase::Cancelled { .. } => Event::JobCancelled { job },
             })
             .collect()
     }
@@ -112,7 +106,13 @@ mod tests {
         log.record(1, JobPhase::Scheduled { label: "b".into() });
         log.record(0, JobPhase::Scheduled { label: "a".into() });
         log.record(0, JobPhase::Started { worker: 1 });
-        log.record(1, JobPhase::Cancelled { worker: 0 });
+        log.record(
+            1,
+            JobPhase::Finished {
+                worker: 0,
+                outcome: "ok".into(),
+            },
+        );
         let kinds: Vec<String> = log
             .drain_events()
             .iter()
@@ -126,7 +126,7 @@ mod tests {
                 r#"{"event":"job-finished","job":0,"outcome":"ok"}"#,
                 r#"{"event":"job-scheduled","job":1,"label":"b"}"#,
                 r#"{"event":"job-started","job":1}"#,
-                r#"{"event":"job-cancelled","job":1}"#,
+                r#"{"event":"job-finished","job":1,"outcome":"ok"}"#,
             ]
         );
         assert!(log.drain_events().is_empty(), "drain empties the log");

@@ -13,23 +13,11 @@
 //!   minimization ([`Solver`]).
 //! * Two-watched-literal unit propagation over a flat clause arena, with
 //!   binary clauses settled from their watchers alone.
-//! * VSIDS decision heuristic with phase saving (initial polarity seeded by
-//!   [`SolverConfig::default_polarity`]).
-//! * Luby or glucose-adaptive restarts ([`RestartPolicy`]) and
-//!   glucose-style tiered learnt-clause reduction keyed on LBD.
+//! * VSIDS decision heuristic with phase saving.
+//! * Luby restarts and glucose-style tiered learnt-clause reduction keyed
+//!   on LBD.
 //! * Incremental solving under assumptions with failed-assumption
-//!   extraction, and conflict-budgeted solving
-//!   ([`Solver::solve_bounded`]) for adaptive cube-and-conquer.
-//! * Learnt-clause sharing between solver instances: install a
-//!   [`ClauseSink`] with [`Solver::set_clause_sink`] and low-LBD learnt
-//!   clauses flow out at every conflict and in at every restart boundary
-//!   ([`SharedClause`]). `mca-runtime` builds its portfolio sharing pool on
-//!   this.
-//! * Cooperative cross-thread cancellation: share a [`CancelToken`] via
-//!   [`Solver::set_terminate`] and drive the search with
-//!   [`Solver::solve_under_assumptions`] — the loop checks the token at
-//!   every decision and conflict. This is what the `mca-runtime` portfolio
-//!   and cube-and-conquer engines use to cancel losing solver instances.
+//!   extraction.
 //! * Opt-in search telemetry ([`Solver::enable_telemetry`]): per-restart-
 //!   epoch [`EpochSample`]s, learnt-clause LBD/length histograms, and
 //!   assumption-failure counts in a [`SearchTelemetry`].
@@ -79,7 +67,4 @@ pub use lit::{LBool, Lit, Var};
 pub use luby::{luby, LubyRestarts};
 pub use proof::{check_drat, check_drat_stream, DratChecker, DratError, Proof, ProofStep};
 pub use simplify::SimplifyStats;
-pub use solver::{
-    CancelToken, ClauseSink, EpochSample, Model, ProgressCallback, ProgressFn, RestartPolicy,
-    SearchTelemetry, SharedClause, SolveResult, Solver, SolverConfig, SolverStats,
-};
+pub use solver::{EpochSample, Model, SearchTelemetry, SolveResult, Solver, SolverStats};

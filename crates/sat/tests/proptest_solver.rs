@@ -123,26 +123,3 @@ fn random_3sat_near_phase_transition() {
         );
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Verdicts are invariant under search-parameter changes.
-    #[test]
-    fn config_does_not_change_verdicts(cnf in arb_cnf(8, 24), knob in 0usize..4) {
-        use mca_sat::{Solver, SolverConfig};
-        let reference = cnf.to_solver().solve();
-        let config = match knob {
-            0 => SolverConfig { var_decay: 0.6, ..SolverConfig::default() },
-            1 => SolverConfig { restart_base: 2, ..SolverConfig::default() },
-            2 => SolverConfig { phase_saving: false, ..SolverConfig::default() },
-            _ => SolverConfig { reduce_db: false, clause_decay: 0.5, ..SolverConfig::default() },
-        };
-        let mut solver = Solver::with_config(config);
-        solver.new_vars(cnf.num_vars());
-        for c in cnf.clauses() {
-            solver.add_clause(c.iter().copied());
-        }
-        prop_assert_eq!(solver.solve(), reference);
-    }
-}

@@ -618,7 +618,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
                     let job_cache = shared.cache.clone();
                     // The hand-off to a pool worker is queue wait too.
                     let spawned = Instant::now();
-                    shared.runtime.spawn(move |_token| {
+                    shared.runtime.spawn(move || {
                         let handoff_ns = ns_since(spawned);
                         let _ = tx.send((handoff_ns, request::execute(&job_req, &job_cache)));
                     });

@@ -701,10 +701,9 @@ impl DynamicModel {
     }
 
     /// The raw CNF of facts ∧ ¬consensus — exactly the formula
-    /// [`check_consensus`](Self::check_consensus) solves. The parallel
-    /// solver drivers (portfolio and cube-and-conquer in `mca-runtime`)
-    /// consume this directly: the consensus assertion is **valid** iff
-    /// this CNF is UNSAT.
+    /// [`check_consensus`](Self::check_consensus) solves: the consensus
+    /// assertion is **valid** iff this CNF is UNSAT. `mca-serve`'s
+    /// translation cache stores it.
     ///
     /// # Errors
     ///

@@ -2,13 +2,11 @@
 //! [`crate::analysis`] fanned across an [`mca_runtime::Runtime`].
 //!
 //! Every driver here is **outcome-equivalent** to its sequential twin:
-//! batch results come back in submission order, portfolio and cube solves
-//! are verdict-invariant by construction, and each job builds its own
-//! simulator/model from `Copy`/`Clone` scenario data (closures must be
+//! batch results come back in submission order, and each job builds its
+//! own simulator/model from `Copy`/`Clone` scenario data (closures must be
 //! `Send`; simulators and observers are not). Only the wall-clock column
-//! and — for portfolio — the *winning configuration* may differ between a
-//! 1-thread and an N-thread run. The `runtime_determinism` integration
-//! test pins this.
+//! differs between a 1-thread and an N-thread run. The
+//! `runtime_determinism` integration test pins this.
 //!
 //! Job granularity is deliberately **coarse**: sub-millisecond cells are
 //! grouped into multi-cell jobs (pairs for the Result-1 matrix, strided
@@ -24,11 +22,7 @@ use crate::encoding::NumberEncoding;
 use mca_core::checker::{check_consensus, CheckerOptions};
 use mca_core::scenarios::{self, ExtendedPolicyCell, PolicyCell};
 use mca_relalg::TranslateError;
-use mca_runtime::{
-    solve_cubes_adaptive, solve_portfolio, AdaptiveCubeConfig, AdaptiveCubeReport, PortfolioEntry,
-    PortfolioReport, Runtime, SharingConfig,
-};
-use mca_sat::SolveResult;
+use mca_runtime::Runtime;
 use std::fmt;
 use std::time::Instant;
 
@@ -56,7 +50,7 @@ pub fn run_policy_matrix_parallel(rt: &Runtime) -> Vec<PolicyMatrixRow> {
         .map(<[PolicyCell]>::to_vec)
         .enumerate()
         .map(|(i, chunk)| {
-            (format!("e3:pair{i}"), move |_: &mca_sat::CancelToken| {
+            (format!("e3:pair{i}"), move || {
                 chunk.into_iter().map(check_cell).collect::<Vec<_>>()
             })
         })
@@ -162,14 +156,11 @@ pub fn run_extended_policy_matrix(rt: &Runtime) -> Vec<ExtendedMatrixRow> {
                 .skip(stride)
                 .step_by(chunks)
                 .collect();
-            (
-                format!("e3x:stride{stride}/{chunks}"),
-                move |_: &mca_sat::CancelToken| {
-                    mine.into_iter()
-                        .map(|(index, cell)| (index, extended_cell(cell)))
-                        .collect::<Vec<_>>()
-                },
-            )
+            (format!("e3x:stride{stride}/{chunks}"), move || {
+                mine.into_iter()
+                    .map(|(index, cell)| (index, extended_cell(cell)))
+                    .collect::<Vec<_>>()
+            })
         })
         .collect();
     let mut rows: Vec<Option<ExtendedMatrixRow>> = (0..total).map(|_| None).collect();
@@ -191,9 +182,9 @@ enum AttackPiece {
 /// [`crate::analysis::run_rebid_attack`] run as four concurrent jobs.
 /// The report is field-for-field identical to the sequential driver's.
 pub fn run_rebid_attack_parallel(rt: &Runtime) -> AttackReport {
-    type PieceJob = Box<dyn FnOnce(&mca_sat::CancelToken) -> AttackPiece + Send>;
+    type PieceJob = Box<dyn FnOnce() -> AttackPiece + Send>;
     let sat_piece = |encoding: NumberEncoding, scenario: DynamicScenario| -> PieceJob {
-        Box::new(move |_| AttackPiece::Sat {
+        Box::new(move || AttackPiece::Sat {
             valid: DynamicModel::build(encoding, scenario)
                 .check_consensus()
                 .expect("well-formed model")
@@ -204,7 +195,7 @@ pub fn run_rebid_attack_parallel(rt: &Runtime) -> AttackReport {
     let jobs: Vec<(String, PieceJob)> = vec![
         (
             "e4:explicit".into(),
-            Box::new(|_| {
+            Box::new(|| {
                 let verdict =
                     check_consensus(scenarios::rebid_attack(2, 2), CheckerOptions::default());
                 AttackPiece::Explicit {
@@ -235,10 +226,6 @@ pub fn run_rebid_attack_parallel(rt: &Runtime) -> AttackReport {
             ),
         ),
     ];
-    let jobs: Vec<(String, _)> = jobs
-        .into_iter()
-        .map(|(label, job)| (label, move |token: &mca_sat::CancelToken| job(token)))
-        .collect();
     let mut pieces = rt.run_batch(jobs).into_iter();
     let AttackPiece::Explicit { converges, detail } =
         pieces.next().expect("explicit piece present")
@@ -278,26 +265,22 @@ pub fn run_scale_sweep_parallel(
     rt: &Runtime,
     scopes: &[(usize, usize)],
 ) -> Result<Vec<ScaleRow>, TranslateError> {
-    type PieceJob = Box<dyn FnOnce(&mca_sat::CancelToken) -> ScalePiece + Send>;
+    type PieceJob = Box<dyn FnOnce() -> ScalePiece + Send>;
     let mut jobs: Vec<(String, PieceJob)> = Vec::new();
     for &(p, v) in scopes {
         for (label, encoding, preprocess) in E8_VARIANTS {
             jobs.push((
                 format!("e8:{p}x{v}:{label}"),
-                Box::new(move |_| {
+                Box::new(move || {
                     ScalePiece::Variant(scale_variant(p, v, label, encoding, preprocess, None))
                 }),
             ));
         }
         jobs.push((
             format!("e8:{p}x{v}:sweep"),
-            Box::new(move |_| ScalePiece::Sweep(scale_sweep_at(p, v, None))),
+            Box::new(move || ScalePiece::Sweep(scale_sweep_at(p, v, None))),
         ));
     }
-    let jobs: Vec<(String, _)> = jobs
-        .into_iter()
-        .map(|(label, job)| (label, move |token: &mca_sat::CancelToken| job(token)))
-        .collect();
     let mut pieces = rt.run_batch(jobs).into_iter();
     let mut rows = Vec::with_capacity(scopes.len());
     for &(p, v) in scopes {
@@ -326,47 +309,10 @@ pub fn run_scale_sweep_parallel(
     Ok(rows)
 }
 
-/// The consensus assertion checked by a portfolio of diversified solver
-/// configurations racing on the model's `facts ∧ ¬consensus` CNF. The
-/// entrants exchange low-LBD learnt clauses through a
-/// [`ClauseShare`](mca_runtime::ClauseShare) pool under `sharing`
-/// (`max_lbd: 0` races them without sharing), so the losers' conflict
-/// analysis feeds the winner instead of being discarded at cancellation.
-/// Returns the validity verdict (valid ⇔ the CNF is UNSAT — never differs
-/// from [`DynamicModel::check_consensus`], since imports are logical
-/// consequences of the shared CNF) plus the race report, whose
-/// `shared_exported` / `shared_imported` counters quantify the traffic.
-pub fn check_consensus_portfolio(
-    rt: &Runtime,
-    model: &DynamicModel,
-    entrants: &[PortfolioEntry],
-    sharing: SharingConfig,
-) -> (bool, PortfolioReport) {
-    let cnf = model.consensus_cnf().expect("well-formed model");
-    let report = solve_portfolio(rt, &cnf, entrants, sharing);
-    (report.result == SolveResult::Unsat, report)
-}
-
-/// The consensus assertion checked by **adaptive** cube-and-conquer:
-/// cubes that resolve inside the conflict budget finish shallow; cubes
-/// that exhaust it are split one ladder variable deeper. Valid ⇔ the
-/// adaptive search is UNSAT everywhere. A fixed split on `k` variables is
-/// `initial_split = max_split = k`: cubes at the depth cap run unbounded.
-pub fn check_consensus_cubes_adaptive(
-    rt: &Runtime,
-    model: &DynamicModel,
-    config: AdaptiveCubeConfig,
-) -> (bool, AdaptiveCubeReport) {
-    let cnf = model.consensus_cnf().expect("well-formed model");
-    let report = solve_cubes_adaptive(rt, &cnf, config);
-    (report.result == SolveResult::Unsat, report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analysis::{run_policy_matrix, run_rebid_attack};
-    use mca_runtime::diversified_configs;
 
     #[test]
     fn parallel_policy_matrix_matches_sequential() {
@@ -433,34 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_portfolio_and_adaptive_cubes_agree_with_sequential_check() {
-        let rt = Runtime::new(2);
-        for scenario in [
-            DynamicScenario::two_agent_compliant(),
-            DynamicScenario::two_agent_rebid_attack(),
-        ] {
-            let model = DynamicModel::build(NumberEncoding::OptimizedValue, scenario);
-            let sequential = model
-                .check_consensus()
-                .expect("well-formed model")
-                .result
-                .is_valid();
-            let (shared_valid, report) = check_consensus_portfolio(
-                &rt,
-                &model,
-                &diversified_configs(3),
-                SharingConfig::default(),
-            );
-            assert_eq!(shared_valid, sequential);
-            assert_eq!(report.entrants, 3);
-            let (adaptive_valid, cubes) =
-                check_consensus_cubes_adaptive(&rt, &model, AdaptiveCubeConfig::default());
-            assert_eq!(adaptive_valid, sequential);
-            assert!(cubes.attempts >= 1);
-        }
-    }
-
-    #[test]
     fn parallel_scale_sweep_matches_sequential() {
         let rt = Runtime::new(2);
         let par = run_scale_sweep_parallel(&rt, &[(2, 2)]).expect("parallel sweep");
@@ -478,40 +396,6 @@ mod tests {
             }
             assert_eq!(p.sweep.per_state, s.sweep.per_state);
             assert_eq!(p.sweep.valid_from, s.sweep.valid_from);
-        }
-    }
-
-    #[test]
-    fn portfolio_and_cube_consensus_agree_with_sequential_check() {
-        let rt = Runtime::new(2);
-        for scenario in [
-            DynamicScenario::two_agent_compliant(),
-            DynamicScenario::two_agent_rebid_attack(),
-        ] {
-            let model = DynamicModel::build(NumberEncoding::OptimizedValue, scenario);
-            let sequential = model
-                .check_consensus()
-                .expect("well-formed model")
-                .result
-                .is_valid();
-            let no_sharing = SharingConfig {
-                max_lbd: 0,
-                ..SharingConfig::default()
-            };
-            let (portfolio_valid, report) =
-                check_consensus_portfolio(&rt, &model, &diversified_configs(3), no_sharing);
-            assert_eq!(portfolio_valid, sequential);
-            assert_eq!(report.entrants, 3);
-            assert_eq!(report.shared_exported, 0);
-            let fixed_split = AdaptiveCubeConfig {
-                initial_split: 2,
-                max_split: 2,
-                ..AdaptiveCubeConfig::default()
-            };
-            let (cube_valid, cubes) = check_consensus_cubes_adaptive(&rt, &model, fixed_split);
-            assert_eq!(cube_valid, sequential);
-            assert_eq!(cubes.attempts, 4);
-            assert_eq!(cubes.resplit, 0);
         }
     }
 }

@@ -4,19 +4,21 @@
 //! * Worker attribution (`worker`, `queue_wait_ns`) lives only in span
 //!   exit fields and is reduced to bare names by the trace outline, so
 //!   the outline stays byte-identical at 1 and N threads.
-//! * `search-epoch` events are keyed by logical progress (epoch index,
-//!   conflict counts) and byte-reproducible for a fixed solve.
+//! * The solver's `sat.restart-epoch` spans carry logical progress only
+//!   (epoch index, conflict and learnt counts), so their outline is
+//!   byte-reproducible for a fixed solve.
 //! * Solver search telemetry is opt-in and only observes: enabled, it
 //!   leaves the search's conflict, decision, propagation and restart
 //!   counts unchanged. (Its wall-clock overhead gate lives in
 //!   `crates/bench/tests/wall_clock.rs`, which CI runs in release mode.)
 //! * The `repro why` rule catalog diagnoses a deliberately fine-grained
-//!   batch (the CI fixture's shape) from its trace + metrics pair.
+//!   batch (the CI fixture's shape) from its trace + metrics pair, and
+//!   its scheduling rules read the metrics a real pool records.
 
-use mca_obs::{Event, Handle, JsonlSink, Metrics, SpanRecorder};
+use mca_obs::{Handle, JsonlSink, Metrics, SpanRecorder};
 use mca_report::{diagnose, ParsedTrace};
 use mca_runtime::Runtime;
-use mca_sat::{CancelToken, CnfFormula, SolveResult};
+use mca_sat::{CnfFormula, SolveResult};
 
 /// `holes`+1 pigeons into `holes` holes — a small UNSAT family that
 /// forces real CDCL search (conflicts, restarts, learnt clauses).
@@ -45,7 +47,7 @@ fn traced_batch(threads: usize) -> (String, String) {
     let rt = Runtime::new(threads);
     let jobs: Vec<(String, _)> = (0..16u64)
         .map(|i| {
-            (format!("work:{i}"), move |_: &CancelToken| {
+            (format!("work:{i}"), move || {
                 (0..4_000u64).fold(i, |acc, x| acc.wrapping_mul(31).wrapping_add(x))
             })
         })
@@ -96,39 +98,41 @@ fn worker_attribution_is_outlined_away_at_any_thread_count() {
 }
 
 #[test]
-fn search_epoch_events_are_byte_reproducible_for_a_fixed_solve() {
+fn restart_epoch_spans_outline_identically_for_a_fixed_solve() {
     let trace_of_solve = || {
+        let handle = Handle::new(JsonlSink::new(Vec::<u8>::new()));
         let mut solver = pigeonhole(6).to_solver();
-        solver.enable_telemetry();
+        solver.set_spans(SpanRecorder::new(handle.observer()));
         assert_eq!(solver.solve(), SolveResult::Unsat);
-        let telemetry = solver.take_telemetry().expect("enabled");
-        let mut out = String::new();
-        for e in &telemetry.epochs {
-            out.push_str(
-                &Event::SearchEpoch {
-                    label: "forensics:ph6".to_string(),
-                    epoch: e.epoch,
-                    conflicts: e.conflicts,
-                    decisions: e.decisions,
-                    propagations: e.propagations,
-                    learnt: e.learnt_live,
-                }
-                .to_json_line(),
-            );
-            out.push('\n');
-        }
-        out
+        let restarts = solver.stats().restarts;
+        drop(solver);
+        let bytes = handle
+            .try_into_inner()
+            .expect("sole owner")
+            .into_inner()
+            .expect("in-memory writes cannot fail");
+        let trace = ParsedTrace::parse(&String::from_utf8(bytes).expect("UTF-8"));
+        (trace, restarts)
     };
-    let a = trace_of_solve();
-    assert_eq!(a, trace_of_solve(), "search telemetry must be logical");
-    // And the report layer round-trips every epoch.
-    let parsed = ParsedTrace::parse(&a);
-    assert_eq!(parsed.search_epochs.len(), a.lines().count());
-    assert!(parsed
-        .search_epochs
+    let (trace, restarts) = trace_of_solve();
+    assert!(trace.diagnostics.is_empty(), "{:?}", trace.diagnostics);
+    assert_eq!(
+        trace.outline(),
+        trace_of_solve().0.outline(),
+        "restart-epoch spans must carry logical progress only"
+    );
+    // One span per epoch, the partial last one included, numbered in
+    // order under the solve.
+    let epochs: Vec<_> = trace
+        .spans
         .iter()
-        .all(|e| e.label == "forensics:ph6"));
-    assert!(parsed.diagnostics.is_empty(), "{:?}", parsed.diagnostics);
+        .filter(|s| s.name == "sat.restart-epoch")
+        .collect();
+    assert!(restarts > 0, "pigeonhole(6) restarts");
+    assert_eq!(epochs.len() as u64, restarts + 1);
+    for (i, epoch) in epochs.iter().enumerate() {
+        assert_eq!(epoch.fields[0], ("epoch".to_string(), i as u64));
+    }
 }
 
 #[test]
@@ -155,7 +159,7 @@ fn why_diagnoses_a_deliberately_fine_grained_batch() {
     // fine) must fire from the trace alone.
     let rt = Runtime::new(2);
     let jobs: Vec<(String, _)> = (0..32u64)
-        .map(|i| (format!("tiny:{i}"), move |_: &CancelToken| i))
+        .map(|i| (format!("tiny:{i}"), move || i))
         .collect();
     assert_eq!(rt.run_batch(jobs).len(), 32);
     let handle = Handle::new(JsonlSink::new(Vec::<u8>::new()));
@@ -182,11 +186,11 @@ fn why_diagnoses_a_deliberately_fine_grained_batch() {
 
 #[test]
 fn coarsened_e3_batch_no_longer_fires_critical_granularity_rules() {
-    // Regression pin for the PR that coarsened E3's job granularity: the
-    // `repro e3` batch shape — paired Result-1 cells and strided
+    // Regression pin for the change that coarsened E3's job granularity:
+    // the `repro e3` batch shape — paired Result-1 cells and strided
     // extended-matrix chunks (6 jobs instead of the old 20) mixed with
-    // the solver-bound jobs that dominate the real run (portfolio
-    // entrants, E8 scaling cells; pigeonhole solves stand in here) — must
+    // the solver-bound jobs that dominate the real run (the E8 scaling
+    // cells; pigeonhole solves stand in here) — must
     // not trip W001 or W005 at *critical* severity any more. That was
     // exactly the diagnosis `repro why` issued against the old
     // one-cell-per-job drivers, where matrix confetti outnumbered the
@@ -206,9 +210,7 @@ fn coarsened_e3_batch_no_longer_fires_critical_granularity_rules() {
     let solves: Vec<(String, _)> = (0..8)
         .map(|i| {
             let cnf = pigeonhole(7);
-            (format!("sat:{i}"), move |_: &CancelToken| {
-                cnf.to_solver().solve()
-            })
+            (format!("sat:{i}"), move || cnf.to_solver().solve())
         })
         .collect();
     assert!(rt
@@ -238,44 +240,23 @@ fn coarsened_e3_batch_no_longer_fires_critical_granularity_rules() {
 }
 
 #[test]
-fn sharing_does_not_loosen_the_cancellation_latency_bound() {
-    // Imports happen at restart boundaries, never between the token being
-    // set and the next conflict-poll, so the latency contract survives
-    // clause sharing unchanged.
-    let cnf = pigeonhole(4);
+fn why_scheduling_rules_read_a_real_pools_metrics() {
+    // W001-W003 and W008 read every `runtime.wN.*` gauge and timer the
+    // pool records; one missing key would silence all four. A pool that
+    // sits idle for 50 ms before a batch of trivial jobs must read as
+    // starved for work.
     let rt = Runtime::new(2);
-    let report = mca_runtime::solve_portfolio(
-        &rt,
-        &cnf,
-        &mca_runtime::diversified_configs(4),
-        mca_runtime::SharingConfig::default(),
-    );
-    assert_eq!(report.result, SolveResult::Unsat);
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let jobs: Vec<(String, _)> = (0..4u64)
+        .map(|i| (format!("tiny:{i}"), move || i))
+        .collect();
+    assert_eq!(rt.run_batch(jobs).len(), 4);
+    let mut metrics = Metrics::new();
+    rt.record_metrics(&mut metrics, "runtime");
+    let metrics_json = mca_obs::json::Json::parse(&metrics.to_json().render()).expect("own JSON");
+    let findings = diagnose(&ParsedTrace::default(), Some(&metrics_json));
     assert!(
-        report.cancel_latency_conflicts() <= 1,
-        "sharing loosened the cancellation latency: {}",
-        report.cancel_latency_conflicts()
+        findings.iter().any(|f| f.rule == "W001"),
+        "an idle pool must trip W001: {findings:?}"
     );
-}
-
-#[test]
-fn portfolio_cancellation_latency_is_bounded_by_the_check_interval() {
-    // A cancelled portfolio loser stops within one conflict of the token
-    // being set, since the solver polls it at every conflict and decision;
-    // the report surfaces this as `cancel_latency_conflicts()`.
-    let cnf = pigeonhole(4);
-    let rt = Runtime::new(2);
-    let no_sharing = mca_runtime::SharingConfig {
-        max_lbd: 0,
-        ..mca_runtime::SharingConfig::default()
-    };
-    let report =
-        mca_runtime::solve_portfolio(&rt, &cnf, &mca_runtime::diversified_configs(4), no_sharing);
-    assert!(
-        report.cancel_latency_conflicts() <= 1,
-        "entrants poll every conflict; observed latency {}",
-        report.cancel_latency_conflicts()
-    );
-    // The wasted-work accounting covers every entrant that ran.
-    assert!(report.entrant_stats.iter().filter(|s| s.is_some()).count() >= 1);
 }

@@ -206,10 +206,12 @@ fn regression_stale_bid_22_11() {
 
 /// Re-checks one pinned regression's bid profile through the SAT engine's
 /// *assumption-enabled* solve path: the consensus CNF must get the same
-/// verdict from `solve()` and from `solve_under_assumptions(&[])` (the
-/// entry the parallel runtime drives), and that verdict must agree with
-/// `check_consensus`. Guards the assumption-prefix machinery added for
-/// cube-and-conquer against divergence from the plain search loop.
+/// verdict from `solve()` and from `solve_with_assumptions` on a fresh,
+/// unconstrained literal, so the search runs above an assumption level,
+/// and that verdict must agree with `check_consensus`. Guards the
+/// assumption-prefix machinery (the pseudo-decision levels, and restarts
+/// held back until the search is above them) against divergence from the
+/// plain search loop.
 fn assert_assumption_path_agrees(bids: Vec<Vec<i64>>) {
     use mca_sat::SolveResult;
     use mca_verify::{DynamicModel, DynamicScenario, NumberEncoding};
@@ -224,10 +226,9 @@ fn assert_assumption_path_agrees(bids: Vec<Vec<i64>>) {
     let model = DynamicModel::build(NumberEncoding::OptimizedValue, scenario);
     let cnf = model.consensus_cnf().expect("well-formed model");
     let plain = cnf.to_solver().solve();
-    let under_assumptions = cnf
-        .to_solver()
-        .solve_under_assumptions(&[])
-        .expect("no token installed, solve runs to completion");
+    let mut solver = cnf.to_solver();
+    let fresh = solver.new_var().positive();
+    let under_assumptions = solver.solve_with_assumptions(&[fresh]);
     assert_eq!(plain, under_assumptions, "solve paths disagree");
     let valid = model
         .check_consensus()

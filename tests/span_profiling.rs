@@ -13,7 +13,6 @@
 use mca_obs::{CollectSink, Handle, JsonlSink, SpanRecorder};
 use mca_report::ParsedTrace;
 use mca_runtime::Runtime;
-use mca_sat::CancelToken;
 use mca_verify::analysis::{run_policy_matrix, PolicyMatrixRow};
 use mca_verify::{DynamicModel, DynamicScenario, NumberEncoding};
 
@@ -23,7 +22,7 @@ fn job_span_outline(threads: usize) -> String {
     let rt = Runtime::new(threads);
     let jobs: Vec<(String, _)> = (0..24u64)
         .map(|i| {
-            (format!("work:{i}"), move |_: &CancelToken| {
+            (format!("work:{i}"), move || {
                 // A little real work so execution interleaves across workers.
                 (0..2_000u64).fold(i, |acc, x| acc.wrapping_mul(31).wrapping_add(x))
             })
