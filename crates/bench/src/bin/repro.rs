@@ -779,7 +779,7 @@ fn cmd_serve(args: &[String]) -> ! {
         std::process::exit(2);
     });
     println!(
-        "mca-serve listening on {} ({} worker(s), {} MiB cache, queue capacity {})",
+        "mca-serve listening on {} ({} compute slot(s), {} MiB cache, queue capacity {})",
         handle.addr(),
         config.threads,
         config.cache_bytes >> 20,
@@ -808,11 +808,9 @@ fn cmd_serve(args: &[String]) -> ! {
         report.requests, report.responses_ok, report.responses_err, report.queue_depth_hwm
     );
     println!(
-        "cache: {} verdict hit(s) / {} miss(es), {} translation hit(s) / {} miss(es), {} eviction(s), {} byte(s) high-water",
+        "cache: {} hit(s) / {} miss(es), {} eviction(s), {} byte(s) high-water",
         report.cache.verdict_hits,
         report.cache.verdict_misses,
-        report.cache.translation_hits,
-        report.cache.translation_misses,
         report.cache.evictions,
         report.cache.bytes_hwm,
     );

@@ -231,13 +231,13 @@ pub enum Event {
         req: u64,
         /// Outcome label (`"ok"` or `"error"`).
         outcome: String,
-        /// Cache disposition: `"miss"`, `"verdict-hit"`,
-        /// `"translation-hit"`, or `"-"` for uncacheable kinds.
+        /// Cache disposition: `"miss"`, `"verdict-hit"`, or `"-"` for
+        /// uncacheable kinds.
         cache: String,
     },
     /// One operation on the service's content-addressed result cache.
     ServeCache {
-        /// Cache tier: `"verdict"` or `"translation"`.
+        /// Cache tier: always `"verdict"`, the service's one cache.
         tier: String,
         /// Operation: `"hit"`, `"miss"`, `"insert"`, or `"evict"`.
         op: String,
@@ -253,11 +253,11 @@ pub enum Event {
         req: u64,
         /// Request kind tag.
         kind: String,
-        /// End-to-end service time (frame decoded → response written).
+        /// End-to-end service time (frame read → response encoded).
         total_ns: u64,
         /// Request body decode.
         decode_ns: u64,
-        /// Admission-queue wait.
+        /// Admission wait: for a queue slot, then a compute slot.
         queue_ns: u64,
         /// Content-addressed cache lookups/stores.
         cache_ns: u64,
@@ -265,7 +265,7 @@ pub enum Event {
         translate_ns: u64,
         /// SAT solving (or lint analysis).
         solve_ns: u64,
-        /// Response encode + socket write.
+        /// Response encode.
         write_ns: u64,
     },
 }
@@ -740,13 +740,13 @@ mod tests {
             r#"{"event":"serve-response","req":7,"outcome":"ok","cache":"verdict-hit"}"#
         );
         let cache = Event::ServeCache {
-            tier: "translation".into(),
+            tier: "verdict".into(),
             op: "evict".into(),
-            key: "cnf/deadbeef/2x2/optimized".into(),
+            key: "check/deadbeef/2x2/optimized/default".into(),
         };
         assert_eq!(
             cache.to_json_line(),
-            r#"{"event":"serve-cache","tier":"translation","op":"evict","key":"cnf/deadbeef/2x2/optimized"}"#
+            r#"{"event":"serve-cache","tier":"verdict","op":"evict","key":"check/deadbeef/2x2/optimized/default"}"#
         );
         let span = Event::ServeSpan {
             req: 7,

@@ -54,11 +54,11 @@ pub struct ServeSummary {
     pub responses_ok: u64,
     /// `serve-response` events with outcome `error`.
     pub responses_err: u64,
-    /// Responses per cache disposition (`miss`, `verdict-hit`,
-    /// `translation-hit`; `-` for non-cacheable request kinds).
+    /// Responses per cache disposition (`miss`, `verdict-hit`; `-` for
+    /// non-cacheable request kinds).
     pub responses_by_cache: BTreeMap<String, u64>,
     /// `serve-cache` operations per `tier/op` pair (e.g.
-    /// `verdict/hit`, `translation/insert`, `verdict/evict`).
+    /// `verdict/hit`, `verdict/insert`, `verdict/evict`).
     pub cache_ops: BTreeMap<String, u64>,
 }
 

@@ -258,7 +258,7 @@ fn diagnose_hit_rate(stats: &ServiceStats, findings: &mut Vec<WhyFinding>) {
             .value("mca_serve_cache_disposition_total", &[("disposition", d)])
             .unwrap_or(0.0)
     };
-    let hits = disposition("verdict-hit") + disposition("translation-hit");
+    let hits = disposition("verdict-hit");
     let cacheable = hits + disposition("miss");
     if cacheable < 20.0 {
         return;
@@ -332,7 +332,7 @@ fn diagnose_tail_blowup(stats: &ServiceStats, findings: &mut Vec<WhyFinding>) {
             .value("mca_serve_cache_disposition_total", &[("disposition", d)])
             .unwrap_or(0.0)
     };
-    let hits = disposition("verdict-hit") + disposition("translation-hit");
+    let hits = disposition("verdict-hit");
     let cacheable = hits + disposition("miss");
     let mix_fraction = if cacheable > 0.0 {
         hits / cacheable
@@ -424,8 +424,8 @@ fn diagnose_slow_phase(flight: &Json, findings: &mut Vec<WhyFinding>) {
             solve as f64 / 1e6,
             total as f64 / 1e6
         ),
-        hint: "translate-bound outliers want the translation cache tier (check its hit \
-               rate) or a cheaper encoding; solve-bound outliers want preprocessing",
+        hint: "translate-bound outliers want a cheaper encoding; solve-bound outliers \
+               want preprocessing",
     });
 }
 

@@ -2,17 +2,13 @@
 //!
 //! A std-only work-stealing job engine (plain `std::thread` + channels +
 //! condvars; no external dependencies) that fans the suite's verification
-//! workloads across cores. Two entry points:
+//! workloads across cores. Its one entry point, [`Runtime::run_batch`],
+//! runs a list of independent jobs (the E3 policy-matrix cells, the E4
+//! attack checks, the coarse E8 scaling cells) and returns the results in
+//! submission order. With deterministic jobs the output is bit-identical
+//! to a sequential run, whatever the worker count.
 //!
-//! * **Batch** ([`Runtime::run_batch`]) — run a list of independent jobs
-//!   (the E3 policy-matrix cells, the E4 attack checks, the coarse E8
-//!   scaling cells) and return the results in submission order. With
-//!   deterministic jobs the output is bit-identical to a sequential run,
-//!   whatever the worker count.
-//! * **Detached** ([`Runtime::spawn`]) — submit one fire-and-forget job;
-//!   `mca-serve` feeds each accepted request into the pool this way.
-//!
-//! Batch job lifecycles are traced: every submission, start and finish is
+//! Job lifecycles are traced: every submission, start and finish is
 //! recorded and can be drained as `mca-obs`
 //! [`JobScheduled`](mca_obs::Event::JobScheduled) /
 //! [`JobStarted`](mca_obs::Event::JobStarted) /
@@ -54,5 +50,4 @@
 mod pool;
 mod trace;
 
-pub use pool::{Runtime, WorkerCtx, WorkerStats};
-pub use trace::{JobPhase, JobTraceLog};
+pub use pool::{Runtime, WorkerStats};

@@ -31,19 +31,15 @@ struct Queued {
     /// Submission offset from the pool epoch, so the executing worker can
     /// account queue-wait time.
     sched_off: u64,
-    /// Whether the job's lifecycle goes to the trace log and its window
-    /// to the span log. Detached jobs are not traced (see
-    /// [`Runtime::spawn`]).
-    traced: bool,
     run: Job,
 }
 
 /// Context handed to every executing job.
-pub struct WorkerCtx {
+struct WorkerCtx {
     /// Index of the worker thread running the job (0-based).
-    pub worker: usize,
+    worker: usize,
     /// The job's runtime-assigned id (submission order).
-    pub job: u64,
+    job: u64,
 }
 
 /// Cumulative per-worker execution statistics.
@@ -97,10 +93,10 @@ struct Shared {
     /// from this epoch so [`Runtime::emit_job_spans`] can replay them
     /// against any recorder's clock.
     epoch: Instant,
-    /// One [`JobWindow`] per executed traced job, in completion order
+    /// One [`JobWindow`] per executed job, in completion order
     /// (drained by [`Runtime::emit_job_spans`]).
     job_windows: Mutex<Vec<JobWindow>>,
-    /// `(job, label)` per submitted traced job.
+    /// `(job, label)` per submitted job.
     job_labels: Mutex<Vec<(u64, String)>>,
 }
 
@@ -161,20 +157,13 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
         let Some((queued, stolen)) = found else {
             break;
         };
-        let Queued {
-            id,
-            sched_off,
-            traced,
-            run,
-        } = queued;
+        let Queued { id, sched_off, run } = queued;
         if stolen {
             shared.jobs_stolen[index].fetch_add(1, Ordering::Relaxed);
         } else {
             shared.jobs_local[index].fetch_add(1, Ordering::Relaxed);
         }
-        if traced {
-            shared.trace.record(id, JobPhase::Started { worker: index });
-        }
+        shared.trace.record(id, JobPhase::Started { worker: index });
         let start_off = shared.epoch.elapsed().as_nanos() as u64;
         let queue_wait = start_off.saturating_sub(sched_off);
         shared.queue_wait_ns[index].fetch_add(queue_wait, Ordering::Relaxed);
@@ -186,13 +175,11 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
         let end_off = shared.epoch.elapsed().as_nanos() as u64;
         shared.busy_ns[index].fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         shared.jobs_executed[index].fetch_add(1, Ordering::Relaxed);
-        if traced {
-            shared
-                .job_windows
-                .lock()
-                .expect("job windows poisoned")
-                .push((id, index, queue_wait, start_off, end_off));
-        }
+        shared
+            .job_windows
+            .lock()
+            .expect("job windows poisoned")
+            .push((id, index, queue_wait, start_off, end_off));
         // Published last: a job's result can reach the submitter (the
         // `tx.send` inside the job closure) before this accounting does, so
         // the drain-side APIs wait on this counter (see `quiesce`).
@@ -273,25 +260,21 @@ impl Runtime {
         self.workers.len()
     }
 
-    /// Submits one raw job and returns its id. A labelled job is traced:
-    /// its `job-scheduled` entry is recorded here, and the worker records
-    /// its start and execution window. An unlabelled job leaves nothing
-    /// behind but the per-worker counters.
-    fn submit(&self, label: Option<&str>, job: Job) -> u64 {
+    /// Submits one raw job. Its `job-scheduled` entry is recorded here;
+    /// the worker records its start and execution window.
+    fn submit(&self, label: &str, job: Job) {
         let id = self.next_job.fetch_add(1, Ordering::Relaxed);
-        if let Some(label) = label {
-            self.shared.trace.record(
-                id,
-                JobPhase::Scheduled {
-                    label: label.to_string(),
-                },
-            );
-            self.shared
-                .job_labels
-                .lock()
-                .expect("job labels poisoned")
-                .push((id, label.to_string()));
-        }
+        self.shared.trace.record(
+            id,
+            JobPhase::Scheduled {
+                label: label.to_string(),
+            },
+        );
+        self.shared
+            .job_labels
+            .lock()
+            .expect("job labels poisoned")
+            .push((id, label.to_string()));
         let queue = self.next_queue.fetch_add(1, Ordering::Relaxed) % self.shared.queues.len();
         let sched_off = self.shared.epoch.elapsed().as_nanos() as u64;
         self.shared.queues[queue]
@@ -300,17 +283,15 @@ impl Runtime {
             .push_back(Queued {
                 id,
                 sched_off,
-                traced: label.is_some(),
                 run: job,
             });
         let mut state = self.shared.state.lock().expect("pool state poisoned");
         state.pending += 1;
         drop(state);
         self.shared.signal.notify_one();
-        id
     }
 
-    /// **Batch mode**: runs every job to completion and returns the results
+    /// Runs every job to completion and returns the results
     /// in submission order, regardless of which workers ran what — batch
     /// output is therefore deterministic whenever the jobs themselves are.
     /// Each job is traced as `job-scheduled`, `job-started` and
@@ -326,7 +307,7 @@ impl Runtime {
             let tx = tx.clone();
             let trace = self.shared.trace.clone();
             self.submit(
-                Some(&label),
+                &label,
                 Box::new(move |ctx| {
                     let value = f();
                     trace.record(
@@ -349,25 +330,6 @@ impl Runtime {
             .into_iter()
             .map(|s| s.expect("every batch job reports exactly once"))
             .collect()
-    }
-
-    /// **Detached mode**: submits one fire-and-forget job and returns its
-    /// id immediately, without waiting for a result. The verification
-    /// service (`mca-serve`) uses this to feed accepted requests into the
-    /// pool; each connection collects its own result through a channel it
-    /// owns, and shutdown paths call [`quiesce`](Runtime::quiesce) to wait
-    /// for every detached job's accounting to land before tearing down.
-    ///
-    /// Detached jobs are not traced: a service submits one per request for
-    /// as long as it runs and never drains the job trace, so a traced
-    /// detached job would grow the trace, label and span logs by a few
-    /// hundred bytes per request, without bound. Only the per-worker
-    /// counters ([`worker_stats`](Runtime::worker_stats)) count them.
-    pub fn spawn<F>(&self, f: F) -> u64
-    where
-        F: FnOnce() + Send + 'static,
-    {
-        self.submit(None, Box::new(move |_| f()))
     }
 
     /// Drains the recorded job trace as `mca-obs` events, sorted by
@@ -439,11 +401,8 @@ impl Runtime {
     /// *result* arrives, which can be a few instructions before the worker
     /// pushes that job's counters and execution window. The gap is tiny
     /// and bounded (the worker is between `job()` returning and its next
-    /// loop iteration), so a yield loop is enough. Detached
-    /// [`spawn`](Runtime::spawn) jobs have no result channel at all, so a
-    /// draining server calls this directly before flushing metrics: after
-    /// it returns, every spawned job has fully run and been accounted.
-    pub fn quiesce(&self) {
+    /// loop iteration), so a yield loop is enough.
+    fn quiesce(&self) {
         let submitted = self.next_job.load(Ordering::Relaxed);
         while self.shared.jobs_accounted.load(Ordering::Acquire) < submitted {
             std::thread::yield_now();
@@ -520,30 +479,6 @@ mod tests {
         rt.run_batch(jobs);
         let total: u64 = rt.worker_stats().iter().map(|w| w.jobs).sum();
         assert_eq!(total, 10);
-    }
-
-    /// A service spawns one detached job per request for its whole life:
-    /// they must be counted without growing any per-job log.
-    #[test]
-    fn detached_jobs_are_counted_but_leave_no_trace() {
-        let rt = Runtime::new(2);
-        let (tx, rx) = mpsc::channel();
-        for i in 0..50u64 {
-            let tx = tx.clone();
-            rt.spawn(move || {
-                let _ = tx.send(i);
-            });
-        }
-        drop(tx);
-        assert_eq!(rx.iter().sum::<u64>(), (0..50).sum());
-        rt.quiesce();
-        assert_eq!(rt.worker_stats().iter().map(|w| w.jobs).sum::<u64>(), 50);
-        assert!(rt.drain_job_events().is_empty());
-        assert!(rt.shared.job_labels.lock().unwrap().is_empty());
-        assert!(rt.shared.job_windows.lock().unwrap().is_empty());
-        // Batch jobs on the same pool are still traced.
-        rt.run_batch(vec![("b".to_string(), || ())]);
-        assert_eq!(rt.drain_job_events().len(), 3);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::sync::{Arc, Mutex};
 
 /// One lifecycle transition of a job.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum JobPhase {
+pub(crate) enum JobPhase {
     /// Submitted to the pool (recorded by the submitting thread).
     Scheduled {
         /// Human label for the job.
@@ -52,13 +52,13 @@ impl JobPhase {
 
 /// A shareable, append-only log of `(job, phase)` records.
 #[derive(Clone, Debug, Default)]
-pub struct JobTraceLog {
+pub(crate) struct JobTraceLog {
     entries: Arc<Mutex<Vec<(u64, JobPhase)>>>,
 }
 
 impl JobTraceLog {
     /// Appends one record. Callable from any thread.
-    pub fn record(&self, job: u64, phase: JobPhase) {
+    pub(crate) fn record(&self, job: u64, phase: JobPhase) {
         self.entries
             .lock()
             .expect("job trace poisoned")
@@ -71,7 +71,7 @@ impl JobTraceLog {
     /// worker ran a job is a scheduling accident, and emitting it would
     /// break the byte-identical-trace contract. Per-worker attribution is
     /// available through [`crate::Runtime::worker_stats`] instead.
-    pub fn drain_events(&self) -> Vec<Event> {
+    pub(crate) fn drain_events(&self) -> Vec<Event> {
         let mut entries: Vec<(u64, JobPhase)> =
             std::mem::take(&mut *self.entries.lock().expect("job trace poisoned"));
         entries.sort_by_key(|a| (a.0, a.1.rank()));

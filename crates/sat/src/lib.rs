@@ -18,9 +18,6 @@
 //!   on LBD.
 //! * Incremental solving under assumptions with failed-assumption
 //!   extraction.
-//! * Opt-in search telemetry ([`Solver::enable_telemetry`]): per-restart-
-//!   epoch [`EpochSample`]s, learnt-clause LBD/length histograms, and
-//!   assumption-failure counts in a [`SearchTelemetry`].
 //! * Model enumeration over a projection set
 //!   ([`Solver::enumerate_models`]) — this is what powers Alloy-style `run`
 //!   instance enumeration upstream.
@@ -64,7 +61,7 @@ mod solver;
 pub use clause::ClauseRef;
 pub use cnf::{CnfFormula, DimacsError};
 pub use lit::{LBool, Lit, Var};
-pub use luby::{luby, LubyRestarts};
+pub use luby::luby;
 pub use proof::{check_drat, check_drat_stream, DratChecker, DratError, Proof, ProofStep};
 pub use simplify::SimplifyStats;
-pub use solver::{EpochSample, Model, SearchTelemetry, SolveResult, Solver, SolverStats};
+pub use solver::{Model, SolveResult, Solver, SolverStats};

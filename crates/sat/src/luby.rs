@@ -30,30 +30,6 @@ pub fn luby(i: u64) -> u64 {
     1u64 << seq
 }
 
-/// Iterator over restart budgets: `base * luby(i)` for i = 0, 1, 2, …
-#[derive(Debug, Clone)]
-pub struct LubyRestarts {
-    base: u64,
-    index: u64,
-}
-
-impl LubyRestarts {
-    /// Creates the schedule with the given base conflict budget.
-    pub fn new(base: u64) -> LubyRestarts {
-        LubyRestarts { base, index: 0 }
-    }
-}
-
-impl Iterator for LubyRestarts {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        let v = self.base * luby(self.index);
-        self.index += 1;
-        Some(v)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,11 +61,5 @@ mod tests {
     fn known_prefix() {
         let got: Vec<u64> = (0..15).map(luby).collect();
         assert_eq!(got, [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]);
-    }
-
-    #[test]
-    fn iterator_scales_by_base() {
-        let budgets: Vec<u64> = LubyRestarts::new(100).take(7).collect();
-        assert_eq!(budgets, [100, 100, 200, 100, 100, 200, 400]);
     }
 }

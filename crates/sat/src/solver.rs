@@ -115,74 +115,6 @@ pub struct SolverStats {
     pub solves: u64,
 }
 
-/// Search progress accumulated over one restart epoch (the stretch of
-/// search between two restarts), sampled by [`SearchTelemetry`].
-///
-/// All fields are deltas within the epoch except `learnt_live`, which is
-/// the live learnt-clause count when the epoch ended. Every field is a
-/// logical counter — no wall clock — so a fixed formula produces an
-/// identical sample sequence on every run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EpochSample {
-    /// Zero-based restart-epoch index within the solve.
-    pub epoch: u64,
-    /// Conflicts encountered during the epoch.
-    pub conflicts: u64,
-    /// Decisions made during the epoch.
-    pub decisions: u64,
-    /// Literals propagated during the epoch.
-    pub propagations: u64,
-    /// Learnt clauses live in the database at the end of the epoch.
-    pub learnt_live: u64,
-}
-
-/// Opt-in CDCL search telemetry, enabled with
-/// [`Solver::enable_telemetry`].
-///
-/// Accumulates one [`EpochSample`] per restart epoch (including the
-/// partial final epoch of each solve), log2-binned histograms of
-/// learnt-clause LBD and length, and the number of failed-assumption
-/// analyses. Everything here is keyed by logical search progress, so the
-/// telemetry of a deterministic workload is itself deterministic; with
-/// telemetry disabled the per-conflict cost is a branch on an `Option`.
-#[derive(Clone, Debug, Default)]
-pub struct SearchTelemetry {
-    /// One sample per restart epoch, in epoch order, across all solves
-    /// since telemetry was enabled.
-    pub epochs: Vec<EpochSample>,
-    /// Log2-binned histogram of learnt-clause LBD (glue). Unit learnts
-    /// count as LBD 1.
-    pub lbd: mca_obs::Histogram,
-    /// Log2-binned histogram of learnt-clause length in literals.
-    pub learnt_len: mca_obs::Histogram,
-    /// Assumption-failure analyses performed (one per incremental query
-    /// that found an assumption literal already falsified).
-    pub assumption_failures: u64,
-}
-
-impl SearchTelemetry {
-    /// Restart effectiveness: mean conflicts-per-epoch over the second
-    /// half of the epochs divided by the mean over the first half. Values
-    /// well above 1 mean later epochs burn ever more conflicts per learnt
-    /// first-UIP clause (restarts are not refocusing the search); values
-    /// near or below 1 mean the Luby cadence is holding epoch cost flat.
-    /// `None` with fewer than two epochs.
-    pub fn restart_effectiveness(&self) -> Option<f64> {
-        if self.epochs.len() < 2 {
-            return None;
-        }
-        let mid = self.epochs.len() / 2;
-        let mean =
-            |s: &[EpochSample]| s.iter().map(|e| e.conflicts as f64).sum::<f64>() / s.len() as f64;
-        let first = mean(&self.epochs[..mid]);
-        let second = mean(&self.epochs[mid..]);
-        if first == 0.0 {
-            return None;
-        }
-        Some(second / first)
-    }
-}
-
 /// A watch-list entry: a clause handle whose bit 31 tags a binary clause,
 /// and a blocker literal. A true blocker means the clause is satisfied and
 /// need not be visited; a binary clause's blocker is its other literal.
@@ -315,9 +247,6 @@ pub struct Solver {
     spans: Option<mca_obs::SpanRecorder>,
     /// Highest live learnt-clause count ever observed.
     learnt_peak: usize,
-    /// Opt-in per-epoch search telemetry, installed with
-    /// [`enable_telemetry`](Solver::enable_telemetry).
-    telemetry: Option<Box<SearchTelemetry>>,
 }
 
 impl Default for Solver {
@@ -351,34 +280,7 @@ impl Solver {
             proof: None,
             spans: None,
             learnt_peak: 0,
-            telemetry: None,
         }
-    }
-
-    /// Enables per-restart-epoch search telemetry: subsequent solves
-    /// accumulate [`EpochSample`]s, LBD/length histograms of learnt
-    /// clauses, and assumption-failure counts into a [`SearchTelemetry`]
-    /// retrievable with [`telemetry`](Solver::telemetry) or
-    /// [`take_telemetry`](Solver::take_telemetry). Telemetry is strictly
-    /// opt-in: with it disabled the per-conflict cost is a branch on an
-    /// `Option`, and enabling it never changes search behaviour or
-    /// verdicts. Idempotent — an already-enabled solver keeps its samples.
-    pub fn enable_telemetry(&mut self) {
-        if self.telemetry.is_none() {
-            self.telemetry = Some(Box::default());
-        }
-    }
-
-    /// The accumulated search telemetry, if enabled.
-    pub fn telemetry(&self) -> Option<&SearchTelemetry> {
-        self.telemetry.as_deref()
-    }
-
-    /// Takes the accumulated telemetry, disabling further collection (call
-    /// [`enable_telemetry`](Solver::enable_telemetry) again to restart
-    /// with a fresh accumulator).
-    pub fn take_telemetry(&mut self) -> Option<SearchTelemetry> {
-        self.telemetry.take().map(|b| *b)
     }
 
     /// Installs a profiling-span recorder: subsequent
@@ -1138,22 +1040,12 @@ impl Solver {
                 g.field("epoch", restart_index);
                 g
             });
-            let epoch_start = self.stats;
             let outcome = self.search(assumptions, &mut conflicts_until_restart, max_learnts);
             if let Some(g) = &mut epoch_span {
                 g.field("conflicts", self.stats.conflicts);
                 g.field("learnt_live", self.db.num_learnt() as u64);
             }
             drop(epoch_span);
-            if let Some(t) = &mut self.telemetry {
-                t.epochs.push(EpochSample {
-                    epoch: restart_index,
-                    conflicts: self.stats.conflicts - epoch_start.conflicts,
-                    decisions: self.stats.decisions - epoch_start.decisions,
-                    propagations: self.stats.propagations - epoch_start.propagations,
-                    learnt_live: self.db.num_learnt() as u64,
-                });
-            }
             match outcome {
                 SearchOutcome::Sat => return SolveResult::Sat,
                 SearchOutcome::Unsat => return SolveResult::Unsat,
@@ -1185,17 +1077,9 @@ impl Solver {
                 self.log_add(&learnt);
                 self.backtrack_to(bt);
                 if learnt.len() == 1 {
-                    if let Some(t) = &mut self.telemetry {
-                        t.lbd.record(1);
-                        t.learnt_len.record(1);
-                    }
                     self.unchecked_enqueue(learnt[0], None);
                 } else {
                     let lbd = self.lbd(&learnt);
-                    if let Some(t) = &mut self.telemetry {
-                        t.lbd.record(u64::from(lbd));
-                        t.learnt_len.record(learnt.len() as u64);
-                    }
                     let cref = self.db.push(&learnt, true);
                     self.learnt_peak = self.learnt_peak.max(self.db.num_learnt());
                     self.db.set_lbd(cref, lbd);
@@ -1228,9 +1112,6 @@ impl Solver {
                             continue;
                         }
                         LBool::False => {
-                            if let Some(t) = &mut self.telemetry {
-                                t.assumption_failures += 1;
-                            }
                             self.analyze_final(!a);
                             return SearchOutcome::Unsat;
                         }
@@ -1531,83 +1412,6 @@ mod tests {
             }
         }
         s
-    }
-
-    #[test]
-    fn telemetry_is_opt_in_and_taken() {
-        let mut s = pigeonhole(5, 4);
-        assert!(s.telemetry().is_none());
-        assert_eq!(s.solve(), SolveResult::Unsat);
-        assert!(s.telemetry().is_none(), "telemetry must be strictly opt-in");
-
-        let mut s = pigeonhole(5, 4);
-        s.enable_telemetry();
-        assert_eq!(s.solve(), SolveResult::Unsat);
-        let t = s.take_telemetry().expect("enabled before solve");
-        assert!(!t.epochs.is_empty());
-        assert!(s.telemetry().is_none(), "take disables collection");
-    }
-
-    #[test]
-    fn telemetry_epochs_partition_the_search_deterministically() {
-        let run = || {
-            let mut s = pigeonhole(6, 5);
-            s.enable_telemetry();
-            assert_eq!(s.solve(), SolveResult::Unsat);
-            let stats = *s.stats();
-            let t = s.take_telemetry().unwrap();
-            (stats, t)
-        };
-        let (stats, t) = run();
-        // Epoch deltas cover the whole solve, epoch indices are 0..k.
-        assert_eq!(
-            t.epochs.iter().map(|e| e.conflicts).sum::<u64>(),
-            stats.conflicts
-        );
-        assert_eq!(
-            t.epochs.iter().map(|e| e.decisions).sum::<u64>(),
-            stats.decisions
-        );
-        assert_eq!(t.epochs.len() as u64, stats.restarts + 1);
-        for (i, e) in t.epochs.iter().enumerate() {
-            assert_eq!(e.epoch, i as u64);
-        }
-        // One LBD and one length sample per learnt clause, unit or not.
-        assert!(t.lbd.count() > 0);
-        assert_eq!(t.lbd.count(), t.learnt_len.count());
-        // Logical counters: a rerun reproduces the telemetry exactly.
-        let (stats2, t2) = run();
-        assert_eq!(stats, stats2);
-        assert_eq!(t.epochs, t2.epochs);
-        assert_eq!(t.lbd, t2.lbd);
-        assert_eq!(t.learnt_len, t2.learnt_len);
-    }
-
-    #[test]
-    fn telemetry_counts_assumption_failures() {
-        let mut s = Solver::new();
-        add(&mut s, &[-1]);
-        s.enable_telemetry();
-        let a = Lit::from_dimacs(1).unwrap();
-        assert_eq!(s.solve_with_assumptions(&[a]), SolveResult::Unsat);
-        assert_eq!(s.telemetry().unwrap().assumption_failures, 1);
-        assert_eq!(s.solve_with_assumptions(&[!a]), SolveResult::Sat);
-        assert_eq!(s.telemetry().unwrap().assumption_failures, 1);
-    }
-
-    #[test]
-    fn restart_effectiveness_needs_two_epochs() {
-        let t = SearchTelemetry::default();
-        assert!(t.restart_effectiveness().is_none());
-        let mut t = SearchTelemetry::default();
-        for (i, c) in [10u64, 20].iter().enumerate() {
-            t.epochs.push(EpochSample {
-                epoch: i as u64,
-                conflicts: *c,
-                ..EpochSample::default()
-            });
-        }
-        assert_eq!(t.restart_effectiveness(), Some(2.0));
     }
 
     #[test]

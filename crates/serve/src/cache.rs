@@ -1,27 +1,21 @@
-//! The content-addressed two-tier result cache.
+//! The content-addressed result cache.
 //!
 //! Keys are human-readable strings built from the model's stable content
 //! hash plus everything else that determines the answer:
+//! `check/<hash>/<scope>/<encoding>/<solver-config>` (or `lint/…`) → the
+//! finished response payload bytes. A hit skips translation *and*
+//! solving; a miss builds, translates and solves.
 //!
-//! * **verdict tier** — `check/<hash>/<scope>/<encoding>/<solver-config>`
-//!   (or `lint/…`) → the finished response payload bytes. A hit skips
-//!   translation *and* solving.
-//! * **translation tier** — `cnf/<hash>/<scope>/<encoding>` → the
-//!   translated [`CnfFormula`]. Shared across solver configs (the
-//!   preprocessed and plain variants of the same model reuse one
-//!   translation), so a verdict miss can still skip the encoder — the
-//!   same reuse the E8 incremental checker exploits.
+//! Entries share one LRU clock and one byte budget: inserting past the
+//! budget evicts least-recently-used entries until the cache fits. The
+//! entry just inserted is never evicted by its own insertion, so a
+//! budget smaller than a single entry still serves that entry (and
+//! simply thrashes, correctly). All counters are plain `u64`s behind the
+//! same mutex as the map, so a [`CacheStats`] snapshot is internally
+//! consistent.
 //!
-//! Both tiers share one LRU clock and one byte budget: inserting past the
-//! budget evicts globally least-recently-used entries (either tier) until
-//! the cache fits. The entry just inserted is never evicted by its own
-//! insertion, so a budget smaller than a single entry still serves that
-//! entry (and simply thrashes, correctly). All counters are plain `u64`s
-//! behind the same mutex as the maps, so a [`CacheStats`] snapshot is
-//! internally consistent.
-//!
-//! Forming either key needs the model's content hash, and hashing means
-//! building the model and rendering its Alloy source. A third map, the
+//! Forming a key needs the model's content hash, and hashing means
+//! building the model and rendering its Alloy source. A second map, the
 //! **model-hash memo**, remembers that hash per resolved request spec —
 //! the scenario label plus the wire encoding, which together fix the
 //! model — so a warm hit never builds a model. The memo is bounded by
@@ -32,28 +26,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use mca_sat::CnfFormula;
-
 use crate::wire::WireEncoding;
-
-/// Which tier an operation touched (for trace events).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CacheTier {
-    /// Finished response payloads.
-    Verdict,
-    /// Translated CNF formulas.
-    Translation,
-}
-
-impl CacheTier {
-    /// Stable label used in trace events.
-    pub fn label(self) -> &'static str {
-        match self {
-            CacheTier::Verdict => "verdict",
-            CacheTier::Translation => "translation",
-        }
-    }
-}
 
 /// One observable cache operation, returned to the caller so the server
 /// can emit `serve-cache` trace events without the cache knowing about
@@ -61,8 +34,6 @@ impl CacheTier {
 /// are single-threaded).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CacheOp {
-    /// Which tier.
-    pub tier: CacheTier,
     /// `"hit"`, `"miss"`, `"insert"`, or `"evict"`.
     pub op: &'static str,
     /// The content-addressed key.
@@ -73,15 +44,11 @@ pub struct CacheOp {
 /// byte occupancy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Verdict-tier lookups that hit.
+    /// Lookups that hit.
     pub verdict_hits: u64,
-    /// Verdict-tier lookups that missed.
+    /// Lookups that missed.
     pub verdict_misses: u64,
-    /// Translation-tier lookups that hit.
-    pub translation_hits: u64,
-    /// Translation-tier lookups that missed.
-    pub translation_misses: u64,
-    /// Entries evicted (either tier) to stay under the byte budget.
+    /// Entries evicted to stay under the byte budget.
     pub evictions: u64,
     /// Estimated bytes currently held.
     pub bytes: u64,
@@ -89,28 +56,20 @@ pub struct CacheStats {
     pub bytes_hwm: u64,
 }
 
-struct Entry<T> {
-    value: T,
+struct Entry {
+    value: Arc<Vec<u8>>,
     bytes: usize,
     last_used: u64,
 }
 
 #[derive(Default)]
 struct Inner {
-    verdicts: HashMap<String, Entry<Arc<Vec<u8>>>>,
-    translations: HashMap<String, Entry<Arc<CnfFormula>>>,
+    verdicts: HashMap<String, Entry>,
     /// `<encoding>/<scenario label>` → the model's content hash.
     model_hashes: HashMap<String, u64>,
     clock: u64,
     bytes: usize,
     stats: CacheStats,
-}
-
-/// Estimated resident size of a cached CNF: literal, clause-header, and
-/// variable bookkeeping words. An estimate is all eviction needs — it
-/// only has to scale with the real footprint.
-fn cnf_bytes(cnf: &CnfFormula) -> usize {
-    cnf.num_literals() * 8 + cnf.num_clauses() * 24 + cnf.num_vars() * 8 + 64
 }
 
 fn memo_key(label: &str, encoding: WireEncoding) -> String {
@@ -119,15 +78,15 @@ fn memo_key(label: &str, encoding: WireEncoding) -> String {
 
 /// The shared content-addressed cache. All methods take `&self`; one
 /// internal mutex serializes the short map/LRU bookkeeping while the
-/// (long) translate/solve work happens outside the lock.
+/// (long) build/translate/solve work happens outside the lock.
 pub struct ResultCache {
     inner: Mutex<Inner>,
     budget: usize,
 }
 
 impl ResultCache {
-    /// An empty cache holding at most ~`budget_bytes` of payloads and
-    /// formulas (estimated sizes).
+    /// An empty cache holding at most ~`budget_bytes` of payloads
+    /// (estimated sizes).
     pub fn new(budget_bytes: usize) -> ResultCache {
         ResultCache {
             inner: Mutex::new(Inner::default()),
@@ -155,7 +114,6 @@ impl ResultCache {
                 let value = entry.value.clone();
                 inner.stats.verdict_hits += 1;
                 ops.push(CacheOp {
-                    tier: CacheTier::Verdict,
                     op: "hit",
                     key: key.to_string(),
                 });
@@ -164,36 +122,6 @@ impl ResultCache {
             None => {
                 inner.stats.verdict_misses += 1;
                 ops.push(CacheOp {
-                    tier: CacheTier::Verdict,
-                    op: "miss",
-                    key: key.to_string(),
-                });
-                None
-            }
-        }
-    }
-
-    /// Looks up a translated formula. Records a hit or miss.
-    pub fn get_translation(&self, key: &str, ops: &mut Vec<CacheOp>) -> Option<Arc<CnfFormula>> {
-        let mut inner = self.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        match inner.translations.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = clock;
-                let value = entry.value.clone();
-                inner.stats.translation_hits += 1;
-                ops.push(CacheOp {
-                    tier: CacheTier::Translation,
-                    op: "hit",
-                    key: key.to_string(),
-                });
-                Some(value)
-            }
-            None => {
-                inner.stats.translation_misses += 1;
-                ops.push(CacheOp {
-                    tier: CacheTier::Translation,
                     op: "miss",
                     key: key.to_string(),
                 });
@@ -248,86 +176,31 @@ impl ResultCache {
         }
         inner.bytes += bytes;
         ops.push(CacheOp {
-            tier: CacheTier::Verdict,
             op: "insert",
             key: key.to_string(),
         });
         Self::settle(&mut inner, self.budget, clock, ops);
     }
 
-    /// Inserts a translated formula, evicting LRU entries past the budget.
-    pub fn put_translation(&self, key: &str, cnf: Arc<CnfFormula>, ops: &mut Vec<CacheOp>) {
-        let bytes = cnf_bytes(&cnf) + key.len();
-        let mut inner = self.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        if let Some(old) = inner.translations.insert(
-            key.to_string(),
-            Entry {
-                value: cnf,
-                bytes,
-                last_used: clock,
-            },
-        ) {
-            inner.bytes -= old.bytes;
-        }
-        inner.bytes += bytes;
-        ops.push(CacheOp {
-            tier: CacheTier::Translation,
-            op: "insert",
-            key: key.to_string(),
-        });
-        Self::settle(&mut inner, self.budget, clock, ops);
-    }
-
-    /// Evicts globally least-recently-used entries until the cache fits
-    /// the budget, then refreshes the byte counters. Entries touched at
-    /// the current clock (i.e. inserted by the in-flight operation) are
+    /// Evicts least-recently-used entries until the cache fits the
+    /// budget, then refreshes the byte counters. Entries touched at the
+    /// current clock (i.e. inserted by the in-flight operation) are
     /// exempt, so an oversized single entry survives its own insertion.
     fn settle(inner: &mut Inner, budget: usize, current_clock: u64, ops: &mut Vec<CacheOp>) {
         while inner.bytes > budget {
-            let victim_verdict = inner
+            let victim = inner
                 .verdicts
                 .iter()
                 .filter(|(_, e)| e.last_used != current_clock)
                 .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, e)| (k.clone(), e.last_used, e.bytes));
-            let victim_translation = inner
-                .translations
-                .iter()
-                .filter(|(_, e)| e.last_used != current_clock)
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, e)| (k.clone(), e.last_used, e.bytes));
-            let victim = match (&victim_verdict, &victim_translation) {
-                (Some((_, v, _)), Some((_, t, _))) => {
-                    if v <= t {
-                        victim_verdict.map(|x| (CacheTier::Verdict, x))
-                    } else {
-                        victim_translation.map(|x| (CacheTier::Translation, x))
-                    }
-                }
-                (Some(_), None) => victim_verdict.map(|x| (CacheTier::Verdict, x)),
-                (None, Some(_)) => victim_translation.map(|x| (CacheTier::Translation, x)),
-                (None, None) => None,
-            };
-            let Some((tier, (key, _, bytes))) = victim else {
+                .map(|(k, e)| (k.clone(), e.bytes));
+            let Some((key, bytes)) = victim else {
                 break; // only current-clock entries remain
             };
-            match tier {
-                CacheTier::Verdict => {
-                    inner.verdicts.remove(&key);
-                }
-                CacheTier::Translation => {
-                    inner.translations.remove(&key);
-                }
-            }
+            inner.verdicts.remove(&key);
             inner.bytes -= bytes;
             inner.stats.evictions += 1;
-            ops.push(CacheOp {
-                tier,
-                op: "evict",
-                key,
-            });
+            ops.push(CacheOp { op: "evict", key });
         }
         inner.stats.bytes = inner.bytes as u64;
         inner.stats.bytes_hwm = inner.stats.bytes_hwm.max(inner.bytes as u64);
@@ -409,23 +282,6 @@ mod tests {
         cache.put_verdict("k", arc(&[0u8; 100]), &mut ops);
         assert_eq!(cache.stats().bytes, after_one);
         assert_eq!(cache.stats().bytes_hwm, after_one);
-    }
-
-    #[test]
-    fn translation_tier_round_trips() {
-        use mca_sat::CnfFormula;
-        let cache = ResultCache::new(1 << 20);
-        let mut ops = Vec::new();
-        let mut cnf = CnfFormula::new();
-        let v = cnf.new_var();
-        cnf.add_clause([v.positive()]);
-        assert!(cache.get_translation("cnf/x", &mut ops).is_none());
-        cache.put_translation("cnf/x", Arc::new(cnf), &mut ops);
-        let hit = cache.get_translation("cnf/x", &mut ops).expect("hit");
-        assert_eq!(hit.num_clauses(), 1);
-        let stats = cache.stats();
-        assert_eq!(stats.translation_hits, 1);
-        assert_eq!(stats.translation_misses, 1);
     }
 
     #[test]

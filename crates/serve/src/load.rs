@@ -16,7 +16,7 @@
 //!
 //! The deck mixes E3-style dynamic checks (both encodings, the Remark-1
 //! rebid attack), E8-smoke parametric scopes, preprocessed variants
-//! (exercising the translation tier), and lint requests — the mixed
+//! (their own cache lines), and lint requests — the mixed
 //! concurrent traffic the ROADMAP's service item calls for.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -63,7 +63,7 @@ pub struct PhaseStats {
     pub requests: u64,
     /// Transport failures plus server error responses.
     pub errors: u64,
-    /// Responses served from either cache tier.
+    /// Responses served from the cache.
     pub hits: u64,
     /// Wall clock for the whole phase.
     pub total_secs: f64,

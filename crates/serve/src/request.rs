@@ -4,8 +4,8 @@
 //! JSON with fixed field order, no wall-clock fields — so a verdict
 //! served from the cache is byte-identical to one computed cold, at any
 //! thread count. That property is pinned by the `serve` integration
-//! tests and is what makes the verdict tier sound: the cache stores the
-//! final payload verbatim.
+//! tests and is what makes the cache sound: it stores the final payload
+//! verbatim.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -68,8 +68,8 @@ fn number_encoding(e: WireEncoding) -> NumberEncoding {
     }
 }
 
-/// The verdict-tier key: model hash + everything else that determines
-/// the answer bytes.
+/// The cache key: model hash + everything else that determines the
+/// answer bytes.
 pub fn verdict_key(
     kind: &str,
     hash: u64,
@@ -83,17 +83,11 @@ pub fn verdict_key(
     )
 }
 
-/// The translation-tier key: no solver config, so the plain and
-/// preprocessed variants of one model share a translation.
-pub fn translation_key(hash: u64, scope: &str, encoding: WireEncoding) -> String {
-    format!("cnf/{hash:016x}/{scope}/{}", encoding.slug())
-}
-
 /// The outcome of executing one cacheable request.
 pub struct Executed {
     /// The wire response to send.
     pub response: Response,
-    /// The verdict-tier key, empty for error responses.
+    /// The cache key, empty for error responses.
     pub cache_key: String,
     /// Cache operations performed, in order (for `serve-cache` events).
     pub ops: Vec<CacheOp>,
@@ -104,8 +98,8 @@ pub struct Executed {
     /// never part of the response payload, so byte-determinism holds.
     pub cache_ns: u64,
     /// Wall-clock nanoseconds in model build, content hashing and CNF
-    /// translation that actually ran: 0 on a warm verdict hit, and 0 on
-    /// a translation-tier hit whose model hash was already memoized.
+    /// translation that actually ran: 0 on a hit whose model hash was
+    /// already memoized.
     pub translate_ns: u64,
     /// Wall-clock nanoseconds solving (or running the lint analysis).
     pub solve_ns: u64,
@@ -253,36 +247,24 @@ fn execute_check(
         };
     }
 
-    // Verdict miss: try to at least reuse the translation.
-    let tkey = translation_key(hash, &scope, encoding);
-    let translation_lookup = cache.get_translation(&tkey, &mut ops);
     cache_ns += ns_since(lookup_start);
-    let (cnf, disposition) = match translation_lookup {
-        Some(cnf) => (cnf, CacheDisposition::TranslationHit),
-        None => {
-            let translate_start = Instant::now();
-            match model.get().consensus_cnf() {
-                Ok(cnf) => {
-                    translate_ns += ns_since(translate_start);
-                    let cnf = Arc::new(cnf);
-                    let put_start = Instant::now();
-                    cache.put_translation(&tkey, cnf.clone(), &mut ops);
-                    cache_ns += ns_since(put_start);
-                    (cnf, CacheDisposition::Miss)
-                }
-                Err(e) => {
-                    return Executed::error(
-                        error_code::EXECUTION,
-                        format!("translation failed for {label}: {e:?}"),
-                    )
-                }
-            }
+
+    // Miss: build the model (unless hashing just did) and translate it.
+    let translate_start = Instant::now();
+    let cnf = match model.get().consensus_cnf() {
+        Ok(cnf) => cnf,
+        Err(e) => {
+            return Executed::error(
+                error_code::EXECUTION,
+                format!("translation failed for {label}: {e:?}"),
+            )
         }
     };
+    translate_ns += ns_since(translate_start);
 
     // Solve (valid ⇔ the negated-consensus CNF is UNSAT). The solver is
     // deterministic for a fixed formula, so the payload below does not
-    // depend on the cache disposition or the serving thread.
+    // depend on the serving thread.
     let solve_start = Instant::now();
     let mut solver = cnf.to_solver();
     let simplify_stats = preprocess.then(|| solver.preprocess());
@@ -335,12 +317,12 @@ fn execute_check(
     cache_ns += ns_since(put_start);
     Executed {
         response: Response::Verdict {
-            cache: disposition,
+            cache: CacheDisposition::Miss,
             payload: (*payload).clone(),
         },
         cache_key: vkey,
         ops,
-        disposition: Some(disposition),
+        disposition: Some(CacheDisposition::Miss),
         cache_ns,
         translate_ns,
         solve_ns,
@@ -481,16 +463,10 @@ mod tests {
         );
         let set: std::collections::BTreeSet<_> = [&a, &b, &c, &d].into_iter().collect();
         assert_eq!(set.len(), 4);
-        // Translation keys ignore the solver config: the plain and
-        // preprocessed variants share one translation.
-        assert_eq!(
-            translation_key(0xabc, "2x2", WireEncoding::Optimized),
-            translation_key(0xabc, "2x2", WireEncoding::Optimized)
-        );
     }
 
     #[test]
-    fn check_hit_is_byte_identical_to_cold_and_reuses_translation() {
+    fn check_hit_is_byte_identical_to_cold_and_a_config_twin_misses() {
         let cache = ResultCache::new(64 << 20);
         let req = Request::Check {
             scenario: ScenarioSpec::Named("two_agent_compliant".into()),
@@ -519,20 +495,19 @@ mod tests {
         };
         assert_eq!(cold_payload, warm_payload, "hit must be byte-identical");
 
-        // Same model, different solver config: verdict misses but the
-        // translation tier hits.
+        // Same model, different solver config: another cache line, so a
+        // miss that translates and solves again.
         let pre = Request::Check {
             scenario: ScenarioSpec::Named("two_agent_compliant".into()),
             encoding: WireEncoding::Optimized,
             preprocess: true,
         };
         let third = execute(&pre, &cache);
-        assert_eq!(third.disposition, Some(CacheDisposition::TranslationHit));
+        assert_eq!(third.disposition, Some(CacheDisposition::Miss));
     }
 
-    /// Once a spec's model hash is memoized, neither a verdict hit nor a
-    /// translation-tier hit builds the model: both report zero translate
-    /// time.
+    /// Once a spec's model hash is memoized, a hit builds no model: it
+    /// reports zero translate time, whichever kind and config it is.
     #[test]
     fn memoized_hits_report_no_translate_time() {
         let cache = ResultCache::new(64 << 20);
@@ -548,10 +523,9 @@ mod tests {
         };
         let cold = execute(&check(false), &cache);
         assert!(cold.translate_ns > 0 && cold.solve_ns > 0);
-        // The preprocessed twin reuses the plain variant's translation.
+        // The preprocessed twin is its own cache line: a miss.
         let twin = execute(&check(true), &cache);
-        assert_eq!(twin.disposition, Some(CacheDisposition::TranslationHit));
-        assert_eq!(twin.translate_ns, 0, "a translation hit built the model");
+        assert_eq!(twin.disposition, Some(CacheDisposition::Miss));
         let lint_cold = execute(&lint, &cache);
         assert_eq!(lint_cold.disposition, Some(CacheDisposition::Miss));
         for req in [check(false), check(true), lint] {

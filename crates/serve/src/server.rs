@@ -1,32 +1,38 @@
-//! The TCP daemon: accept loop, bounded admission queue, pool-backed
-//! execution, and drain-then-exit shutdown.
+//! The TCP daemon: accept loop, admission gate, request execution on the
+//! connection thread, and drain-then-exit shutdown.
 //!
 //! # Data flow
 //!
 //! ```text
-//! client ──frame──▶ connection thread ──admission slot──▶ runtime pool
-//!    ▲                     │   (bounded queue, blocks       (work-stealing
-//!    │                     │    at capacity = backpressure)  workers)
-//!    └──────frame──────────┘◀───────result channel───────────┘
+//! client ──frame──▶ connection thread ──▶ admission gate ──▶ request::execute
+//!    ▲               (read, decode)        (≤ queue_capacity    (cache lookup, or
+//!    │                                      in flight,           build, translate
+//!    │                                      ≤ threads computing)  and solve)
+//!    └──frame── write ◀── fold telemetry ◀── encode ◀───────────────┘
 //! ```
 //!
-//! Each accepted connection gets a thread that reads frames in a loop.
-//! `Ping`/`Stats`/`Shutdown` are answered inline; `Check`/`Lint` acquire
-//! a slot in the bounded admission queue (blocking when the queue is
-//! full — backpressure, not rejection), are spawned onto the shared
-//! [`mca_runtime::Runtime`] pool, and the connection thread blocks on a
-//! result channel before writing the response frame. The admission slot
-//! is released only after the result returns, so the queue-depth gauge
-//! counts requests the server has truly committed to.
+//! Each accepted connection gets a thread that reads frames in a loop
+//! and answers them in order, one at a time. `Ping`/`Stats`/`Shutdown`
+//! are answered inline; `Check`/`Lint` pass the admission gate and
+//! then run [`request::execute`] on the same thread. The gate bounds
+//! requests in flight by `queue_capacity`, waiting ones included
+//! (blocking when full — backpressure, not rejection), and requests
+//! computing by `threads`. A drop guard gives both slots back as soon as
+//! the response is computed, before it is written, so the queue-depth
+//! gauge counts requests the server has truly committed to, and a
+//! request that panics cannot leak its slots.
+//!
+//! Every response is encoded and its telemetry record folded before the
+//! first byte goes out, so a client that has its answer always finds it
+//! counted in the next `Metrics` scrape.
 //!
 //! # Shutdown
 //!
 //! A `Shutdown` frame (or [`ServerHandle::shutdown`]) sets the flag and
 //! nudges the accept loop awake; [`ServerHandle::join`] then waits for
 //! in-flight requests to drain, force-closes idle connections (aborting
-//! their blocked reads), joins every thread,
-//! [`quiesces`](mca_runtime::Runtime::quiesce) the pool, and returns the
-//! final counters. There is **no signal handler**: the workspace forbids
+//! their blocked reads), joins every thread, and returns the final
+//! counters. There is **no signal handler**: the workspace forbids
 //! `unsafe` (lint rule S001), and catching SIGTERM in pure std is
 //! impossible, so graceful shutdown is a wire-protocol concern — CI and
 //! the load generator send the frame.
@@ -36,18 +42,16 @@
 //! [`SharedObserver`](mca_obs::SharedObserver) is `Rc`-based and cannot
 //! cross connection threads, so the server buffers `serve-*` events in a
 //! mutex (grouped per request, in request-id order) and the owning
-//! thread drains them after `join` — the same post-hoc replay the
-//! runtime uses for job events.
+//! thread drains them after `join`.
 
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use mca_obs::Event;
-use mca_runtime::Runtime;
 
 use crate::cache::{CacheOp, CacheStats, ResultCache};
 use crate::request;
@@ -62,12 +66,14 @@ use crate::wire::{
 pub struct ServerConfig {
     /// Bind address, e.g. `"127.0.0.1:7117"` (port 0 picks a free port).
     pub addr: String,
-    /// Worker threads in the verification pool.
+    /// Check/lint requests computed at once; admitted requests beyond
+    /// this wait for a compute slot, and the wait counts as queue time.
     pub threads: usize,
     /// Result-cache byte budget.
     pub cache_bytes: usize,
     /// Bounded admission-queue capacity; connections block (backpressure)
-    /// when this many check/lint requests are in flight.
+    /// when this many check/lint requests are in flight, waiting for a
+    /// compute slot or computing.
     pub queue_capacity: usize,
     /// Per-connection read timeout: bounds how long a *partial* frame can
     /// hold a connection thread before the server answers with a
@@ -117,45 +123,86 @@ pub struct ServerReport {
     pub events: Vec<Event>,
 }
 
-/// Bounded admission queue: a counting semaphore with a high-water mark.
+#[derive(Default)]
+struct Slots {
+    /// Requests admitted and not yet released, waiting ones included.
+    in_flight: u64,
+    /// Admitted requests holding a compute slot.
+    computing: u64,
+    /// High-water mark of `in_flight`.
+    high_water: u64,
+}
+
+/// The admission gate: two counting semaphores under one mutex. At most
+/// `capacity` requests are in flight, and at most `compute` of them run
+/// at once; the rest wait their turn.
 struct Admission {
-    /// `(in_use, high_water)`.
-    state: Mutex<(u64, u64)>,
+    slots: Mutex<Slots>,
     capacity: u64,
+    compute: u64,
     freed: Condvar,
 }
 
+/// Both slots of one admitted request, given back on drop — also when
+/// the request panics.
+struct Permit<'a>(&'a Admission);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut slots = self.0.lock();
+        slots.in_flight -= 1;
+        slots.computing -= 1;
+        drop(slots);
+        // Waiters wait on either bound; waking them all lets each one
+        // re-check its own.
+        self.0.freed.notify_all();
+    }
+}
+
 impl Admission {
-    fn acquire(&self) {
-        let mut state = self.state.lock().expect("admission poisoned");
-        while state.0 >= self.capacity {
-            state = self.freed.wait(state).expect("admission poisoned");
+    fn new(capacity: usize, compute: usize) -> Admission {
+        Admission {
+            slots: Mutex::new(Slots::default()),
+            capacity: capacity.max(1) as u64,
+            compute: compute.max(1) as u64,
+            freed: Condvar::new(),
         }
-        state.0 += 1;
-        state.1 = state.1.max(state.0);
     }
 
-    fn release(&self) {
-        let mut state = self.state.lock().expect("admission poisoned");
-        state.0 -= 1;
-        drop(state);
-        self.freed.notify_one();
+    /// The slots. Every update under the lock is one counter step, so a
+    /// poisoned lock still holds valid counts, and `Permit::drop` must
+    /// not panic.
+    fn lock(&self) -> std::sync::MutexGuard<'_, Slots> {
+        self.slots.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Blocks (backpressure) until a queue slot is free, then until a
+    /// compute slot is.
+    fn acquire(&self) -> Permit<'_> {
+        let mut slots = self.lock();
+        while slots.in_flight >= self.capacity {
+            slots = self.freed.wait(slots).unwrap_or_else(|e| e.into_inner());
+        }
+        slots.in_flight += 1;
+        slots.high_water = slots.high_water.max(slots.in_flight);
+        while slots.computing >= self.compute {
+            slots = self.freed.wait(slots).unwrap_or_else(|e| e.into_inner());
+        }
+        slots.computing += 1;
+        Permit(self)
     }
 
     fn depth(&self) -> u64 {
-        self.state.lock().expect("admission poisoned").0
+        self.lock().in_flight
     }
 
     fn hwm(&self) -> u64 {
-        self.state.lock().expect("admission poisoned").1
+        self.lock().high_water
     }
 }
 
 struct Shared {
-    /// `Arc` so pool jobs can capture the cache alone, not all of
-    /// `Shared`.
-    cache: Arc<ResultCache>,
-    runtime: Runtime,
+    cache: ResultCache,
     admission: Admission,
     shutdown: AtomicBool,
     next_req: AtomicU64,
@@ -170,7 +217,6 @@ struct Shared {
     conn_streams: Mutex<HashMap<u64, TcpStream>>,
     read_timeout: Duration,
     telemetry: ServiceTelemetry,
-    queue_capacity: u64,
 }
 
 impl Shared {
@@ -203,8 +249,6 @@ impl Shared {
                 Json::obj([
                     ("verdict_hits", cache.verdict_hits.into()),
                     ("verdict_misses", cache.verdict_misses.into()),
-                    ("translation_hits", cache.translation_hits.into()),
-                    ("translation_misses", cache.translation_misses.into()),
                     ("evictions", cache.evictions.into()),
                     ("bytes", cache.bytes.into()),
                     ("bytes_hwm", cache.bytes_hwm.into()),
@@ -218,7 +262,7 @@ impl Shared {
         self.telemetry.prometheus_text(
             self.admission.depth(),
             self.admission.hwm(),
-            self.queue_capacity,
+            self.admission.capacity,
             &self.cache.stats(),
         )
     }
@@ -258,13 +302,8 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            cache: Arc::new(ResultCache::new(config.cache_bytes)),
-            runtime: Runtime::new(config.threads.max(1)),
-            admission: Admission {
-                state: Mutex::new((0, 0)),
-                capacity: config.queue_capacity.max(1) as u64,
-                freed: Condvar::new(),
-            },
+            cache: ResultCache::new(config.cache_bytes),
+            admission: Admission::new(config.queue_capacity, config.threads),
             shutdown: AtomicBool::new(false),
             next_req: AtomicU64::new(0),
             responses_ok: AtomicU64::new(0),
@@ -274,7 +313,6 @@ impl Server {
             conn_streams: Mutex::new(HashMap::new()),
             read_timeout: config.read_timeout,
             telemetry: ServiceTelemetry::new(&config.telemetry),
-            queue_capacity: config.queue_capacity.max(1) as u64,
         });
         let accept_shared = shared.clone();
         let accept_thread = std::thread::spawn(move || {
@@ -342,8 +380,8 @@ impl ServerHandle {
     }
 
     /// Drains and tears down: waits for in-flight requests to finish,
-    /// aborts idle blocked reads, joins every thread, quiesces the pool,
-    /// and returns the final counters. Implies
+    /// aborts idle blocked reads, joins every thread, and returns the
+    /// final counters. Implies
     /// [`shutdown`](ServerHandle::shutdown).
     pub fn join(mut self) -> ServerReport {
         self.shutdown();
@@ -371,7 +409,6 @@ impl ServerHandle {
         for conn in connections {
             let _ = conn.join();
         }
-        self.shared.runtime.quiesce();
         let mut buffered =
             std::mem::take(&mut *self.shared.events.lock().expect("event buffer poisoned"));
         buffered.sort_by_key(|(req, _)| *req);
@@ -465,7 +502,9 @@ fn read_exact_or(r: &mut TcpStream, buf: &mut [u8], idle_ok: bool) -> ReadOutcom
 fn cache_ops_events(ops: &[CacheOp]) -> Vec<Event> {
     ops.iter()
         .map(|op| Event::ServeCache {
-            tier: op.tier.label().to_string(),
+            // Trace readers key cache operations by `tier/op`; the
+            // verdict cache is the service's one tier.
+            tier: "verdict".to_string(),
             op: op.op.to_string(),
             key: op.key.clone(),
         })
@@ -477,7 +516,7 @@ fn ns_since(start: Instant) -> u64 {
     start.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
+fn serve_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(shared.read_timeout));
     let _ = stream.set_nodelay(true);
     let Ok(mut reader) = stream.try_clone() else {
@@ -528,7 +567,6 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
                         },
                     ],
                 );
-                respond_error(&mut writer, shared, err);
                 shared.telemetry.record(RequestRecord {
                     req: req_id,
                     kind: "invalid",
@@ -539,6 +577,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
                     decode_ns: ns_since(total_start),
                     ..RequestRecord::default()
                 });
+                respond_error(&mut writer, shared, err);
                 continue;
             }
         };
@@ -558,45 +597,26 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
             key: String::new(),
         }];
         let (response, cache_label) = match &req {
-            Request::Ping => (Response::Pong, "-".to_string()),
+            Request::Ping => (Response::Pong, "-"),
             Request::Stats => (
                 Response::Stats {
                     payload: shared.stats_json().into_bytes(),
                 },
-                "-".to_string(),
+                "-",
             ),
             Request::Metrics => (
                 Response::Metrics {
                     text: shared.metrics_text(),
                 },
-                "-".to_string(),
+                "-",
             ),
             Request::FlightDump => (
                 Response::FlightDump {
                     payload: shared.telemetry.flight_json().render().into_bytes(),
                 },
-                "-".to_string(),
+                "-",
             ),
-            Request::Shutdown => {
-                events.push(Event::ServeResponse {
-                    req: req_id,
-                    outcome: "ok".to_string(),
-                    cache: "-".to_string(),
-                });
-                shared.record(req_id, events);
-                shared.responses_ok.fetch_add(1, Ordering::Relaxed);
-                let write_start = Instant::now();
-                let _ = write_frame(&mut writer, &encode_response(&Response::ShuttingDown));
-                record.write_ns = ns_since(write_start);
-                record.total_ns = ns_since(total_start);
-                shared.telemetry.record(record);
-                if let Ok(addr) = writer.local_addr() {
-                    shared.request_shutdown(addr);
-                } else {
-                    shared.shutdown.store(true, Ordering::Release);
-                }
-                return;
-            }
+            Request::Shutdown => (Response::ShuttingDown, "-"),
             Request::Check { .. } | Request::Lint { .. } => {
                 if shared.shutdown.load(Ordering::Acquire) {
                     (
@@ -604,27 +624,16 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
                             code: error_code::SHUTTING_DOWN,
                             message: "server is shutting down".to_string(),
                         },
-                        "-".to_string(),
+                        "-",
                     )
                 } else {
-                    // Bounded admission: block (backpressure) at capacity.
+                    // Bounded admission: block (backpressure) at capacity,
+                    // then wait for a compute slot.
                     let queue_start = Instant::now();
-                    shared.admission.acquire();
+                    let permit = shared.admission.acquire();
                     record.queue_ns = ns_since(queue_start);
-                    // One result per job: a one-slot channel, allocated
-                    // here and never grown by the worker's send.
-                    let (tx, rx) = mpsc::sync_channel(1);
-                    let job_req = req.clone();
-                    let job_cache = shared.cache.clone();
-                    // The hand-off to a pool worker is queue wait too.
-                    let spawned = Instant::now();
-                    shared.runtime.spawn(move || {
-                        let handoff_ns = ns_since(spawned);
-                        let _ = tx.send((handoff_ns, request::execute(&job_req, &job_cache)));
-                    });
-                    let (handoff_ns, executed) = rx.recv().expect("pool job always reports");
-                    shared.admission.release();
-                    record.queue_ns += handoff_ns;
+                    let executed = request::execute(&req, &shared.cache);
+                    drop(permit);
                     record.cache_ns = executed.cache_ns;
                     record.translate_ns = executed.translate_ns;
                     record.solve_ns = executed.solve_ns;
@@ -634,9 +643,7 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
                         key: executed.cache_key.clone(),
                     };
                     events.extend(cache_ops_events(&executed.ops));
-                    let label = executed
-                        .disposition
-                        .map_or("-".to_string(), |d| d.label().to_string());
+                    let label = executed.disposition.map_or("-", |d| d.label());
                     (executed.response, label)
                 }
             }
@@ -651,18 +658,13 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
         events.push(Event::ServeResponse {
             req: req_id,
             outcome: outcome.to_string(),
-            cache: cache_label.clone(),
+            cache: cache_label.to_string(),
         });
-        let write_start = Instant::now();
-        let write_ok = write_frame(&mut writer, &encode_response(&response)).is_ok();
+        let encode_start = Instant::now();
+        let frame = encode_response(&response);
         record.outcome = outcome;
-        record.cache = match cache_label.as_str() {
-            "miss" => "miss",
-            "verdict-hit" => "verdict-hit",
-            "translation-hit" => "translation-hit",
-            _ => "-",
-        };
-        record.write_ns = ns_since(write_start);
+        record.cache = cache_label;
+        record.write_ns = ns_since(encode_start);
         record.total_ns = ns_since(total_start);
         if shared.record_events {
             // The span event carries wall-clock fields and request ids —
@@ -679,9 +681,19 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
                 write_ns: record.write_ns,
             });
         }
+        // Counted before the first byte goes out: a client holding its
+        // answer always finds it in the next scrape.
         shared.record(req_id, events);
         shared.telemetry.record(record);
-        if !write_ok {
+        let written = write_frame(&mut writer, &frame).is_ok();
+        if matches!(req, Request::Shutdown) {
+            match writer.local_addr() {
+                Ok(addr) => shared.request_shutdown(addr),
+                Err(_) => shared.shutdown.store(true, Ordering::Release),
+            }
+            return;
+        }
+        if !written {
             return;
         }
     }
@@ -694,4 +706,60 @@ fn respond_error(writer: &mut TcpStream, shared: &Shared, err: WireError) {
         message: err.to_string(),
     };
     let _ = write_frame(writer, &encode_response(&response));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    #[test]
+    fn gate_bounds_concurrent_computation_and_lets_every_caller_finish() {
+        let gate = Admission::new(64, 2);
+        let (running, peak, finished) = (
+            AtomicUsize::new(0),
+            AtomicUsize::new(0),
+            AtomicUsize::new(0),
+        );
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    let _permit = gate.acquire();
+                    let now = running.fetch_add(1, Ordering::SeqCst) + 1;
+                    peak.fetch_max(now, Ordering::SeqCst);
+                    // Hold the slot until all eight callers are admitted:
+                    // the first two then compute while six wait.
+                    while gate.hwm() < 8 {
+                        std::thread::yield_now();
+                    }
+                    running.fetch_sub(1, Ordering::SeqCst);
+                    finished.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+        });
+        assert_eq!(peak.load(Ordering::SeqCst), 2, "two slots, both used");
+        assert_eq!(finished.load(Ordering::SeqCst), 8);
+        assert_eq!((gate.depth(), gate.hwm()), (0, 8));
+    }
+
+    #[test]
+    fn a_panicking_request_gives_back_both_slots() {
+        let gate = Admission::new(1, 1);
+        let crashed = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _permit = gate.acquire();
+                panic!("request failed mid-computation");
+            })
+            .join()
+        });
+        assert!(crashed.is_err());
+        let slots = gate.lock();
+        assert_eq!((slots.in_flight, slots.computing), (0, 0));
+        drop(slots);
+        // The next request gets both slots at once and runs.
+        let permit = gate.acquire();
+        assert_eq!(gate.depth(), 1);
+        drop(permit);
+        assert_eq!(gate.depth(), 0);
+    }
 }

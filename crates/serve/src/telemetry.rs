@@ -3,7 +3,7 @@
 //!
 //! Every completed request produces one [`RequestRecord`] attributing its
 //! latency to the pipeline phases (decode, queue wait, cache lookup,
-//! translate, solve, encode+write). [`ServiceTelemetry`] folds records
+//! translate, solve, response encode). [`ServiceTelemetry`] folds records
 //! into log₂-binned latency histograms (the same binning as
 //! [`mca_obs::Histogram`]) per request kind, counters per outcome and
 //! cache disposition, a rolling current/previous window pair, and a
@@ -55,8 +55,10 @@ impl Default for TelemetryConfig {
 
 /// One completed request with its latency attribution. All durations are
 /// nanoseconds on the serving thread's monotonic clock; `total_ns` covers
-/// frame-read-complete to response-write-complete and is therefore `>=`
+/// frame-read-complete to response-encode-complete and is therefore `>=`
 /// the sum of the attributed phases (the remainder is dispatch overhead).
+/// The record is folded before the response's first byte is written, so
+/// the socket write itself is not timed.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RequestRecord {
     /// Service-assigned monotonic request id (accept order).
@@ -65,8 +67,8 @@ pub struct RequestRecord {
     pub kind: &'static str,
     /// `"ok"` or `"error"`.
     pub outcome: &'static str,
-    /// Cache disposition label (`"miss"`, `"verdict-hit"`,
-    /// `"translation-hit"`) or `"-"` for non-cacheable kinds.
+    /// Cache disposition label (`"miss"` or `"verdict-hit"`) or `"-"`
+    /// for non-cacheable kinds.
     pub cache: &'static str,
     /// Admission-queue depth observed when the request arrived.
     pub queue_depth: u64,
@@ -74,8 +76,7 @@ pub struct RequestRecord {
     pub total_ns: u64,
     /// Frame read + body decode.
     pub decode_ns: u64,
-    /// Wait for an admission-queue slot, plus the hand-off until a pool
-    /// worker starts the job.
+    /// Wait for an admission-queue slot, then for a compute slot.
     pub queue_ns: u64,
     /// Spec resolve, model-hash memo and content-addressed cache
     /// lookup(s)/stores.
@@ -85,7 +86,7 @@ pub struct RequestRecord {
     pub translate_ns: u64,
     /// SAT solving (or lint analysis for lint requests).
     pub solve_ns: u64,
-    /// Response encode + socket write.
+    /// Response encode; the phase keeps its label, `write`.
     pub write_ns: u64,
 }
 
@@ -364,8 +365,6 @@ impl ServiceTelemetry {
         for (tier, result, n) in [
             ("verdict", "hit", cache.verdict_hits),
             ("verdict", "miss", cache.verdict_misses),
-            ("translation", "hit", cache.translation_hits),
-            ("translation", "miss", cache.translation_misses),
         ] {
             let _ = writeln!(
                 w,

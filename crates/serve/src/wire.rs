@@ -144,9 +144,10 @@ impl Request {
 pub enum CacheDisposition {
     /// Computed from scratch (translation + solve).
     Miss,
-    /// Served verbatim from the verdict tier.
+    /// Served verbatim from the cache.
     VerdictHit,
-    /// CNF reused from the translation tier; only the solve re-ran.
+    /// Never sent: the server keeps no CNF cache. Kept so the codec
+    /// still decodes byte 2.
     TranslationHit,
 }
 

@@ -702,8 +702,8 @@ impl DynamicModel {
 
     /// The raw CNF of facts ∧ ¬consensus — exactly the formula
     /// [`check_consensus`](Self::check_consensus) solves: the consensus
-    /// assertion is **valid** iff this CNF is UNSAT. `mca-serve`'s
-    /// translation cache stores it.
+    /// assertion is **valid** iff this CNF is UNSAT. `mca-serve` solves
+    /// it on a cache miss.
     ///
     /// # Errors
     ///

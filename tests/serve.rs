@@ -12,7 +12,6 @@ use std::time::Duration;
 
 use mca_obs::Json;
 use mca_report::{diagnose_service, ServiceStats, WhySeverity};
-use mca_sat::CnfFormula;
 use mca_serve::request;
 use mca_serve::wire::error_code;
 use mca_serve::{
@@ -157,8 +156,7 @@ fn cache_misses_on_scope_encoding_and_config_and_hits_on_repeats() {
     let mut payloads = Vec::new();
     for (scenario, encoding, preprocess) in variants.iter().cloned() {
         let (disp, payload) = client.check(scenario, encoding, preprocess).expect("check");
-        // The preprocessed 2x2 variant shares the translation tier with
-        // the plain one, but never the verdict tier.
+        // The preprocessed 2x2 variant is a cache line of its own.
         assert_ne!(
             disp,
             CacheDisposition::VerdictHit,
@@ -182,10 +180,6 @@ fn cache_misses_on_scope_encoding_and_config_and_hits_on_repeats() {
     let report = handle.join();
     assert_eq!(report.cache.verdict_hits, 4);
     assert_eq!(report.cache.verdict_misses, 4);
-    assert_eq!(
-        report.cache.translation_hits, 1,
-        "preprocess variant reuses the 2x2 CNF"
-    );
 }
 
 /// Every shipped E3/E4 scenario: the cached response equals the cold one.
@@ -219,9 +213,9 @@ fn every_shipped_scenario_hits_byte_identical() {
 /// so only the evicted report forces a model build.
 #[test]
 fn eviction_under_tiny_budget_stays_verdict_correct() {
-    // ~2 KiB: far too small for a CNF entry, small enough to force
-    // verdict-tier eviction churn.
-    let handle = start(2, 2 << 10);
+    // ~1 KiB: less than the deck's four payloads together (~1.4 KiB
+    // with keys), so walking the deck in order evicts on every round.
+    let handle = start(2, 1 << 10);
     let mut client = connect(&handle);
     let check = |scenario| Request::Check {
         scenario,
@@ -262,7 +256,7 @@ fn eviction_under_tiny_budget_stays_verdict_correct() {
     let report = handle.join();
     assert!(
         report.cache.evictions > 0,
-        "a 2 KiB budget must evict; stats: {:?}",
+        "a 1 KiB budget must evict; stats: {:?}",
         report.cache
     );
 }
@@ -270,10 +264,9 @@ fn eviction_under_tiny_budget_stays_verdict_correct() {
 /// The model-hash memo is keyed by spec, not by content, so it must agree
 /// with a fresh `DynamicModel::build(..).content_hash()` for every spec
 /// the server accepts: 5 names and 9 scopes in 2 encodings. Each pair's
-/// translation-tier entry is seeded under its fresh hash with an empty
-/// stand-in formula, so the test solves no real model; a request reaches
-/// that entry, and stamps its payload's `model_hash`, only through the
-/// hash it memoized.
+/// verdict key is seeded under its fresh hash with a stand-in payload
+/// naming that hash, so the test solves no real model; a request finds
+/// that payload only through the hash it memoized.
 #[test]
 fn memoized_model_hash_matches_a_fresh_build_for_every_accepted_spec() {
     let encodings = [
@@ -286,7 +279,6 @@ fn memoized_model_hash_matches_a_fresh_build_for_every_accepted_spec() {
         preprocess: false,
     };
     let cache = ResultCache::new(64 << 20);
-    let stand_in = Arc::new(CnfFormula::new());
     let mut specs: Vec<ScenarioSpec> = [
         "two_agent_compliant",
         "two_agent_rebid_attack",
@@ -309,26 +301,21 @@ fn memoized_model_hash_matches_a_fresh_build_for_every_accepted_spec() {
             let scope = scenario.scope_label();
             let fresh = DynamicModel::build(number, scenario).content_hash();
             hashes.insert(fresh);
-            let tkey = request::translation_key(fresh, &scope, encoding);
-            cache.put_translation(&tkey, stand_in.clone(), &mut Vec::new());
             let key = request::verdict_key("check", fresh, &scope, encoding, "default");
+            let stand_in = format!("{{\"model_hash\":\"{fresh:016x}\"}}").into_bytes();
+            cache.put_verdict(&key, Arc::new(stand_in.clone()), &mut Vec::new());
 
-            let cold = request::execute(&check(spec, encoding), &cache);
+            let first = request::execute(&check(spec, encoding), &cache);
             assert_eq!(
-                cold.disposition,
-                Some(CacheDisposition::TranslationHit),
-                "{label}/{encoding:?}: the memoized hash missed the seeded translation"
+                first.disposition,
+                Some(CacheDisposition::VerdictHit),
+                "{label}/{encoding:?}: the memoized hash missed the seeded payload"
             );
-            assert_eq!(cold.cache_key, key);
-            let Response::Verdict { payload, .. } = &cold.response else {
-                panic!("expected a verdict, got {:?}", cold.response);
+            assert_eq!(first.cache_key, key);
+            let Response::Verdict { payload, .. } = &first.response else {
+                panic!("expected a verdict, got {:?}", first.response);
             };
-            let payload = Json::parse(std::str::from_utf8(payload).expect("UTF-8 payload"))
-                .expect("payload is JSON");
-            assert_eq!(
-                payload.get("model_hash").and_then(Json::as_str),
-                Some(format!("{fresh:016x}").as_str())
-            );
+            assert_eq!(payload, &stand_in);
             assert_eq!(cache.model_hash(&label, encoding), Some(fresh));
 
             let warm = request::execute(&check(spec, encoding), &cache);
@@ -533,8 +520,6 @@ fn stats_payload_field_order_is_pinned() {
         "\"cache\":{",
         "\"verdict_hits\":",
         "\"verdict_misses\":",
-        "\"translation_hits\":",
-        "\"translation_misses\":",
         "\"evictions\":",
         "\"bytes\":",
         "\"bytes_hwm\":",
