@@ -4,6 +4,8 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use mca_obs::Json;
+
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
 }
@@ -113,6 +115,60 @@ fn diff_is_clean_on_identical_artifacts_and_trips_on_a_2x_regression() {
         .output()
         .unwrap();
     assert_eq!(loose.status.code(), Some(0));
+}
+
+/// The object field `key` of `value`, mutably.
+fn field<'a>(value: &'a mut Json, key: &str) -> &'a mut Json {
+    let Json::Object(pairs) = value else {
+        panic!("the parent of `{key}` is not an object");
+    };
+    let (_, child) = pairs
+        .iter_mut()
+        .find(|(k, _)| k == key)
+        .unwrap_or_else(|| panic!("no `{key}` field"));
+    child
+}
+
+#[test]
+fn diff_gates_the_committed_sweeps_conflicts_after() {
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_SCALE.json");
+    let mut doc = Json::parse(&std::fs::read_to_string(committed).unwrap()).unwrap();
+    let copy = temp_path("scale-copy.json");
+    let tripled = temp_path("scale-tripled.json");
+    std::fs::write(&copy, doc.render()).unwrap();
+    let Json::Array(scopes) = field(&mut doc, "scopes") else {
+        panic!("`scopes` is an array");
+    };
+    let scope = scopes
+        .iter_mut()
+        .find(|s| s.get("scope").and_then(Json::as_str) == Some("2x2"))
+        .expect("a 2x2 scope");
+    let Json::Array(after) = field(field(scope, "sweep"), "conflicts_after") else {
+        panic!("`conflicts_after` is an array");
+    };
+    for n in after.iter_mut() {
+        *n = Json::UInt(n.as_u64().expect("a conflict count") * 3);
+    }
+    std::fs::write(&tripled, doc.render()).unwrap();
+
+    let diff = |new: &PathBuf| {
+        repro()
+            .arg("diff")
+            .arg(committed)
+            .arg(new)
+            .args(["--max-conflict-ratio", "1"])
+            .output()
+            .unwrap()
+    };
+    let clean = diff(&copy);
+    assert_eq!(clean.status.code(), Some(0), "an unedited copy regresses?");
+    let tripped = diff(&tripled);
+    assert_eq!(tripped.status.code(), Some(1));
+    let text = String::from_utf8(tripped.stdout).unwrap();
+    assert!(
+        text.contains("REGRESSION scopes[scope=2x2].sweep.conflicts_after[0]"),
+        "{text}"
+    );
 }
 
 #[test]

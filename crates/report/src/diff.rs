@@ -15,6 +15,11 @@
 //!   tripwire.
 //! * **conflicts** (`*conflicts*`) — deterministic solver work.
 //!
+//! A number inside an array is a leaf of the array's own key, compared
+//! with the number at the same index: `sweep.conflicts_after[3]` is a
+//! conflicts leaf. Booleans and strings are never gated, so neither is
+//! `per_state`.
+//!
 //! A leaf regresses when `new > old × ratio` for its family's ratio.
 //! Leaves with an old value of 0 are skipped (no meaningful ratio).
 
@@ -153,11 +158,18 @@ fn align_key(v: &Json) -> Option<String> {
 /// Diffs two parsed BENCH documents under `cfg`.
 pub fn diff_bench(old: &Json, new: &Json, cfg: &DiffConfig) -> DiffOutcome {
     let mut outcome = DiffOutcome::default();
-    walk(old, new, String::new(), cfg, &mut outcome);
+    walk(old, new, "", String::new(), cfg, &mut outcome);
     outcome
 }
 
-fn walk(old: &Json, new: &Json, path: String, cfg: &DiffConfig, out: &mut DiffOutcome) {
+/// Compares `old` and `new` at `path`. `key` is the nearest object key
+/// above them: it names the family of a number there, one inside an
+/// array included.
+fn walk(old: &Json, new: &Json, key: &str, path: String, cfg: &DiffConfig, out: &mut DiffOutcome) {
+    if let (Some(o), Some(n)) = (old.as_f64(), new.as_f64()) {
+        leaf(key, o, n, path, cfg, out);
+        return;
+    }
     match (old, new) {
         (Json::Object(old_pairs), Json::Object(_)) => {
             for (key, old_value) in old_pairs {
@@ -169,10 +181,7 @@ fn walk(old: &Json, new: &Json, path: String, cfg: &DiffConfig, out: &mut DiffOu
                 } else {
                     format!("{path}.{key}")
                 };
-                match (old_value.as_f64(), new_value.as_f64()) {
-                    (Some(o), Some(n)) => leaf(key, o, n, child_path, cfg, out),
-                    _ => walk(old_value, new_value, child_path, cfg, out),
-                }
+                walk(old_value, new_value, key, child_path, cfg, out);
             }
         }
         (Json::Array(old_items), Json::Array(new_items)) => {
@@ -187,7 +196,7 @@ fn walk(old: &Json, new: &Json, path: String, cfg: &DiffConfig, out: &mut DiffOu
                     None => (format!("[{i}]"), new_items.get(i)),
                 };
                 if let Some(new_item) = new_item {
-                    walk(old_item, new_item, format!("{path}{label}"), cfg, out);
+                    walk(old_item, new_item, key, format!("{path}{label}"), cfg, out);
                 }
             }
         }
@@ -341,6 +350,32 @@ mod tests {
             out.regressions[0].path,
             "cells[scope=3x2,variant=optimized+pre].conflicts"
         );
+    }
+
+    #[test]
+    fn numbers_in_an_array_are_leaves_of_its_key() {
+        let sweep = |after: &str| {
+            Json::parse(&format!(
+                r#"{{"sweep":{{"per_state":[false,true,true],"conflicts_after":{after}}}}}"#
+            ))
+            .unwrap()
+        };
+        let strict = DiffConfig {
+            max_conflict_ratio: 1.0,
+            ..DiffConfig::default()
+        };
+        let out = diff_bench(&sweep("[10,16,23]"), &sweep("[10,16,23]"), &strict);
+        assert!(out.is_clean(), "{:?}", out.regressions);
+        assert_eq!(out.compared, 3, "the booleans are not gated");
+        let out = diff_bench(&sweep("[10,16,23]"), &sweep("[10,17,23]"), &strict);
+        assert_eq!(out.regressions.len(), 1);
+        let r = &out.regressions[0];
+        assert_eq!(r.kind, MetricKind::Conflicts);
+        assert_eq!(r.path, "sweep.conflicts_after[1]");
+        // Only indices present in both arrays are compared.
+        let out = diff_bench(&sweep("[10,16,23]"), &sweep("[10]"), &strict);
+        assert!(out.is_clean());
+        assert_eq!(out.compared, 1);
     }
 
     #[test]

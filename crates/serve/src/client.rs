@@ -5,6 +5,7 @@
 //! client crate: server and client share one wire module, so they can
 //! never disagree about the protocol.
 
+use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -16,7 +17,9 @@ use crate::wire::{
 /// A connected client. Requests are strictly sequential per client; open
 /// several clients for concurrency (as the load generator does).
 pub struct Client {
-    stream: TcpStream,
+    /// Responses are read through the buffer, so a small frame usually
+    /// takes one `read`; requests are written to the stream beneath it.
+    stream: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -28,7 +31,9 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        Ok(Client { stream })
+        Ok(Client {
+            stream: BufReader::new(stream),
+        })
     }
 
     /// [`connect`](Client::connect) with retries — for CI scripts that
@@ -61,7 +66,7 @@ impl Client {
     ///
     /// Propagates the socket-option failure.
     pub fn set_read_timeout(&mut self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.stream.set_read_timeout(timeout)
+        self.stream.get_ref().set_read_timeout(timeout)
     }
 
     /// Sends one request and reads one response.
@@ -71,7 +76,7 @@ impl Client {
     /// Transport and decode errors; a server-side [`Response::Error`] is
     /// an `Ok` value, not an `Err`.
     pub fn request(&mut self, req: &Request) -> Result<Response, WireError> {
-        write_frame(&mut self.stream, &encode_request(req))?;
+        write_frame(self.stream.get_mut(), &encode_request(req))?;
         let body = read_frame(&mut self.stream)?;
         decode_response(&body)
     }
@@ -83,7 +88,7 @@ impl Client {
     ///
     /// Transport and decode errors.
     pub fn request_raw(&mut self, body: &[u8]) -> Result<Response, WireError> {
-        write_frame(&mut self.stream, body)?;
+        write_frame(self.stream.get_mut(), body)?;
         let body = read_frame(&mut self.stream)?;
         decode_response(&body)
     }
@@ -95,9 +100,9 @@ impl Client {
     ///
     /// Propagates the write failure.
     pub fn write_bytes(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        use std::io::Write;
-        self.stream.write_all(bytes)?;
-        self.stream.flush()
+        let stream = self.stream.get_mut();
+        stream.write_all(bytes)?;
+        stream.flush()
     }
 
     /// Reads one response frame (after [`write_bytes`](Client::write_bytes)).
@@ -215,5 +220,38 @@ impl Client {
             Response::ShuttingDown => Ok(()),
             _ => Err(WireError::Malformed("expected shutdown acknowledgement")),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::{encode_response, read_frame};
+    use std::net::TcpListener;
+
+    #[test]
+    fn a_response_split_across_two_writes_is_read_whole() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind on a free port");
+        let addr = listener.local_addr().expect("bound address");
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let _ = stream.set_nodelay(true);
+            let request = read_frame(&mut stream).expect("request frame");
+            assert_eq!(request, encode_request(&Request::Ping));
+            let body = encode_response(&Response::Pong);
+            stream
+                .write_all(&(body.len() as u32).to_be_bytes())
+                .expect("write prefix");
+            stream.flush().expect("flush prefix");
+            // The client must wait out the gap, not fail on a short read.
+            std::thread::sleep(Duration::from_millis(50));
+            stream.write_all(&body).expect("write body");
+        });
+        let mut client = Client::connect(addr).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("set client timeout");
+        client.ping().expect("pong assembled from two writes");
+        peer.join().expect("listener thread");
     }
 }

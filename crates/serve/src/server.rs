@@ -11,10 +11,11 @@
 //!    └──frame── write ◀── fold telemetry ◀── encode ◀───────────────┘
 //! ```
 //!
-//! Each accepted connection gets a thread that reads frames in a loop
-//! and answers them in order, one at a time. `Ping`/`Stats`/`Shutdown`
-//! are answered inline; `Check`/`Lint` pass the admission gate and
-//! then run [`request::execute`] on the same thread. The gate bounds
+//! Each accepted connection gets a thread that reads frames in a loop,
+//! through one buffer kept for the connection's life, and answers them
+//! in order, one at a time. `Ping`/`Stats`/`Shutdown` are answered
+//! inline; `Check`/`Lint` pass the admission gate and then run
+//! [`request::execute`] on the same thread. The gate bounds
 //! requests in flight by `queue_capacity`, waiting ones included
 //! (blocking when full — backpressure, not rejection), and requests
 //! computing by `threads`. A drop guard gives both slots back as soon as
@@ -45,7 +46,7 @@
 //! thread drains them after `join`.
 
 use std::collections::HashMap;
-use std::io::Read;
+use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -438,7 +439,7 @@ enum FrameRead {
     Fail(WireError),
 }
 
-fn read_frame_step(r: &mut TcpStream) -> FrameRead {
+fn read_frame_step(r: &mut impl Read) -> FrameRead {
     let mut len_buf = [0u8; 4];
     match read_exact_or(r, &mut len_buf, true) {
         ReadOutcome::Done => {}
@@ -468,7 +469,7 @@ enum ReadOutcome {
 
 /// `read_exact` that reports a timeout before the first byte as `Idle`
 /// (when `idle_ok`) and any later short read as a truncation failure.
-fn read_exact_or(r: &mut TcpStream, buf: &mut [u8], idle_ok: bool) -> ReadOutcome {
+fn read_exact_or(r: &mut impl Read, buf: &mut [u8], idle_ok: bool) -> ReadOutcome {
     let mut got = 0usize;
     while got < buf.len() {
         match r.read(&mut buf[got..]) {
@@ -519,9 +520,12 @@ fn ns_since(start: Instant) -> u64 {
 fn serve_connection(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(shared.read_timeout));
     let _ = stream.set_nodelay(true);
-    let Ok(mut reader) = stream.try_clone() else {
+    // One buffer for the connection's life: a frame usually arrives in
+    // one `read`, and bytes read past it stay for the next frame.
+    let Ok(read_half) = stream.try_clone() else {
         return;
     };
+    let mut reader = BufReader::new(read_half);
     let mut writer = stream;
     loop {
         if shared.shutdown.load(Ordering::Acquire) {

@@ -32,6 +32,11 @@
 //! The cache-disposition byte rides **outside** the verdict payload so a
 //! cached response stays byte-identical to a cold one in the payload the
 //! client actually consumes.
+//!
+//! [`write_frame`] sends the prefix and the body in one write, and both
+//! the server's connections and the [`Client`](crate::Client) read
+//! through a buffer kept for the life of the connection, so a frame
+//! usually costs one `write` and one `read` at each end.
 
 use std::io::{Read, Write};
 
@@ -307,21 +312,26 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// Writes one frame (`u32` BE length + body).
+/// Writes one frame (`u32` BE length + body) with a single `write_all`
+/// of one buffer, so on a `TCP_NODELAY` socket the prefix never leaves
+/// as a segment of its own.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), WireError> {
     let len = u32::try_from(body.len()).map_err(|_| WireError::Oversized(u32::MAX))?;
     if len > MAX_FRAME_BYTES {
         return Err(WireError::Oversized(len));
     }
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(body)?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
 
 /// Reads one frame body. Rejects oversized length prefixes *before*
 /// allocating, so a corrupt prefix cannot balloon memory. A clean EOF
-/// before any length byte surfaces as `Io(UnexpectedEof)`.
+/// before any length byte surfaces as `Io(UnexpectedEof)`. Give it a
+/// buffered reader to read a small frame in one `read` call.
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, WireError> {
     let mut len_bytes = [0u8; 4];
     r.read_exact(&mut len_bytes)?;
@@ -689,6 +699,34 @@ mod tests {
             read_frame(&mut cursor),
             Err(WireError::Io(std::io::ErrorKind::UnexpectedEof))
         ));
+    }
+
+    /// Records each `write` call's bytes, accepting all of them.
+    struct CallLog(Vec<Vec<u8>>);
+
+    impl Write for CallLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_of_prefix_then_body() {
+        let body = encode_request(&Request::Check {
+            scenario: ScenarioSpec::Named("paper_scope".into()),
+            encoding: WireEncoding::Optimized,
+            preprocess: false,
+        });
+        let mut log = CallLog(Vec::new());
+        write_frame(&mut log, &body).unwrap();
+        let mut expected = (body.len() as u32).to_be_bytes().to_vec();
+        expected.extend_from_slice(&body);
+        assert_eq!(log.0, vec![expected]);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::time::Duration;
 use mca_obs::Json;
 use mca_report::{diagnose_service, ServiceStats, WhySeverity};
 use mca_serve::request;
-use mca_serve::wire::error_code;
+use mca_serve::wire::{encode_request, error_code, write_frame};
 use mca_serve::{
     CacheDisposition, Client, LoadConfig, Request, Response, ResultCache, ScenarioSpec, Server,
     ServerConfig, TelemetryConfig, WireEncoding, WireError,
@@ -465,6 +465,62 @@ fn malformed_frames_get_protocol_errors_and_the_server_keeps_serving() {
         report.responses_err >= 4,
         "every malformed frame was answered"
     );
+}
+
+/// A frame that arrives one byte per segment is reassembled and answered.
+#[test]
+fn a_frame_written_one_byte_at_a_time_is_answered() {
+    let handle = start(1, 1 << 20);
+    let mut client = connect(&handle);
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &encode_request(&Request::Ping)).expect("frame in memory");
+    for byte in &frame {
+        client
+            .write_bytes(std::slice::from_ref(byte))
+            .expect("write one byte");
+    }
+    assert_eq!(client.read_response().expect("answer"), Response::Pong);
+    handle.join();
+}
+
+/// Two frames in one write: the connection keeps the bytes it read past
+/// the first frame and answers both, in order.
+#[test]
+fn two_frames_in_one_write_are_answered_in_order() {
+    let handle = start(1, 1 << 20);
+    let mut client = connect(&handle);
+    // A server that dropped the bytes read past the first frame would
+    // never answer the second: fail in seconds instead of minutes.
+    client
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("set client timeout");
+    let check = Request::Check {
+        scenario: named("two_agent_compliant"),
+        encoding: WireEncoding::Optimized,
+        preprocess: false,
+    };
+    let mut frames = Vec::new();
+    for req in [&Request::Ping, &check] {
+        write_frame(&mut frames, &encode_request(req)).expect("frame in memory");
+    }
+    client.write_bytes(&frames).expect("write both frames");
+    assert_eq!(
+        client.read_response().expect("first answer"),
+        Response::Pong
+    );
+    let cold = match client.read_response().expect("second answer") {
+        Response::Verdict {
+            cache: CacheDisposition::Miss,
+            payload,
+        } => payload,
+        other => panic!("expected a cold verdict, got {other:?}"),
+    };
+    let (disp, warm) = client
+        .check(named("two_agent_compliant"), WireEncoding::Optimized, false)
+        .expect("the connection still serves");
+    assert_eq!(disp, CacheDisposition::VerdictHit);
+    assert_eq!(cold, warm);
+    handle.join();
 }
 
 #[test]
