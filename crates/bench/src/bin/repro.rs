@@ -6,7 +6,7 @@
 //! repro --list                   # list experiments
 //! repro e5 --metrics e5.json     # write a metrics registry as JSON
 //! repro --trace run.jsonl        # write a JSONL event trace
-//! repro e3 --threads 4           # fan E3/E4 across 4 workers
+//! repro e3 --threads 4           # run E3's checks on 4 worker threads
 //! repro report run.jsonl         # render a profiling report from a trace
 //! repro diff old.json new.json   # regression-gate two BENCH artifacts
 //! repro lint                     # static-analyze the scenario matrix
@@ -17,11 +17,12 @@
 //! ```
 //!
 //! With `--trace`, the run also records hierarchical **spans**: one
-//! `repro.<exp>` root per experiment, with `relalg.encode`, `sat.solve`,
-//! `sat.restart-epoch`, `verify.state-query`, and (on multi-threaded runs)
-//! `runtime.job:*` children. Span events carry wall-clock timestamps and
-//! resource fields, so a trace with spans is **not** byte-reproducible
-//! across runs — the logical (non-span) events still are.
+//! `repro.<exp>` root per experiment, with `runtime.batch` /
+//! `runtime.job:*`, `relalg.encode`, `sat.solve`, `sat.restart-epoch` and
+//! `verify.state-query` descendants. Span events carry wall-clock
+//! timestamps and resource fields, so a trace with spans is **not**
+//! byte-reproducible across runs — the logical (non-span) events still
+//! are, and so is the span tree's outline, at any `--threads`.
 //!
 //! `repro report <trace.jsonl>` renders a self-contained markdown (or
 //! `--html`) report from such a trace: span-tree time breakdown, top-k hot
@@ -30,13 +31,13 @@
 //! artifacts and exits 1 when a `*secs*` / `*clauses*` / `*conflicts*`
 //! leaf regressed past its threshold — the CI tripwire.
 //!
-//! `--threads N` routes E3 and E4 through the `mca-runtime` work-stealing
-//! pool (`--threads 0`, the default, auto-detects the machine's
-//! parallelism; `--threads 1` forces the sequential drivers). Outcomes are
-//! identical at every thread count — parallelism only changes wall-clock —
-//! and a multi-threaded E3 run also records the sequential-vs-parallel
-//! comparison (the extended policy matrix and the coarse E8 scaling
-//! cells) in `BENCH_PAR.json`.
+//! `--threads N` runs the independent checks of E3, E4 and E8 as batches
+//! on up to `N` scoped worker threads (`mca_verify::batch`; `--threads
+//! 0`, the default, auto-detects the machine's parallelism). Each driver
+//! has one code path at every thread count: outcomes, logical events and
+//! the span tree are identical, only wall clock changes. A run of E3 at
+//! `N ≥ 2` also records the 1-thread-vs-`N` comparison (the extended
+//! policy matrix and the coarse E8 scaling cells) in `BENCH_PAR.json`.
 //!
 //! Running E5 also (re)generates `BENCH_E5.json` in the current directory:
 //! the per-encoding variable/clause counts and solver statistics that seed
@@ -54,9 +55,9 @@
 //! pathological` lints the intentionally-broken fixture instead, which
 //! must exit 1 (CI asserts the analyzer still catches it).
 //!
-//! `repro why <trace.jsonl> [--metrics m.json]` runs the performance-
-//! forensics rule catalog (see `mca_report::why`) over a trace + metrics
-//! pair and prints a ranked bottleneck diagnosis. Exit codes mirror
+//! `repro why <trace.jsonl>` runs the performance-forensics rule catalog
+//! (see `mca_report::why`) over a trace and prints a ranked bottleneck
+//! diagnosis. Exit codes mirror
 //! `repro diff`: 0 when no rule fires, 1 when at least one does, 2 on
 //! usage/IO errors — so CI can pin the diagnosis set on known fixtures.
 //!
@@ -69,7 +70,7 @@
 //! hit rate by tier, queue sparkline) to the rendered report.
 //!
 //! `--reps N` (default 5) controls the benchmark methodology of the
-//! multi-threaded E3 section: each timed section runs one untimed warmup
+//! `BENCH_PAR.json` section of E3: each timed section runs one untimed warmup
 //! iteration and then `N` repetitions, and `BENCH_PAR.json` records the
 //! **median** with a `spread` field ((max − min) / median) so `repro
 //! diff` gates on a stable statistic instead of a single noisy sample.
@@ -80,9 +81,8 @@ use mca_report::{
     diff_bench, render_html, render_lint_markdown, render_markdown, DiffConfig, ParsedTrace,
     ReportOptions,
 };
-use mca_runtime::Runtime;
-use mca_verify::analysis::{self, EncodingRow};
-use mca_verify::parallel;
+use mca_verify::analysis::{self, EncodingRow, ScaleVariant};
+use mca_verify::batch::run_batch;
 use mca_verify::{DynamicModel, DynamicScenario, NumberEncoding, StaticModel, StaticScope};
 use std::fs::File;
 use std::io::BufWriter;
@@ -212,9 +212,6 @@ fn main() {
     // the trace file sees the (wall-clock, hence non-reproducible) events.
     let spans: Option<SpanRecorder> = observer.as_ref().map(|o| SpanRecorder::new(o.clone()));
     let mut metrics = Metrics::new();
-    // The pool exists only for multi-threaded runs; `--threads 1` keeps
-    // the sequential drivers on the main thread.
-    let runtime = (threads > 1).then(|| Runtime::new(threads));
 
     let mut all_match = true;
     for exp in &selected {
@@ -227,12 +224,12 @@ fn main() {
                 all_match &= run_e3(
                     &mut metrics,
                     observer.clone(),
-                    runtime.as_ref(),
+                    threads,
                     spans.as_ref(),
                     reps,
                 )
             }
-            "e4" => all_match &= run_e4(&mut metrics, runtime.as_ref()),
+            "e4" => all_match &= run_e4(&mut metrics, threads, spans.as_ref()),
             "e5" => all_match &= run_e5(&mut metrics, observer.clone(), threads),
             "e6" => all_match &= run_e6(&mut metrics),
             "e7" => all_match &= run_e7(&mut metrics),
@@ -240,7 +237,6 @@ fn main() {
                 all_match &= run_e8(
                     &mut metrics,
                     observer.clone(),
-                    runtime.as_ref(),
                     spans.as_ref(),
                     threads,
                     smoke,
@@ -260,19 +256,6 @@ fn main() {
         println!();
     }
 
-    // Job lifecycles land in the same trace and metrics registry as the
-    // experiment events, in deterministic (job-id) order. Job execution
-    // *windows* (wall-clock spans) are replayed separately, only into a
-    // span-recording trace.
-    if let Some(rt) = &runtime {
-        if let Some(obs) = &observer {
-            rt.emit_job_events(obs);
-        }
-        if let Some(spans) = &spans {
-            rt.emit_job_spans(spans);
-        }
-        rt.record_metrics(&mut metrics, "runtime");
-    }
     drop(spans);
 
     if let Some(path) = &metrics_path {
@@ -434,20 +417,18 @@ fn cmd_report(args: &[String]) -> ! {
     std::process::exit(0);
 }
 
-/// `repro why <trace.jsonl> [--metrics m.json] [--out path]` — runs the
+/// `repro why <trace.jsonl> [--out path]` — runs the
 /// bottleneck rule catalog and exits 1 when any rule fires (0 when the
 /// diagnosis is empty, 2 on usage/IO errors), mirroring `repro diff` so
 /// CI can assert the diagnosis set on known fixtures.
 fn cmd_why(args: &[String]) -> ! {
     let mut trace_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
     let mut serve_path: Option<String> = None;
     let mut flight_path: Option<String> = None;
     let mut out_path: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--metrics" => metrics_path = Some(subcommand_flag_value(args, &mut i, "--metrics")),
             "--serve" => serve_path = Some(subcommand_flag_value(args, &mut i, "--serve")),
             "--flight" => flight_path = Some(subcommand_flag_value(args, &mut i, "--flight")),
             "--out" => out_path = Some(subcommand_flag_value(args, &mut i, "--out")),
@@ -463,7 +444,7 @@ fn cmd_why(args: &[String]) -> ! {
     }
     if trace_path.is_none() && serve_path.is_none() {
         eprintln!(
-            "usage: repro why <trace.jsonl> [--metrics m.json] [--out path]\n       repro why --serve scrape.txt [--flight flight.json] [--out path]"
+            "usage: repro why <trace.jsonl> [--out path]\n       repro why --serve scrape.txt [--flight flight.json] [--out path]"
         );
         std::process::exit(2);
     }
@@ -476,8 +457,7 @@ fn cmd_why(args: &[String]) -> ! {
     let mut findings = Vec::new();
     if let Some(trace_path) = &trace_path {
         let trace = ParsedTrace::parse(&read_or_die(trace_path));
-        let metrics = metrics_path.as_ref().map(parse_json);
-        findings.extend(mca_report::diagnose(&trace, metrics.as_ref()));
+        findings.extend(mca_report::diagnose(&trace));
     }
     if let Some(serve_path) = &serve_path {
         let stats = mca_report::ServiceStats::parse(&read_or_die(serve_path));
@@ -1098,12 +1078,14 @@ fn run_e2(metrics: &mut Metrics) -> bool {
 fn run_e3(
     metrics: &mut Metrics,
     observer: Option<SharedObserver>,
-    rt: Option<&Runtime>,
+    threads: usize,
     spans: Option<&SpanRecorder>,
     reps: usize,
 ) -> bool {
     println!("E3 (Result 1) — policy matrix (exhaustive explicit-state checking)");
-    let rows = metrics.time("e3.run", || analysis::run_policy_matrix(observer, spans));
+    let rows = metrics.time("e3.run", || {
+        analysis::run_policy_matrix(threads, observer, spans)
+    });
     let mut ok = true;
     for row in &rows {
         println!("{row}");
@@ -1121,8 +1103,8 @@ fn run_e3(
             "MISMATCH ✗"
         }
     );
-    if let Some(rt) = rt {
-        ok &= run_e3_parallel(metrics, rt, &rows, reps);
+    if threads > 1 {
+        ok &= run_e3_bench_par(metrics, threads, spans, &rows, reps);
     }
     ok
 }
@@ -1159,31 +1141,29 @@ const E8_PAR_VARIANTS: [(&str, NumberEncoding, bool); 2] = [
     ("optimized+pre", NumberEncoding::OptimizedValue, true),
 ];
 
-/// The multi-threaded E3 section: re-runs the matrix on the pool, checks
-/// outcome equality against the sequential rows, times the extended
-/// 16-cell matrix sequential-vs-chunked, fans the E8 scaling cells out as
-/// coarse jobs, and records everything in `BENCH_PAR.json`. Timed
-/// sections use the warmup + median-of-reps methodology of
-/// [`bench_median`] — except the sequential E8 baseline, which is measured
-/// **once** (it is multi-second work whose repetition would dwarf the rest
-/// of the run and pad the trace with idle workers).
-fn run_e3_parallel(
+/// The E3 section of a run at `threads ≥ 2`: re-runs the matrix on one
+/// thread and checks its outcomes against the `threads` rows, times the
+/// extended 16-cell matrix at 1 and `threads` threads, does the same for
+/// the coarse E8 scaling cells, and records everything in
+/// `BENCH_PAR.json`. Timed sections use the warmup + median-of-reps
+/// methodology of [`bench_median`] — except the 1-thread E8 baseline,
+/// which is measured **once** (it is multi-second work whose repetition
+/// would dwarf the rest of the run).
+fn run_e3_bench_par(
     metrics: &mut Metrics,
-    rt: &Runtime,
-    seq_rows: &[analysis::PolicyMatrixRow],
+    threads: usize,
+    spans: Option<&SpanRecorder>,
+    rows: &[analysis::PolicyMatrixRow],
     reps: usize,
 ) -> bool {
-    println!(
-        "\n  --- parallel runtime ({} threads, median of {reps} reps) ---",
-        rt.threads()
-    );
-    // The four Result-1 cells are microsecond work: keep them as an
-    // untimed outcome check (two paired jobs) rather than pretending a
-    // speedup measurement at this granularity means anything.
-    let par_rows = metrics.time("e3.par.run", || parallel::run_policy_matrix_parallel(rt));
-    let outcomes_match = seq_rows.len() == par_rows.len()
-        && seq_rows.iter().zip(&par_rows).all(|(s, p)| {
-            s.cell == p.cell && s.checker_converges == p.checker_converges && s.detail == p.detail
+    println!("\n  --- {threads} threads vs 1 (median of {reps} reps) ---");
+    // The four Result-1 cells are sub-millisecond work: keep them as an
+    // untimed outcome check rather than pretending a speedup measurement
+    // at this granularity means anything.
+    let one_thread = analysis::run_policy_matrix(1, None, spans);
+    let outcomes_match = rows.len() == one_thread.len()
+        && rows.iter().zip(&one_thread).all(|(r, o)| {
+            r.cell == o.cell && r.checker_converges == o.checker_converges && r.detail == o.detail
         });
     println!(
         "  matrix: outcomes {} (4 cells as 2 paired jobs)",
@@ -1196,10 +1176,11 @@ fn run_e3_parallel(
 
     // The timed E3 comparison is the extended 16-cell matrix — enough
     // work per job (strided multi-cell chunks) for parallelism to pay.
-    let (_, seq_secs, seq_spread) = bench_median(reps, parallel::run_extended_policy_matrix_seq);
+    let (_, seq_secs, seq_spread) =
+        bench_median(reps, || analysis::run_extended_policy_matrix(1, spans));
     let (xrows, par_secs, par_spread) = bench_median(reps, || {
         metrics.time("e3.extended.run", || {
-            parallel::run_extended_policy_matrix(rt)
+            analysis::run_extended_policy_matrix(threads, spans)
         })
     });
     let speedup = seq_secs / par_secs.max(1e-9);
@@ -1211,78 +1192,54 @@ fn run_e3_parallel(
     }
     metrics.set_gauge("e3.extended.cells_matching", xmatch as i64);
     println!(
-        "  extended matrix: sequential {seq_secs:.3}s (±{seq_spread:.2}) vs chunked {par_secs:.3}s (±{par_spread:.2}) — speedup {speedup:.2}x"
+        "  extended matrix: 1 thread {seq_secs:.3}s (±{seq_spread:.2}) vs {threads} threads {par_secs:.3}s (±{par_spread:.2}) — speedup {speedup:.2}x"
     );
 
     // Coarse-grained E8 section: the competitive encoding variants at
-    // growing scopes, fanned out as |scopes| × |variants| jobs each big
-    // enough (up to seconds) to amortize scheduling. The sequential
-    // baseline is measured once — see the function docs.
+    // growing scopes, |scopes| × |variants| jobs each big enough (up to
+    // seconds) to amortize scheduling. The 1-thread baseline is measured
+    // once — see the function docs.
     println!(
         "  e8 scaling cells ({} coarse jobs):",
         E8_PAR_SCOPES.len() * E8_PAR_VARIANTS.len()
     );
     let e8_seq_start = Instant::now();
-    let mut e8_seq_ok = true;
-    for &(p, v) in &E8_PAR_SCOPES {
-        for (label, encoding, preprocess) in E8_PAR_VARIANTS {
-            match analysis::scale_variant(p, v, label, encoding, preprocess, None) {
-                Ok(variant) => e8_seq_ok &= variant.valid && !variant.vacuous,
-                Err(e) => {
-                    println!("  e8 {p}x{v}:{label} failed to translate: {e}");
-                    return false;
-                }
-            }
-        }
-    }
+    let e8_seq_cells = e8_par_cells(1, spans);
     let e8_seq_secs = e8_seq_start.elapsed().as_secs_f64();
-    let (e8_cells, e8_par_secs, e8_par_spread) = bench_median(reps, || {
-        let jobs: Vec<(String, _)> = E8_PAR_SCOPES
-            .iter()
-            .flat_map(|&(p, v)| {
-                E8_PAR_VARIANTS.map(move |(label, encoding, preprocess)| {
-                    (format!("e8:{p}x{v}:{label}"), move || {
-                        analysis::scale_variant(p, v, label, encoding, preprocess, None)
-                    })
-                })
-            })
-            .collect();
-        rt.run_batch(jobs)
-    });
-    let mut e8_par_ok = true;
+    let (e8_cells, e8_par_secs, e8_par_spread) =
+        bench_median(reps, || e8_par_cells(threads, spans));
+    let mut e8_match = true;
     let mut e8_cell_json = Vec::new();
-    for (i, cell) in e8_cells.into_iter().enumerate() {
+    for (i, (seq, par)) in e8_seq_cells.into_iter().zip(e8_cells).enumerate() {
         let (p, v) = E8_PAR_SCOPES[i / E8_PAR_VARIANTS.len()];
-        match cell {
-            Ok(variant) => {
-                e8_par_ok &= variant.valid && !variant.vacuous;
-                println!(
-                    "    {p}x{v}:{:<14} valid={} [{:.3}s]",
-                    variant.variant, variant.valid, variant.check_secs
-                );
-                e8_cell_json.push(Json::obj([
-                    ("scope", Json::from(format!("{p}x{v}"))),
-                    ("variant", Json::from(variant.variant.as_str())),
-                    ("valid", Json::from(variant.valid)),
-                    ("check_secs", Json::from(variant.check_secs)),
-                    ("conflicts", Json::from(variant.solver.conflicts)),
-                ]));
-            }
-            Err(e) => {
-                println!("  e8 cell {i} failed to translate: {e}");
+        let (seq, variant) = match (seq, par) {
+            (Ok(seq), Ok(par)) => (seq, par),
+            (Err(e), _) | (_, Err(e)) => {
+                println!("  e8 cell {p}x{v} #{i} failed to translate: {e}");
                 return false;
             }
-        }
+        };
+        e8_match &= seq.valid && !seq.vacuous && variant.valid && !variant.vacuous;
+        println!(
+            "    {p}x{v}:{:<14} valid={} [{:.3}s]",
+            variant.variant, variant.valid, variant.check_secs
+        );
+        e8_cell_json.push(Json::obj([
+            ("scope", Json::from(format!("{p}x{v}"))),
+            ("variant", Json::from(variant.variant.as_str())),
+            ("valid", Json::from(variant.valid)),
+            ("check_secs", Json::from(variant.check_secs)),
+            ("conflicts", Json::from(variant.solver.conflicts)),
+        ]));
     }
     let e8_speedup = e8_seq_secs / e8_par_secs.max(1e-9);
-    let e8_match = e8_seq_ok && e8_par_ok;
     println!(
-        "  e8: sequential {e8_seq_secs:.3}s (single pass) vs parallel {e8_par_secs:.3}s (±{e8_par_spread:.2}) — speedup {e8_speedup:.2}x, verdicts {}",
+        "  e8: 1 thread {e8_seq_secs:.3}s (single pass) vs {threads} threads {e8_par_secs:.3}s (±{e8_par_spread:.2}) — speedup {e8_speedup:.2}x, verdicts {}",
         if e8_match { "all valid ✓" } else { "UNEXPECTED ✗" }
     );
 
     let bench = Json::obj([
-        ("threads", Json::from(rt.threads() as u64)),
+        ("threads", Json::from(threads as u64)),
         ("reps", Json::from(reps as u64)),
         ("resources", resources_json()),
         (
@@ -1320,19 +1277,35 @@ fn run_e3_parallel(
         ),
     ]);
     write_bench_file("BENCH_PAR.json", &bench);
-    println!("  sequential-vs-parallel comparison written to BENCH_PAR.json");
+    println!("  1-thread-vs-{threads} comparison written to BENCH_PAR.json");
     outcomes_match && e8_match
 }
 
-fn run_e4(metrics: &mut Metrics, rt: Option<&Runtime>) -> bool {
-    let report = match rt {
-        Some(rt) => metrics.time("e4.run", || parallel::run_rebid_attack_parallel(rt)),
-        None => metrics.time("e4.run", analysis::run_rebid_attack),
-    };
+/// The coarse E8 cells of `BENCH_PAR.json`, one job per (scope, variant),
+/// run on `threads` workers.
+fn e8_par_cells(
+    threads: usize,
+    spans: Option<&SpanRecorder>,
+) -> Vec<Result<ScaleVariant, mca_relalg::TranslateError>> {
+    let jobs: Vec<(String, _)> = E8_PAR_SCOPES
+        .iter()
+        .flat_map(|&(p, v)| {
+            E8_PAR_VARIANTS.map(move |(label, encoding, preprocess)| {
+                (
+                    format!("e8:{p}x{v}:{label}"),
+                    move |_: Option<SharedObserver>, spans: Option<&SpanRecorder>| {
+                        analysis::scale_variant(p, v, label, encoding, preprocess, spans)
+                    },
+                )
+            })
+        })
+        .collect();
+    run_batch(threads, jobs, None, spans)
+}
+
+fn run_e4(metrics: &mut Metrics, threads: usize, spans: Option<&SpanRecorder>) -> bool {
+    let report = metrics.time("e4.run", || analysis::run_rebid_attack(threads, spans));
     println!("{report}");
-    if let Some(rt) = rt {
-        println!("  (checks fanned across {} workers)", rt.threads());
-    }
     metrics.set_gauge("e4.matches_paper", i64::from(report.matches_paper()));
     report.matches_paper()
 }
@@ -1494,7 +1467,6 @@ fn bench_e5_json(rows: &[EncodingRow], wall_clock_secs: f64, threads: usize) -> 
 fn run_e8(
     metrics: &mut Metrics,
     observer: Option<SharedObserver>,
-    rt: Option<&Runtime>,
     spans: Option<&SpanRecorder>,
     threads: usize,
     smoke: bool,
@@ -1508,27 +1480,11 @@ fn run_e8(
         analysis::e8_scopes(stretch)
     };
     let wall_start = Instant::now();
-    let rows = match rt {
-        Some(rt) => {
-            let rows = metrics
-                .time("e8.run", || parallel::run_scale_sweep_parallel(rt, &scopes))
-                .expect("well-formed scale models");
-            // Parallel measurement, deterministic reporting: events are
-            // emitted post-hoc in row order, so the trace is identical to
-            // a sequential run's.
-            if let Some(obs) = &observer {
-                for row in &rows {
-                    analysis::emit_scale_row(obs, row);
-                }
-            }
-            rows
-        }
-        None => metrics
-            .time("e8.run", || {
-                analysis::run_scale_sweep(&scopes, observer, spans)
-            })
-            .expect("well-formed scale models"),
-    };
+    let rows = metrics
+        .time("e8.run", || {
+            analysis::run_scale_sweep(threads, &scopes, observer, spans)
+        })
+        .expect("well-formed scale models");
     let wall_clock_secs = wall_start.elapsed().as_secs_f64();
     let mut ok = true;
     for row in &rows {

@@ -105,30 +105,6 @@ pub enum Event {
         /// Total CNF clauses.
         cnf_clauses: u64,
     },
-    /// A verification job was submitted to the parallel runtime. Job ids
-    /// are assigned in submission order, so a drained trace is
-    /// deterministic for a fixed workload regardless of scheduling.
-    JobScheduled {
-        /// Runtime-assigned job id (submission order).
-        job: u64,
-        /// Human label (e.g. `"e3:pair0"`, `"e8:3x2:optimized"`).
-        label: String,
-    },
-    /// A worker picked the job up and began executing it. Which worker ran
-    /// the job is a scheduling accident, so it never enters the trace —
-    /// per-worker attribution lives in the metrics registry instead
-    /// (alongside the other wall-clock-ish data).
-    JobStarted {
-        /// Runtime-assigned job id.
-        job: u64,
-    },
-    /// The job ran to completion.
-    JobFinished {
-        /// Runtime-assigned job id.
-        job: u64,
-        /// Outcome label (e.g. `"sat"`, `"unsat"`, `"ok"`).
-        outcome: String,
-    },
     /// The SAT preprocessor (unit propagation + subsumption +
     /// self-subsuming resolution) finished simplifying a formula.
     SimplifyDone {
@@ -283,9 +259,6 @@ impl Event {
             Event::CheckerDone { .. } => "checker-done",
             Event::RelationEncoded { .. } => "relation-encoded",
             Event::EncodingDone { .. } => "encoding-done",
-            Event::JobScheduled { .. } => "job-scheduled",
-            Event::JobStarted { .. } => "job-started",
-            Event::JobFinished { .. } => "job-finished",
             Event::SimplifyDone { .. } => "simplify-done",
             Event::IncrementalSolve { .. } => "incremental-solve",
             Event::SpanEnter { .. } => "span-enter",
@@ -403,17 +376,6 @@ impl Event {
                 ("primary_vars", primary_vars.into()),
                 ("cnf_vars", cnf_vars.into()),
                 ("cnf_clauses", cnf_clauses.into()),
-            ]),
-            Event::JobScheduled { job, ref label } => Json::obj([
-                ("event", kind),
-                ("job", job.into()),
-                ("label", label.as_str().into()),
-            ]),
-            Event::JobStarted { job } => Json::obj([("event", kind), ("job", job.into())]),
-            Event::JobFinished { job, ref outcome } => Json::obj([
-                ("event", kind),
-                ("job", job.into()),
-                ("outcome", outcome.as_str().into()),
             ]),
             Event::SimplifyDone {
                 ref label,
@@ -609,27 +571,6 @@ mod tests {
         ];
         let unique: std::collections::BTreeSet<_> = kinds.iter().collect();
         assert_eq!(unique.len(), kinds.len());
-    }
-
-    #[test]
-    fn job_events_render_stably() {
-        let scheduled = Event::JobScheduled {
-            job: 0,
-            label: "e3:cell0".into(),
-        };
-        assert_eq!(
-            scheduled.to_json_line(),
-            r#"{"event":"job-scheduled","job":0,"label":"e3:cell0"}"#
-        );
-        let finished = Event::JobFinished {
-            job: 0,
-            outcome: "unsat".into(),
-        };
-        assert_eq!(
-            finished.to_json_line(),
-            r#"{"event":"job-finished","job":0,"outcome":"unsat"}"#
-        );
-        assert_eq!(Event::JobStarted { job: 1 }.kind(), "job-started");
     }
 
     #[test]

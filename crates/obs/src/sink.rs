@@ -83,7 +83,6 @@ pub struct SummarySink {
     last_checker_states: u64,
     converged: Option<bool>,
     relations: Vec<(String, u64, u64)>,
-    jobs_finished: u64,
     spans_open: u64,
     spans_closed: u64,
     metrics: Option<Rc<RefCell<Metrics>>>,
@@ -127,9 +126,6 @@ impl SummarySink {
         }
         if self.last_checker_states > 0 {
             let _ = writeln!(out, "  states explored: {}", self.last_checker_states);
-        }
-        if self.jobs_finished > 0 {
-            let _ = writeln!(out, "  runtime jobs: {} finished", self.jobs_finished);
         }
         if self.spans_open + self.spans_closed > 0 {
             let _ = writeln!(
@@ -191,9 +187,6 @@ impl Observer for SummarySink {
             } => {
                 self.relations.push((relation.clone(), *vars, *clauses));
             }
-            Event::JobFinished { .. } => {
-                self.jobs_finished += 1;
-            }
             Event::SpanEnter { .. } => {
                 self.spans_open += 1;
             }
@@ -201,8 +194,6 @@ impl Observer for SummarySink {
                 self.spans_closed += 1;
             }
             Event::EncodingDone { .. }
-            | Event::JobScheduled { .. }
-            | Event::JobStarted { .. }
             | Event::SimplifyDone { .. }
             | Event::IncrementalSolve { .. }
             | Event::LintFinding { .. }

@@ -32,9 +32,9 @@ struct RecorderState {
 /// [`Event::SpanEnter`] / [`Event::SpanExit`] pairs to a [`SharedObserver`].
 ///
 /// Cheap to clone (shared interior); single-threaded by design, like
-/// [`SharedObserver`] itself. Parallel components record raw monotonic
-/// offsets on worker threads and replay them post-hoc through
-/// [`SpanRecorder::emit_complete`] from the coordinating thread.
+/// [`SharedObserver`] itself. Work on another thread records into a
+/// recorder of its own, and the coordinating thread moves those spans
+/// into its trace with [`SpanRecorder::replay`].
 #[derive(Clone)]
 pub struct SpanRecorder {
     inner: Rc<RefCell<RecorderState>>,
@@ -53,14 +53,9 @@ impl SpanRecorder {
         }
     }
 
-    /// Nanoseconds elapsed since the recorder's epoch.
-    pub fn now_ns(&self) -> u64 {
-        let state = self.inner.borrow();
-        state.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// The recorder's epoch instant — parallel components subtract this
-    /// from their own `Instant` samples to get trace-relative offsets.
+    /// The recorder's epoch instant: every timestamp it emits is an
+    /// offset from it. [`replay`](SpanRecorder::replay) takes the epoch
+    /// of the recorder whose events it moves.
     pub fn epoch(&self) -> Instant {
         self.inner.borrow().epoch
     }
@@ -96,39 +91,50 @@ impl SpanRecorder {
         }
     }
 
-    /// Emits a complete span (enter + exit) with explicit trace-relative
-    /// timestamps — for work measured on other threads and replayed
-    /// post-hoc in a deterministic order (e.g. per-job runtime spans).
-    /// The span parents under the innermost span open *now*.
-    pub fn emit_complete(
-        &self,
-        name: &str,
-        start_ns: u64,
-        end_ns: u64,
-        fields: Vec<(String, u64)>,
-    ) {
-        let (observer, enter, exit) = {
+    /// Re-emits `events`, recorded by another recorder whose epoch was
+    /// `epoch` (on a worker thread, say), as if they had been recorded
+    /// here: span ids are renumbered past this recorder's, timestamps move
+    /// onto its clock, and the replayed root spans nest under the
+    /// innermost span open here. Events that are not spans go to `other`,
+    /// in stream order.
+    pub fn replay(&self, epoch: Instant, events: &[Event], mut other: impl FnMut(&Event)) {
+        let (observer, base, open, shift) = {
             let mut state = self.inner.borrow_mut();
-            let id = state.next_id;
-            state.next_id += 1;
-            let parent = state.stack.last().copied();
+            let base = state.next_id;
+            let span_ids = events.iter().filter_map(|e| match e {
+                Event::SpanEnter { id, .. } => Some(*id + 1),
+                _ => None,
+            });
+            state.next_id += span_ids.max().unwrap_or(0);
+            let shift = epoch.saturating_duration_since(state.epoch).as_nanos() as u64;
             (
                 state.observer.clone(),
+                base,
+                state.stack.last().copied(),
+                shift,
+            )
+        };
+        for event in events {
+            match event {
                 Event::SpanEnter {
                     id,
                     parent,
-                    name: name.to_string(),
-                    t_ns: start_ns,
-                },
-                Event::SpanExit {
-                    id,
-                    t_ns: end_ns.max(start_ns),
-                    fields,
-                },
-            )
-        };
-        observer.emit(&enter);
-        observer.emit(&exit);
+                    name,
+                    t_ns,
+                } => observer.emit(&Event::SpanEnter {
+                    id: base + id,
+                    parent: parent.map(|p| base + p).or(open),
+                    name: name.clone(),
+                    t_ns: t_ns + shift,
+                }),
+                Event::SpanExit { id, t_ns, fields } => observer.emit(&Event::SpanExit {
+                    id: base + id,
+                    t_ns: t_ns + shift,
+                    fields: fields.clone(),
+                }),
+                other_event => other(other_event),
+            }
+        }
     }
 
     fn close(&self, id: u64, fields: Vec<(String, u64)>) {
@@ -293,31 +299,63 @@ mod tests {
     }
 
     #[test]
-    fn emit_complete_replays_post_hoc_spans_under_open_parent() {
+    fn replay_renumbers_reparents_and_shifts_foreign_spans() {
         let (handle, rec) = recorder();
         {
+            let _earlier = rec.enter("earlier");
+        }
+        let worker = Handle::new(CollectSink::default());
+        let foreign = SpanRecorder::new(worker.observer());
+        {
+            let _job = foreign.enter("job");
+            worker.observer().emit(&Event::CheckerProgress {
+                states_explored: 1,
+                frontier_depth: 0,
+            });
+            let _inner = foreign.enter("inner");
+        }
+        let recorded = worker.with(|s| std::mem::take(&mut s.events));
+        let mut others = Vec::new();
+        {
             let _batch = rec.enter("batch");
-            rec.emit_complete("job", 100, 400, vec![("job".to_string(), 7)]);
+            rec.replay(foreign.epoch(), &recorded, |e| others.push(e.clone()));
+            let _after = rec.enter("after");
         }
+        assert_eq!(others.len(), 1, "the logical event is handed back");
         let events = handle.with(|s| s.events.clone());
-        match &events[1] {
-            Event::SpanEnter {
-                id, parent, t_ns, ..
-            } => {
-                assert_eq!(*id, 1);
-                assert_eq!(*parent, Some(0));
-                assert_eq!(*t_ns, 100);
-            }
-            other => panic!("expected job enter, got {other:?}"),
-        }
-        match &events[2] {
-            Event::SpanExit { id, t_ns, fields } => {
-                assert_eq!(*id, 1);
-                assert_eq!(*t_ns, 400);
-                assert_eq!(fields, &[("job".to_string(), 7)]);
-            }
-            other => panic!("expected job exit, got {other:?}"),
-        }
+        let enters: Vec<(u64, Option<u64>, &str, u64)> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::SpanEnter {
+                    id,
+                    parent,
+                    name,
+                    t_ns,
+                } => Some((*id, *parent, name.as_str(), *t_ns)),
+                _ => None,
+            })
+            .collect();
+        let ids: Vec<_> = enters
+            .iter()
+            .map(|&(id, parent, name, _)| (id, parent, name))
+            .collect();
+        assert_eq!(
+            ids,
+            [
+                (0, None, "earlier"),
+                (1, None, "batch"),
+                (2, Some(1), "job"),
+                (3, Some(2), "inner"),
+                (4, Some(1), "after"),
+            ]
+        );
+        // The foreign recorder started after `earlier` closed, so on this
+        // recorder's clock its spans start no earlier than that exit.
+        let earlier_exit = match &events[1] {
+            Event::SpanExit { t_ns, .. } => *t_ns,
+            other => panic!("expected earlier's exit, got {other:?}"),
+        };
+        assert!(enters[2].3 >= earlier_exit);
     }
 
     #[test]

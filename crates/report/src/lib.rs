@@ -18,14 +18,13 @@
 //!   JSONL events, as written by `repro lint`) as a markdown report with
 //!   per-target severity tallies.
 //! * [`timeline`] — renders per-worker HTML swimlanes from the
-//!   `runtime.job:*` span windows, the visual companion to the worker
-//!   scheduling counters in the metrics registry.
+//!   `runtime.job:*` span windows of a traced batch.
 //! * [`service`] — parses `mca-serve` Metrics scrapes (Prometheus-style
 //!   exposition text) and renders the `## Service dashboard (live
 //!   scrape)` report section;
 //!   the W101–W106 service rules in [`why`] read the same parse.
-//! * [`why`] — the `repro why` rule catalog: turns a trace + metrics pair
-//!   into a ranked, stable-id bottleneck diagnosis that CI can pin.
+//! * [`why`] — the `repro why` rule catalog: turns a trace into a
+//!   ranked, stable-id bottleneck diagnosis that CI can pin.
 //!
 //! Like the rest of the workspace the crate is std-only; JSON handling
 //! comes from [`mca_obs::Json`].

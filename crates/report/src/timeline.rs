@@ -2,7 +2,8 @@
 //! windows in an opt-in `--trace` stream.
 //!
 //! The input is a [`ParsedTrace`] whose `runtime.job:*` spans carry the
-//! `worker` and `queue_wait_ns` exit fields that `emit_job_spans` writes.
+//! `worker` and `queue_wait_ns` exit fields that
+//! `mca_verify::batch::run_batch` writes.
 //! One horizontal lane per worker, one block per job, positioned by
 //! percentage of the trace extent — self-contained HTML with inline CSS
 //! only, no scripts, so the artifact opens anywhere (including the CI
@@ -30,10 +31,6 @@ fn html_escape(s: &str) -> String {
     out
 }
 
-fn field(span: &SpanNode, key: &str) -> Option<u64> {
-    span.fields.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
-}
-
 fn fmt_ms(ns: u64) -> String {
     format!("{:.3}ms", ns as f64 / 1e6)
 }
@@ -52,7 +49,7 @@ pub fn render_timeline_html(trace: &ParsedTrace) -> String {
         .spans
         .iter()
         .filter(|s| s.name.starts_with("runtime.job:"))
-        .filter_map(|s| field(s, "worker").map(|w| (w, s)))
+        .filter_map(|s| s.field("worker").map(|w| (w, s)))
         .collect();
     jobs.sort_by_key(|(w, s)| (*w, s.start_ns, s.id));
 
@@ -78,7 +75,7 @@ pub fn render_timeline_html(trace: &ParsedTrace) -> String {
     if jobs.is_empty() {
         out.push_str(
             "<p class=\"meta\">No job spans with worker attribution in this trace. \
-             Record one with <code>--trace</code> on a multi-threaded run.</p>\n</body>\n</html>\n",
+             Record one with <code>--trace</code> on a run of E3, E4 or E8.</p>\n</body>\n</html>\n",
         );
         return out;
     }
@@ -109,7 +106,7 @@ pub fn render_timeline_html(trace: &ParsedTrace) -> String {
             let color = LANE_COLORS[(*w as usize) % LANE_COLORS.len()];
             let label = span.name.strip_prefix("runtime.job:").unwrap_or(&span.name);
             let mut title = format!("{} — {}", html_escape(label), fmt_ms(span.duration_ns()));
-            if let Some(qw) = field(span, "queue_wait_ns") {
+            if let Some(qw) = span.field("queue_wait_ns") {
                 let _ = write!(title, ", queued {}", fmt_ms(qw));
             }
             if !span.closed {

@@ -39,6 +39,11 @@ impl SpanNode {
     pub fn duration_ns(&self) -> u64 {
         self.end_ns.saturating_sub(self.start_ns)
     }
+
+    /// The value of the exit field `key`, if the span has one.
+    pub fn field(&self, key: &str) -> Option<u64> {
+        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| *v)
+    }
 }
 
 /// Tallies of the `serve-*` events an mca-serve daemon writes with
@@ -315,10 +320,10 @@ impl ParsedTrace {
     /// these byte-for-byte.
     ///
     /// Machine-dependent fields (`peak_rss_kb`, `clause_db_bytes`,
-    /// `clause_allocs`, the scheduling-accident `worker`, the proof
-    /// checker's race-dependent `pending_steps`, and any wall-clock `*_ns`
-    /// field) are reduced to their names; deterministic fields keep their
-    /// values.
+    /// `clause_allocs`, the scheduling-accident `worker`, a batch's
+    /// thread-count-dependent `workers`, the proof checker's
+    /// race-dependent `pending_steps`, and any wall-clock `*_ns` field)
+    /// are reduced to their names; deterministic fields keep their values.
     pub fn outline(&self) -> String {
         let mut out = String::new();
         for &root in &self.roots {
@@ -339,7 +344,12 @@ impl ParsedTrace {
         for (k, v) in &node.fields {
             if matches!(
                 k.as_str(),
-                "peak_rss_kb" | "clause_db_bytes" | "clause_allocs" | "worker" | "pending_steps"
+                "peak_rss_kb"
+                    | "clause_db_bytes"
+                    | "clause_allocs"
+                    | "worker"
+                    | "workers"
+                    | "pending_steps"
             ) || k.ends_with("_ns")
             {
                 let _ = write!(out, " {k}");
@@ -483,8 +493,7 @@ mod tests {
 
     #[test]
     fn interleaved_sibling_exits_reconstruct_without_panics() {
-        // Two spans under one root, exits out of enter order — as a
-        // post-hoc replay from worker threads might produce.
+        // Two spans under one root, exits out of enter order.
         let trace = [
             enter(0, None, "batch", 0),
             enter(1, Some(0), "job:a", 5),
@@ -575,13 +584,18 @@ mod tests {
     #[test]
     fn outline_reduces_scheduling_and_wall_clock_fields_to_names() {
         let trace = [
-            enter(0, None, "runtime.job:cell", 0),
-            r#"{"event":"span-exit","id":0,"t_ns":50,"job":3,"worker":1,"queue_wait_ns":420}"#
+            enter(0, None, "runtime.batch", 0),
+            enter(1, Some(0), "runtime.job:cell", 0),
+            r#"{"event":"span-exit","id":1,"t_ns":50,"job":3,"worker":1,"queue_wait_ns":420}"#
                 .to_string(),
+            r#"{"event":"span-exit","id":0,"t_ns":60,"workers":4}"#.to_string(),
         ]
         .join("\n");
         let outline = ParsedTrace::parse(&trace).outline();
-        assert_eq!(outline, "runtime.job:cell job=3 worker queue_wait_ns\n");
+        assert_eq!(
+            outline,
+            "runtime.batch workers\n  runtime.job:cell job=3 worker queue_wait_ns\n"
+        );
 
         // How far the checker thread got by the end of the search is a
         // race; the proof length and the verdict are not.

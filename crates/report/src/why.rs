@@ -1,21 +1,21 @@
-//! Rule-based bottleneck diagnosis over a trace + metrics pair.
+//! Rule-based bottleneck diagnosis over a trace.
 //!
-//! `repro why` feeds a parsed trace and (optionally) a metrics JSON
-//! through a fixed catalog of diagnosis rules. Each rule has a stable id
-//! (`W001`…), a severity, and a numeric evidence line, so CI can pin the
-//! expected diagnosis set on a known-bottleneck fixture exactly like
-//! `repro diff` pins regressions. The catalog is documented in
-//! EXPERIMENTS.md ("Performance forensics").
+//! `repro why` feeds a parsed trace through a fixed catalog of diagnosis
+//! rules. Each rule has a stable id (`W001`…), a severity, and a numeric
+//! evidence line, so CI can pin the expected diagnosis set on a
+//! known-bottleneck fixture exactly like `repro diff` pins regressions.
+//! The catalog is documented in EXPERIMENTS.md ("Performance forensics").
 //!
-//! Rules read only what the observability layers already record: worker
-//! gauges/timers from `mca_runtime`'s `record_metrics` and job spans from
-//! the opt-in `--trace` stream. A diagnosis is a *hypothesis ranked by
+//! Rules read only what the observability layers already record: the
+//! `runtime.batch` spans and their `runtime.job:*` children from the
+//! opt-in `--trace` stream. A diagnosis is a *hypothesis ranked by
 //! evidence*, not a verdict — the report says what the numbers show and
 //! what usually causes it.
 
 use crate::service::ServiceStats;
 use crate::trace::ParsedTrace;
 use mca_obs::Json;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// How loud a finding is.
@@ -55,45 +55,53 @@ pub struct WhyFinding {
     pub hint: &'static str,
 }
 
-/// Per-worker scheduling counters harvested from a metrics JSON (the
-/// `runtime.wN.*` gauges and timers that `Runtime::record_metrics`
-/// writes).
+/// Scheduling totals over a trace's parallel batches: the
+/// `runtime.batch` spans with two or more `workers`, and their
+/// `runtime.job:*` children. A one-worker batch is sequential by request,
+/// so its queueing and idle time say nothing about scheduling.
 #[derive(Clone, Copy, Debug, Default)]
-struct WorkerTotals {
-    workers: u64,
+struct BatchTotals {
+    batches: u64,
     jobs: u64,
-    steals: u64,
+    /// Summed job durations.
     busy_ns: u64,
+    /// Workers × (batch start to last job end), summed over batches.
+    capacity_ns: u64,
     queue_wait_ns: u64,
-    idle_ns: u64,
-    max_worker_jobs: u64,
+    /// Jobs run by each batch's busiest worker, summed over batches.
+    busiest_jobs: u64,
 }
 
-fn metric_u64(metrics: &Json, section: &str, key: &str) -> Option<u64> {
-    metrics.get(section)?.get(key)?.as_u64()
-}
-
-fn metric_i64_as_u64(metrics: &Json, section: &str, key: &str) -> Option<u64> {
-    // Gauges render as i64; scheduling gauges are never negative.
-    metric_u64(metrics, section, key)
-}
-
-fn worker_totals(metrics: &Json) -> Option<WorkerTotals> {
-    let threads = metric_i64_as_u64(metrics, "gauges", "runtime.threads")?;
-    let mut t = WorkerTotals {
-        workers: threads,
-        ..WorkerTotals::default()
-    };
-    for w in 0..threads {
-        let jobs = metric_i64_as_u64(metrics, "gauges", &format!("runtime.w{w}.jobs"))?;
-        t.jobs += jobs;
-        t.max_worker_jobs = t.max_worker_jobs.max(jobs);
-        t.steals += metric_i64_as_u64(metrics, "gauges", &format!("runtime.w{w}.steals"))?;
-        t.busy_ns += metric_u64(metrics, "timers_ns", &format!("runtime.w{w}.busy"))?;
-        t.queue_wait_ns += metric_u64(metrics, "timers_ns", &format!("runtime.w{w}.queue_wait"))?;
-        t.idle_ns += metric_u64(metrics, "timers_ns", &format!("runtime.w{w}.idle"))?;
+fn batch_totals(trace: &ParsedTrace) -> BatchTotals {
+    let mut t = BatchTotals::default();
+    for batch in trace.spans.iter().filter(|s| s.name == "runtime.batch") {
+        let workers = batch.field("workers").unwrap_or(0);
+        if workers < 2 {
+            continue;
+        }
+        let jobs: Vec<_> = batch
+            .children
+            .iter()
+            .map(|&c| &trace.spans[c])
+            .filter(|s| s.name.starts_with("runtime.job:"))
+            .collect();
+        let Some(end) = jobs.iter().map(|j| j.end_ns).max() else {
+            continue;
+        };
+        let mut per_worker: BTreeMap<u64, u64> = BTreeMap::new();
+        for job in &jobs {
+            *per_worker
+                .entry(job.field("worker").unwrap_or(0))
+                .or_default() += 1;
+            t.busy_ns += job.duration_ns();
+            t.queue_wait_ns += job.field("queue_wait_ns").unwrap_or(0);
+        }
+        t.batches += 1;
+        t.jobs += jobs.len() as u64;
+        t.capacity_ns += workers * end.saturating_sub(batch.start_ns);
+        t.busiest_jobs += per_worker.values().max().copied().unwrap_or(0);
     }
-    Some(t)
+    t
 }
 
 fn pct(part: u64, whole: u64) -> f64 {
@@ -104,28 +112,25 @@ fn pct(part: u64, whole: u64) -> f64 {
     }
 }
 
-/// Runs the rule catalog over `trace` (and `metrics`, when supplied) and
-/// returns findings ranked most severe first (ties broken by rule id, so
-/// the ranking is deterministic).
-pub fn diagnose(trace: &ParsedTrace, metrics: Option<&Json>) -> Vec<WhyFinding> {
+/// Runs the rule catalog over `trace` and returns findings ranked most
+/// severe first (ties broken by rule id, so the ranking is
+/// deterministic).
+pub fn diagnose(trace: &ParsedTrace) -> Vec<WhyFinding> {
     let mut findings = Vec::new();
-    if let Some(m) = metrics {
-        diagnose_scheduling(m, &mut findings);
-    }
+    diagnose_scheduling(trace, &mut findings);
     diagnose_job_granularity(trace, &mut findings);
     findings.sort_by(|a, b| b.severity.cmp(&a.severity).then(a.rule.cmp(b.rule)));
     findings
 }
 
-/// W001 idle-dominated, W002 steal-heavy, W003 queue-wait-heavy, W008
-/// single-worker serialization — all from the `runtime.wN.*` registry.
-fn diagnose_scheduling(metrics: &Json, findings: &mut Vec<WhyFinding>) {
-    let Some(t) = worker_totals(metrics) else {
-        return;
-    };
-    let lifetime = t.busy_ns + t.idle_ns;
-    let idle_pct = pct(t.idle_ns, lifetime);
-    if lifetime > 0 && idle_pct > 60.0 {
+/// W001 idle-dominated, W003 queue-wait-heavy and W008 single-worker
+/// serialization, all over the trace's parallel batches. (W002, the
+/// steal ratio of a work-stealing pool, is retired with that pool.)
+fn diagnose_scheduling(trace: &ParsedTrace, findings: &mut Vec<WhyFinding>) {
+    let t = batch_totals(trace);
+    let idle_ns = t.capacity_ns.saturating_sub(t.busy_ns);
+    let idle_pct = pct(idle_ns, t.capacity_ns);
+    if t.capacity_ns > 0 && idle_pct > 60.0 {
         findings.push(WhyFinding {
             rule: "W001",
             severity: if idle_pct > 85.0 {
@@ -134,29 +139,16 @@ fn diagnose_scheduling(metrics: &Json, findings: &mut Vec<WhyFinding>) {
                 WhySeverity::Warning
             },
             summary: format!(
-                "workers idle {idle_pct:.0}% of their lifetime — the pool is starved for work"
+                "workers idle {idle_pct:.0}% of their batches — the batches are starved for work"
             ),
             evidence: format!(
-                "{} workers: busy {:.1}ms vs idle {:.1}ms",
-                t.workers,
+                "{} parallel batches: jobs busy {:.1}ms of {:.1}ms worker time",
+                t.batches,
                 t.busy_ns as f64 / 1e6,
-                t.idle_ns as f64 / 1e6
+                t.capacity_ns as f64 / 1e6
             ),
-            hint: "job granularity too fine or long sequential phases between \
-                   submissions; batch more work per job or overlap submission with execution",
-        });
-    }
-    let steal_pct = pct(t.steals, t.jobs);
-    if t.jobs >= 4 && steal_pct > 40.0 {
-        findings.push(WhyFinding {
-            rule: "W002",
-            severity: WhySeverity::Warning,
-            summary: format!(
-                "steal ratio {steal_pct:.0}% — round-robin submission is not matching execution order"
-            ),
-            evidence: format!("{} of {} jobs were stolen from a peer's deque", t.steals, t.jobs),
-            hint: "submission-order imbalance: jobs with very unequal costs land on the \
-                   same deque; interleave heavy and light jobs or submit in cost order",
+            hint: "fewer jobs than workers, or one long job finishing alone; \
+                   split the long job or batch more work together",
         });
     }
     if t.busy_ns > 0 && t.queue_wait_ns > t.busy_ns / 4 {
@@ -164,7 +156,7 @@ fn diagnose_scheduling(metrics: &Json, findings: &mut Vec<WhyFinding>) {
             rule: "W003",
             severity: WhySeverity::Warning,
             summary: format!(
-                "jobs spent {:.0}% of execution time waiting in queues",
+                "jobs spent {:.0}% of execution time waiting for a worker",
                 pct(t.queue_wait_ns, t.busy_ns)
             ),
             evidence: format!(
@@ -176,20 +168,20 @@ fn diagnose_scheduling(metrics: &Json, findings: &mut Vec<WhyFinding>) {
                    raise --threads or submit fewer, larger jobs",
         });
     }
-    if t.workers >= 2 && t.jobs >= 4 && pct(t.max_worker_jobs, t.jobs) > 80.0 {
+    if t.jobs >= 4 && pct(t.busiest_jobs, t.jobs) > 80.0 {
         findings.push(WhyFinding {
             rule: "W008",
             severity: WhySeverity::Warning,
             summary: format!(
-                "one worker executed {:.0}% of all jobs — the pool is effectively serial",
-                pct(t.max_worker_jobs, t.jobs)
+                "one worker executed {:.0}% of its batch's jobs — the batches are effectively serial",
+                pct(t.busiest_jobs, t.jobs)
             ),
             evidence: format!(
-                "busiest worker ran {} of {} jobs across {} workers",
-                t.max_worker_jobs, t.jobs, t.workers
+                "the busiest worker of each batch ran {} of {} jobs across {} parallel batches",
+                t.busiest_jobs, t.jobs, t.batches
             ),
-            hint: "jobs finish before peers wake, or dependencies serialize them; \
-                   check whether the submission loop itself is the bottleneck",
+            hint: "jobs finish before the other workers start; \
+                   give each job more work or keep the batch sequential",
         });
     }
 }
@@ -225,8 +217,8 @@ fn diagnose_job_granularity(trace: &ParsedTrace, findings: &mut Vec<WhyFinding>)
                 median as f64 / 1e6,
                 *durations.last().unwrap() as f64 / 1e6
             ),
-            hint: "a submit/claim/steal round-trip costs microseconds; batch cells into \
-                   fewer jobs or keep sub-millisecond workloads sequential",
+            hint: "starting a worker and replaying a job's trace cost microseconds; \
+                   batch cells into fewer jobs or keep sub-millisecond workloads sequential",
         });
     }
 }
@@ -499,8 +491,8 @@ pub fn render_why_markdown(findings: &[WhyFinding], source: &str) -> String {
     if findings.is_empty() {
         let _ = writeln!(
             out,
-            "No rule in the catalog fired — nothing in the trace/metrics pair \
-             looks like a known bottleneck."
+            "No rule in the catalog fired — nothing in the input looks like a \
+             known bottleneck."
         );
         return out;
     }
@@ -518,100 +510,142 @@ pub fn render_why_markdown(findings: &[WhyFinding], source: &str) -> String {
 mod tests {
     use super::*;
 
-    fn worker_metrics(
-        jobs: [u64; 2],
-        steals: [u64; 2],
-        busy: [u64; 2],
-        queue_wait: [u64; 2],
-        idle: [u64; 2],
-    ) -> Json {
-        let mut gauges = vec![("runtime.threads".to_string(), Json::from(2u64))];
-        let mut timers = Vec::new();
-        for w in 0..2 {
-            gauges.push((format!("runtime.w{w}.jobs"), Json::from(jobs[w])));
-            gauges.push((
-                format!("runtime.w{w}.local_pops"),
-                Json::from(jobs[w] - steals[w]),
+    /// One job of a fixture batch: `(worker, start_ns, end_ns,
+    /// queue_wait_ns)`.
+    type Job = (u64, u64, u64, u64);
+
+    /// A trace of `runtime.batch` spans, each `(workers, start_ns, jobs)`,
+    /// shaped like the one `run_batch` records.
+    fn batch_trace(batches: &[(u64, u64, &[Job])]) -> ParsedTrace {
+        let mut lines = Vec::new();
+        let mut id = 0;
+        for &(workers, start, jobs) in batches {
+            let batch = id;
+            id += 1;
+            lines.push(format!(
+                r#"{{"event":"span-enter","id":{batch},"parent":null,"name":"runtime.batch","t_ns":{start}}}"#
             ));
-            gauges.push((format!("runtime.w{w}.steals"), Json::from(steals[w])));
-            timers.push((format!("runtime.w{w}.busy"), Json::from(busy[w])));
-            timers.push((
-                format!("runtime.w{w}.queue_wait"),
-                Json::from(queue_wait[w]),
+            for (j, &(worker, begin, end, wait)) in jobs.iter().enumerate() {
+                lines.push(format!(
+                    r#"{{"event":"span-enter","id":{id},"parent":{batch},"name":"runtime.job:cell{j}","t_ns":{begin}}}"#
+                ));
+                lines.push(format!(
+                    r#"{{"event":"span-exit","id":{id},"t_ns":{end},"job":{j},"worker":{worker},"queue_wait_ns":{wait}}}"#
+                ));
+                id += 1;
+            }
+            let last = jobs.iter().map(|j| j.2).max().unwrap_or(start);
+            lines.push(format!(
+                r#"{{"event":"span-exit","id":{batch},"t_ns":{last},"workers":{workers}}}"#
             ));
-            timers.push((format!("runtime.w{w}.idle"), Json::from(idle[w])));
         }
-        Json::Object(vec![
-            ("gauges".to_string(), Json::Object(gauges)),
-            ("timers_ns".to_string(), Json::Object(timers)),
-        ])
+        ParsedTrace::parse(&lines.join("\n"))
+    }
+
+    const MS: u64 = 1_000_000;
+
+    fn rules(trace: &ParsedTrace) -> Vec<(&'static str, WhySeverity)> {
+        diagnose(trace)
+            .iter()
+            .map(|f| (f.rule, f.severity))
+            .collect()
+    }
+
+    /// Four 10-ms jobs on four workers, each picked up at once.
+    fn balanced() -> ParsedTrace {
+        let jobs: Vec<Job> = (0..4).map(|w| (w, 0, 10 * MS, 0)).collect();
+        batch_trace(&[(4, 0, &jobs)])
     }
 
     #[test]
-    fn idle_dominated_pool_fires_w001() {
-        let m = worker_metrics(
-            [4, 4],
-            [0, 0],
-            [1_000_000, 1_000_000],
-            [0, 0],
-            [20_000_000, 20_000_000],
-        );
-        let findings = diagnose(&ParsedTrace::default(), Some(&m));
-        assert!(findings.iter().any(|f| f.rule == "W001"), "{findings:?}");
+    fn balanced_batches_are_quiet() {
+        assert!(rules(&balanced()).is_empty(), "{:?}", diagnose(&balanced()));
     }
 
     #[test]
-    fn steal_heavy_pool_fires_w002() {
-        let m = worker_metrics([8, 8], [5, 4], [1_000, 1_000], [0, 0], [0, 0]);
-        let findings = diagnose(&ParsedTrace::default(), Some(&m));
-        assert!(findings.iter().any(|f| f.rule == "W002"), "{findings:?}");
+    fn an_idle_batch_fires_w001_and_a_busy_one_does_not() {
+        // Two workers for 20 ms while the jobs run 3 ms in all.
+        let idle = batch_trace(&[(
+            2,
+            0,
+            &[(0, 0, MS, 0), (1, 0, MS, 0), (0, 19 * MS, 20 * MS, 0)],
+        )]);
+        assert!(rules(&idle).contains(&("W001", WhySeverity::Critical)));
+        let busy = batch_trace(&[(2, 0, &[(0, 0, 20 * MS, 0), (1, 0, 19 * MS, 0)])]);
+        assert!(!rules(&busy).iter().any(|r| r.0 == "W001"));
     }
 
     #[test]
-    fn balanced_pool_is_quiet() {
-        let m = worker_metrics(
-            [8, 8],
-            [1, 0],
-            [40_000_000, 40_000_000],
-            [1_000_000, 1_000_000],
-            [2_000_000, 2_000_000],
-        );
-        let findings = diagnose(&ParsedTrace::default(), Some(&m));
-        assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn fine_grained_jobs_fire_w005() {
-        let lines: Vec<String> = (0..6u64)
-            .flat_map(|i| {
-                vec![
-                    format!(
-                        r#"{{"event":"span-enter","id":{i},"parent":null,"name":"runtime.job:cell{i}","t_ns":{}}}"#,
-                        i * 1000
-                    ),
-                    format!(
-                        r#"{{"event":"span-exit","id":{i},"t_ns":{}}}"#,
-                        i * 1000 + 200_000
-                    ),
-                ]
+    fn queued_jobs_fire_w003() {
+        // The same four jobs on two workers: two wait 10 ms each, half the
+        // 40 ms of work. The quiet case is `balanced`.
+        let jobs: Vec<Job> = (0..4)
+            .map(|i| {
+                (
+                    i % 2,
+                    (i / 2) * 10 * MS,
+                    (i / 2 + 1) * 10 * MS,
+                    (i / 2) * 10 * MS,
+                )
             })
             .collect();
-        let trace = ParsedTrace::parse(&lines.join("\n"));
-        let findings = diagnose(&trace, None);
-        let w005 = findings.iter().find(|f| f.rule == "W005").expect("fires");
+        assert!(rules(&batch_trace(&[(2, 0, &jobs)])).contains(&("W003", WhySeverity::Warning)));
+    }
+
+    #[test]
+    fn one_worker_running_every_job_fires_w008() {
+        let jobs: Vec<Job> = (0..5)
+            .map(|i| (0, i * 4 * MS, (i + 1) * 4 * MS, 0))
+            .collect();
+        let serial = batch_trace(&[(2, 0, &jobs)]);
+        assert!(rules(&serial).contains(&("W008", WhySeverity::Warning)));
+        let spread: Vec<Job> = (0..4)
+            .map(|i| (i % 2, (i / 2) * 4 * MS, (i / 2 + 1) * 4 * MS, 0))
+            .collect();
+        assert!(!rules(&batch_trace(&[(2, 0, &spread)]))
+            .iter()
+            .any(|r| r.0 == "W008"));
+    }
+
+    #[test]
+    fn one_worker_batches_are_never_scheduling_findings() {
+        // Sequential by request: idle, queued and serial, but quiet.
+        let jobs: Vec<Job> = (0..5)
+            .map(|i| {
+                (
+                    0,
+                    10 * MS + i * 4 * MS,
+                    10 * MS + (i + 1) * 4 * MS,
+                    i * 4 * MS,
+                )
+            })
+            .collect();
+        assert!(rules(&batch_trace(&[(1, 0, &jobs)])).is_empty());
+    }
+
+    #[test]
+    fn fine_grained_jobs_fire_w005_and_coarse_ones_do_not() {
+        let jobs: Vec<Job> = (0..6)
+            .map(|i| (i % 2, i * 1000, i * 1000 + 200_000, 0))
+            .collect();
+        let trace = batch_trace(&[(2, 0, &jobs)]);
+        let w005 = diagnose(&trace)
+            .into_iter()
+            .find(|f| f.rule == "W005")
+            .expect("fires");
         assert_eq!(w005.severity, WhySeverity::Critical);
+        let coarse: Vec<Job> = (0..6)
+            .map(|i| (i % 2, (i / 2) * 5 * MS, (i / 2 + 1) * 5 * MS, 0))
+            .collect();
+        assert!(rules(&batch_trace(&[(2, 0, &coarse)])).is_empty());
     }
 
     #[test]
     fn findings_rank_critical_first_and_render_stably() {
-        let m = worker_metrics(
-            [4, 4],
-            [4, 4],
-            [1_000_000, 1_000_000],
-            [0, 0],
-            [99_000_000, 99_000_000],
-        );
-        let findings = diagnose(&ParsedTrace::default(), Some(&m));
+        let jobs: Vec<Job> = (0..6)
+            .map(|i| (0, 90 * MS + i * 1000, 90 * MS + i * 1000 + 100_000, 90 * MS))
+            .collect();
+        let findings = diagnose(&batch_trace(&[(2, 0, &jobs)]));
         assert!(findings.len() >= 2);
         assert!(findings.windows(2).all(|w| w[0].severity >= w[1].severity));
         let md = render_why_markdown(&findings, "test.jsonl");
@@ -622,7 +656,7 @@ mod tests {
 
     #[test]
     fn empty_inputs_produce_no_findings() {
-        let findings = diagnose(&ParsedTrace::default(), None);
+        let findings = diagnose(&ParsedTrace::default());
         assert!(findings.is_empty());
         let md = render_why_markdown(&findings, "empty.jsonl");
         assert!(md.contains("No rule in the catalog fired"));

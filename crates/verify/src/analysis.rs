@@ -8,14 +8,20 @@
 //! integration tests all run through these functions so every
 //! reproduction artifact exercises identical code. Observers and span
 //! recorders are optional arguments: with `None` no event is emitted.
+//!
+//! The drivers of independent checks (E3, the extended matrix, E4 and E8)
+//! take a thread count and run their checks as one [`run_batch`]. Their
+//! job lists do not depend on it, so rows, logical events and the span
+//! tree are the same at any thread count; only wall clock changes.
 
-use crate::dynamic_model::{DynamicModel, DynamicScenario};
+use crate::batch::run_batch;
+use crate::dynamic_model::{ConsensusSweep, DynamicModel, DynamicScenario};
 use crate::encoding::NumberEncoding;
 use crate::static_model::{StaticModel, StaticScope};
 use mca_core::checker::{check_consensus, check_consensus_observed, CheckerOptions, Verdict};
-use mca_core::scenarios::{self, PolicyCell};
+use mca_core::scenarios::{self, ExtendedPolicyCell, PolicyCell};
 use mca_core::{Network, Simulator};
-use mca_obs::{Event, SharedObserver};
+use mca_obs::{Event, SharedObserver, SpanRecorder};
 use mca_relalg::{RelationStats, TranslateError, TranslationStats};
 use mca_sat::SolverStats;
 use std::fmt;
@@ -139,47 +145,180 @@ fn verdict_word(converges: bool) -> &'static str {
 }
 
 /// E3 (Result 1): checks all four policy combinations of Figure 2's
-/// configuration with the exhaustive explicit-state checker.
+/// configuration with the exhaustive explicit-state checker, as two jobs
+/// of two cells each on `threads` workers. A one-cell job runs in under a
+/// millisecond, where scheduling overhead rivals the work (`repro why`
+/// rule W005). Rows come back in [`PolicyCell::grid`] order.
 ///
 /// With an observer, each cell's exhaustive check reports
 /// `checker-progress` / `checker-done` events. With a span recorder, each
 /// cell's check is wrapped in an `e3.cell:…` span carrying the verdict.
 /// Spans are strictly opt-in and never derived from the observer.
 pub fn run_policy_matrix(
+    threads: usize,
     observer: Option<SharedObserver>,
-    spans: Option<&mca_obs::SpanRecorder>,
+    spans: Option<&SpanRecorder>,
 ) -> Vec<PolicyMatrixRow> {
-    PolicyCell::grid()
-        .into_iter()
-        .map(|cell| {
-            let sim = scenarios::fig2(cell);
-            let start = Instant::now();
-            let mut span = spans.map(|r| {
-                r.enter(&format!(
-                    "e3.cell:{}:{}",
-                    if cell.submodular { "sub" } else { "nonsub" },
-                    if cell.release_outbid {
-                        "release"
-                    } else {
-                        "keep"
-                    },
-                ))
-            });
-            let verdict =
-                check_consensus_observed(sim, CheckerOptions::default(), observer.clone());
-            if let Some(span) = span.as_mut() {
-                span.field("converges", u64::from(verdict.converges()));
-            }
-            drop(span);
-            PolicyMatrixRow {
-                cell,
-                paper_converges: cell.paper_says_converges(),
-                checker_converges: verdict.converges(),
-                detail: verdict_detail(&verdict),
-                secs: start.elapsed().as_secs_f64(),
-            }
+    let jobs: Vec<(String, _)> = PolicyCell::grid()
+        .chunks(2)
+        .map(<[PolicyCell]>::to_vec)
+        .enumerate()
+        .map(|(i, pair)| {
+            (
+                format!("e3:pair{i}"),
+                move |observer: Option<SharedObserver>, spans: Option<&SpanRecorder>| {
+                    pair.into_iter()
+                        .map(|cell| policy_row(cell, observer.clone(), spans))
+                        .collect::<Vec<_>>()
+                },
+            )
         })
+        .collect();
+    run_batch(threads, jobs, observer.as_ref(), spans)
+        .into_iter()
+        .flatten()
         .collect()
+}
+
+/// Checks one Result-1 cell (events and spans as in [`run_policy_matrix`]).
+fn policy_row(
+    cell: PolicyCell,
+    observer: Option<SharedObserver>,
+    spans: Option<&SpanRecorder>,
+) -> PolicyMatrixRow {
+    let start = Instant::now();
+    let mut span = spans.map(|r| {
+        r.enter(&format!(
+            "e3.cell:{}:{}",
+            if cell.submodular { "sub" } else { "nonsub" },
+            if cell.release_outbid {
+                "release"
+            } else {
+                "keep"
+            },
+        ))
+    });
+    let verdict =
+        check_consensus_observed(scenarios::fig2(cell), CheckerOptions::default(), observer);
+    if let Some(span) = span.as_mut() {
+        span.field("converges", u64::from(verdict.converges()));
+    }
+    drop(span);
+    PolicyMatrixRow {
+        cell,
+        paper_converges: cell.paper_says_converges(),
+        checker_converges: verdict.converges(),
+        detail: verdict_detail(&verdict),
+        secs: start.elapsed().as_secs_f64(),
+    }
+}
+
+/// One row of the extended 16-cell policy matrix (see
+/// [`ExtendedPolicyCell`]): the Result-1 grid crossed with Remark-1
+/// compliance and network topology.
+#[derive(Clone, Debug)]
+pub struct ExtendedMatrixRow {
+    /// The policy/topology combination.
+    pub cell: ExtendedPolicyCell,
+    /// The prediction extrapolated from Results 1–2.
+    pub paper_converges: bool,
+    /// Whether the bounded synchronous run quiesced in consensus.
+    pub sim_converges: bool,
+    /// Synchronous rounds used (or where the round/message budget stopped
+    /// a non-quiescing run).
+    pub rounds: usize,
+    /// Wall-clock seconds for the cell.
+    pub secs: f64,
+}
+
+impl ExtendedMatrixRow {
+    /// `true` if the simulation verdict matches the prediction.
+    pub fn matches_paper(&self) -> bool {
+        self.paper_converges == self.sim_converges
+    }
+}
+
+impl fmt::Display for ExtendedMatrixRow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "  {:<24} predicted: {:<12} simulated: {:<12} rounds={:<3} [{:.3}s] {}",
+            self.cell.label(),
+            if self.paper_converges {
+                "consensus"
+            } else {
+                "no-consensus"
+            },
+            if self.sim_converges {
+                "consensus"
+            } else {
+                "no-consensus"
+            },
+            self.rounds,
+            self.secs,
+            if self.matches_paper() { "✓" } else { "✗" },
+        )
+    }
+}
+
+/// Simulates one extended-matrix cell under a bounded synchronous
+/// schedule.
+pub fn extended_cell(cell: ExtendedPolicyCell) -> ExtendedMatrixRow {
+    let start = Instant::now();
+    // Budgeted: divergent cells re-broadcast every view change, so their
+    // synchronous message volume grows geometrically with the round
+    // number.
+    let out = scenarios::extended(cell).run_synchronous_budgeted(64, 20_000);
+    ExtendedMatrixRow {
+        cell,
+        paper_converges: cell.paper_says_converges(),
+        sim_converges: out.converged,
+        rounds: out.rounds,
+        secs: start.elapsed().as_secs_f64(),
+    }
+}
+
+/// Jobs of the extended matrix: a constant, so the job list and the trace
+/// do not depend on the thread count. Two cells (grid indices 12 and 13)
+/// take milliseconds and the other fourteen microseconds; four strided
+/// chunks put the two slow cells in different jobs, so more chunks would
+/// not shorten the critical path and would only add microsecond jobs
+/// (`repro why` rule W005).
+const EXTENDED_CHUNKS: usize = 4;
+
+/// The extended policy matrix: the sixteen [`ExtendedPolicyCell`]s
+/// simulated by [`extended_cell`] on `threads` workers, as four
+/// **strided chunks** of four cells rather than sixteen one-cell jobs.
+/// Rows come back in [`ExtendedPolicyCell::grid`] order.
+pub fn run_extended_policy_matrix(
+    threads: usize,
+    spans: Option<&SpanRecorder>,
+) -> Vec<ExtendedMatrixRow> {
+    let cells = ExtendedPolicyCell::grid();
+    let jobs: Vec<(String, _)> = (0..EXTENDED_CHUNKS)
+        .map(|stride| {
+            let mine: Vec<(usize, ExtendedPolicyCell)> = cells
+                .into_iter()
+                .enumerate()
+                .skip(stride)
+                .step_by(EXTENDED_CHUNKS)
+                .collect();
+            (
+                format!("e3x:stride{stride}/{EXTENDED_CHUNKS}"),
+                move |_: Option<SharedObserver>, _: Option<&SpanRecorder>| {
+                    mine.into_iter()
+                        .map(|(index, cell)| (index, extended_cell(cell)))
+                        .collect::<Vec<_>>()
+                },
+            )
+        })
+        .collect();
+    let mut rows: Vec<(usize, ExtendedMatrixRow)> = run_batch(threads, jobs, None, spans)
+        .into_iter()
+        .flatten()
+        .collect();
+    rows.sort_by_key(|&(index, _)| index);
+    rows.into_iter().map(|(_, row)| row).collect()
 }
 
 pub(crate) fn verdict_detail(v: &Verdict) -> String {
@@ -293,31 +432,64 @@ impl fmt::Display for AttackReport {
     }
 }
 
-/// Runs E4 on the two-agent scenario with both engines.
-pub fn run_rebid_attack() -> AttackReport {
-    let explicit = check_consensus(scenarios::rebid_attack(2, 2), CheckerOptions::default());
-    let sat = |encoding, scenario| {
-        DynamicModel::build(encoding, scenario)
-            .check_consensus()
-            .expect("well-formed model")
-            .result
-            .is_valid()
+/// Runs E4 on the two-agent scenario with both engines: the
+/// explicit-state check and the three SAT checks are four jobs on
+/// `threads` workers. With a span recorder, each SAT check records its
+/// `relalg.encode` / `sat.*` spans.
+pub fn run_rebid_attack(threads: usize, spans: Option<&SpanRecorder>) -> AttackReport {
+    type Piece =
+        Box<dyn FnOnce(Option<SharedObserver>, Option<&SpanRecorder>) -> (bool, String) + Send>;
+    let sat = |encoding: NumberEncoding, scenario: DynamicScenario| -> Piece {
+        Box::new(move |_, spans| {
+            let model = DynamicModel::build(encoding, scenario);
+            let mut problem = model.model().to_problem();
+            if let Some(spans) = spans {
+                problem.set_spans(spans.clone());
+            }
+            let outcome = problem
+                .check(&model.consensus_assertion())
+                .expect("well-formed model");
+            (outcome.result.is_valid(), String::new())
+        })
     };
+    let explicit: Piece = Box::new(|_, _| {
+        let verdict = check_consensus(scenarios::rebid_attack(2, 2), CheckerOptions::default());
+        (verdict.converges(), verdict_detail(&verdict))
+    });
+    let jobs: Vec<(String, Piece)> = vec![
+        ("e4:explicit".into(), explicit),
+        (
+            "e4:sat-naive".into(),
+            sat(
+                NumberEncoding::NaiveInt,
+                DynamicScenario::two_agent_rebid_attack(),
+            ),
+        ),
+        (
+            "e4:sat-optimized".into(),
+            sat(
+                NumberEncoding::OptimizedValue,
+                DynamicScenario::two_agent_rebid_attack(),
+            ),
+        ),
+        (
+            "e4:sat-compliant".into(),
+            sat(
+                NumberEncoding::OptimizedValue,
+                DynamicScenario::two_agent_compliant(),
+            ),
+        ),
+    ];
+    let [(explicit_converges, explicit_detail), (sat_naive_valid, _), (sat_optimized_valid, _), (sat_compliant_valid, _)]: [(bool, String); 4] =
+        run_batch(threads, jobs, None, spans)
+            .try_into()
+            .expect("one result per E4 job");
     AttackReport {
-        explicit_converges: explicit.converges(),
-        explicit_detail: verdict_detail(&explicit),
-        sat_naive_valid: sat(
-            NumberEncoding::NaiveInt,
-            DynamicScenario::two_agent_rebid_attack(),
-        ),
-        sat_optimized_valid: sat(
-            NumberEncoding::OptimizedValue,
-            DynamicScenario::two_agent_rebid_attack(),
-        ),
-        sat_compliant_valid: sat(
-            NumberEncoding::OptimizedValue,
-            DynamicScenario::two_agent_compliant(),
-        ),
+        explicit_converges,
+        explicit_detail,
+        sat_naive_valid,
+        sat_optimized_valid,
+        sat_compliant_valid,
     }
 }
 
@@ -736,7 +908,7 @@ pub struct ScaleRow {
     /// Incremental, preprocessed per-state sweep (optimized encoding):
     /// the facts are encoded once and every state's consensus query is
     /// answered by the same solver.
-    pub sweep: crate::dynamic_model::ConsensusSweep,
+    pub sweep: ConsensusSweep,
     /// Seconds for the whole sweep.
     pub sweep_secs: f64,
 }
@@ -799,76 +971,83 @@ impl fmt::Display for ScaleRow {
 
 /// E8: checks consensus at growing scopes under all three encoding
 /// variants (naive, optimized, optimized+preprocessed) and runs the
-/// incremental per-state convergence sweep at each scope.
+/// incremental per-state convergence sweep at each scope. Every
+/// (scope, variant) cell and every sweep is one job on `threads` workers,
+/// `|scopes| × 4` jobs labelled `e8:<scope>:<variant>` and
+/// `e8:<scope>:sweep`. Rows come back in scope order.
 ///
 /// With an observer, the preprocessed variant reports a
 /// [`Event::SimplifyDone`] per scope and the sweep one
-/// [`Event::IncrementalSolve`] per state query. With a span recorder, each
-/// scope gets an `e8.scope:<label>` span, each variant an
-/// `e8.variant:<label>` child (whose own children are the `relalg.encode`
-/// / `sat.*` spans of that measurement), and the incremental sweep an
-/// `e8.sweep` child with per-state `verify.state-query` spans.
+/// [`Event::IncrementalSolve`] per state query, emitted row by row after
+/// the batch. With a span recorder, each job's span holds the
+/// `relalg.encode` / `sat.*` spans of its measurement, and the sweep's
+/// per-state `verify.state-query` spans.
 ///
 /// # Errors
 ///
-/// Propagates translation errors.
+/// Propagates the first translation error, in job order.
 pub fn run_scale_sweep(
+    threads: usize,
     scopes: &[(usize, usize)],
     observer: Option<SharedObserver>,
-    spans: Option<&mca_obs::SpanRecorder>,
+    spans: Option<&SpanRecorder>,
 ) -> Result<Vec<ScaleRow>, TranslateError> {
-    scopes
-        .iter()
-        .map(|&(p, v)| {
-            let span = spans.map(|r| r.enter(&format!("e8.scope:{p}x{v}")));
-            let row = scale_row(p, v, spans)?;
-            drop(span);
-            if let Some(obs) = &observer {
-                emit_scale_row(obs, &row);
-            }
-            Ok(row)
-        })
-        .collect()
-}
-
-/// Measures one E8 scope: all three variants plus the incremental sweep
-/// (spans as in [`run_scale_sweep`]).
-///
-/// # Errors
-///
-/// Propagates translation errors.
-pub fn scale_row(
-    pnodes: usize,
-    vnodes: usize,
-    spans: Option<&mca_obs::SpanRecorder>,
-) -> Result<ScaleRow, TranslateError> {
-    let scenario = DynamicScenario::at_scope(pnodes, vnodes);
-    let mut variants = Vec::with_capacity(E8_VARIANTS.len());
-    for (label, encoding, preprocess) in E8_VARIANTS {
-        let span = spans.map(|r| r.enter(&format!("e8.variant:{label}")));
-        variants.push(scale_variant(
-            pnodes, vnodes, label, encoding, preprocess, spans,
-        )?);
-        drop(span);
+    /// One job's result: a variant cell, or a scope's sweep.
+    enum Piece {
+        Variant(Result<ScaleVariant, TranslateError>),
+        Sweep(Result<(ConsensusSweep, f64), TranslateError>),
     }
-    let span = spans.map(|r| r.enter("e8.sweep"));
-    let (sweep, sweep_secs) = scale_sweep_at(pnodes, vnodes, spans)?;
-    drop(span);
-    Ok(ScaleRow {
-        scope: scenario.scope_label(),
-        pnodes,
-        vnodes,
-        states: scenario.states,
-        variants,
-        sweep,
-        sweep_secs,
-    })
+    type Job = Box<dyn FnOnce(Option<SharedObserver>, Option<&SpanRecorder>) -> Piece + Send>;
+    let mut jobs: Vec<(String, Job)> = Vec::new();
+    for &(p, v) in scopes {
+        for (label, encoding, preprocess) in E8_VARIANTS {
+            jobs.push((
+                format!("e8:{p}x{v}:{label}"),
+                Box::new(move |_, spans| {
+                    Piece::Variant(scale_variant(p, v, label, encoding, preprocess, spans))
+                }),
+            ));
+        }
+        jobs.push((
+            format!("e8:{p}x{v}:sweep"),
+            Box::new(move |_, spans| Piece::Sweep(scale_sweep_at(p, v, spans))),
+        ));
+    }
+    let mut pieces = run_batch(threads, jobs, None, spans).into_iter();
+    let mut rows = Vec::with_capacity(scopes.len());
+    for &(p, v) in scopes {
+        let scenario = DynamicScenario::at_scope(p, v);
+        let mut variants = Vec::with_capacity(E8_VARIANTS.len());
+        for _ in E8_VARIANTS {
+            match pieces.next().expect("one piece per variant") {
+                Piece::Variant(r) => variants.push(r?),
+                Piece::Sweep(_) => unreachable!("variant pieces precede the sweep"),
+            }
+        }
+        let (sweep, sweep_secs) = match pieces.next().expect("one sweep piece per scope") {
+            Piece::Sweep(r) => r?,
+            Piece::Variant(_) => unreachable!("the sweep piece closes a scope"),
+        };
+        let row = ScaleRow {
+            scope: scenario.scope_label(),
+            pnodes: p,
+            vnodes: v,
+            states: scenario.states,
+            variants,
+            sweep,
+            sweep_secs,
+        };
+        if let Some(obs) = &observer {
+            emit_scale_row(obs, &row);
+        }
+        rows.push(row);
+    }
+    Ok(rows)
 }
 
-/// Measures a single E8 (scope, variant) cell — the unit of work the
-/// parallel driver fans across the runtime's batch pool: builds the model
-/// and checks consensus on the scoped path, timing build + translate +
-/// (preprocess +) solve.
+/// Measures a single E8 (scope, variant) cell, one job of
+/// [`run_scale_sweep`]: builds the model and checks consensus on the
+/// scoped path, timing build + translate + (preprocess +) solve.
 ///
 /// # Errors
 ///
@@ -879,7 +1058,7 @@ pub fn scale_variant(
     label: &str,
     encoding: NumberEncoding,
     preprocess: bool,
-    spans: Option<&mca_obs::SpanRecorder>,
+    spans: Option<&SpanRecorder>,
 ) -> Result<ScaleVariant, TranslateError> {
     let start = Instant::now();
     let model = DynamicModel::build(encoding, DynamicScenario::at_scope(pnodes, vnodes));
@@ -905,8 +1084,8 @@ pub fn scale_variant(
 pub fn scale_sweep_at(
     pnodes: usize,
     vnodes: usize,
-    spans: Option<&mca_obs::SpanRecorder>,
-) -> Result<(crate::dynamic_model::ConsensusSweep, f64), TranslateError> {
+    spans: Option<&SpanRecorder>,
+) -> Result<(ConsensusSweep, f64), TranslateError> {
     let start = Instant::now();
     let model = DynamicModel::build(
         NumberEncoding::OptimizedValue,
@@ -919,9 +1098,8 @@ pub fn scale_sweep_at(
 /// Reports a finished [`ScaleRow`] to an observer: one
 /// [`Event::SimplifyDone`] per preprocessed variant (and one for the
 /// sweep's shared prefix), one [`Event::IncrementalSolve`] per sweep
-/// query. Emission is deterministic — events describe logical progress,
-/// so they are identical no matter which worker measured the row.
-pub fn emit_scale_row(obs: &SharedObserver, row: &ScaleRow) {
+/// query.
+fn emit_scale_row(obs: &SharedObserver, row: &ScaleRow) {
     for v in &row.variants {
         if let Some(s) = &v.simplify {
             obs.emit(&Event::SimplifyDone {
@@ -983,7 +1161,7 @@ mod tests {
 
     #[test]
     fn policy_matrix_matches_paper() {
-        let rows = run_policy_matrix(None, None);
+        let rows = run_policy_matrix(2, None, None);
         assert_eq!(rows.len(), 4);
         for row in &rows {
             assert!(row.matches_paper(), "mismatch: {row}");
@@ -1034,7 +1212,8 @@ mod tests {
     #[test]
     fn scale_sweep_smoke_verdicts_agree_and_events_flow() {
         let handle = mca_obs::Handle::new(mca_obs::CollectSink::default());
-        let rows = run_scale_sweep(&[(2, 2)], Some(handle.observer()), None).expect("scale sweep");
+        let rows =
+            run_scale_sweep(2, &[(2, 2)], Some(handle.observer()), None).expect("scale sweep");
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
         assert!(row.verdicts_agree(), "verdict mismatch: {row}");

@@ -21,6 +21,8 @@
 //!   encoding pipelines (naive, optimized, optimized + DRAT-logged
 //!   preprocessing) with incremental per-state convergence sweeps
 //!   ([`DynamicModel::convergence_sweep`]).
+//! * [`batch`] — runs a driver's independent checks on scoped threads and
+//!   traces them as if one thread had run them in order.
 //!
 //! Two verification engines cross-validate each other: the SAT pipeline
 //! (`mca-sat` → `mca-relalg` → `mca-alloy`, like the Alloy Analyzer) and
@@ -46,9 +48,9 @@
 #![forbid(unsafe_code)]
 
 pub mod analysis;
+pub mod batch;
 mod dynamic_model;
 mod encoding;
-pub mod parallel;
 mod static_model;
 
 pub use dynamic_model::{ConsensusSweep, DynamicModel, DynamicScenario, ScopedCheck};

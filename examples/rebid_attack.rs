@@ -18,7 +18,7 @@ use mca_verify::analysis::run_rebid_attack;
 fn main() {
     println!("== E4 / Result 2: the rebidding attack ==\n");
 
-    let report = run_rebid_attack();
+    let report = run_rebid_attack(1, None);
     println!("{report}\n");
     assert!(
         report.matches_paper(),

@@ -14,7 +14,6 @@ pub use mca_lint as lint;
 pub use mca_obs as obs;
 pub use mca_relalg as relalg;
 pub use mca_report as report;
-pub use mca_runtime as runtime;
 pub use mca_sat as sat;
 pub use mca_serve as serve;
 pub use mca_verify as verify;

@@ -1,20 +1,21 @@
 //! Performance-forensics contracts: the new telemetry must obey the
 //! determinism doctrine and cost (almost) nothing when nobody watches.
 //!
-//! * Worker attribution (`worker`, `queue_wait_ns`) lives only in span
-//!   exit fields and is reduced to bare names by the trace outline, so
-//!   the outline stays byte-identical at 1 and N threads.
+//! * Worker attribution (`worker`, `queue_wait_ns`, a batch's `workers`)
+//!   lives only in span exit fields and is reduced to bare names by the
+//!   trace outline, so the outline stays byte-identical at 1 and N
+//!   threads.
 //! * The solver's `sat.restart-epoch` spans carry logical progress only
 //!   (epoch index, conflict and learnt counts), so their outline is
 //!   byte-reproducible for a fixed solve.
 //! * The `repro why` rule catalog diagnoses a deliberately fine-grained
-//!   batch (the CI fixture's shape) from its trace + metrics pair, and
-//!   its scheduling rules read the metrics a real pool records.
+//!   batch (the CI fixture's shape) from its trace, and its scheduling
+//!   rules read the batch spans a real `run_batch` records.
 
-use mca_obs::{Handle, JsonlSink, Metrics, SpanRecorder};
+use mca_obs::{Handle, JsonlSink, SharedObserver, SpanRecorder};
 use mca_report::{diagnose, ParsedTrace};
-use mca_runtime::Runtime;
 use mca_sat::{CnfFormula, SolveResult};
+use mca_verify::batch::run_batch;
 
 /// `holes`+1 pigeons into `holes` holes — a small UNSAT family that
 /// forces real CDCL search (conflicts, restarts, learnt clauses).
@@ -37,60 +38,71 @@ fn pigeonhole(holes: usize) -> CnfFormula {
     cnf
 }
 
-/// Runs a fixed batch on `threads` workers and returns the replayed job
-/// spans' outline plus the rendered per-worker metrics JSON.
-fn traced_batch(threads: usize) -> (String, String) {
-    let rt = Runtime::new(threads);
-    let jobs: Vec<(String, _)> = (0..16u64)
-        .map(|i| {
-            (format!("work:{i}"), move || {
-                (0..4_000u64).fold(i, |acc, x| acc.wrapping_mul(31).wrapping_add(x))
-            })
-        })
-        .collect();
-    assert_eq!(rt.run_batch(jobs).len(), 16);
+/// Runs `batches` with a span recorder on an in-memory JSONL sink and
+/// returns the parsed trace.
+fn trace_of(batches: impl FnOnce(&SpanRecorder)) -> ParsedTrace {
     let handle = Handle::new(JsonlSink::new(Vec::<u8>::new()));
     let spans = SpanRecorder::new(handle.observer());
-    rt.emit_job_spans(&spans);
+    batches(&spans);
     drop(spans);
-    let mut metrics = Metrics::new();
-    rt.record_metrics(&mut metrics, "runtime");
     let bytes = handle
         .try_into_inner()
         .expect("sole owner")
         .into_inner()
         .expect("in-memory writes cannot fail");
-    let outline = ParsedTrace::parse(&String::from_utf8(bytes).expect("UTF-8")).outline();
-    (outline, metrics.to_json().render())
+    ParsedTrace::parse(&String::from_utf8(bytes).expect("UTF-8"))
+}
+
+/// Runs `count` jobs labelled `<name>:<i>` on `threads` workers, each
+/// folding `work` numbers, and returns how many came back.
+fn folding_batch(threads: usize, name: &str, count: u64, work: u64, spans: &SpanRecorder) -> usize {
+    let jobs: Vec<(String, _)> = (0..count)
+        .map(|i| {
+            (
+                format!("{name}:{i}"),
+                move |_: Option<SharedObserver>, _: Option<&SpanRecorder>| {
+                    (0..work).fold(i, |acc, x| acc.wrapping_mul(31).wrapping_add(x))
+                },
+            )
+        })
+        .collect();
+    run_batch(threads, jobs, None, Some(spans)).len()
+}
+
+/// Runs a fixed batch on `threads` workers and returns its trace outline.
+fn traced_batch(threads: usize) -> String {
+    trace_of(|spans| {
+        assert_eq!(folding_batch(threads, "work", 16, 4_000, spans), 16);
+    })
+    .outline()
 }
 
 #[test]
 fn worker_attribution_is_outlined_away_at_any_thread_count() {
-    let (one, _) = traced_batch(1);
-    let (many, metrics) = traced_batch(4);
+    let one = traced_batch(1);
+    let many = traced_batch(4);
     assert_eq!(
         one, many,
         "worker/queue_wait attribution must not leak timestamps or \
          scheduling accidents into the outline"
     );
     // The fields are present (as names) — the outline reduces them, it
-    // does not drop them.
-    let first = one.lines().next().unwrap();
+    // does not drop them. The batch's worker count is one of them.
+    let mut lines = one.lines();
+    assert_eq!(lines.next(), Some("runtime.batch workers"));
+    let first = lines.next().unwrap();
     assert!(
-        first.starts_with("runtime.job:work:0") && first.contains("worker"),
+        first.starts_with("  runtime.job:work:0") && first.contains("worker"),
         "got: {first}"
     );
     assert!(first.contains("queue_wait_ns"), "got: {first}");
-    // The logical `job` id keeps its value; the scheduling accidents are
-    // reduced to bare names.
+    // The logical `job` index keeps its value; the scheduling accidents
+    // are reduced to bare names.
     assert!(first.contains("job=0"), "got: {first}");
     assert!(
         !first.contains("worker=") && !first.contains("queue_wait_ns="),
         "names only, no values: {first}"
     );
-    // The per-worker registry records scheduling for all four workers.
-    assert!(metrics.contains("runtime.w3.jobs"));
-    assert!(metrics.contains("runtime.w0.queue_wait"));
 }
 
 #[test]
@@ -133,28 +145,13 @@ fn restart_epoch_spans_outline_identically_for_a_fixed_solve() {
 
 #[test]
 fn why_diagnoses_a_deliberately_fine_grained_batch() {
-    // The CI fixture's shape: many near-empty jobs on a 2-worker pool.
-    // The median job span is far under 2ms, so rule W005 (granularity too
+    // The CI fixture's shape: many near-empty jobs on two workers. The
+    // median job span is far under 2ms, so rule W005 (granularity too
     // fine) must fire from the trace alone.
-    let rt = Runtime::new(2);
-    let jobs: Vec<(String, _)> = (0..32u64)
-        .map(|i| (format!("tiny:{i}"), move || i))
-        .collect();
-    assert_eq!(rt.run_batch(jobs).len(), 32);
-    let handle = Handle::new(JsonlSink::new(Vec::<u8>::new()));
-    let spans = SpanRecorder::new(handle.observer());
-    rt.emit_job_spans(&spans);
-    drop(spans);
-    let mut metrics = Metrics::new();
-    rt.record_metrics(&mut metrics, "runtime");
-    let bytes = handle
-        .try_into_inner()
-        .expect("sole owner")
-        .into_inner()
-        .expect("in-memory writes cannot fail");
-    let trace = ParsedTrace::parse(&String::from_utf8(bytes).expect("UTF-8"));
-    let metrics_json = mca_obs::json::Json::parse(&metrics.to_json().render()).expect("own JSON");
-    let findings = diagnose(&trace, Some(&metrics_json));
+    let trace = trace_of(|spans| {
+        assert_eq!(folding_batch(2, "tiny", 32, 1, spans), 32);
+    });
+    let findings = diagnose(&trace);
     assert!(
         findings.iter().any(|f| f.rule == "W005"),
         "fine-grained batch must trip the granularity rule: {findings:?}"
@@ -169,45 +166,37 @@ fn coarsened_e3_batch_no_longer_fires_critical_granularity_rules() {
     // the `repro e3` batch shape — paired Result-1 cells and strided
     // extended-matrix chunks (6 jobs instead of the old 20) mixed with
     // the solver-bound jobs that dominate the real run (the E8 scaling
-    // cells; pigeonhole solves stand in here) — must
-    // not trip W001 or W005 at *critical* severity any more. That was
-    // exactly the diagnosis `repro why` issued against the old
-    // one-cell-per-job drivers, where matrix confetti outnumbered the
-    // solver jobs and dragged the median under the overhead floor.
-    // Warnings are tolerated (the scope is small); critical is the
-    // regression. CI additionally gates the real trace.
-    // The recorder must predate the jobs: `emit_job_spans` maps execution
-    // windows onto the recorder's clock and clamps anything earlier than
-    // its epoch to zero-length.
-    let handle = Handle::new(JsonlSink::new(Vec::<u8>::new()));
-    let spans = SpanRecorder::new(handle.observer());
-    let rt = Runtime::new(4);
-    let rows = mca_verify::parallel::run_policy_matrix_parallel(&rt);
-    assert_eq!(rows.len(), 4);
-    let xrows = mca_verify::parallel::run_extended_policy_matrix(&rt);
-    assert_eq!(xrows.len(), 16);
-    let solves: Vec<(String, _)> = (0..8)
-        .map(|i| {
-            let cnf = pigeonhole(7);
-            (format!("sat:{i}"), move || cnf.to_solver().solve())
-        })
-        .collect();
-    assert!(rt
-        .run_batch(solves)
-        .iter()
-        .all(|r| *r == SolveResult::Unsat));
-    rt.emit_job_spans(&spans);
-    drop(spans);
-    let mut metrics = Metrics::new();
-    rt.record_metrics(&mut metrics, "runtime");
-    let bytes = handle
-        .try_into_inner()
-        .expect("sole owner")
-        .into_inner()
-        .expect("in-memory writes cannot fail");
-    let trace = ParsedTrace::parse(&String::from_utf8(bytes).expect("UTF-8"));
-    let metrics_json = mca_obs::json::Json::parse(&metrics.to_json().render()).expect("own JSON");
-    let findings = diagnose(&trace, Some(&metrics_json));
+    // cells; pigeonhole solves stand in here) — must not trip W001 or
+    // W005 at *critical* severity. That was exactly the diagnosis `repro
+    // why` issued against the old one-cell-per-job drivers, where matrix
+    // confetti outnumbered the solver jobs and dragged the median under
+    // the overhead floor. Warnings are tolerated (the scope is small);
+    // critical is the regression. CI additionally gates the real trace.
+    let trace = trace_of(|spans| {
+        assert_eq!(
+            mca_verify::analysis::run_policy_matrix(4, None, Some(spans)).len(),
+            4
+        );
+        assert_eq!(
+            mca_verify::analysis::run_extended_policy_matrix(4, Some(spans)).len(),
+            16
+        );
+        let solves: Vec<(String, _)> = (0..8)
+            .map(|i| {
+                let cnf = pigeonhole(7);
+                (
+                    format!("sat:{i}"),
+                    move |_: Option<SharedObserver>, _: Option<&SpanRecorder>| {
+                        cnf.to_solver().solve()
+                    },
+                )
+            })
+            .collect();
+        assert!(run_batch(4, solves, None, Some(spans))
+            .iter()
+            .all(|r| *r == SolveResult::Unsat));
+    });
+    let findings = diagnose(&trace);
     for rule in ["W001", "W005"] {
         assert!(
             !findings
@@ -219,23 +208,36 @@ fn coarsened_e3_batch_no_longer_fires_critical_granularity_rules() {
 }
 
 #[test]
-fn why_scheduling_rules_read_a_real_pools_metrics() {
-    // W001-W003 and W008 read every `runtime.wN.*` gauge and timer the
-    // pool records; one missing key would silence all four. A pool that
-    // sits idle for 50 ms before a batch of trivial jobs must read as
-    // starved for work.
-    let rt = Runtime::new(2);
-    std::thread::sleep(std::time::Duration::from_millis(50));
-    let jobs: Vec<(String, _)> = (0..4u64)
-        .map(|i| (format!("tiny:{i}"), move || i))
-        .collect();
-    assert_eq!(rt.run_batch(jobs).len(), 4);
-    let mut metrics = Metrics::new();
-    rt.record_metrics(&mut metrics, "runtime");
-    let metrics_json = mca_obs::json::Json::parse(&metrics.to_json().render()).expect("own JSON");
-    let findings = diagnose(&ParsedTrace::default(), Some(&metrics_json));
+fn why_scheduling_rules_read_a_real_batchs_spans() {
+    // W001, W003 and W008 read the `runtime.batch` span's `workers` field
+    // and its job spans' `worker` and `queue_wait_ns`; one missing field
+    // would silence them. Four workers, of which one naps for 50 ms while
+    // the other three finish at once, idle most of the batch.
+    let trace = trace_of(|spans| {
+        let jobs: Vec<(String, _)> = (0..4u64)
+            .map(|i| {
+                (
+                    format!("nap:{i}"),
+                    move |_: Option<SharedObserver>, _: Option<&SpanRecorder>| {
+                        if i == 0 {
+                            std::thread::sleep(std::time::Duration::from_millis(50));
+                        }
+                        i
+                    },
+                )
+            })
+            .collect();
+        assert_eq!(run_batch(4, jobs, None, Some(spans)), [0, 1, 2, 3]);
+    });
+    let batch = trace
+        .spans
+        .iter()
+        .find(|s| s.name == "runtime.batch")
+        .expect("a batch span");
+    assert_eq!(batch.field("workers"), Some(4));
+    let findings = diagnose(&trace);
     assert!(
         findings.iter().any(|f| f.rule == "W001"),
-        "an idle pool must trip W001: {findings:?}"
+        "a mostly idle batch must trip W001: {findings:?}"
     );
 }

@@ -8,7 +8,7 @@ use mca_verify::{DynamicModel, DynamicScenario, NumberEncoding};
 
 #[test]
 fn both_engines_agree_with_result_2() {
-    let report = run_rebid_attack();
+    let report = run_rebid_attack(1, None);
     assert!(report.matches_paper(), "{report}");
     assert!(!report.explicit_converges);
     assert!(!report.sat_naive_valid);

@@ -2,37 +2,40 @@
 //! deterministic even when their timestamps are not, and recording them
 //! changes no result.
 //!
-//! * The timestamp-free outline of a replayed trace is byte-identical at
-//!   1 and N worker threads — parallelism changes wall-clock, never the
+//! * The timestamp-free outline of a traced batch is byte-identical at 1
+//!   and N worker threads — parallelism changes wall-clock, never the
 //!   span tree.
 //! * A span-enabled E3 run returns the same rows as a plain one and
 //!   records one span per cell; without a recorder an attached observer
 //!   sees no span event. (The wall-clock overhead gate lives in
 //!   `crates/bench/tests/wall_clock.rs`, which CI runs in release mode.)
 
-use mca_obs::{CollectSink, Handle, JsonlSink, SpanRecorder};
+use mca_obs::{CollectSink, Handle, JsonlSink, SharedObserver, SpanRecorder};
 use mca_report::ParsedTrace;
-use mca_runtime::Runtime;
 use mca_verify::analysis::{run_policy_matrix, PolicyMatrixRow};
+use mca_verify::batch::run_batch;
 use mca_verify::{DynamicModel, DynamicScenario, NumberEncoding};
 
-/// Runs a fixed batch workload on `threads` workers, replays the job
-/// windows as spans, and returns the trace's timestamp-free outline.
+/// Runs a fixed batch workload on `threads` workers with a span recorder
+/// and returns the trace's timestamp-free outline.
 fn job_span_outline(threads: usize) -> String {
-    let rt = Runtime::new(threads);
-    let jobs: Vec<(String, _)> = (0..24u64)
-        .map(|i| {
-            (format!("work:{i}"), move || {
-                // A little real work so execution interleaves across workers.
-                (0..2_000u64).fold(i, |acc, x| acc.wrapping_mul(31).wrapping_add(x))
-            })
-        })
-        .collect();
-    let results = rt.run_batch(jobs);
-    assert_eq!(results.len(), 24);
     let handle = Handle::new(JsonlSink::new(Vec::<u8>::new()));
     let spans = SpanRecorder::new(handle.observer());
-    rt.emit_job_spans(&spans);
+    let jobs: Vec<(String, _)> = (0..24u64)
+        .map(|i| {
+            (
+                format!("work:{i}"),
+                move |_: Option<SharedObserver>, spans: Option<&SpanRecorder>| {
+                    let _inner = spans.map(|r| r.enter("fold"));
+                    // A little real work so execution interleaves across
+                    // workers.
+                    (0..2_000u64).fold(i, |acc, x| acc.wrapping_mul(31).wrapping_add(x))
+                },
+            )
+        })
+        .collect();
+    let results = run_batch(threads, jobs, None, Some(&spans));
+    assert_eq!(results.len(), 24);
     drop(spans);
     let bytes = handle
         .try_into_inner()
@@ -52,9 +55,17 @@ fn job_span_outline_is_identical_at_one_and_many_threads() {
         one, many,
         "span structure must not depend on the worker count"
     );
-    // Sanity: the outline names every job, in job-id order.
-    let first = one.lines().next().unwrap();
-    assert!(first.starts_with("runtime.job:work:0"), "got: {first}");
+    // Sanity: the outline names every job, in job-index order, each
+    // holding the span it recorded.
+    let lines: Vec<&str> = one.lines().collect();
+    assert_eq!(lines[0], "runtime.batch workers");
+    assert!(
+        lines[1].starts_with("  runtime.job:work:0"),
+        "got: {}",
+        lines[1]
+    );
+    assert_eq!(lines[2], "    fold");
+    assert_eq!(lines.len(), 1 + 2 * 24);
 }
 
 #[test]
@@ -93,14 +104,14 @@ fn verdicts(rows: &[PolicyMatrixRow]) -> Vec<(bool, bool, String)> {
 
 #[test]
 fn spanned_e3_returns_the_same_rows_and_one_span_per_cell() {
-    let plain = run_policy_matrix(None, None);
+    let plain = run_policy_matrix(2, None, None);
     let handle = Handle::new(CollectSink::default());
     let spans = SpanRecorder::new(handle.observer());
-    let spanned = run_policy_matrix(None, Some(&spans));
+    let spanned = run_policy_matrix(2, None, Some(&spans));
     drop(spans);
     assert_eq!(verdicts(&plain), verdicts(&spanned));
     handle.with(|sink| {
-        let cells: Vec<&str> = sink
+        let names: Vec<&str> = sink
             .events
             .iter()
             .filter_map(|e| match e {
@@ -108,17 +119,24 @@ fn spanned_e3_returns_the_same_rows_and_one_span_per_cell() {
                 _ => None,
             })
             .collect();
-        assert_eq!(cells.len(), plain.len(), "spans: {cells:?}");
-        assert!(cells.iter().all(|n| n.starts_with("e3.cell:")), "{cells:?}");
+        // The batch, its two paired jobs, and one span per cell.
+        assert_eq!(names[0], "runtime.batch", "spans: {names:?}");
+        let jobs = names
+            .iter()
+            .filter(|n| n.starts_with("runtime.job:e3:pair"));
+        assert_eq!(jobs.count(), 2, "spans: {names:?}");
+        let cells = names.iter().filter(|n| n.starts_with("e3.cell:"));
+        assert_eq!(cells.count(), plain.len(), "spans: {names:?}");
+        assert_eq!(names.len(), 3 + plain.len(), "spans: {names:?}");
         let exits = sink.events.iter().filter(|e| e.kind() == "span-exit");
-        assert_eq!(exits.count(), plain.len());
+        assert_eq!(exits.count(), names.len());
     });
 }
 
 #[test]
 fn observer_without_a_recorder_receives_no_span_events() {
     let handle = Handle::new(CollectSink::default());
-    let rows = run_policy_matrix(Some(handle.observer()), None);
+    let rows = run_policy_matrix(2, Some(handle.observer()), None);
     assert_eq!(rows.len(), 4);
     handle.with(|sink| {
         assert!(
