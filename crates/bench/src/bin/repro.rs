@@ -1385,6 +1385,7 @@ fn bench_e5_json(rows: &[EncodingRow], wall_clock_secs: f64, threads: usize) -> 
             ("cnf_literals", Json::from(stats.cnf_literals as u64)),
             ("circuit_gates", Json::from(stats.circuit_gates as u64)),
             ("check_secs", Json::from(secs)),
+            ("translate_secs", Json::from(stats.translation_secs)),
             ("vacuous", Json::from(vacuous)),
             (
                 "solver",
@@ -1658,6 +1659,10 @@ fn bench_scale_json(
                                                 ("valid", Json::from(v.valid)),
                                                 ("vacuous", Json::from(v.vacuous)),
                                                 ("check_secs", Json::from(v.check_secs)),
+                                                (
+                                                    "translate_secs",
+                                                    Json::from(v.stats.translation_secs),
+                                                ),
                                                 ("cnf_vars", Json::from(v.stats.cnf_vars as u64)),
                                                 (
                                                     "cnf_clauses",

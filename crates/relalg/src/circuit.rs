@@ -7,7 +7,8 @@
 //! already does — the same service Kodkod provides to the Alloy Analyzer.
 
 use mca_sat::{CnfFormula, Lit, Var};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// An edge into the circuit: a node index plus a complement flag.
 ///
@@ -88,6 +89,88 @@ enum Fanout {
 const POS: u8 = 1;
 const NEG: u8 = 2;
 
+/// A multiply-rotate hasher in the style of rustc's `FxHasher`, for the
+/// maps keyed by the circuit's own edge numbers and clause hashes. The
+/// translator makes those keys from a model, not from a peer's bytes, so
+/// they need no keyed (SipHash) protection against chosen collisions.
+#[derive(Clone, Copy, Default)]
+struct FxHasher(u64);
+
+impl FxHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(b.into()));
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.add(word.into());
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.add(word);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type FxBuildHasher = BuildHasherDefault<FxHasher>;
+
+/// A clause's hash key, under which clause deduplication looks it up.
+type ClauseKey = fn(&[Lit]) -> u64;
+
+/// The Fx hash of a clause's literal codes, in order.
+fn clause_key(lits: &[Lit]) -> u64 {
+    let mut h = FxHasher::default();
+    lits.iter().for_each(|l| h.add(l.code() as u64));
+    h.0
+}
+
+/// The clauses a deduplicating emission has kept, each found by its index
+/// in the CNF under its `key`. Distinct clauses may share a key; a repeat
+/// is one equal to a kept clause, compared literal by literal.
+struct ClauseSet {
+    key: ClauseKey,
+    /// Per key, the last clause kept under it, as an index into `kept`.
+    heads: HashMap<u64, usize, FxBuildHasher>,
+    /// Per kept clause: its index in the CNF, and the entry of the clause
+    /// kept before it under the same key (`usize::MAX` for none).
+    kept: Vec<(usize, usize)>,
+}
+
+impl ClauseSet {
+    fn new(key: ClauseKey) -> ClauseSet {
+        ClauseSet {
+            key,
+            heads: HashMap::default(),
+            kept: Vec::new(),
+        }
+    }
+
+    /// `true` if `lits` equals a clause kept from `cnf`. Otherwise `lits`
+    /// is kept as the clause `cnf` adds next.
+    fn is_repeat(&mut self, lits: &[Lit], cnf: &CnfFormula) -> bool {
+        let head = self.heads.entry((self.key)(lits)).or_insert(usize::MAX);
+        let mut at = *head;
+        while let Some(&(index, before)) = self.kept.get(at) {
+            if cnf.clauses()[index] == lits {
+                return true;
+            }
+            at = before;
+        }
+        self.kept.push((cnf.num_clauses(), *head));
+        *head = self.kept.len() - 1;
+        false
+    }
+}
+
 /// A boolean circuit under construction.
 ///
 /// # Examples
@@ -106,7 +189,7 @@ const NEG: u8 = 2;
 #[derive(Debug, Default)]
 pub struct Circuit {
     nodes: Vec<Node>,
-    and_cache: HashMap<(B, B), B>,
+    and_cache: HashMap<(B, B), B, FxBuildHasher>,
     num_inputs: u32,
 }
 
@@ -115,7 +198,7 @@ impl Circuit {
     pub fn new() -> Circuit {
         Circuit {
             nodes: vec![Node::ConstTrue],
-            and_cache: HashMap::new(),
+            and_cache: HashMap::default(),
             num_inputs: 0,
         }
     }
@@ -341,29 +424,30 @@ impl Circuit {
     /// Deduplication preserves the model set, so verdicts are unchanged;
     /// `dedup = false` exists so tests can assert exactly that.
     pub fn to_cnf_opts(&self, roots: &[B], goals: &[B], dedup: bool) -> CnfEmission {
+        self.to_cnf_keyed(roots, goals, dedup.then_some(clause_key as ClauseKey))
+    }
+
+    /// [`to_cnf_opts`](Circuit::to_cnf_opts), deduplicating under the
+    /// clause hash `key` when one is given.
+    fn to_cnf_keyed(&self, roots: &[B], goals: &[B], key: Option<ClauseKey>) -> CnfEmission {
         let mut cnf = CnfFormula::new();
-        let mut seen: HashSet<Vec<Lit>> = HashSet::new();
+        let mut seen = key.map(ClauseSet::new);
         let mut clauses_deduped = 0usize;
         // Normalizing emitter: sorts and dedups the literals of each clause,
         // drops tautologies, and skips clauses already emitted.
         let mut emit = |lits: &mut Vec<Lit>, cnf: &mut CnfFormula| {
-            if !dedup {
+            let Some(seen) = seen.as_mut() else {
                 cnf.add_clause(lits.drain(..));
                 return;
-            }
+            };
             lits.sort_unstable();
             lits.dedup();
             // After sorting, a variable's two polarities are adjacent.
-            if lits.windows(2).any(|w| w[0] == !w[1]) {
+            if lits.windows(2).any(|w| w[0] == !w[1]) || seen.is_repeat(lits, cnf) {
                 clauses_deduped += 1;
                 lits.clear();
-                return;
-            }
-            if seen.insert(lits.clone()) {
-                cnf.add_clause(lits.drain(..));
             } else {
-                clauses_deduped += 1;
-                lits.clear();
+                cnf.add_clause(lits.drain(..));
             }
         };
         let mut buf: Vec<Lit> = Vec::with_capacity(3);
@@ -519,6 +603,7 @@ pub struct CnfEmission {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn env2(x: bool, y: bool) -> impl Fn(u32) -> bool {
         move |i| [x, y][i as usize]
@@ -899,6 +984,30 @@ mod tests {
                 "{label}"
             );
         }
+    }
+
+    #[test]
+    fn dedup_keeps_distinct_clauses_that_share_a_key() {
+        // The root gate's leaves are x, y, x and z, so `(¬root ∨ x)` is
+        // emitted twice, and the root is asserted twice.
+        let mut c = Circuit::new();
+        let (x, y, z) = (c.input(), c.input(), c.input());
+        let (left, right) = (c.and2(x, y), c.and2(x, z));
+        let root = c.and2(left, right);
+        let hashed = c.to_cnf_opts(&[root, root], &[], true);
+        // Every clause under one key: only the comparison with the stored
+        // clauses tells `(¬root ∨ x)`, `(¬root ∨ y)`, `(¬root ∨ z)` and
+        // `(root)` apart.
+        let one_key = c.to_cnf_keyed(&[root, root], &[], Some(|_| 0));
+        let raw = c.to_cnf_opts(&[root, root], &[], false);
+        let g = Var::from_index(3).positive();
+        let [x, y, z] = [0, 1, 2].map(|i| hashed.input_vars[i].positive());
+        let expected = [vec![x, !g], vec![y, !g], vec![z, !g], vec![g]];
+        assert_eq!(one_key.cnf.clauses(), expected);
+        assert_eq!(one_key.cnf, hashed.cnf);
+        assert_eq!(one_key.clauses_deduped, 2);
+        assert_eq!(hashed.clauses_deduped, 2);
+        assert_eq!(raw.cnf.num_clauses(), expected.len() + 2);
     }
 
     #[test]

@@ -18,8 +18,15 @@
 //! cells of a matrix (`in`, `some`, `no`, `one`, `lone`) keep each cell's
 //! position in the full row-major order, so their balanced trees pair the
 //! same cells as a dense reduction would; see [`Circuit::and_many`].
+//! A join whose left operand is one atom or a bound quantifier variable
+//! (`a.r`, most joins the models build) is a slice of the right operand's
+//! row, read in place for a declared relation. The general join creates
+//! no gate for it and yields the same cells, so the slice, too, keeps the
+//! same gates in the same order.
 
-use crate::ast::{CmpOp, Expr, ExprKind, Formula, FormulaKind, IntExpr, IntExprKind, RelationId};
+use crate::ast::{
+    CmpOp, Expr, ExprKind, Formula, FormulaKind, IntExpr, IntExprKind, QuantVar, RelationId,
+};
 use crate::bitvec::BitVec;
 use crate::circuit::{Circuit, B};
 use crate::error::TranslateError;
@@ -280,13 +287,7 @@ impl<'p> Translator<'p> {
                 self.cells(*a)?;
                 Matrix::new(*a, Vec::new())
             }
-            ExprKind::Var(v) => {
-                let atom = *self
-                    .env
-                    .get(&v.id())
-                    .ok_or_else(|| TranslateError::UnboundVar(v.name().to_string()))?;
-                Matrix::new(1, [(atom, tru)])
-            }
+            ExprKind::Var(v) => Matrix::new(1, [(self.bound_atom(v)?, tru)]),
             ExprKind::Union(a, b) => {
                 self.arity(e)?;
                 let (ma, mb) = (self.expr(a)?, self.expr(b)?);
@@ -304,8 +305,24 @@ impl<'p> Translator<'p> {
             }
             ExprKind::Join(a, b) => {
                 self.arity(e)?;
-                let (ma, mb) = (self.expr(a)?, self.expr(b)?);
-                self.join(&ma, &mb)?
+                let atom = match a.kind() {
+                    ExprKind::Atom(x) => Some(x.index()),
+                    ExprKind::Var(v) => Some(self.bound_atom(v)?),
+                    _ => None,
+                };
+                match (atom, b.kind()) {
+                    (Some(atom), ExprKind::Relation(r)) => {
+                        self.row(atom, &self.rel_matrices[r.index()])?
+                    }
+                    (Some(atom), _) => {
+                        let mb = self.expr(b)?;
+                        self.row(atom, &mb)?
+                    }
+                    (None, _) => {
+                        let (ma, mb) = (self.expr(a)?, self.expr(b)?);
+                        self.join(&ma, &mb)?
+                    }
+                }
             }
             ExprKind::Product(a, b) => {
                 let (ma, mb) = (self.expr(a)?, self.expr(b)?);
@@ -436,6 +453,27 @@ impl<'p> Translator<'p> {
             out.push((index, f(&mut self.circuit, x, y)));
         }
         Matrix::new(a.arity, out)
+    }
+
+    /// `atom.b`: the row of `b` whose first column is `atom`, with that
+    /// column dropped.
+    ///
+    /// This is [`join`](Translator::join) with a left operand of one
+    /// constant-true unary cell. There each output cell has the single
+    /// conjunct `true ∧ y`, which folds to `y`, and its one-disjunct
+    /// disjunction is `y` again, so the join creates no gate and yields
+    /// these cells.
+    fn row(&self, atom: usize, b: &Matrix) -> Result<Matrix, TranslateError> {
+        let arity = b.arity - 1;
+        let stride = self.cells(arity)?;
+        let (from, to) = (atom * stride, (atom + 1) * stride);
+        let start = b.cells.partition_point(|&(i, _)| i < from);
+        let cells = b.cells[start..]
+            .iter()
+            .take_while(|&&(i, _)| i < to)
+            .map(|&(i, cell)| (i - from, cell))
+            .collect();
+        Ok(Matrix { arity, cells })
     }
 
     /// Relational join: match last column of `a` with first column of `b`.
@@ -658,6 +696,14 @@ impl<'p> Translator<'p> {
         self.expr(domain)
     }
 
+    /// The atom a quantified variable is bound to.
+    fn bound_atom(&self, v: &QuantVar) -> Result<usize, TranslateError> {
+        self.env
+            .get(&v.id())
+            .copied()
+            .ok_or_else(|| TranslateError::UnboundVar(v.name().to_string()))
+    }
+
     fn restore(&mut self, id: u32, prev: Option<usize>) {
         match prev {
             Some(v) => {
@@ -785,6 +831,83 @@ mod tests {
         assert!(p.translate(&r.some()).is_ok());
         let err = p.translate(&r.lone()).unwrap_err();
         assert!(matches!(err, TranslateError::IndexOverflow { .. }), "{err}");
+    }
+
+    /// `atom.b` and `v.b`, with `v` bound to the atom, translate as a row
+    /// slice of `b`. Each slice equals the general join of the one-cell
+    /// matrix `{atom ↦ true}` with `b`, cell for cell, and neither creates
+    /// a gate. The right operands are relations of arity 2, 3 and 4 with
+    /// lower-bound cells, and two joins that do create gates.
+    #[test]
+    fn row_slices_equal_the_general_join() {
+        let mut u = Universe::new();
+        let ids = u.add_atoms("A", 4);
+        let mut p = Problem::new(u);
+        let tuples = |arity, of: &[&[usize]]| {
+            let mut set = TupleSet::new(arity);
+            for t in of {
+                set.insert(Tuple::new(t.iter().map(|&i| ids[i]).collect::<Vec<_>>()));
+            }
+            set
+        };
+        // Atom 1 starts no tuple of `r2`, and atom 3 (the last) starts a
+        // lower-bound tuple of every relation.
+        let r2 = p.declare_relation(
+            "r2",
+            tuples(2, &[&[0, 3], &[3, 1]]),
+            tuples(2, &[&[0, 1], &[0, 3], &[2, 0], &[2, 2], &[3, 1], &[3, 3]]),
+        );
+        let r3 = p.declare_relation(
+            "r3",
+            tuples(3, &[&[0, 2, 3], &[3, 3, 2]]),
+            tuples(
+                3,
+                &[&[0, 0, 1], &[0, 2, 3], &[1, 1, 0], &[3, 0, 0], &[3, 3, 2]],
+            ),
+        );
+        let r4 = p.declare_relation(
+            "r4",
+            tuples(4, &[&[2, 2, 2, 2], &[3, 3, 3, 3]]),
+            tuples(
+                4,
+                &[&[0, 1, 2, 3], &[2, 2, 2, 2], &[3, 0, 1, 2], &[3, 3, 3, 3]],
+            ),
+        );
+        let (r2, r3, r4) = (Expr::relation(r2), Expr::relation(r3), Expr::relation(r4));
+        let rights = [
+            r2.clone(),
+            r3.clone(),
+            r4.clone(),
+            r2.join(&r3),
+            r4.join(&Expr::univ()),
+        ];
+        let v = QuantVar::fresh("v");
+        let (mut empty_rows, mut true_cells) = (0, 0);
+        for b in &rights {
+            for (a, &atom) in ids.iter().enumerate() {
+                let mut general = Translator::new(&p).expect("translates");
+                let mb = general.expr(b).expect("translates");
+                let gates = general.circuit.num_gates();
+                let one = Matrix::new(1, [(a, general.circuit.tru())]);
+                let joined = general.join(&one, &mb).expect("translates");
+                assert_eq!(general.circuit.num_gates(), gates, "{atom:?}.{b:?}");
+                empty_rows += usize::from(joined.cells.is_empty());
+                true_cells += joined.cells.iter().filter(|c| c.1.is_const_true()).count();
+                for left in [Expr::atom(atom), v.expr()] {
+                    let mut sliced = Translator::new(&p).expect("translates");
+                    sliced.env.insert(v.id(), a);
+                    let m = sliced.expr(&left.join(b)).expect("translates");
+                    assert_eq!(m.arity, joined.arity, "{left:?}.{b:?}");
+                    assert_eq!(m.cells, joined.cells, "{left:?}.{b:?}");
+                    assert_eq!(sliced.circuit.num_gates(), gates, "{left:?}.{b:?}");
+                }
+            }
+        }
+        assert!(empty_rows > 0 && true_cells > 0, "the cases cover both");
+        let err = p
+            .translate(&Expr::atom(ids[0]).join(&Expr::atom(ids[1])).some())
+            .unwrap_err();
+        assert!(matches!(err, TranslateError::ArityMismatch { .. }), "{err}");
     }
 
     #[test]

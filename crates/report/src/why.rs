@@ -187,6 +187,11 @@ fn diagnose_scheduling(trace: &ParsedTrace, findings: &mut Vec<WhyFinding>) {
 }
 
 /// W005 sub-millisecond jobs — per-job pool overhead dwarfs the work.
+///
+/// The median is weighted by time: the duration of the job at which the
+/// sorted jobs' running sum reaches half their total. So it is the job
+/// length that half the job time is spent in, however many short jobs a
+/// batch holds beside the long ones.
 fn diagnose_job_granularity(trace: &ParsedTrace, findings: &mut Vec<WhyFinding>) {
     let mut durations: Vec<u64> = trace
         .spans
@@ -198,7 +203,16 @@ fn diagnose_job_granularity(trace: &ParsedTrace, findings: &mut Vec<WhyFinding>)
         return;
     }
     durations.sort_unstable();
-    let median = durations[durations.len() / 2];
+    let total: u64 = durations.iter().sum();
+    let mut sum = 0;
+    let median = durations
+        .iter()
+        .copied()
+        .find(|&d| {
+            sum += d;
+            2 * sum >= total
+        })
+        .expect("the running sum reaches the total");
     if median < 2_000_000 {
         findings.push(WhyFinding {
             rule: "W005",
@@ -208,12 +222,13 @@ fn diagnose_job_granularity(trace: &ParsedTrace, findings: &mut Vec<WhyFinding>)
                 WhySeverity::Warning
             },
             summary: format!(
-                "median job runs {:.2}ms — scheduling overhead dominates at this granularity",
+                "time-weighted median job runs {:.2}ms — scheduling overhead dominates at this granularity",
                 median as f64 / 1e6
             ),
             evidence: format!(
-                "{} jobs, median {:.2}ms, longest {:.2}ms",
+                "{} jobs, {:.2}ms in all, time-weighted median {:.2}ms, longest {:.2}ms",
                 durations.len(),
+                total as f64 / 1e6,
                 median as f64 / 1e6,
                 *durations.last().unwrap() as f64 / 1e6
             ),
@@ -638,6 +653,23 @@ mod tests {
             .map(|i| (i % 2, (i / 2) * 5 * MS, (i / 2 + 1) * 5 * MS, 0))
             .collect();
         assert!(rules(&batch_trace(&[(2, 0, &coarse)])).is_empty());
+    }
+
+    #[test]
+    fn many_tiny_jobs_beside_long_ones_do_not_fire_w005() {
+        // Six 20 µs jobs and four 50 ms jobs on two workers: the median
+        // over job counts is 20 µs, but nearly all the time is in 50 ms
+        // jobs.
+        let mut jobs: Vec<Job> = (0..6)
+            .map(|i| (0, i * 20_000, (i + 1) * 20_000, 0))
+            .collect();
+        jobs.extend((0..4).map(|i| (1, i * 50 * MS, (i + 1) * 50 * MS, 0)));
+        let trace = batch_trace(&[(2, 0, &jobs)]);
+        assert!(
+            !rules(&trace).iter().any(|r| r.0 == "W005"),
+            "{:?}",
+            diagnose(&trace)
+        );
     }
 
     #[test]
