@@ -39,7 +39,7 @@ pub fn run(cnf: &CnfFormula, attr: Option<&BTreeMap<usize, String>>) -> Vec<Diag
         for pair in clause.windows(2) {
             uf.union(pair[0].var().index(), pair[1].var().index());
         }
-        let mut norm: Vec<Lit> = clause.clone();
+        let mut norm: Vec<Lit> = clause.to_vec();
         norm.sort_unstable();
         norm.dedup();
         if norm.windows(2).any(|w| w[0] == !w[1]) {

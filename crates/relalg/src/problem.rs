@@ -284,7 +284,7 @@ impl Problem {
         let goals: Vec<Formula> = assertions.iter().map(|a| a.not()).collect();
         let (translation, goal_lits) = self.translate_goals(&goals)?;
         let mut solver = self.new_solver();
-        load(&mut solver, &translation.cnf);
+        solver.add_cnf(&translation.cnf);
         let simplify = preprocess.then(|| solver.preprocess());
         Ok(IncrementalChecker {
             problem: self,
@@ -332,7 +332,7 @@ impl Problem {
         // `seen_in_clause` avoids double-counting a clause with several
         // variables of the same relation; reset lazily via a stamp.
         let mut stamp = vec![0u32; self.relations.len()];
-        for (i, clause) in cnf.clauses().iter().enumerate() {
+        for (i, clause) in cnf.clauses().enumerate() {
             let clause_stamp = i as u32 + 1;
             for lit in clause {
                 if let Some(rel) = var_to_rel[lit.var().index()] {
@@ -615,21 +615,13 @@ impl Outcome {
     }
 }
 
-/// Adds `cnf`'s variables and clauses to `solver`.
-fn load(solver: &mut mca_sat::Solver, cnf: &mca_sat::CnfFormula) {
-    solver.new_vars(cnf.num_vars());
-    for c in cnf.clauses() {
-        solver.add_clause(c.iter().copied());
-    }
-}
-
 /// Loads `cnf` into `solver`, optionally preprocesses it, and solves.
 fn search(
     solver: &mut mca_sat::Solver,
     cnf: &mca_sat::CnfFormula,
     preprocess: bool,
 ) -> (SolveResult, Option<mca_sat::SimplifyStats>) {
-    load(solver, cnf);
+    solver.add_cnf(cnf);
     let simplify = preprocess.then(|| solver.preprocess());
     (solver.solve(), simplify)
 }
@@ -1327,7 +1319,7 @@ mod tests {
             let translation = p.translate(&surjective.not()).unwrap();
             let mut solver = mca_sat::Solver::new();
             solver.enable_proof();
-            load(&mut solver, &translation.cnf);
+            solver.add_cnf(&translation.cnf);
             if preprocess {
                 solver.preprocess();
             }

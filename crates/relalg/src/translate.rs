@@ -23,6 +23,14 @@
 //! row, read in place for a declared relation. The general join creates
 //! no gate for it and yields the same cells, so the slice, too, keeps the
 //! same gates in the same order.
+//!
+//! Each node is translated once per binding of its quantified variables.
+//! An operator checks its arity constraint on its operands' matrices once
+//! they are translated, as [`Evaluator`](crate::Evaluator) does, rather
+//! than walking the subexpression first. `a = b` translates each side once
+//! and builds `a in b` and `b in a` from the two matrices: translating a
+//! side again would only hit the circuit's structural-hashing table, so
+//! the gates are the ones `a in b and b in a` creates, in the same order.
 
 use crate::ast::{
     CmpOp, Expr, ExprKind, Formula, FormulaKind, IntExpr, IntExprKind, QuantVar, RelationId,
@@ -215,65 +223,6 @@ impl<'p> Translator<'p> {
         cell_count(self.n(), arity)
     }
 
-    /// Arity of an expression, checking operator constraints.
-    fn arity(&self, e: &Expr) -> Result<usize, TranslateError> {
-        Ok(match e.kind() {
-            ExprKind::Relation(r) => self.problem.relation(*r).arity(),
-            ExprKind::Atom(_) => 1,
-            ExprKind::Iden => 2,
-            ExprKind::Univ => 1,
-            ExprKind::Empty(a) => *a,
-            ExprKind::Var(_) => 1,
-            ExprKind::Union(a, b) | ExprKind::Intersect(a, b) | ExprKind::Difference(a, b) => {
-                let (x, y) = (self.arity(a)?, self.arity(b)?);
-                if x != y {
-                    return Err(TranslateError::ArityMismatch {
-                        context: format!("set operation on arities {x} and {y}"),
-                    });
-                }
-                x
-            }
-            ExprKind::Join(a, b) => {
-                let (x, y) = (self.arity(a)?, self.arity(b)?);
-                if x + y < 3 {
-                    return Err(TranslateError::ArityMismatch {
-                        context: format!("join of arities {x} and {y} would have arity < 1"),
-                    });
-                }
-                x + y - 2
-            }
-            ExprKind::Product(a, b) => self.arity(a)? + self.arity(b)?,
-            ExprKind::Transpose(a) => {
-                let x = self.arity(a)?;
-                if x != 2 {
-                    return Err(TranslateError::ArityMismatch {
-                        context: format!("transpose of arity {x}"),
-                    });
-                }
-                2
-            }
-            ExprKind::Closure(a) | ExprKind::ReflexiveClosure(a) => {
-                let x = self.arity(a)?;
-                if x != 2 {
-                    return Err(TranslateError::ArityMismatch {
-                        context: format!("closure of arity {x}"),
-                    });
-                }
-                2
-            }
-            ExprKind::IfThenElse(_, t, e2) => {
-                let (x, y) = (self.arity(t)?, self.arity(e2)?);
-                if x != y {
-                    return Err(TranslateError::ArityMismatch {
-                        context: format!("if-then-else branches of arities {x} and {y}"),
-                    });
-                }
-                x
-            }
-            ExprKind::Comprehension(decls, _) => decls.len(),
-        })
-    }
-
     /// Translates an expression into its boolean matrix.
     pub(crate) fn expr(&mut self, e: &Expr) -> Result<Matrix, TranslateError> {
         let n = self.n();
@@ -289,22 +238,18 @@ impl<'p> Translator<'p> {
             }
             ExprKind::Var(v) => Matrix::new(1, [(self.bound_atom(v)?, tru)]),
             ExprKind::Union(a, b) => {
-                self.arity(e)?;
-                let (ma, mb) = (self.expr(a)?, self.expr(b)?);
+                let (ma, mb) = self.same_arity("set operation", a, b)?;
                 self.zip(&ma, &mb, |c, x, y| c.or2(x, y))
             }
             ExprKind::Intersect(a, b) => {
-                self.arity(e)?;
-                let (ma, mb) = (self.expr(a)?, self.expr(b)?);
+                let (ma, mb) = self.same_arity("set operation", a, b)?;
                 self.zip(&ma, &mb, |c, x, y| c.and2(x, y))
             }
             ExprKind::Difference(a, b) => {
-                self.arity(e)?;
-                let (ma, mb) = (self.expr(a)?, self.expr(b)?);
+                let (ma, mb) = self.same_arity("set operation", a, b)?;
                 self.zip(&ma, &mb, |c, x, y| c.and2(x, !y))
             }
             ExprKind::Join(a, b) => {
-                self.arity(e)?;
                 let atom = match a.kind() {
                     ExprKind::Atom(x) => Some(x.index()),
                     ExprKind::Var(v) => Some(self.bound_atom(v)?),
@@ -329,8 +274,7 @@ impl<'p> Translator<'p> {
                 self.product(&ma, &mb)?
             }
             ExprKind::Transpose(a) => {
-                self.arity(e)?;
-                let ma = self.expr(a)?;
+                let ma = self.binary("transpose", a)?;
                 let mut cells: Vec<(usize, B)> = ma
                     .cells
                     .iter()
@@ -340,22 +284,19 @@ impl<'p> Translator<'p> {
                 Matrix::new(2, cells)
             }
             ExprKind::Closure(a) => {
-                self.arity(e)?;
-                let ma = self.expr(a)?;
+                let ma = self.binary("closure", a)?;
                 self.closure(&ma)?
             }
             ExprKind::ReflexiveClosure(a) => {
-                self.arity(e)?;
-                let ma = self.expr(a)?;
+                let ma = self.binary("closure", a)?;
                 let m = self.closure(&ma)?;
                 let iden = self.iden()?;
                 // `x ∨ true` folds to true without creating a gate.
                 self.zip(&m, &iden, |c, x, y| c.or2(x, y))
             }
             ExprKind::IfThenElse(c, t, e2) => {
-                self.arity(e)?;
                 let cond = self.formula(c)?;
-                let (mt, me) = (self.expr(t)?, self.expr(e2)?);
+                let (mt, me) = self.same_arity("if-then-else branches", t, e2)?;
                 self.zip(&mt, &me, |cc, x, y| cc.ite(cond, x, y))
             }
             ExprKind::Comprehension(decls, body) => {
@@ -365,7 +306,7 @@ impl<'p> Translator<'p> {
                 self.cells(decls.len())?;
                 let domains: Vec<Matrix> = decls
                     .iter()
-                    .map(|d| self.quant_domain(&d.domain))
+                    .map(|d| self.unary(&d.domain))
                     .collect::<Result<_, _>>()?;
                 let mut cells = Vec::new();
                 let mut pick = vec![0usize; decls.len()];
@@ -412,6 +353,58 @@ impl<'p> Translator<'p> {
         self.cells(2)?;
         let tru = self.circuit.tru();
         Ok(Matrix::new(2, (0..n).map(|a| (a * n + a, tru))))
+    }
+
+    /// Translates the two operands of an operator that needs them to share
+    /// an arity: a set operator, `in`, `=`, or the branches of an
+    /// if-then-else.
+    ///
+    /// # Errors
+    ///
+    /// [`TranslateError::ArityMismatch`] when the arities differ.
+    fn same_arity(
+        &mut self,
+        what: &str,
+        a: &Expr,
+        b: &Expr,
+    ) -> Result<(Matrix, Matrix), TranslateError> {
+        let (ma, mb) = (self.expr(a)?, self.expr(b)?);
+        if ma.arity != mb.arity {
+            return Err(TranslateError::ArityMismatch {
+                context: format!("{what} of arities {} and {}", ma.arity, mb.arity),
+            });
+        }
+        Ok((ma, mb))
+    }
+
+    /// Translates the operand of a transpose or closure, which must be
+    /// binary.
+    ///
+    /// # Errors
+    ///
+    /// [`TranslateError::ArityMismatch`] for any other arity.
+    fn binary(&mut self, what: &str, a: &Expr) -> Result<Matrix, TranslateError> {
+        let m = self.expr(a)?;
+        if m.arity != 2 {
+            return Err(TranslateError::ArityMismatch {
+                context: format!("{what} of arity {}", m.arity),
+            });
+        }
+        Ok(m)
+    }
+
+    /// Translates a quantifier domain or `sum` argument, which must be
+    /// unary.
+    ///
+    /// # Errors
+    ///
+    /// [`TranslateError::NonUnaryDomain`] for any other arity.
+    fn unary(&mut self, domain: &Expr) -> Result<Matrix, TranslateError> {
+        let m = self.expr(domain)?;
+        if m.arity != 1 {
+            return Err(TranslateError::NonUnaryDomain { arity: m.arity });
+        }
+        Ok(m)
     }
 
     /// Applies `f` cell by cell to two matrices of equal arity, over the
@@ -464,7 +457,7 @@ impl<'p> Translator<'p> {
     /// disjunction is `y` again, so the join creates no gate and yields
     /// these cells.
     fn row(&self, atom: usize, b: &Matrix) -> Result<Matrix, TranslateError> {
-        let arity = b.arity - 1;
+        let arity = join_arity(1, b.arity)?;
         let stride = self.cells(arity)?;
         let (from, to) = (atom * stride, (atom + 1) * stride);
         let start = b.cells.partition_point(|&(i, _)| i < from);
@@ -485,7 +478,7 @@ impl<'p> Translator<'p> {
     /// creates its gates.
     fn join(&mut self, a: &Matrix, b: &Matrix) -> Result<Matrix, TranslateError> {
         let n = self.n();
-        let arity = a.arity + b.arity - 2;
+        let arity = join_arity(a.arity, b.arity)?;
         self.cells(arity)?;
         // Cells of `b` per value of its first column.
         let stride = self.cells(b.arity - 1)?;
@@ -579,23 +572,15 @@ impl<'p> Translator<'p> {
         Ok(match f.kind() {
             FormulaKind::Const(b) => self.circuit.constant(*b),
             FormulaKind::Subset(a, b) => {
-                let (x, y) = (self.arity(a)?, self.arity(b)?);
-                if x != y {
-                    return Err(TranslateError::ArityMismatch {
-                        context: format!("subset of arities {x} and {y}"),
-                    });
-                }
-                // `a in b` is `no (a - b)`, gate for gate: the conjunction
-                // of the implications `p → q` is the negated disjunction of
-                // the differences `p ∧ ¬q`.
-                let (ma, mb) = (self.expr(a)?, self.expr(b)?);
-                let difference = self.zip(&ma, &mb, |c, p, q| c.and2(p, !q));
-                let some = self.circuit.or_many(self.cells(x)?, difference.cells);
-                !some
+                let (ma, mb) = self.same_arity("subset", a, b)?;
+                self.subset(&ma, &mb)?
             }
             FormulaKind::Equal(a, b) => {
-                let sub1 = self.formula(&a.in_(b))?;
-                let sub2 = self.formula(&b.in_(a))?;
+                // The gates of `a in b and b in a`, in its order, from one
+                // translation of each side (see the module docs).
+                let (ma, mb) = self.same_arity("equality", a, b)?;
+                let sub1 = self.subset(&ma, &mb)?;
+                let sub2 = self.subset(&mb, &ma)?;
                 self.circuit.and2(sub1, sub2)
             }
             FormulaKind::NonEmpty(e) => {
@@ -648,7 +633,7 @@ impl<'p> Translator<'p> {
                 self.circuit.iff2(x, y)
             }
             FormulaKind::ForAll(d, body) => {
-                let dm = self.quant_domain(&d.domain)?;
+                let dm = self.unary(&d.domain)?;
                 let mut edges = Vec::with_capacity(dm.cells.len());
                 for &(atom, guard) in &dm.cells {
                     let prev = self.env.insert(d.var.id(), atom);
@@ -660,7 +645,7 @@ impl<'p> Translator<'p> {
                     .and_many(edges.len(), edges.into_iter().enumerate())
             }
             FormulaKind::Exists(d, body) => {
-                let dm = self.quant_domain(&d.domain)?;
+                let dm = self.unary(&d.domain)?;
                 let mut edges = Vec::with_capacity(dm.cells.len());
                 for &(atom, guard) in &dm.cells {
                     let prev = self.env.insert(d.var.id(), atom);
@@ -688,12 +673,13 @@ impl<'p> Translator<'p> {
         })
     }
 
-    fn quant_domain(&mut self, domain: &Expr) -> Result<Matrix, TranslateError> {
-        let a = self.arity(domain)?;
-        if a != 1 {
-            return Err(TranslateError::NonUnaryDomain { arity: a });
-        }
-        self.expr(domain)
+    /// `a in b` for two matrices of equal arity: `no (a - b)`, gate for
+    /// gate. The conjunction of the implications `p → q` is the negated
+    /// disjunction of the differences `p ∧ ¬q`.
+    fn subset(&mut self, a: &Matrix, b: &Matrix) -> Result<B, TranslateError> {
+        let difference = self.zip(a, b, |c, p, q| c.and2(p, !q));
+        let some = self.circuit.or_many(self.cells(a.arity)?, difference.cells);
+        Ok(!some)
     }
 
     /// The atom a quantified variable is bound to.
@@ -728,11 +714,7 @@ impl<'p> Translator<'p> {
                 self.circuit.bv_count(&live)
             }
             IntExprKind::SumValues(e) => {
-                let a = self.arity(e)?;
-                if a != 1 {
-                    return Err(TranslateError::NonUnaryDomain { arity: a });
-                }
-                let m = self.expr(e)?;
+                let m = self.unary(e)?;
                 let mut terms = Vec::with_capacity(m.cells.len());
                 for &(atom, cell) in &m.cells {
                     let aid = AtomId::from_index(atom);
@@ -767,6 +749,20 @@ impl<'p> Translator<'p> {
             }
         })
     }
+}
+
+/// The arity of a join of arities `a` and `b`: `a + b − 2`.
+///
+/// # Errors
+///
+/// [`TranslateError::ArityMismatch`] when that is below 1.
+fn join_arity(a: usize, b: usize) -> Result<usize, TranslateError> {
+    if a + b < 3 {
+        return Err(TranslateError::ArityMismatch {
+            context: format!("join of arities {a} and {b} would have arity < 1"),
+        });
+    }
+    Ok(a + b - 2)
 }
 
 /// Minimal signed width able to represent `v`.
@@ -908,6 +904,179 @@ mod tests {
             .translate(&Expr::atom(ids[0]).join(&Expr::atom(ids[1])).some())
             .unwrap_err();
         assert!(matches!(err, TranslateError::ArityMismatch { .. }), "{err}");
+    }
+
+    /// Every operator with an arity constraint checks it on its translated
+    /// operands: each ill-formed formula fails with the expected error, and
+    /// its well-formed twin translates.
+    #[test]
+    fn operators_check_arities_on_their_translated_operands() {
+        let mut u = Universe::new();
+        let ids = u.add_atoms("A", 3);
+        let ints = u.add_int_atoms(1..=2);
+        let mut p = Problem::new(u);
+        let upper = |arity| {
+            let mut set = TupleSet::new(arity);
+            for &a in &ids {
+                for &b in &ids {
+                    set.insert(Tuple::new(vec![a, b][..arity].to_vec()));
+                }
+            }
+            set
+        };
+        let s = Expr::relation(p.declare_relation("s", TupleSet::new(1), upper(1)));
+        let r = Expr::relation(p.declare_relation("r", TupleSet::new(2), upper(2)));
+        let n =
+            Expr::relation(p.declare_relation("n", TupleSet::new(1), TupleSet::from_atoms(ints)));
+        let (atom, v) = (Expr::atom(ids[0]), QuantVar::fresh("v"));
+        let cond = s.some();
+        // Each is (label, ill-formed, well-formed twin).
+        let mismatches = [
+            ("union", s.union(&r).some(), r.union(&r).some()),
+            ("intersect", r.intersect(&s).some(), r.intersect(&r).some()),
+            (
+                "difference",
+                s.difference(&r).some(),
+                s.difference(&s).some(),
+            ),
+            ("join", s.join(&s).some(), s.join(&r).some()),
+            ("atom.relation", atom.join(&s).some(), atom.join(&r).some()),
+            ("atom.atom", atom.join(&atom).some(), atom.join(&r).some()),
+            (
+                "var.expr",
+                Formula::forall(&v, &s, &v.expr().join(&s.union(&s)).some()),
+                Formula::forall(&v, &s, &v.expr().join(&r.union(&r)).some()),
+            ),
+            ("transpose", s.transpose().some(), r.transpose().some()),
+            ("closure", s.closure().some(), r.closure().some()),
+            (
+                "reflexive closure",
+                s.reflexive_closure().some(),
+                r.reflexive_closure().some(),
+            ),
+            (
+                "if-then-else",
+                Expr::if_else(&cond, &s, &r).some(),
+                Expr::if_else(&cond, &r, &r).some(),
+            ),
+            (
+                "if-then-else branch",
+                Expr::if_else(&cond, &r.join(&r.transpose()), &r.join(&s)).some(),
+                Expr::if_else(&cond, &r.join(&r.transpose()), &r).some(),
+            ),
+            ("subset", s.in_(&r), r.in_(&r)),
+            ("equal", r.equals(&s), r.equals(&r)),
+            (
+                "nested",
+                s.union(&r.transpose()).in_(&s),
+                s.union(&r.join(&s)).in_(&s),
+            ),
+        ];
+        let domains = [
+            (
+                "forall",
+                Formula::forall(&v, &r, &v.expr().in_(&s)),
+                Formula::forall(&v, &s, &v.expr().in_(&s)),
+            ),
+            (
+                "exists",
+                Formula::exists(&v, &r, &v.expr().in_(&s)),
+                Formula::exists(&v, &s, &v.expr().in_(&s)),
+            ),
+            (
+                "comprehension",
+                Expr::comprehension([(v.clone(), r.clone())], &v.expr().in_(&s)).some(),
+                Expr::comprehension([(v.clone(), s.clone())], &v.expr().in_(&s)).some(),
+            ),
+            (
+                "sum",
+                r.sum_values().eq_(&IntExpr::constant(3)),
+                n.sum_values().eq_(&IntExpr::constant(3)),
+            ),
+        ];
+        let cases =
+            (mismatches.iter().map(|c| (c, false))).chain(domains.iter().map(|c| (c, true)));
+        for ((label, ill, twin), domain) in cases {
+            match p.translate(ill) {
+                Err(TranslateError::ArityMismatch { .. }) if !domain => {}
+                Err(TranslateError::NonUnaryDomain { .. }) if domain => {}
+                other => panic!("{label}: {ill:?} gave {other:?}"),
+            }
+            if let Err(e) = p.translate(twin) {
+                panic!("{label}: the twin {twin:?} failed: {e}");
+            }
+        }
+    }
+
+    /// `a = b` emits the CNF of `a in b and b in a`, byte for byte, for
+    /// operand shapes beyond the deck's: set operators, product, transpose,
+    /// closure, `iden`, a comprehension, a relation with lower-bound
+    /// cells, an empty side, and sides under a quantifier.
+    #[test]
+    fn equality_emits_the_cnf_of_both_subsets() {
+        let mut u = Universe::new();
+        let ids = u.add_atoms("A", 3);
+        let mut p = Problem::new(u);
+        let tuples = |arity, of: &[&[usize]]| {
+            let mut set = TupleSet::new(arity);
+            for t in of {
+                set.insert(Tuple::new(t.iter().map(|&i| ids[i]).collect::<Vec<_>>()));
+            }
+            set
+        };
+        let pairs: Vec<[usize; 2]> = (0..3).flat_map(|a| (0..3).map(move |b| [a, b])).collect();
+        let all: Vec<&[usize]> = pairs.iter().map(|t| &t[..]).collect();
+        let s = Expr::relation(p.declare_relation(
+            "s",
+            TupleSet::new(1),
+            tuples(1, &[&[0], &[1], &[2]]),
+        ));
+        let t =
+            Expr::relation(p.declare_relation("t", tuples(1, &[&[2]]), tuples(1, &[&[0], &[2]])));
+        let r = Expr::relation(p.declare_relation("r", TupleSet::new(2), tuples(2, &all)));
+        let q = Expr::relation(p.declare_relation(
+            "q",
+            tuples(2, &[&[0, 1], &[2, 2]]),
+            tuples(2, &[&[0, 1], &[1, 0], &[1, 2], &[2, 2]]),
+        ));
+        let v = QuantVar::fresh("v");
+        let comprehension =
+            Expr::comprehension([(v.clone(), s.clone())], &v.expr().join(&r).some());
+        // The last pair mentions `v`, so it is checked under `all v: s`
+        // only; the others are checked bare as well.
+        let sides = [
+            (r.union(&q), r.intersect(&q.transpose())),
+            (s.product(&t), r.difference(&q)),
+            (r.transpose(), q.clone()),
+            (r.closure(), r.reflexive_closure()),
+            (Expr::iden(), r.clone()),
+            (comprehension, t.clone()),
+            (q, r.clone()),
+            (Expr::empty(2), r.clone()),
+            (Expr::empty(1), Expr::empty(1)),
+            (v.expr().join(&r), s.difference(&v.expr())),
+        ];
+        let dimacs = |f: &Formula| {
+            let mut out = Vec::new();
+            let cnf = p.translate(f).expect("translates").cnf;
+            cnf.write_dimacs(&mut out).expect("writes");
+            out
+        };
+        let bare = sides.len() - 1;
+        for (k, (a, b)) in sides.iter().enumerate() {
+            for (a, b) in [(a, b), (b, a)] {
+                let (equal, both) = (a.equals(b), a.in_(b).and(&b.in_(a)));
+                let quantified = |f: &Formula| Formula::forall(&v, &s, f);
+                assert_eq!(
+                    dimacs(&quantified(&equal)),
+                    dimacs(&quantified(&both)),
+                    "all v: s | {a:?} = {b:?}"
+                );
+                if k < bare {
+                    assert_eq!(dimacs(&equal), dimacs(&both), "{a:?} = {b:?}");
+                }
+            }
+        }
     }
 
     #[test]

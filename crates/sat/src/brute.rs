@@ -49,13 +49,11 @@ pub fn brute_force_count(cnf: &CnfFormula) -> u64 {
 
 /// `true` if the model satisfies every clause of the formula.
 pub fn model_satisfies(cnf: &CnfFormula, model: &Model) -> bool {
-    cnf.clauses()
-        .iter()
-        .all(|c| c.iter().any(|&l| model.lit_value(l)))
+    cnf.clauses().all(|c| c.iter().any(|&l| model.lit_value(l)))
 }
 
 fn satisfies(cnf: &CnfFormula, bits: u64) -> bool {
-    cnf.clauses().iter().all(|c| {
+    cnf.clauses().all(|c| {
         c.iter().any(|l| {
             let val = bits >> l.var().index() & 1 == 1;
             val == l.is_positive()

@@ -3,7 +3,12 @@
 //! [`CnfFormula`] decouples formula construction from solving: translators
 //! (such as `mca-relalg`) build a formula, inspect its size statistics, dump
 //! it to DIMACS for external tools, and finally load it into a
-//! [`Solver`](crate::Solver).
+//! [`Solver`](crate::Solver) with [`Solver::add_cnf`].
+//!
+//! The clauses live in one flat literal vector, clause after clause, with
+//! one offset per clause boundary. Adding a clause appends to that vector,
+//! and [`CnfFormula::clauses`] lends out slices of it, so building,
+//! reading and dropping a formula allocate nothing per clause.
 
 use crate::lit::{Lit, Var};
 use crate::solver::Solver;
@@ -25,10 +30,23 @@ use std::io::{self, BufRead, Write};
 /// let mut solver = cnf.to_solver();
 /// assert_eq!(solver.solve(), SolveResult::Sat);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CnfFormula {
     num_vars: usize,
-    clauses: Vec<Vec<Lit>>,
+    /// Every clause's literals, clause after clause.
+    lits: Vec<Lit>,
+    /// Clause `i` is `lits[bounds[i]..bounds[i + 1]]`; `bounds[0]` is 0.
+    bounds: Vec<usize>,
+}
+
+impl Default for CnfFormula {
+    fn default() -> CnfFormula {
+        CnfFormula {
+            num_vars: 0,
+            lits: Vec::new(),
+            bounds: vec![0],
+        }
+    }
 }
 
 impl CnfFormula {
@@ -56,12 +74,12 @@ impl CnfFormula {
 
     /// Number of clauses.
     pub fn num_clauses(&self) -> usize {
-        self.clauses.len()
+        self.bounds.len() - 1
     }
 
     /// Total number of literal occurrences across all clauses.
     pub fn num_literals(&self) -> usize {
-        self.clauses.iter().map(Vec::len).sum()
+        self.lits.len()
     }
 
     /// Adds a clause. Variables mentioned by the clause are registered
@@ -70,27 +88,32 @@ impl CnfFormula {
     where
         I: IntoIterator<Item = Lit>,
     {
-        let clause: Vec<Lit> = lits.into_iter().collect();
-        for l in &clause {
-            if l.var().index() >= self.num_vars {
-                self.num_vars = l.var().index() + 1;
-            }
+        for l in lits {
+            self.num_vars = self.num_vars.max(l.var().index() + 1);
+            self.lits.push(l);
         }
-        self.clauses.push(clause);
+        self.bounds.push(self.lits.len());
     }
 
-    /// The clauses of this formula.
-    pub fn clauses(&self) -> &[Vec<Lit>] {
-        &self.clauses
+    /// Clause `i`, in the order the clauses were added.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.num_clauses()`.
+    pub fn clause(&self, i: usize) -> &[Lit] {
+        &self.lits[self.bounds[i]..self.bounds[i + 1]]
     }
 
-    /// Builds a fresh [`Solver`] loaded with this formula.
+    /// The clauses of this formula, in the order they were added.
+    pub fn clauses(&self) -> impl ExactSizeIterator<Item = &[Lit]> + DoubleEndedIterator + Clone {
+        self.bounds.windows(2).map(|w| &self.lits[w[0]..w[1]])
+    }
+
+    /// Builds a fresh [`Solver`] loaded with this formula
+    /// ([`Solver::add_cnf`]).
     pub fn to_solver(&self) -> Solver {
         let mut s = Solver::new();
-        s.new_vars(self.num_vars);
-        for c in &self.clauses {
-            s.add_clause(c.iter().copied());
-        }
+        s.add_cnf(self);
         s
     }
 
@@ -100,8 +123,8 @@ impl CnfFormula {
     ///
     /// Propagates I/O errors from the writer.
     pub fn write_dimacs<W: Write>(&self, mut w: W) -> io::Result<()> {
-        writeln!(w, "p cnf {} {}", self.num_vars, self.clauses.len())?;
-        for c in &self.clauses {
+        writeln!(w, "p cnf {} {}", self.num_vars, self.num_clauses())?;
+        for c in self.clauses() {
             for l in c {
                 write!(w, "{} ", l.to_dimacs())?;
             }
@@ -229,7 +252,7 @@ mod tests {
         let cnf = CnfFormula::parse_dimacs(text.as_bytes()).unwrap();
         assert_eq!(cnf.num_vars(), 3);
         assert_eq!(cnf.num_clauses(), 2);
-        assert_eq!(cnf.clauses()[0].len(), 3);
+        assert_eq!(cnf.clause(0).len(), 3);
     }
 
     #[test]
@@ -253,6 +276,31 @@ mod tests {
         assert_eq!(s.solve(), SolveResult::Sat);
         let m = s.model().unwrap();
         assert!(m.value(Var::from_index(1)));
+    }
+
+    #[test]
+    fn clauses_read_back_in_order_from_one_store() {
+        let mut cnf = CnfFormula::new();
+        let [a, b, c] = [0, 1, 2].map(|i| Var::from_index(i).positive());
+        let added: [&[Lit]; 4] = [&[a, !b], &[], &[c], &[!a, b, !c]];
+        for clause in added {
+            cnf.add_clause(clause.iter().copied());
+        }
+        assert!(cnf.clauses().eq(added));
+        assert!(cnf.clauses().rev().eq(added.into_iter().rev()));
+        assert_eq!(cnf.clauses().len(), 4);
+        for (i, clause) in added.into_iter().enumerate() {
+            assert_eq!(cnf.clause(i), clause);
+        }
+        assert_eq!(cnf.num_literals(), 6);
+        assert_eq!(cnf.num_vars(), 3);
+        assert_eq!(CnfFormula::new().clauses().count(), 0);
+        // A solver that already has more variables keeps its numbering.
+        let mut s = Solver::new();
+        s.new_vars(5);
+        s.add_cnf(&cnf);
+        assert_eq!(s.num_vars(), 5);
+        assert_eq!(s.solve(), SolveResult::Unsat, "the empty clause refutes it");
     }
 
     #[test]

@@ -396,7 +396,7 @@ impl DratChecker {
         // A formula that already contains the empty clause is refuted by
         // itself; every proof (including the empty one) certifies it. This
         // arises when translation simplifies a goal to constant false.
-        if cnf.clauses().iter().any(|c| c.is_empty()) {
+        if cnf.clauses().any(|c| c.is_empty()) {
             return Some(DratChecker {
                 checker: Checker::new(0),
                 verdict: Some(Ok(())),
@@ -404,7 +404,7 @@ impl DratChecker {
             });
         }
         let mut checker = Checker::new(cnf.num_vars());
-        for (i, clause) in cnf.clauses().iter().enumerate() {
+        for (i, clause) in cnf.clauses().enumerate() {
             if i % LOAD_POLL == 0 && cancel.load(Ordering::Relaxed) {
                 return None;
             }
@@ -862,7 +862,7 @@ mod tests {
         /// Returns [`DratError`] if a step is not RUP or the empty clause is never
         /// derived.
         pub fn check_drat(cnf: &CnfFormula, proof: &Proof) -> Result<(), DratError> {
-            let mut db: Vec<Vec<Lit>> = cnf.clauses().to_vec();
+            let mut db: Vec<Vec<Lit>> = cnf.clauses().map(<[Lit]>::to_vec).collect();
             // A formula that already contains the empty clause is refuted by
             // itself; every proof (including the empty one) certifies it. This
             // arises when translation simplifies a goal to constant false.
@@ -1137,9 +1137,8 @@ mod tests {
 
         let units: Vec<Vec<Lit>> = cnf
             .clauses()
-            .iter()
             .filter(|c| c.len() == 1)
-            .cloned()
+            .map(<[Lit]>::to_vec)
             .collect();
         let mut deleting = steps.to_vec();
         for _ in 0..rng.gen_range(1..4) {
@@ -1151,7 +1150,8 @@ mod tests {
                     ProofStep::Delete(_) => None,
                 })
                 .collect();
-            let original = pick(rng, cnf.clauses()).cloned();
+            let original = (cnf.num_clauses() > 0)
+                .then(|| cnf.clause(rng.gen_range(0..cnf.num_clauses())).to_vec());
             let mut victim = match rng.gen_range(0..3) {
                 0 => pick(rng, &units).cloned().or(original),
                 1 => pick(rng, &lemmas).cloned().or(original),
@@ -1253,13 +1253,13 @@ mod tests {
                     got,
                     want,
                     "checkers disagree on {variant:?} against {:?}",
-                    cnf.clauses()
+                    cnf.clauses().collect::<Vec<_>>()
                 );
                 assert_eq!(
                     check_streamed(&cnf, &variant),
                     want,
                     "the streamed checker disagrees on {variant:?} against {:?}",
-                    cnf.clauses()
+                    cnf.clauses().collect::<Vec<_>>()
                 );
                 cases += 1;
                 rejected += usize::from(got.is_err());

@@ -77,7 +77,7 @@ fn simplify_impl(
     // all the DRAT checker compares, so neither needs a proof step.
     let mut clauses: Vec<Vec<Lit>> = Vec::with_capacity(cnf.num_clauses());
     'next_clause: for c in cnf.clauses() {
-        let mut cl = c.clone();
+        let mut cl = c.to_vec();
         cl.sort_unstable();
         cl.dedup();
         for w in cl.windows(2) {
@@ -361,7 +361,7 @@ mod tests {
         let cnf = cnf_of(3, &[&[1, 2], &[1, -2, 3]]);
         let (out, stats) = simplify(&cnf);
         assert!(stats.strengthened_literals >= 1);
-        assert!(out.clauses().iter().any(|c| c == &vec![lit(1), lit(3)]));
+        assert!(out.clauses().any(|c| c == [lit(1), lit(3)]));
     }
 
     #[test]
@@ -370,8 +370,8 @@ mod tests {
         let cnf = cnf_of(3, &[&[1], &[-1, 2], &[2, 3]]);
         let (out, stats) = simplify(&cnf);
         assert!(!stats.found_unsat);
-        assert!(out.clauses().contains(&vec![lit(1)]));
-        assert!(out.clauses().contains(&vec![lit(2)]));
+        assert!(out.clauses().any(|c| c == [lit(1)]));
+        assert!(out.clauses().any(|c| c == [lit(2)]));
         // (x2 ∨ x3) is satisfied by the unit x2 and dropped.
         assert_eq!(out.num_clauses(), 2);
     }
@@ -394,7 +394,7 @@ mod tests {
 
     /// `true` if the assignment encoded by `bits` satisfies every clause.
     fn sat_under(cnf: &CnfFormula, bits: u64) -> bool {
-        cnf.clauses().iter().all(|c| {
+        cnf.clauses().all(|c| {
             c.iter().any(|l| {
                 let val = bits >> l.var().index() & 1 == 1;
                 val == l.is_positive()
@@ -450,7 +450,7 @@ mod tests {
         assert!(proof.derives_empty_clause());
         crate::proof::check_drat(&cnf, &proof).expect("simplifier refutation must check");
         assert_eq!(out.num_clauses(), 1);
-        assert!(out.clauses()[0].is_empty());
+        assert!(out.clause(0).is_empty());
     }
 
     #[test]

@@ -42,9 +42,11 @@
 //!
 //! [`Solver::add_clause`] sorts, deduplicates and root-filters each clause
 //! in one scratch buffer that the solver keeps, so loading a formula
-//! allocates nothing per clause beyond the arena's own growth.
+//! ([`Solver::add_cnf`], a loop over it) allocates nothing per clause
+//! beyond the arena's own growth.
 
 use crate::clause::{ClauseDb, ClauseRef, BINARY_TAG};
+use crate::cnf::CnfFormula;
 use crate::lit::{LBool, Lit, Var};
 use crate::luby::luby;
 use crate::proof::{Proof, ProofLog, ProofStep};
@@ -522,6 +524,22 @@ impl Solver {
         ok
     }
 
+    /// Loads `cnf`: creates variables until the solver has
+    /// `cnf.num_vars()`, so the formula's variable `i` is the solver's
+    /// variable `i`, then adds each clause in order with
+    /// [`add_clause`](Solver::add_clause).
+    ///
+    /// Settings made beforehand, such as a span recorder or proof logging,
+    /// apply to the load.
+    pub fn add_cnf(&mut self, cnf: &CnfFormula) {
+        while self.num_vars() < cnf.num_vars() {
+            self.new_var();
+        }
+        for c in cnf.clauses() {
+            self.add_clause(c.iter().copied());
+        }
+    }
+
     /// [`add_clause`](Solver::add_clause) on a clause in the reused scratch
     /// buffer, which it sorts, deduplicates and filters in place.
     fn add_buffered(&mut self, c: &mut Vec<Lit>) -> bool {
@@ -993,7 +1011,7 @@ impl Solver {
             };
         }
         // Snapshot the problem: stored clauses plus root-level trail units.
-        let mut cnf = crate::cnf::CnfFormula::new();
+        let mut cnf = CnfFormula::new();
         cnf.new_vars(self.num_vars());
         for cref in self.db.iter_problem_refs() {
             cnf.add_clause(self.db.lits(cref));
@@ -1034,11 +1052,7 @@ impl Solver {
         // Re-adding through `add_clause` re-establishes watches and the
         // unit trail. The simplified formula is at unit-propagation
         // fixpoint, so no clause is filtered and nothing is re-logged.
-        for c in simplified.clauses() {
-            if !self.add_clause(c.iter().copied()) {
-                break;
-            }
-        }
+        self.add_cnf(&simplified);
         stats
     }
 
@@ -1506,10 +1520,7 @@ mod tests {
         if proof {
             s.enable_proof();
         }
-        s.new_vars(cnf.num_vars());
-        for c in cnf.clauses() {
-            s.add_clause(c.iter().copied());
-        }
+        s.add_cnf(cnf);
         s
     }
 
