@@ -4,7 +4,6 @@
 //! repro                          # run all experiments (E1..E7)
 //! repro e5                       # run one experiment (also: --exp e5)
 //! repro --list                   # list experiments
-//! repro e5 --metrics e5.json     # write a metrics registry as JSON
 //! repro --trace run.jsonl        # write a JSONL event trace
 //! repro e3 --threads 4           # run E3's checks on 4 worker threads
 //! repro report run.jsonl         # render a profiling report from a trace
@@ -13,7 +12,6 @@
 //! repro why run.jsonl            # diagnose bottlenecks from a trace
 //! repro serve --addr 127.0.0.1:7117   # verification-as-a-service daemon
 //! repro load --smoke             # drive a server, write BENCH_SERVE.json
-//! repro serve-stats 127.0.0.1:7117    # scrape a daemon's live telemetry
 //! ```
 //!
 //! With `--trace`, the run also records hierarchical **spans**: one
@@ -24,12 +22,14 @@
 //! byte-reproducible across runs — the logical (non-span) events still
 //! are, and so is the span tree's outline, at any `--threads`.
 //!
+//! A run's numbers reach the reader once each: through its `BENCH_*.json`
+//! file, its stdout, and (with `--trace`) its trace.
+//!
 //! `repro report <trace.jsonl>` renders a self-contained markdown (or
 //! `--html`) report from such a trace: span-tree time breakdown, top-k hot
-//! spans, event counts, and (with `--metrics`) metrics tables and
-//! histograms. `repro diff <old.json> <new.json>` compares two `BENCH_*`
-//! artifacts and exits 1 when a `*secs*` / `*clauses*` / `*conflicts*`
-//! leaf regressed past its threshold — the CI tripwire.
+//! spans and event counts. `repro diff <old.json> <new.json>` compares two
+//! `BENCH_*` artifacts and exits 1 when a `*secs*` / `*clauses*` /
+//! `*conflicts*` leaf regressed past its threshold — the CI tripwire.
 //!
 //! `--threads N` runs the independent checks of E3, E4 and E8 as batches
 //! on up to `N` scoped worker threads (`mca_verify::batch`; `--threads
@@ -61,13 +61,11 @@
 //! `repro diff`: 0 when no rule fires, 1 when at least one does, 2 on
 //! usage/IO errors — so CI can pin the diagnosis set on known fixtures.
 //!
-//! The service side mirrors the same workflow: `repro serve-stats <addr>`
-//! scrapes a running daemon's `Metrics` frame (Prometheus-style text,
-//! `--flight FILE` also saves the `FlightDump` JSON), `repro why --serve
-//! scrape.txt [--flight flight.json]` runs the W101–W106 service rule
-//! family over a scrape, and `repro report <trace> --serve-stats
-//! scrape.txt` appends the service dashboard section (latency percentiles,
-//! hit rate by tier, queue sparkline) to the rendered report.
+//! The service side follows the same workflow: `repro serve --trace FILE`
+//! writes one `serve-*` event group per request, with a `serve-span`
+//! event splitting its service time into six phases, and `repro report`
+//! renders them as a `## Service` section (request mix, cache
+//! dispositions, latency by request kind, phase shares).
 //!
 //! `--reps N` (default 5) controls the benchmark methodology of the
 //! `BENCH_PAR.json` section of E3: each timed section runs one untimed warmup
@@ -76,7 +74,7 @@
 //! diff` gates on a stable statistic instead of a single noisy sample.
 
 use mca_obs::json::Json;
-use mca_obs::{Handle, JsonlSink, Metrics, SharedObserver, SpanRecorder};
+use mca_obs::{Handle, JsonlSink, SharedObserver, SpanRecorder};
 use mca_report::{
     diff_bench, render_html, render_lint_markdown, render_markdown, DiffConfig, ParsedTrace,
     ReportOptions,
@@ -123,7 +121,6 @@ fn main() {
         Some("lint") => cmd_lint(&args[1..]),
         Some("why") => cmd_why(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
-        Some("serve-stats") => cmd_serve_stats(&args[1..]),
         Some("load") => cmd_load(&args[1..]),
         _ => {}
     }
@@ -135,7 +132,6 @@ fn main() {
     }
 
     let mut selected: Vec<String> = Vec::new();
-    let mut metrics_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut threads: usize = 0;
     let mut reps: usize = 5;
@@ -159,7 +155,6 @@ fn main() {
                 let e = flag_value("--exp");
                 selected.push(e);
             }
-            "--metrics" => metrics_path = Some(flag_value("--metrics")),
             "--trace" => trace_path = Some(flag_value("--trace")),
             "--smoke" => smoke = true,
             "--stretch" => stretch = true,
@@ -194,9 +189,9 @@ fn main() {
         selected = EXPERIMENTS.iter().map(|(id, _)| id.to_string()).collect();
     }
 
-    // One trace sink and one metrics registry span the whole run. Logical
-    // events are keyed by progress and deterministic for a fixed experiment
-    // selection; span events (below) add wall-clock timestamps on top.
+    // One trace sink spans the whole run. Logical events are keyed by
+    // progress and deterministic for a fixed experiment selection; span
+    // events (below) add wall-clock timestamps on top.
     let trace: Option<Handle<JsonlSink<BufWriter<File>>>> =
         trace_path
             .as_ref()
@@ -211,38 +206,20 @@ fn main() {
     // Spans are opt-in: only a traced run pays for clock reads, and only
     // the trace file sees the (wall-clock, hence non-reproducible) events.
     let spans: Option<SpanRecorder> = observer.as_ref().map(|o| SpanRecorder::new(o.clone()));
-    let mut metrics = Metrics::new();
 
     let mut all_match = true;
     for exp in &selected {
         println!("{}", "=".repeat(76));
         let root = spans.as_ref().map(|r| r.enter(&format!("repro.{exp}")));
         match exp.as_str() {
-            "e1" => all_match &= run_e1(&mut metrics, observer.clone()),
-            "e2" => all_match &= run_e2(&mut metrics),
-            "e3" => {
-                all_match &= run_e3(
-                    &mut metrics,
-                    observer.clone(),
-                    threads,
-                    spans.as_ref(),
-                    reps,
-                )
-            }
-            "e4" => all_match &= run_e4(&mut metrics, threads, spans.as_ref()),
-            "e5" => all_match &= run_e5(&mut metrics, observer.clone(), threads),
-            "e6" => all_match &= run_e6(&mut metrics),
-            "e7" => all_match &= run_e7(&mut metrics),
-            "e8" => {
-                all_match &= run_e8(
-                    &mut metrics,
-                    observer.clone(),
-                    spans.as_ref(),
-                    threads,
-                    smoke,
-                    stretch,
-                )
-            }
+            "e1" => all_match &= run_e1(observer.clone()),
+            "e2" => all_match &= run_e2(),
+            "e3" => all_match &= run_e3(observer.clone(), threads, spans.as_ref(), reps),
+            "e4" => all_match &= run_e4(threads, spans.as_ref()),
+            "e5" => all_match &= run_e5(observer.clone(), threads),
+            "e6" => all_match &= run_e6(),
+            "e7" => all_match &= run_e7(),
+            "e8" => all_match &= run_e8(observer.clone(), spans.as_ref(), threads, smoke, stretch),
             other => {
                 eprintln!("unknown experiment `{other}` (try --list)");
                 std::process::exit(2);
@@ -258,15 +235,6 @@ fn main() {
 
     drop(spans);
 
-    if let Some(path) = &metrics_path {
-        match std::fs::write(path, metrics.to_json().render() + "\n") {
-            Ok(()) => println!("metrics written to {path}"),
-            Err(e) => {
-                eprintln!("cannot write metrics file {path}: {e}");
-                std::process::exit(2);
-            }
-        }
-    }
     // Drop the last shared reference so the sink can be reclaimed below.
     drop(observer);
     if let (Some(handle), Some(path)) = (trace, trace_path.as_ref()) {
@@ -319,27 +287,19 @@ fn resources_json() -> Json {
     )])
 }
 
-/// `repro report <trace.jsonl> [--metrics m.json] [--out path] [--html]
-/// [--top N] [--timeline path.html]`
+/// `repro report <trace.jsonl> [--out path] [--html] [--top N]
+/// [--timeline path.html]`
 fn cmd_report(args: &[String]) -> ! {
     let mut trace_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
     let mut out_path: Option<String> = None;
     let mut timeline_path: Option<String> = None;
-    let mut serve_stats_path: Option<String> = None;
-    let mut flight_path: Option<String> = None;
     let mut html = false;
     let mut top = 10usize;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--metrics" => metrics_path = Some(subcommand_flag_value(args, &mut i, "--metrics")),
             "--out" => out_path = Some(subcommand_flag_value(args, &mut i, "--out")),
             "--timeline" => timeline_path = Some(subcommand_flag_value(args, &mut i, "--timeline")),
-            "--serve-stats" => {
-                serve_stats_path = Some(subcommand_flag_value(args, &mut i, "--serve-stats"));
-            }
-            "--flight" => flight_path = Some(subcommand_flag_value(args, &mut i, "--flight")),
             "--html" => html = true,
             "--top" => {
                 let v = subcommand_flag_value(args, &mut i, "--top");
@@ -360,7 +320,7 @@ fn cmd_report(args: &[String]) -> ! {
     }
     let Some(trace_path) = trace_path else {
         eprintln!(
-            "usage: repro report <trace.jsonl> [--metrics m.json] [--out path] [--html] [--top N] [--timeline path.html] [--serve-stats scrape.txt] [--flight flight.json]"
+            "usage: repro report <trace.jsonl> [--out path] [--html] [--top N] [--timeline path.html]"
         );
         std::process::exit(2);
     };
@@ -374,31 +334,11 @@ fn cmd_report(args: &[String]) -> ! {
         }
         println!("worker timeline written to {path}");
     }
-    let metrics = metrics_path.as_ref().map(|p| {
-        let text = read_or_die(p);
-        Json::parse(&text).unwrap_or_else(|e| {
-            eprintln!("cannot parse metrics file {p}: {e}");
-            std::process::exit(2);
-        })
-    });
     let opts = ReportOptions {
         top,
         source: trace_path.clone(),
     };
-    let mut markdown = render_markdown(&trace, metrics.as_ref(), &opts);
-    if let Some(path) = &serve_stats_path {
-        let stats = mca_report::ServiceStats::parse(&read_or_die(path));
-        let flight = flight_path.as_ref().map(|p| {
-            Json::parse(&read_or_die(p)).unwrap_or_else(|e| {
-                eprintln!("cannot parse flight dump {p}: {e}");
-                std::process::exit(2);
-            })
-        });
-        markdown.push_str(&mca_report::render_service_dashboard(
-            &stats,
-            flight.as_ref(),
-        ));
-    }
+    let markdown = render_markdown(&trace, &opts);
     let rendered = if html {
         render_html(&markdown, &format!("mca-report: {trace_path}"))
     } else {
@@ -423,14 +363,10 @@ fn cmd_report(args: &[String]) -> ! {
 /// CI can assert the diagnosis set on known fixtures.
 fn cmd_why(args: &[String]) -> ! {
     let mut trace_path: Option<String> = None;
-    let mut serve_path: Option<String> = None;
-    let mut flight_path: Option<String> = None;
     let mut out_path: Option<String> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--serve" => serve_path = Some(subcommand_flag_value(args, &mut i, "--serve")),
-            "--flight" => flight_path = Some(subcommand_flag_value(args, &mut i, "--flight")),
             "--out" => out_path = Some(subcommand_flag_value(args, &mut i, "--out")),
             other if trace_path.is_none() && !other.starts_with('-') => {
                 trace_path = Some(other.to_string());
@@ -442,36 +378,13 @@ fn cmd_why(args: &[String]) -> ! {
         }
         i += 1;
     }
-    if trace_path.is_none() && serve_path.is_none() {
-        eprintln!(
-            "usage: repro why <trace.jsonl> [--out path]\n       repro why --serve scrape.txt [--flight flight.json] [--out path]"
-        );
+    let Some(trace_path) = trace_path else {
+        eprintln!("usage: repro why <trace.jsonl> [--out path]");
         std::process::exit(2);
-    }
-    let parse_json = |p: &String| {
-        Json::parse(&read_or_die(p)).unwrap_or_else(|e| {
-            eprintln!("cannot parse JSON file {p}: {e}");
-            std::process::exit(2);
-        })
     };
-    let mut findings = Vec::new();
-    if let Some(trace_path) = &trace_path {
-        let trace = ParsedTrace::parse(&read_or_die(trace_path));
-        findings.extend(mca_report::diagnose(&trace));
-    }
-    if let Some(serve_path) = &serve_path {
-        let stats = mca_report::ServiceStats::parse(&read_or_die(serve_path));
-        let flight = flight_path.as_ref().map(parse_json);
-        findings.extend(mca_report::diagnose_service(&stats, flight.as_ref()));
-    }
-    findings.sort_by(|a, b| b.severity.cmp(&a.severity).then(a.rule.cmp(b.rule)));
-    let source = match (&trace_path, &serve_path) {
-        (Some(t), Some(s)) => format!("{t} + {s}"),
-        (Some(t), None) => t.clone(),
-        (None, Some(s)) => s.clone(),
-        (None, None) => unreachable!("usage check above"),
-    };
-    let rendered = mca_report::render_why_markdown(&findings, &source);
+    let trace = ParsedTrace::parse(&read_or_die(&trace_path));
+    let findings = mca_report::diagnose(&trace);
+    let rendered = mca_report::render_why_markdown(&findings, &trace_path);
     match out_path {
         Some(path) => {
             if let Err(e) = std::fs::write(&path, &rendered) {
@@ -695,16 +608,13 @@ fn cmd_lint(args: &[String]) -> ! {
 }
 
 /// `repro serve [--addr A] [--threads N] [--cache-mb N] [--queue-cap N]
-/// [--read-timeout-secs S] [--ring-cap N] [--slowest-cap N]
-/// [--window-secs S] [--no-telemetry] [--trace FILE]` — runs the
-/// verification daemon in the foreground until a wire `Shutdown` frame
-/// arrives, then drains in-flight requests, flushes counters (and the
-/// `--trace` event log), and exits 0. Bind and usage errors exit 2.
+/// [--read-timeout-secs S] [--trace FILE]` — runs the verification
+/// daemon in the foreground until a wire `Shutdown` frame arrives, then
+/// drains in-flight requests, flushes counters (and the `--trace` event
+/// log), and exits 0. Bind and usage errors exit 2.
 ///
-/// Telemetry (per-request records, rolling windows, the flight
-/// recorder) is on by default; the knobs size the flight-recorder ring,
-/// the slowest-request list, and the rolling window. Scrape a running
-/// daemon with `repro serve-stats <addr>`.
+/// With `--trace` the daemon records every request's `serve-*` events,
+/// its `serve-span` phase split included; `repro report` renders them.
 ///
 /// There is no signal handler — the workspace forbids `unsafe`, which
 /// rules one out — so stop the daemon with `repro load --shutdown` or
@@ -735,12 +645,6 @@ fn cmd_serve(args: &[String]) -> ! {
                 config.read_timeout =
                     std::time::Duration::from_secs(number("--read-timeout-secs") as u64);
             }
-            "--ring-cap" => config.telemetry.ring_capacity = number("--ring-cap").max(1),
-            "--slowest-cap" => config.telemetry.slowest_capacity = number("--slowest-cap").max(1),
-            "--window-secs" => {
-                config.telemetry.window_secs = number("--window-secs").max(1) as u64;
-            }
-            "--no-telemetry" => config.telemetry.enabled = false,
             "--trace" => trace_path = Some(subcommand_flag_value(args, &mut i, "--trace")),
             other => {
                 eprintln!("unknown serve argument `{other}`");
@@ -794,80 +698,6 @@ fn cmd_serve(args: &[String]) -> ! {
         report.cache.evictions,
         report.cache.bytes_hwm,
     );
-    std::process::exit(0);
-}
-
-/// `repro serve-stats <addr> [--out FILE] [--flight FILE] [--shutdown]`
-/// — scrapes a running daemon's `Metrics` frame (Prometheus-style
-/// exposition text) to stdout or `--out`, and with `--flight` also
-/// saves the `FlightDump` JSON (recent ring + slowest requests). With
-/// `--shutdown` the scrape is followed by a wire `Shutdown` frame, so a
-/// driver can capture final counters and stop the daemon race-free in
-/// one step. The scrape pairs with `repro why --serve` and
-/// `repro report --serve-stats`. Connection and IO errors exit 2.
-fn cmd_serve_stats(args: &[String]) -> ! {
-    let mut addr: Option<String> = None;
-    let mut out_path: Option<String> = None;
-    let mut flight_path: Option<String> = None;
-    let mut shutdown = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => out_path = Some(subcommand_flag_value(args, &mut i, "--out")),
-            "--flight" => flight_path = Some(subcommand_flag_value(args, &mut i, "--flight")),
-            "--shutdown" => shutdown = true,
-            other if addr.is_none() && !other.starts_with('-') => {
-                addr = Some(other.to_string());
-            }
-            other => {
-                eprintln!("unknown serve-stats argument `{other}`");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-    let Some(addr) = addr else {
-        eprintln!("usage: repro serve-stats <addr> [--out FILE] [--flight FILE] [--shutdown]");
-        std::process::exit(2);
-    };
-    let mut client =
-        mca_serve::Client::connect_retry(&addr as &str, 20, std::time::Duration::from_millis(100))
-            .unwrap_or_else(|e| {
-                eprintln!("cannot connect to {addr}: {e}");
-                std::process::exit(2);
-            });
-    let text = client.metrics().unwrap_or_else(|e| {
-        eprintln!("metrics scrape of {addr} failed: {e}");
-        std::process::exit(2);
-    });
-    match &out_path {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &text) {
-                eprintln!("cannot write scrape file {path}: {e}");
-                std::process::exit(2);
-            }
-            println!("metrics scrape written to {path}");
-        }
-        None => print!("{text}"),
-    }
-    if let Some(path) = &flight_path {
-        let dump = client.flight_dump().unwrap_or_else(|e| {
-            eprintln!("flight dump of {addr} failed: {e}");
-            std::process::exit(2);
-        });
-        if let Err(e) = std::fs::write(path, &dump) {
-            eprintln!("cannot write flight dump {path}: {e}");
-            std::process::exit(2);
-        }
-        println!("flight dump written to {path}");
-    }
-    if shutdown {
-        if let Err(e) = client.shutdown_server() {
-            eprintln!("shutdown of {addr} failed: {e}");
-            std::process::exit(2);
-        }
-        println!("shutdown acknowledged by {addr}");
-    }
     std::process::exit(0);
 }
 
@@ -1041,11 +871,9 @@ fn read_or_die(path: &str) -> String {
     })
 }
 
-fn run_e1(metrics: &mut Metrics, observer: Option<SharedObserver>) -> bool {
-    let report = metrics.time("e1.run", || analysis::run_fig1(observer));
+fn run_e1(observer: Option<SharedObserver>) -> bool {
+    let report = analysis::run_fig1(observer);
     println!("{report}");
-    metrics.add("e1.messages", report.messages as u64);
-    metrics.set_gauge("e1.converged", i64::from(report.converged));
     let ok = report.converged
         && report.final_bids == vec![20, 15, 30]
         && report.winners == vec![1, 1, 0];
@@ -1060,9 +888,9 @@ fn run_e1(metrics: &mut Metrics, observer: Option<SharedObserver>) -> bool {
     ok
 }
 
-fn run_e2(metrics: &mut Metrics) -> bool {
+fn run_e2() -> bool {
     println!("E2 (Figure 2) — non-sub-modular utility + release-outbid oscillates");
-    match metrics.time("e2.run", analysis::run_fig2_oscillation) {
+    match analysis::run_fig2_oscillation() {
         Some(trace) => {
             println!("counterexample execution:\n{trace}");
             println!("  => oscillation found, as the paper reports ✓");
@@ -1076,25 +904,18 @@ fn run_e2(metrics: &mut Metrics) -> bool {
 }
 
 fn run_e3(
-    metrics: &mut Metrics,
     observer: Option<SharedObserver>,
     threads: usize,
     spans: Option<&SpanRecorder>,
     reps: usize,
 ) -> bool {
     println!("E3 (Result 1) — policy matrix (exhaustive explicit-state checking)");
-    let rows = metrics.time("e3.run", || {
-        analysis::run_policy_matrix(threads, observer, spans)
-    });
+    let rows = analysis::run_policy_matrix(threads, observer, spans);
     let mut ok = true;
     for row in &rows {
         println!("{row}");
         ok &= row.matches_paper();
     }
-    metrics.set_gauge(
-        "e3.cells_matching_paper",
-        rows.iter().filter(|r| r.matches_paper()).count() as i64,
-    );
     println!(
         "  => {}",
         if ok {
@@ -1104,7 +925,7 @@ fn run_e3(
         }
     );
     if threads > 1 {
-        ok &= run_e3_bench_par(metrics, threads, spans, &rows, reps);
+        ok &= run_e3_bench_par(threads, spans, &rows, reps);
     }
     ok
 }
@@ -1150,7 +971,6 @@ const E8_PAR_VARIANTS: [(&str, NumberEncoding, bool); 2] = [
 /// which is measured **once** (it is multi-second work whose repetition
 /// would dwarf the rest of the run).
 fn run_e3_bench_par(
-    metrics: &mut Metrics,
     threads: usize,
     spans: Option<&SpanRecorder>,
     rows: &[analysis::PolicyMatrixRow],
@@ -1179,9 +999,7 @@ fn run_e3_bench_par(
     let (_, seq_secs, seq_spread) =
         bench_median(reps, || analysis::run_extended_policy_matrix(1, spans));
     let (xrows, par_secs, par_spread) = bench_median(reps, || {
-        metrics.time("e3.extended.run", || {
-            analysis::run_extended_policy_matrix(threads, spans)
-        })
+        analysis::run_extended_policy_matrix(threads, spans)
     });
     let speedup = seq_secs / par_secs.max(1e-9);
     println!("  extended matrix (policy × rebid × topology, 16 cells):");
@@ -1190,7 +1008,6 @@ fn run_e3_bench_par(
         println!("{row}");
         xmatch += usize::from(row.matches_paper());
     }
-    metrics.set_gauge("e3.extended.cells_matching", xmatch as i64);
     println!(
         "  extended matrix: 1 thread {seq_secs:.3}s (±{seq_spread:.2}) vs {threads} threads {par_secs:.3}s (±{par_spread:.2}) — speedup {speedup:.2}x"
     );
@@ -1303,24 +1120,22 @@ fn e8_par_cells(
     run_batch(threads, jobs, None, spans)
 }
 
-fn run_e4(metrics: &mut Metrics, threads: usize, spans: Option<&SpanRecorder>) -> bool {
-    let report = metrics.time("e4.run", || analysis::run_rebid_attack(threads, spans));
+fn run_e4(threads: usize, spans: Option<&SpanRecorder>) -> bool {
+    let report = analysis::run_rebid_attack(threads, spans);
     println!("{report}");
-    metrics.set_gauge("e4.matches_paper", i64::from(report.matches_paper()));
     report.matches_paper()
 }
 
-fn run_e5(metrics: &mut Metrics, observer: Option<SharedObserver>, threads: usize) -> bool {
+fn run_e5(observer: Option<SharedObserver>, threads: usize) -> bool {
     println!("E5 (Abstractions Efficiency) — static + dynamic model, both encodings");
     println!("(paper: 259K -> 190K clauses, ~a day -> <2h, scope 3 pnodes / 2 vnodes)\n");
     let wall_start = Instant::now();
-    let rows = metrics.time("e5.run", || analysis::run_encoding_comparison(observer));
+    let rows = analysis::run_encoding_comparison(observer);
     let wall_clock_secs = wall_start.elapsed().as_secs_f64();
     let mut ok = true;
-    for (i, row) in rows.iter().enumerate() {
+    for row in &rows {
         println!("{row}\n");
         ok &= row.clause_ratio() > 1.0 && row.time_ratio() > 1.0;
-        record_e5_metrics(metrics, i, row);
     }
     write_bench_file(
         "BENCH_E5.json",
@@ -1338,37 +1153,6 @@ fn run_e5(metrics: &mut Metrics, observer: Option<SharedObserver>, threads: usiz
     ok
 }
 
-/// Flattens one E5 row into gauge/timer entries, e.g.
-/// `e5.s1.naive.cnf_clauses` or `e5.s1.optimized.solver.conflicts`.
-fn record_e5_metrics(metrics: &mut Metrics, scope_index: usize, row: &EncodingRow) {
-    for (enc, stats, solver, secs) in [
-        ("naive", &row.naive, &row.naive_solver, row.naive_check_secs),
-        (
-            "optimized",
-            &row.optimized,
-            &row.optimized_solver,
-            row.optimized_check_secs,
-        ),
-    ] {
-        let p = format!("e5.s{scope_index}.{enc}");
-        metrics.set_gauge(&format!("{p}.primary_vars"), stats.primary_vars as i64);
-        metrics.set_gauge(&format!("{p}.cnf_vars"), stats.cnf_vars as i64);
-        metrics.set_gauge(&format!("{p}.cnf_clauses"), stats.cnf_clauses as i64);
-        metrics.set_gauge(
-            &format!("{p}.clauses_deduped"),
-            stats.clauses_deduped as i64,
-        );
-        metrics.set_gauge(&format!("{p}.solver.decisions"), solver.decisions as i64);
-        metrics.set_gauge(
-            &format!("{p}.solver.propagations"),
-            solver.propagations as i64,
-        );
-        metrics.set_gauge(&format!("{p}.solver.conflicts"), solver.conflicts as i64);
-        metrics.set_gauge(&format!("{p}.solver.restarts"), solver.restarts as i64);
-        metrics.add_timer_ns(&format!("{p}.check"), (secs * 1e9) as u64);
-    }
-}
-
 /// The committed `BENCH_E5.json` artifact: every number of the paper's
 /// encoding-efficiency table, per scope and per encoding, plus the run's
 /// total wall-clock and the configured thread count.
@@ -1382,6 +1166,7 @@ fn bench_e5_json(rows: &[EncodingRow], wall_clock_secs: f64, threads: usize) -> 
             ("primary_vars", Json::from(stats.primary_vars as u64)),
             ("cnf_vars", Json::from(stats.cnf_vars as u64)),
             ("cnf_clauses", Json::from(stats.cnf_clauses as u64)),
+            ("clauses_deduped", Json::from(stats.clauses_deduped as u64)),
             ("cnf_literals", Json::from(stats.cnf_literals as u64)),
             ("circuit_gates", Json::from(stats.circuit_gates as u64)),
             ("check_secs", Json::from(secs)),
@@ -1466,7 +1251,6 @@ fn bench_e5_json(rows: &[EncodingRow], wall_clock_secs: f64, threads: usize) -> 
 }
 
 fn run_e8(
-    metrics: &mut Metrics,
     observer: Option<SharedObserver>,
     spans: Option<&SpanRecorder>,
     threads: usize,
@@ -1481,36 +1265,28 @@ fn run_e8(
         analysis::e8_scopes(stretch)
     };
     let wall_start = Instant::now();
-    let rows = metrics
-        .time("e8.run", || {
-            analysis::run_scale_sweep(threads, &scopes, observer, spans)
-        })
+    let rows = analysis::run_scale_sweep(threads, &scopes, observer, spans)
         .expect("well-formed scale models");
     let wall_clock_secs = wall_start.elapsed().as_secs_f64();
     let mut ok = true;
     for row in &rows {
         println!("{row}");
         ok &= row.verdicts_agree() && row.valid();
-        record_e8_metrics(metrics, row);
     }
 
     // End-to-end certification: the preprocessed pipeline's "valid" verdict
     // at the smallest scope, with the simplifier's DRAT steps prepended to
     // the solver's, verified by the independent proof checker.
-    let certified = metrics.time("e8.certify", || {
-        let model = DynamicModel::build(
-            NumberEncoding::OptimizedValue,
-            DynamicScenario::at_scope(2, 2),
-        );
-        model
-            .model()
-            .check_certified(&model.consensus_assertion(), true)
-            .expect("well-formed model")
-    });
+    let model = DynamicModel::build(
+        NumberEncoding::OptimizedValue,
+        DynamicScenario::at_scope(2, 2),
+    );
+    let certified = model
+        .model()
+        .check_certified(&model.consensus_assertion(), true)
+        .expect("well-formed model");
     let cert_ok = certified.is_certified_valid();
     let cert_steps = certified.certificate.as_ref().map_or(0, |c| c.steps);
-    metrics.set_gauge("e8.certified", i64::from(cert_ok));
-    metrics.set_gauge("e8.certified.proof_steps", cert_steps as i64);
     println!(
         "  certification (2x2, optimized+pre): {} ({} DRAT steps)",
         if cert_ok {
@@ -1536,61 +1312,6 @@ fn run_e8(
         }
     );
     ok
-}
-
-/// Flattens one E8 row into gauge/timer entries, e.g.
-/// `e8.3x2.optimized+pre.cnf_clauses`, `e8.3x2.optimized+pre.simplify.subsumed`
-/// or `e8.3x2.sweep.conflicts` — including the simplifier's statistics,
-/// which earlier revisions computed and then dropped.
-fn record_e8_metrics(metrics: &mut Metrics, row: &analysis::ScaleRow) {
-    for v in &row.variants {
-        let p = format!("e8.{}.{}", row.scope, v.variant);
-        metrics.set_gauge(&format!("{p}.valid"), i64::from(v.valid));
-        metrics.set_gauge(&format!("{p}.vacuous"), i64::from(v.vacuous));
-        metrics.set_gauge(&format!("{p}.cnf_vars"), v.stats.cnf_vars as i64);
-        metrics.set_gauge(&format!("{p}.cnf_clauses"), v.stats.cnf_clauses as i64);
-        metrics.set_gauge(
-            &format!("{p}.clauses_deduped"),
-            v.stats.clauses_deduped as i64,
-        );
-        metrics.set_gauge(&format!("{p}.solver.conflicts"), v.solver.conflicts as i64);
-        metrics.set_gauge(
-            &format!("{p}.solver.propagations"),
-            v.solver.propagations as i64,
-        );
-        metrics.add_timer_ns(&format!("{p}.check"), (v.check_secs * 1e9) as u64);
-        if let Some(s) = &v.simplify {
-            record_simplify_metrics(metrics, &p, s);
-        }
-    }
-    let p = format!("e8.{}.sweep", row.scope);
-    metrics.set_gauge(
-        &format!("{p}.valid_from"),
-        row.sweep.valid_from.map_or(-1, |k| k as i64),
-    );
-    metrics.set_gauge(&format!("{p}.queries"), row.sweep.per_state.len() as i64);
-    metrics.set_gauge(&format!("{p}.conflicts"), row.sweep.solver.conflicts as i64);
-    metrics.add_timer_ns(&format!("{p}.run"), (row.sweep_secs * 1e9) as u64);
-    if let Some(s) = &row.sweep.simplify {
-        record_simplify_metrics(metrics, &p, s);
-    }
-}
-
-/// Records a [`mca_sat::SimplifyStats`] under `<prefix>.simplify.*`.
-fn record_simplify_metrics(metrics: &mut Metrics, prefix: &str, s: &mca_sat::SimplifyStats) {
-    metrics.set_gauge(&format!("{prefix}.simplify.subsumed"), s.subsumed as i64);
-    metrics.set_gauge(
-        &format!("{prefix}.simplify.strengthened_literals"),
-        s.strengthened_literals as i64,
-    );
-    metrics.set_gauge(
-        &format!("{prefix}.simplify.propagated_literals"),
-        s.propagated_literals as i64,
-    );
-    metrics.set_gauge(
-        &format!("{prefix}.simplify.satisfied_clauses"),
-        s.satisfied_clauses as i64,
-    );
 }
 
 /// The committed `BENCH_SCALE.json` artifact: per-scope, per-variant sizes,
@@ -1669,6 +1390,10 @@ fn bench_scale_json(
                                                     Json::from(v.stats.cnf_clauses as u64),
                                                 ),
                                                 (
+                                                    "clauses_deduped",
+                                                    Json::from(v.stats.clauses_deduped as u64),
+                                                ),
+                                                (
                                                     "solver",
                                                     Json::obj([
                                                         (
@@ -1738,15 +1463,13 @@ fn bench_scale_json(
     ])
 }
 
-fn run_e6(metrics: &mut Metrics) -> bool {
+fn run_e6() -> bool {
     println!("E6 — measured synchronous rounds vs the D·|V_H| bound");
-    let rows = metrics.time("e6.run", || analysis::run_convergence_bound(&[1, 7, 42]));
+    let rows = analysis::run_convergence_bound(&[1, 7, 42]);
     let mut ok = true;
     for row in &rows {
         println!("{row}");
         ok &= row.within_bound();
-        metrics.observe("e6.rounds", row.rounds as u64);
-        metrics.add("e6.messages", row.messages as u64);
     }
     println!(
         "  => {} ({} configurations)",
@@ -1760,12 +1483,10 @@ fn run_e6(metrics: &mut Metrics) -> bool {
     ok
 }
 
-fn run_e7(metrics: &mut Metrics) -> bool {
+fn run_e7() -> bool {
     println!("E7 (Remark 3) — MCA network utility vs exhaustive optimum");
     println!("(cited guarantee: sub-modular MCA achieves >= 1 - 1/e = 0.632 of optimal)\n");
-    let rows = metrics.time("e7.run", || {
-        analysis::run_approximation_ratio(&[1, 2, 3, 5, 8])
-    });
+    let rows = analysis::run_approximation_ratio(&[1, 2, 3, 5, 8]);
     let mut ok = true;
     let mut worst: f64 = 1.0;
     for row in &rows {
@@ -1773,7 +1494,6 @@ fn run_e7(metrics: &mut Metrics) -> bool {
         ok &= row.within_guarantee();
         worst = worst.min(row.ratio());
     }
-    metrics.set_gauge("e7.worst_ratio_millis", (worst * 1000.0) as i64);
     println!(
         "  => worst ratio {:.3} over {} workloads — {}",
         worst,

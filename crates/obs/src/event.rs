@@ -8,6 +8,10 @@
 
 use crate::json::Json;
 
+/// The phases of an [`Event::ServeSpan`], in pipeline order: its duration
+/// fields are these names with an `_ns` suffix.
+pub const SERVE_PHASES: [&str; 6] = ["decode", "queue", "cache", "translate", "solve", "write"];
+
 /// One structured trace event.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Event {

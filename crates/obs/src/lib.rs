@@ -1,4 +1,4 @@
-//! Structured tracing and metrics for the MCA verification suite.
+//! Structured tracing and profiling spans for the MCA verification suite.
 //!
 //! This crate is the observability layer shared by the simulator, the
 //! explicit-state checker, the relational-to-CNF encoder, and the `repro`
@@ -13,31 +13,28 @@
 //!   `if let Some(obs) = &self.observer { obs.emit(..) }`, so with no
 //!   observer attached the cost is a branch on an `Option` — events are
 //!   never constructed.
-//! * [`Metrics`] — a registry of named counters, gauges, log₂-binned
-//!   histograms, and monotonic timers, with deterministic JSON export and
-//!   merging (wall-clock appears only in timers, which callers opt into).
-//! * [`JsonlSink`], [`SummarySink`], [`CollectSink`] — ready-made
-//!   observers: newline-delimited JSON for `jq`, a human-readable run
-//!   summary, and an in-memory vector for tests.
+//! * [`JsonlSink`], [`CollectSink`] — ready-made observers:
+//!   newline-delimited JSON for `jq`, and an in-memory vector for tests.
 //! * [`SpanRecorder`] / [`SpanGuard`] — opt-in hierarchical profiling
 //!   spans with monotonic timestamps and resource-accounting exit fields
 //!   (the one sanctioned wall-clock carve-out; plain event traces stay
 //!   byte-identical because nothing emits spans unless a recorder is
 //!   explicitly attached). `mca-report` turns span traces into reports.
+//!
+//! The trace is one of a run's three records, beside its `BENCH_*.json`
+//! file and its stdout; each number is reported in one of them.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod event;
 pub mod json;
-pub mod metrics;
 pub mod observer;
 pub mod sink;
 pub mod span;
 
 pub use event::Event;
 pub use json::Json;
-pub use metrics::{Histogram, Metrics};
 pub use observer::{Handle, Observer, SharedObserver};
-pub use sink::{CollectSink, JsonlSink, SummarySink};
+pub use sink::{CollectSink, JsonlSink};
 pub use span::{peak_rss_kb, SpanGuard, SpanRecorder};

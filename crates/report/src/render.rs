@@ -2,12 +2,11 @@
 //!
 //! The report is self-contained: one markdown document (optionally
 //! wrapped in a minimal HTML page) with the span-tree time breakdown,
-//! the top-k hot spans by self time, event-kind counts, the parse
-//! diagnostics, and — when a metrics JSON is supplied — metrics and
-//! solver-stat tables plus histogram sparklines.
+//! the top-k hot spans by self time, event-kind counts, the service
+//! section of a traced mca-serve daemon, and the parse diagnostics.
 
 use crate::trace::ParsedTrace;
-use mca_obs::Json;
+use mca_obs::event::SERVE_PHASES;
 use std::fmt::Write as _;
 
 /// Rendering knobs for [`render_markdown`].
@@ -32,6 +31,11 @@ fn ms(ns: u64) -> String {
     format!("{:.3}", ns as f64 / 1e6)
 }
 
+/// Microseconds: a warm serve request takes a few of them.
+fn us(ns: u64) -> String {
+    format!("{:.1}", ns as f64 / 1e3)
+}
+
 fn pct(part: u64, whole: u64) -> String {
     if whole == 0 {
         "-".to_string()
@@ -41,11 +45,7 @@ fn pct(part: u64, whole: u64) -> String {
 }
 
 /// Renders the markdown report.
-pub fn render_markdown(
-    trace: &ParsedTrace,
-    metrics: Option<&Json>,
-    opts: &ReportOptions,
-) -> String {
+pub fn render_markdown(trace: &ParsedTrace, opts: &ReportOptions) -> String {
     let mut out = String::new();
     out.push_str("# mca-report trace profile\n\n");
     if !opts.source.is_empty() {
@@ -107,10 +107,6 @@ pub fn render_markdown(
 
     if !trace.serve.is_empty() {
         render_service(trace, &mut out);
-    }
-
-    if let Some(metrics) = metrics {
-        render_metrics(metrics, &mut out);
     }
 
     if trace.diagnostics.is_empty() {
@@ -207,8 +203,9 @@ fn render_level(
 }
 
 /// Renders the mca-serve daemon section from `serve-*` event tallies:
-/// request mix, outcome split, cache dispositions, and per-tier cache
-/// operation counts.
+/// request mix, outcome split, cache dispositions, per-tier cache
+/// operation counts, and, from the `serve-span` events, latency by
+/// request kind and each phase's share of the service time.
 fn render_service(trace: &ParsedTrace, out: &mut String) {
     let serve = &trace.serve;
     out.push_str("## Service\n\n");
@@ -252,68 +249,61 @@ fn render_service(trace: &ParsedTrace, out: &mut String) {
         }
         out.push('\n');
     }
+    if serve.latency_ns_by_kind.is_empty() {
+        return;
+    }
+    out.push_str("### Latency by kind\n\n");
+    out.push_str("| request kind | requests | p50 (µs) | tail (µs) |\n|---|---:|---:|---|\n");
+    let mut total_ns = 0u64;
+    for (kind, latencies) in &serve.latency_ns_by_kind {
+        let mut sorted = latencies.clone();
+        sorted.sort_unstable();
+        total_ns += sorted.iter().sum::<u64>();
+        let tail = match tail_percentile(sorted.len()) {
+            Some(per_mille) => format!(
+                "p{} {}",
+                per_mille as f64 / 10.0,
+                us(nearest_rank(&sorted, per_mille))
+            ),
+            None => "-".to_string(),
+        };
+        let _ = writeln!(
+            out,
+            "| `{kind}` | {} | {} | {tail} |",
+            sorted.len(),
+            us(nearest_rank(&sorted, 500))
+        );
+    }
+    out.push('\n');
+    out.push_str("| phase | total (ms) | share |\n|---|---:|---:|\n");
+    for (phase, ns) in SERVE_PHASES.iter().zip(serve.phase_ns) {
+        let _ = writeln!(out, "| `{phase}` | {} | {} |", ms(ns), pct(ns, total_ns));
+    }
+    // The rest of the service time: dispatch between the phases.
+    let other = total_ns.saturating_sub(serve.phase_ns.iter().sum());
+    let _ = writeln!(out, "| other | {} | {} |", ms(other), pct(other, total_ns));
+    out.push('\n');
 }
 
-fn render_metrics(metrics: &Json, out: &mut String) {
-    let mut scalar_section = |key: &str, title: &str| {
-        if let Some(Json::Object(pairs)) = metrics.get(key) {
-            if pairs.is_empty() {
-                return;
-            }
-            let _ = writeln!(out, "## {title}\n");
-            out.push_str("| name | value |\n|---|---:|\n");
-            for (name, value) in pairs {
-                let _ = writeln!(out, "| `{name}` | {} |", value.render());
-            }
-            out.push('\n');
-        }
-    };
-    scalar_section("counters", "Counters");
-    scalar_section("gauges", "Gauges (solver stats)");
+/// The highest of p99.9, p99, p90 and p75 (in per mille) that leaves at
+/// least ten of `n` samples above it, so a tail figure is never one
+/// outlier; `None` under 40 samples, where only the median is shown.
+fn tail_percentile(n: usize) -> Option<u64> {
+    [999, 990, 900, 750]
+        .into_iter()
+        .find(|&per_mille| n - rank(n, per_mille) >= 10)
+}
 
-    if let Some(Json::Object(timers)) = metrics.get("timers_ns") {
-        if !timers.is_empty() {
-            out.push_str("## Timers\n\n| name | ms |\n|---|---:|\n");
-            for (name, value) in timers {
-                let ns = value.as_u64().unwrap_or(0);
-                let _ = writeln!(out, "| `{name}` | {} |", ms(ns));
-            }
-            out.push('\n');
-        }
-    }
+/// The nearest-rank position (1-based) of the `per_mille` percentile in
+/// `n` sorted samples: the smallest rank at or below which that share of
+/// the samples lies.
+fn rank(n: usize, per_mille: u64) -> usize {
+    (n as u64 * per_mille).div_ceil(1000).max(1) as usize
+}
 
-    if let Some(Json::Object(histograms)) = metrics.get("histograms") {
-        if !histograms.is_empty() {
-            out.push_str("## Histograms\n\n");
-            for (name, h) in histograms {
-                let count = h.get("count").and_then(Json::as_u64).unwrap_or(0);
-                let min = h.get("min").and_then(Json::as_u64);
-                let max = h.get("max").and_then(Json::as_u64);
-                let _ = write!(out, "### `{name}` — n={count}");
-                if let (Some(lo), Some(hi)) = (min, max) {
-                    let _ = write!(out, ", min={lo}, max={hi}");
-                }
-                out.push_str("\n\n");
-                if let Some(Json::Array(bins)) = h.get("bins") {
-                    let peak = bins
-                        .iter()
-                        .filter_map(|b| b.get("count").and_then(Json::as_u64))
-                        .max()
-                        .unwrap_or(1)
-                        .max(1);
-                    out.push_str("| bin | count | |\n|---|---:|---|\n");
-                    for bin in bins {
-                        let lo = bin.get("lo").and_then(Json::as_u64).unwrap_or(0);
-                        let hi = bin.get("hi").and_then(Json::as_u64).unwrap_or(0);
-                        let n = bin.get("count").and_then(Json::as_u64).unwrap_or(0);
-                        let bar = "█".repeat(((n * 20).div_ceil(peak)) as usize);
-                        let _ = writeln!(out, "| [{lo}, {hi}) | {n} | {bar} |");
-                    }
-                    out.push('\n');
-                }
-            }
-        }
-    }
+/// The exact nearest-rank `per_mille` percentile of non-empty `sorted`.
+fn nearest_rank(sorted: &[u64], per_mille: u64) -> u64 {
+    sorted[rank(sorted.len(), per_mille) - 1]
 }
 
 /// Wraps a markdown report in a minimal self-contained HTML page (the
@@ -356,7 +346,7 @@ mod tests {
 
     #[test]
     fn markdown_report_contains_tree_hot_spans_and_counts() {
-        let report = render_markdown(&sample_trace(), None, &ReportOptions::default());
+        let report = render_markdown(&sample_trace(), &ReportOptions::default());
         assert!(report.contains("# mca-report trace profile"));
         assert!(report.contains("## Span tree"));
         assert!(report.contains("`repro.e8`"));
@@ -365,26 +355,6 @@ mod tests {
         assert!(report.contains("## Event counts"));
         assert!(report.contains("| `span-enter` | 3 |"));
         assert!(report.contains("the trace parsed cleanly"));
-    }
-
-    #[test]
-    fn metrics_section_renders_all_four_families() {
-        let metrics = Json::parse(
-            r#"{"counters":{"e8.scopes":4},"gauges":{"solver.conflicts":99},
-                "histograms":{"lbd":{"count":2,"sum":5,"min":2,"max":3,
-                "bins":[{"lo":2,"hi":4,"count":2}]}},
-                "timers_ns":{"check":1500000}}"#,
-        )
-        .unwrap();
-        let report = render_markdown(&sample_trace(), Some(&metrics), &ReportOptions::default());
-        assert!(report.contains("## Counters"));
-        assert!(report.contains("| `e8.scopes` | 4 |"));
-        assert!(report.contains("## Gauges (solver stats)"));
-        assert!(report.contains("| `solver.conflicts` | 99 |"));
-        assert!(report.contains("## Timers"));
-        assert!(report.contains("| `check` | 1.500 |"));
-        assert!(report.contains("### `lbd`"));
-        assert!(report.contains("[2, 4)"));
     }
 
     #[test]
@@ -409,7 +379,7 @@ mod tests {
         ]
         .join("\n");
         let trace = ParsedTrace::parse(&lines);
-        let report = render_markdown(&trace, None, &ReportOptions::default());
+        let report = render_markdown(&trace, &ReportOptions::default());
         assert!(report.contains("## Service"));
         assert!(report.contains("- requests: 3 (3 ok, 0 error responses)"));
         assert!(report.contains("- cache: 1 hit(s) over 2 cacheable response(s) (50.0%)"));
@@ -417,13 +387,68 @@ mod tests {
         assert!(report.contains("| `verdict-hit` | 1 |"));
         assert!(report.contains("| `verdict/hit` | 1 |"));
         // A trace with no serve events renders no Service section.
-        let plain = render_markdown(&sample_trace(), None, &ReportOptions::default());
+        let plain = render_markdown(&sample_trace(), &ReportOptions::default());
         assert!(!plain.contains("## Service"));
     }
 
     #[test]
+    fn service_section_renders_latency_by_kind_from_serve_spans() {
+        let span = |req: u64, kind: &str, total_ns: u64, translate_ns: u64| {
+            format!(
+                r#"{{"event":"serve-span","req":{req},"kind":"{kind}","total_ns":{total_ns},"decode_ns":100,"queue_ns":0,"cache_ns":200,"translate_ns":{translate_ns},"solve_ns":0,"write_ns":100}}"#
+            )
+        };
+        let mut lines = Vec::new();
+        // 45 checks taking 1..=45 µs in shuffled order, and 3 lints.
+        for i in 0..45u64 {
+            lines.push(format!(
+                r#"{{"event":"serve-request","req":{i},"kind":"check","key":"k"}}"#
+            ));
+            lines.push(span(i, "check", 1_000 * ((i * 7) % 45 + 1), 0));
+        }
+        for (i, total_ns) in [(45u64, 9_000u64), (46, 3_000), (47, 600_000)] {
+            lines.push(format!(
+                r#"{{"event":"serve-request","req":{i},"kind":"lint","key":"k"}}"#
+            ));
+            lines.push(span(i, "lint", total_ns, total_ns / 2));
+        }
+        let trace = ParsedTrace::parse(&lines.join("\n"));
+        let report = render_markdown(&trace, &ReportOptions::default());
+        assert!(report.contains("### Latency by kind"), "{report}");
+        // 45 samples: p75 is the 34th (11 above it), p90 would leave 4.
+        assert!(
+            report.contains("| `check` | 45 | 23.0 | p75 34.0 |"),
+            "{report}"
+        );
+        // Under 40 samples only the median is shown.
+        assert!(report.contains("| `lint` | 3 | 9.0 | - |"), "{report}");
+        // Service time sums to 1,647,000 ns over 48 spans.
+        assert!(report.contains("| `decode` | 0.005 | 0.3% |"), "{report}");
+        assert!(
+            report.contains("| `translate` | 0.306 | 18.6% |"),
+            "{report}"
+        );
+        assert!(report.contains("| `solve` | 0.000 | 0.0% |"), "{report}");
+        assert!(report.contains("| other | 1.322 | 80.3% |"), "{report}");
+    }
+
+    #[test]
+    fn tail_percentile_leaves_ten_samples_above_it() {
+        assert_eq!(tail_percentile(39), None);
+        assert_eq!(tail_percentile(40), Some(750));
+        assert_eq!(tail_percentile(100), Some(900));
+        assert_eq!(tail_percentile(999), Some(900));
+        assert_eq!(tail_percentile(1_000), Some(990));
+        assert_eq!(tail_percentile(10_000), Some(999));
+        let sorted: Vec<u64> = (1..=40).collect();
+        assert_eq!(nearest_rank(&sorted, 500), 20);
+        assert_eq!(nearest_rank(&sorted, 750), 30);
+        assert_eq!(nearest_rank(&[7], 999), 7);
+    }
+
+    #[test]
     fn empty_trace_renders_without_panicking() {
-        let report = render_markdown(&ParsedTrace::default(), None, &ReportOptions::default());
+        let report = render_markdown(&ParsedTrace::default(), &ReportOptions::default());
         assert!(report.contains("spans: 0"));
     }
 }

@@ -5,6 +5,7 @@
 //! edited. Every irregularity is recorded as a human-readable diagnostic
 //! on the [`ParsedTrace`] instead of failing the whole report.
 
+use mca_obs::event::SERVE_PHASES;
 use mca_obs::Json;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -65,6 +66,12 @@ pub struct ServeSummary {
     /// `serve-cache` operations per `tier/op` pair (e.g.
     /// `verdict/hit`, `verdict/insert`, `verdict/evict`).
     pub cache_ops: BTreeMap<String, u64>,
+    /// The `total_ns` of every `serve-span` event, per request kind, in
+    /// trace order.
+    pub latency_ns_by_kind: BTreeMap<String, Vec<u64>>,
+    /// The `serve-span` phase durations summed over every event, in
+    /// [`SERVE_PHASES`] order.
+    pub phase_ns: [u64; 6],
 }
 
 impl ServeSummary {
@@ -243,6 +250,21 @@ impl ParsedTrace {
                         .cache_ops
                         .entry(format!("{tier}/{op}"))
                         .or_insert(0) += 1;
+                }
+                "serve-span" => {
+                    let kind = value
+                        .get("kind")
+                        .and_then(Json::as_str)
+                        .unwrap_or("unknown");
+                    let ns = |field: &str| value.get(field).and_then(Json::as_u64).unwrap_or(0);
+                    out.serve
+                        .latency_ns_by_kind
+                        .entry(kind.to_string())
+                        .or_default()
+                        .push(ns("total_ns"));
+                    for (sum, phase) in out.serve.phase_ns.iter_mut().zip(SERVE_PHASES) {
+                        *sum += ns(&format!("{phase}_ns"));
+                    }
                 }
                 _ => {}
             }
@@ -561,9 +583,11 @@ mod tests {
             r#"{"event":"serve-cache","tier":"verdict","op":"miss","key":"check/00/2x2/optimized/default"}"#,
             r#"{"event":"serve-cache","tier":"verdict","op":"insert","key":"check/00/2x2/optimized/default"}"#,
             r#"{"event":"serve-response","req":0,"outcome":"ok","cache":"miss"}"#,
+            r#"{"event":"serve-span","req":0,"kind":"check","total_ns":900,"decode_ns":1,"queue_ns":2,"cache_ns":3,"translate_ns":400,"solve_ns":300,"write_ns":4}"#,
             r#"{"event":"serve-request","req":1,"kind":"check","key":"check/00/2x2/optimized/default"}"#,
             r#"{"event":"serve-cache","tier":"verdict","op":"hit","key":"check/00/2x2/optimized/default"}"#,
             r#"{"event":"serve-response","req":1,"outcome":"ok","cache":"verdict-hit"}"#,
+            r#"{"event":"serve-span","req":1,"kind":"check","total_ns":20,"decode_ns":1,"queue_ns":2,"cache_ns":3,"translate_ns":0,"solve_ns":0,"write_ns":4}"#,
             r#"{"event":"serve-request","req":2,"kind":"invalid","key":""}"#,
             r#"{"event":"serve-response","req":2,"outcome":"error","cache":"-"}"#,
         ]
@@ -577,6 +601,11 @@ mod tests {
         assert_eq!(parsed.serve.responses_by_cache.get("verdict-hit"), Some(&1));
         assert_eq!(parsed.serve.cache_ops.get("verdict/hit"), Some(&1));
         assert_eq!(parsed.serve.cache_ops.get("verdict/insert"), Some(&1));
+        assert_eq!(
+            parsed.serve.latency_ns_by_kind.get("check"),
+            Some(&vec![900, 20])
+        );
+        assert_eq!(parsed.serve.phase_ns, [2, 4, 6, 400, 300, 8]);
         assert!(!parsed.serve.is_empty());
         assert!(ParsedTrace::parse("").serve.is_empty());
     }

@@ -10,11 +10,10 @@
 //! `runtime.batch` spans and their `runtime.job:*` children from the
 //! opt-in `--trace` stream. A diagnosis is a *hypothesis ranked by
 //! evidence*, not a verdict — the report says what the numbers show and
-//! what usually causes it.
+//! what usually causes it. (W101–W106, the service rules over a live
+//! serve scrape, are retired with that scrape; their ids stay unused.)
 
-use crate::service::ServiceStats;
 use crate::trace::ParsedTrace;
-use mca_obs::Json;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -238,262 +237,6 @@ fn diagnose_job_granularity(trace: &ParsedTrace, findings: &mut Vec<WhyFinding>)
     }
 }
 
-/// Runs the **service** rule family (W101–W106) over a parsed Metrics
-/// scrape and, optionally, a FlightDump JSON — the `repro why --serve`
-/// path. Same contract as [`diagnose`]: ranked most severe first, ties
-/// broken by rule id, empty on a healthy service.
-pub fn diagnose_service(stats: &ServiceStats, flight: Option<&Json>) -> Vec<WhyFinding> {
-    let mut findings = Vec::new();
-    diagnose_hit_rate(stats, &mut findings);
-    diagnose_queue_saturation(stats, &mut findings);
-    diagnose_tail_blowup(stats, &mut findings);
-    if let Some(flight) = flight {
-        diagnose_slow_phase(flight, &mut findings);
-    }
-    diagnose_timeout_churn(stats, &mut findings);
-    diagnose_error_rate(stats, &mut findings);
-    findings.sort_by(|a, b| b.severity.cmp(&a.severity).then(a.rule.cmp(b.rule)));
-    findings
-}
-
-/// W101 cache hit-rate collapse — the service exists to memoize; a cold
-/// hit rate over a meaningful cacheable volume means the cache is
-/// thrashing (evictions) or every request is genuinely distinct.
-fn diagnose_hit_rate(stats: &ServiceStats, findings: &mut Vec<WhyFinding>) {
-    let disposition = |d: &str| {
-        stats
-            .value("mca_serve_cache_disposition_total", &[("disposition", d)])
-            .unwrap_or(0.0)
-    };
-    let hits = disposition("verdict-hit");
-    let cacheable = hits + disposition("miss");
-    if cacheable < 20.0 {
-        return;
-    }
-    let rate = hits / cacheable * 100.0;
-    if rate < 50.0 {
-        findings.push(WhyFinding {
-            rule: "W101",
-            severity: if rate < 20.0 {
-                WhySeverity::Critical
-            } else {
-                WhySeverity::Warning
-            },
-            summary: format!(
-                "cache hit rate is {rate:.0}% over {cacheable:.0} cacheable request(s)"
-            ),
-            evidence: format!(
-                "{hits:.0} hit(s) vs {:.0} miss(es); {:.0} eviction(s), {:.0} cache byte(s) \
-                 high-water",
-                disposition("miss"),
-                stats
-                    .value("mca_serve_cache_evictions_total", &[])
-                    .unwrap_or(0.0),
-                stats.value("mca_serve_cache_bytes_hwm", &[]).unwrap_or(0.0),
-            ),
-            hint: "evictions near the byte high-water mean the budget is too small \
-                   (raise --cache-mb); zero evictions with a cold rate means the traffic \
-                   genuinely never repeats and the daemon is pure overhead",
-        });
-    }
-}
-
-/// W102 queue saturation — the admission high-water reached (or neared)
-/// the configured capacity, so clients were blocking in `acquire`.
-fn diagnose_queue_saturation(stats: &ServiceStats, findings: &mut Vec<WhyFinding>) {
-    let hwm = stats.value("mca_serve_queue_depth_hwm", &[]).unwrap_or(0.0);
-    let cap = stats.value("mca_serve_queue_capacity", &[]).unwrap_or(0.0);
-    if cap <= 0.0 || hwm < cap * 0.8 {
-        return;
-    }
-    findings.push(WhyFinding {
-        rule: "W102",
-        severity: if hwm >= cap {
-            WhySeverity::Critical
-        } else {
-            WhySeverity::Warning
-        },
-        summary: format!(
-            "admission queue high-water {hwm:.0} {} capacity {cap:.0}",
-            if hwm >= cap { "hit" } else { "neared" }
-        ),
-        evidence: format!(
-            "depth high-water {hwm:.0} of capacity {cap:.0}; queue-wait p99 {}",
-            stats
-                .quantile("mca_serve_queue_wait_ns", &[], 0.99)
-                .map_or_else(|| "unknown".to_string(), |ns| format!("{:.1}ms", ns / 1e6)),
-        ),
-        hint: "every slot was (nearly) occupied at least once — raise --queue-cap or \
-               --threads, or the burst was bigger than the service is provisioned for",
-    });
-}
-
-/// W103 tail blowup — per-kind p99 orders of magnitude above p50.
-/// Demoted to a warning when the traffic mixes cache hits and misses,
-/// because then the tail *is* the misses and W101 already covers a bad
-/// mix; it goes critical only when the workload is disposition-uniform
-/// (≥99% hits or ≥99% misses) and the tail still blows up.
-fn diagnose_tail_blowup(stats: &ServiceStats, findings: &mut Vec<WhyFinding>) {
-    let disposition = |d: &str| {
-        stats
-            .value("mca_serve_cache_disposition_total", &[("disposition", d)])
-            .unwrap_or(0.0)
-    };
-    let hits = disposition("verdict-hit");
-    let cacheable = hits + disposition("miss");
-    let mix_fraction = if cacheable > 0.0 {
-        hits / cacheable
-    } else {
-        0.0
-    };
-    let uniform = !(0.01..=0.99).contains(&mix_fraction);
-    for kind in stats.label_values("mca_serve_latency_ns_count", "kind") {
-        let labels = [("kind", kind.as_str())];
-        let count = stats
-            .value("mca_serve_latency_ns_count", &labels)
-            .unwrap_or(0.0);
-        if count < 50.0 {
-            continue;
-        }
-        let (Some(p50), Some(p99)) = (
-            stats.quantile("mca_serve_latency_ns", &labels, 0.50),
-            stats.quantile("mca_serve_latency_ns", &labels, 0.99),
-        ) else {
-            continue;
-        };
-        let ratio = p99 / p50.max(1.0);
-        if ratio < 64.0 {
-            continue;
-        }
-        findings.push(WhyFinding {
-            rule: "W103",
-            severity: if ratio >= 1024.0 && uniform {
-                WhySeverity::Critical
-            } else {
-                WhySeverity::Warning
-            },
-            summary: format!("`{kind}` p99 is ~{ratio:.0}× its p50 — a heavy latency tail"),
-            evidence: format!(
-                "{count:.0} sample(s): p50 ≤ {:.2}ms, p99 ≤ {:.2}ms (log2-bin bounds); \
-                 hit fraction {:.0}%",
-                p50 / 1e6,
-                p99 / 1e6,
-                mix_fraction * 100.0
-            ),
-            hint: "with mixed hit/miss traffic the tail is the misses (expected); on a \
-                   uniform workload look at the FlightDump slowest list to see which \
-                   phase the outliers spend their time in",
-        });
-    }
-}
-
-/// W104 slow-request phase skew — the flight recorder's slowest list
-/// spends most of its time in one of translate/solve, naming the layer
-/// to optimize first.
-fn diagnose_slow_phase(flight: &Json, findings: &mut Vec<WhyFinding>) {
-    let Some(Json::Array(slowest)) = flight.get("slowest") else {
-        return;
-    };
-    if slowest.len() < 3 {
-        return;
-    }
-    let sum = |field: &str| -> u64 {
-        slowest
-            .iter()
-            .filter_map(|rec| rec.get(field).and_then(Json::as_u64))
-            .sum()
-    };
-    let translate = sum("translate_ns");
-    let solve = sum("solve_ns");
-    let total = sum("total_ns");
-    if total == 0 {
-        return;
-    }
-    let (phase, ns) = if translate >= solve {
-        ("translate", translate)
-    } else {
-        ("solve", solve)
-    };
-    let share = ns as f64 / total as f64 * 100.0;
-    if share <= 60.0 {
-        return;
-    }
-    findings.push(WhyFinding {
-        rule: "W104",
-        severity: WhySeverity::Info,
-        summary: format!(
-            "the {} slowest request(s) spend {share:.0}% of their time in {phase}",
-            slowest.len()
-        ),
-        evidence: format!(
-            "across the slowest list: translate {:.1}ms, solve {:.1}ms, total {:.1}ms",
-            translate as f64 / 1e6,
-            solve as f64 / 1e6,
-            total as f64 / 1e6
-        ),
-        hint: "translate-bound outliers want a cheaper encoding; solve-bound outliers \
-               want preprocessing",
-    });
-}
-
-/// W105 read-timeout churn — idle clients being reaped faster than they
-/// send requests.
-fn diagnose_timeout_churn(stats: &ServiceStats, findings: &mut Vec<WhyFinding>) {
-    let timeouts = stats.total("mca_serve_read_timeouts_total");
-    let requests = stats.total("mca_serve_requests_total");
-    if timeouts < 3.0 || timeouts <= requests * 0.01 {
-        return;
-    }
-    findings.push(WhyFinding {
-        rule: "W105",
-        severity: WhySeverity::Warning,
-        summary: format!(
-            "{timeouts:.0} read timeout(s) against {requests:.0} request(s) — connection churn"
-        ),
-        evidence: format!(
-            "timeouts are {:.1}% of request volume",
-            if requests > 0.0 {
-                timeouts / requests * 100.0
-            } else {
-                100.0
-            }
-        ),
-        hint: "clients hold connections open past --read-timeout-secs between requests; \
-               raise the timeout or make clients reconnect per burst",
-    });
-}
-
-/// W106 error-frame rate — the daemon is answering, but with errors.
-fn diagnose_error_rate(stats: &ServiceStats, findings: &mut Vec<WhyFinding>) {
-    let ok = stats
-        .value("mca_serve_responses_total", &[("outcome", "ok")])
-        .unwrap_or(0.0);
-    let errors = stats
-        .value("mca_serve_responses_total", &[("outcome", "error")])
-        .unwrap_or(0.0);
-    let responses = ok + errors;
-    if responses < 20.0 {
-        return;
-    }
-    let rate = errors / responses * 100.0;
-    if rate <= 5.0 {
-        return;
-    }
-    findings.push(WhyFinding {
-        rule: "W106",
-        severity: if rate > 25.0 {
-            WhySeverity::Critical
-        } else {
-            WhySeverity::Warning
-        },
-        summary: format!("{rate:.0}% of responses are error frames"),
-        evidence: format!("{errors:.0} error(s) in {responses:.0} response(s)"),
-        hint: "check the per-kind request counts: a client sending unknown scenarios or \
-               oversized scopes produces exactly this signature; malformed frames also \
-               land here",
-    });
-}
-
 /// Renders findings as a markdown report (stable across runs for a fixed
 /// input, like the other renderers).
 pub fn render_why_markdown(findings: &[WhyFinding], source: &str) -> String {
@@ -692,161 +435,5 @@ mod tests {
         assert!(findings.is_empty());
         let md = render_why_markdown(&findings, "empty.jsonl");
         assert!(md.contains("No rule in the catalog fired"));
-    }
-
-    // --- service rules (W101–W106) -------------------------------------
-
-    fn scrape(lines: &[&str]) -> ServiceStats {
-        ServiceStats::parse(&lines.join("\n"))
-    }
-
-    #[test]
-    fn healthy_service_scrape_is_quiet() {
-        let stats = scrape(&[
-            "mca_serve_requests_total{kind=\"check\"} 100",
-            "mca_serve_responses_total{outcome=\"ok\"} 100",
-            "mca_serve_cache_disposition_total{disposition=\"miss\"} 10",
-            "mca_serve_cache_disposition_total{disposition=\"verdict-hit\"} 90",
-            "mca_serve_queue_depth_hwm 4",
-            "mca_serve_queue_capacity 64",
-            "mca_serve_read_timeouts_total 0",
-        ]);
-        let findings = diagnose_service(&stats, None);
-        assert!(findings.is_empty(), "{findings:?}");
-    }
-
-    #[test]
-    fn cold_cache_fires_w101() {
-        let stats = scrape(&[
-            "mca_serve_cache_disposition_total{disposition=\"miss\"} 90",
-            "mca_serve_cache_disposition_total{disposition=\"verdict-hit\"} 10",
-            "mca_serve_cache_evictions_total 40",
-        ]);
-        let f = diagnose_service(&stats, None);
-        let w = f.iter().find(|f| f.rule == "W101").expect("fires");
-        assert_eq!(w.severity, WhySeverity::Critical);
-        // Below the volume floor the rule stays silent.
-        let tiny = scrape(&["mca_serve_cache_disposition_total{disposition=\"miss\"} 5"]);
-        assert!(diagnose_service(&tiny, None).is_empty());
-    }
-
-    #[test]
-    fn queue_saturation_fires_w102() {
-        let full = scrape(&["mca_serve_queue_depth_hwm 4", "mca_serve_queue_capacity 4"]);
-        let f = diagnose_service(&full, None);
-        let w = f.iter().find(|f| f.rule == "W102").expect("fires");
-        assert_eq!(w.severity, WhySeverity::Critical);
-        let near = scrape(&[
-            "mca_serve_queue_depth_hwm 52",
-            "mca_serve_queue_capacity 64",
-        ]);
-        let f = diagnose_service(&near, None);
-        assert_eq!(f[0].rule, "W102");
-        assert_eq!(f[0].severity, WhySeverity::Warning);
-    }
-
-    #[test]
-    fn tail_blowup_fires_w103_demoted_on_mixed_traffic() {
-        let tail = [
-            "mca_serve_latency_ns_bucket{kind=\"check\",le=\"1023\"} 60",
-            "mca_serve_latency_ns_bucket{kind=\"check\",le=\"16777215\"} 100",
-            "mca_serve_latency_ns_bucket{kind=\"check\",le=\"+Inf\"} 100",
-            "mca_serve_latency_ns_count{kind=\"check\"} 100",
-        ];
-        // Uniform traffic (all hits): the blowup is unexplained → critical.
-        let mut lines = tail.to_vec();
-        lines.push("mca_serve_cache_disposition_total{disposition=\"verdict-hit\"} 100");
-        let f = diagnose_service(&scrape(&lines), None);
-        let w = f.iter().find(|f| f.rule == "W103").expect("fires");
-        assert_eq!(w.severity, WhySeverity::Critical);
-        // Mixed hit/miss traffic: the tail is the misses → warning only.
-        let mut lines = tail.to_vec();
-        lines.push("mca_serve_cache_disposition_total{disposition=\"verdict-hit\"} 80");
-        lines.push("mca_serve_cache_disposition_total{disposition=\"miss\"} 20");
-        let f = diagnose_service(&scrape(&lines), None);
-        let w = f.iter().find(|f| f.rule == "W103").expect("fires");
-        assert_eq!(w.severity, WhySeverity::Warning);
-        // Too few samples: silent.
-        let few = scrape(&[
-            "mca_serve_latency_ns_bucket{kind=\"check\",le=\"1023\"} 5",
-            "mca_serve_latency_ns_bucket{kind=\"check\",le=\"16777215\"} 10",
-            "mca_serve_latency_ns_count{kind=\"check\"} 10",
-        ]);
-        assert!(diagnose_service(&few, None).is_empty());
-    }
-
-    #[test]
-    fn translate_dominated_slowest_fires_w104() {
-        let rec = |req: u64, translate: u64, solve: u64| {
-            format!(
-                "{{\"req\":{req},\"kind\":\"check\",\"total_ns\":{},\"translate_ns\":{translate},\"solve_ns\":{solve}}}",
-                translate + solve
-            )
-        };
-        let flight = Json::parse(&format!(
-            "{{\"slowest\":[{},{},{}]}}",
-            rec(1, 900, 100),
-            rec(2, 800, 100),
-            rec(3, 700, 100)
-        ))
-        .unwrap();
-        let f = diagnose_service(&ServiceStats::default(), Some(&flight));
-        let w = f.iter().find(|f| f.rule == "W104").expect("fires");
-        assert_eq!(w.severity, WhySeverity::Info);
-        assert!(w.summary.contains("translate"), "{}", w.summary);
-        // Fewer than 3 slow records: not enough evidence.
-        let small = Json::parse(&format!("{{\"slowest\":[{}]}}", rec(1, 900, 100))).unwrap();
-        assert!(diagnose_service(&ServiceStats::default(), Some(&small)).is_empty());
-    }
-
-    #[test]
-    fn timeout_churn_fires_w105() {
-        let stats = scrape(&[
-            "mca_serve_requests_total{kind=\"check\"} 100",
-            "mca_serve_read_timeouts_total 5",
-        ]);
-        let f = diagnose_service(&stats, None);
-        assert_eq!(f[0].rule, "W105");
-        assert_eq!(f[0].severity, WhySeverity::Warning);
-        // Below both floors (absolute and relative): silent.
-        let quiet = scrape(&[
-            "mca_serve_requests_total{kind=\"check\"} 1000",
-            "mca_serve_read_timeouts_total 2",
-        ]);
-        assert!(diagnose_service(&quiet, None).is_empty());
-    }
-
-    #[test]
-    fn error_rate_fires_w106() {
-        let noisy = scrape(&[
-            "mca_serve_responses_total{outcome=\"ok\"} 60",
-            "mca_serve_responses_total{outcome=\"error\"} 40",
-        ]);
-        let f = diagnose_service(&noisy, None);
-        let w = f.iter().find(|f| f.rule == "W106").expect("fires");
-        assert_eq!(w.severity, WhySeverity::Critical);
-        let mild = scrape(&[
-            "mca_serve_responses_total{outcome=\"ok\"} 90",
-            "mca_serve_responses_total{outcome=\"error\"} 10",
-        ]);
-        let f = diagnose_service(&mild, None);
-        assert_eq!(f[0].severity, WhySeverity::Warning);
-    }
-
-    #[test]
-    fn service_findings_rank_and_render_like_the_core_catalog() {
-        let stats = scrape(&[
-            "mca_serve_queue_depth_hwm 4",
-            "mca_serve_queue_capacity 4",
-            "mca_serve_responses_total{outcome=\"ok\"} 90",
-            "mca_serve_responses_total{outcome=\"error\"} 10",
-        ]);
-        let findings = diagnose_service(&stats, None);
-        assert_eq!(findings.len(), 2);
-        assert!(findings.windows(2).all(|w| w[0].severity >= w[1].severity));
-        assert_eq!(findings[0].rule, "W102");
-        let md = render_why_markdown(&findings, "scrape.txt");
-        assert!(md.contains("W102"));
-        assert!(md.contains("W106"));
     }
 }

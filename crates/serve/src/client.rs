@@ -1,9 +1,10 @@
 //! The blocking client: one TCP connection, request/response frames.
 //!
-//! Used by the integration tests, the CI smoke drive, and the
-//! [`load`](crate::load) generator — there is deliberately no separate
-//! client crate: server and client share one wire module, so they can
-//! never disagree about the protocol.
+//! Used by the integration tests, the CI smoke drive, the
+//! [`load`](crate::load) generator, and perfbench, whose traced
+//! `serve-repeat` pass scrapes [`Client::metrics`] — there is deliberately no separate client
+//! crate: server and client share one wire module, so they can never
+//! disagree about the protocol.
 
 use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -183,7 +184,7 @@ impl Client {
         }
     }
 
-    /// Fetches the rolling telemetry aggregates as Prometheus-style
+    /// Fetches the server's phase and latency totals as Prometheus-style
     /// exposition text.
     ///
     /// # Errors
@@ -193,20 +194,6 @@ impl Client {
         match self.request(&Request::Metrics)? {
             Response::Metrics { text } => Ok(text),
             _ => Err(WireError::Malformed("expected metrics")),
-        }
-    }
-
-    /// Fetches the flight recorder (recent + slowest request records)
-    /// as a JSON string.
-    ///
-    /// # Errors
-    ///
-    /// Transport errors or a non-flight-dump reply.
-    pub fn flight_dump(&mut self) -> Result<String, WireError> {
-        match self.request(&Request::FlightDump)? {
-            Response::FlightDump { payload } => String::from_utf8(payload)
-                .map_err(|_| WireError::Malformed("flight dump is not UTF-8")),
-            _ => Err(WireError::Malformed("expected flight dump")),
         }
     }
 

@@ -20,6 +20,12 @@
 //! the server, so they cannot drift) and the [`load`] generator behind
 //! `repro load`, which writes BENCH_SERVE.json.
 //!
+//! A daemon's numbers reach the reader through the `Stats` frame (request
+//! and cache counters), `BENCH_SERVE.json`, and, with `repro serve
+//! --trace`, one `serve-span` event per request that splits its service
+//! time into six phases. The `Metrics` frame serves only the sums of
+//! those phases and the per-kind latency sums (see [`server`]).
+//!
 //! Graceful shutdown is a wire frame ([`wire::Request::Shutdown`]), not
 //! a signal: the workspace forbids `unsafe`, which rules out signal
 //! handlers, and a protocol-level shutdown is testable from plain
@@ -34,12 +40,10 @@ pub mod client;
 pub mod load;
 pub mod request;
 pub mod server;
-pub mod telemetry;
 pub mod wire;
 
 pub use cache::{CacheStats, ResultCache};
 pub use client::Client;
 pub use load::{run_load, KindStats, LoadConfig, LoadOutcome, PhaseStats};
 pub use server::{Server, ServerConfig, ServerHandle, ServerReport};
-pub use telemetry::{RequestRecord, ServiceTelemetry, TelemetryConfig};
 pub use wire::{CacheDisposition, Request, Response, ScenarioSpec, WireEncoding, WireError};

@@ -8,7 +8,7 @@
 //!    ▲               (read, decode)        (≤ queue_capacity    (cache lookup, or
 //!    │                                      in flight,           build, translate
 //!    │                                      ≤ threads computing)  and solve)
-//!    └──frame── write ◀── fold telemetry ◀── encode ◀───────────────┘
+//!    └──frame── write ◀── fold totals ◀── encode ◀──────────────────┘
 //! ```
 //!
 //! Each accepted connection gets a thread that reads frames in a loop,
@@ -23,9 +23,9 @@
 //! gauge counts requests the server has truly committed to, and a
 //! request that panics cannot leak its slots.
 //!
-//! Every response is encoded and its telemetry record folded before the
-//! first byte goes out, so a client that has its answer always finds it
-//! counted in the next `Metrics` scrape.
+//! Every response is encoded and its phase times folded into the totals
+//! before the first byte goes out, so a client that has its answer always
+//! finds it counted in the next `Metrics` scrape.
 //!
 //! # Shutdown
 //!
@@ -40,23 +40,39 @@
 //!
 //! # Observability
 //!
+//! Each request's service time is split into six phases: decode, queue,
+//! cache, translate, solve and write. A traced daemon
+//! ([`ServerConfig::record_events`]) records them per request as a
+//! `serve-span` event, after the request's `serve-request`, `serve-cache`
+//! and `serve-response` events; an untraced one builds no events at all.
 //! [`SharedObserver`](mca_obs::SharedObserver) is `Rc`-based and cannot
-//! cross connection threads, so the server buffers `serve-*` events in a
-//! mutex (grouped per request, in request-id order) and the owning
-//! thread drains them after `join`.
+//! cross connection threads, so the server buffers the events in a mutex
+//! (grouped per request, in request-id order) and the owning thread
+//! drains them after `join`.
+//!
+//! Every daemon also sums the phases since startup, and per request kind
+//! the requests and their service time, under one short mutex. The
+//! `Metrics` frame serves these sums as Prometheus-style text:
+//!
+//! ```text
+//! mca_serve_phase_ns_total{phase="decode|queue|cache|translate|solve|write"}
+//! mca_serve_latency_ns_sum{kind="check"}
+//! mca_serve_latency_ns_count{kind="check"}
+//! ```
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::io::{BufReader, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use mca_obs::event::SERVE_PHASES;
 use mca_obs::Event;
 
-use crate::cache::{CacheOp, CacheStats, ResultCache};
+use crate::cache::{CacheStats, ResultCache};
 use crate::request;
-use crate::telemetry::{RequestRecord, ServiceTelemetry, TelemetryConfig};
 use crate::wire::{
     decode_request, encode_response, error_code, write_frame, Request, Response, WireError,
     MAX_FRAME_BYTES,
@@ -81,15 +97,10 @@ pub struct ServerConfig {
     /// truncated-frame error. Idle connections (no frame started) are
     /// kept open across timeouts.
     pub read_timeout: Duration,
-    /// Whether to buffer `serve-*` trace events for post-hoc draining.
-    /// Off by default for long-lived daemons (the buffer grows with
-    /// every request); `repro serve --trace` turns it on.
+    /// Whether to build and buffer `serve-*` trace events for post-hoc
+    /// draining. Off by default for long-lived daemons (the buffer grows
+    /// with every request); `repro serve --trace` turns it on.
     pub record_events: bool,
-    /// Live-telemetry knobs (rolling windows, flight-recorder ring,
-    /// slowest-K). Enabled by default: the aggregate state is bounded
-    /// and the per-request cost is a few map updates under a short
-    /// mutex.
-    pub telemetry: TelemetryConfig,
 }
 
 impl Default for ServerConfig {
@@ -101,7 +112,6 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             read_timeout: Duration::from_secs(10),
             record_events: false,
-            telemetry: TelemetryConfig::default(),
         }
     }
 }
@@ -122,6 +132,98 @@ pub struct ServerReport {
     /// Buffered `serve-*` events in request-id order (empty unless
     /// [`ServerConfig::record_events`]).
     pub events: Vec<Event>,
+}
+
+/// One request's service time split into phases. All durations are
+/// nanoseconds on the serving thread's monotonic clock; `total_ns` runs
+/// from frame-read-complete to response-encode-complete, so it is `>=`
+/// the sum of the phases (the rest is dispatch). The socket write itself
+/// is not timed. It feeds both the `serve-span` event and the [`Totals`].
+#[derive(Default)]
+struct RequestRecord {
+    /// Request kind tag (`"check"`, `"lint"`, `"ping"`, `"invalid"`, ...).
+    kind: &'static str,
+    /// End-to-end service time.
+    total_ns: u64,
+    /// Body decode.
+    decode_ns: u64,
+    /// Wait for an admission-queue slot, then for a compute slot.
+    queue_ns: u64,
+    /// Spec resolve, model-hash memo and cache lookups/stores.
+    cache_ns: u64,
+    /// Model build, hashing and translation that ran (0 on a warm hit).
+    translate_ns: u64,
+    /// SAT solving (or the lint analysis).
+    solve_ns: u64,
+    /// Response encode; the phase keeps its label, `write`.
+    write_ns: u64,
+}
+
+impl RequestRecord {
+    /// The phase durations in [`SERVE_PHASES`] order, which the
+    /// `Metrics` frame uses as labels.
+    fn phases(&self) -> [u64; 6] {
+        [
+            self.decode_ns,
+            self.queue_ns,
+            self.cache_ns,
+            self.translate_ns,
+            self.solve_ns,
+            self.write_ns,
+        ]
+    }
+
+    /// The request's `serve-span` event.
+    fn span_event(&self, req: u64) -> Event {
+        Event::ServeSpan {
+            req,
+            kind: self.kind.to_string(),
+            total_ns: self.total_ns,
+            decode_ns: self.decode_ns,
+            queue_ns: self.queue_ns,
+            cache_ns: self.cache_ns,
+            translate_ns: self.translate_ns,
+            solve_ns: self.solve_ns,
+            write_ns: self.write_ns,
+        }
+    }
+}
+
+/// Sums over every request since startup: what the `Metrics` frame
+/// serves.
+#[derive(Default)]
+struct Totals {
+    /// Summed phase durations, in [`SERVE_PHASES`] order.
+    phase_ns: [u64; 6],
+    /// Per request kind: requests folded, and their summed `total_ns`.
+    by_kind: BTreeMap<&'static str, (u64, u64)>,
+}
+
+impl Totals {
+    fn add(&mut self, record: &RequestRecord) {
+        for (sum, ns) in self.phase_ns.iter_mut().zip(record.phases()) {
+            *sum += ns;
+        }
+        let (count, latency) = self.by_kind.entry(record.kind).or_default();
+        *count += 1;
+        *latency += record.total_ns;
+    }
+
+    /// The sums in Prometheus-style text exposition. All six phases are
+    /// always present; a kind appears once a request of it is folded.
+    fn prometheus_text(&self) -> String {
+        let mut out = String::new();
+        out.push_str("# TYPE mca_serve_phase_ns_total counter\n");
+        for (phase, ns) in SERVE_PHASES.iter().zip(self.phase_ns) {
+            let _ = writeln!(out, "mca_serve_phase_ns_total{{phase=\"{phase}\"}} {ns}");
+        }
+        out.push_str("# TYPE mca_serve_latency_ns summary\n");
+        for (kind, (count, latency)) in &self.by_kind {
+            let _ = writeln!(out, "mca_serve_latency_ns_sum{{kind=\"{kind}\"}} {latency}");
+            let _ = writeln!(out, "mca_serve_latency_ns_count{{kind=\"{kind}\"}} {count}");
+        }
+        out
+    }
 }
 
 #[derive(Default)]
@@ -217,17 +319,27 @@ struct Shared {
     /// its entry when it ends, which closes the socket.
     conn_streams: Mutex<HashMap<u64, TcpStream>>,
     read_timeout: Duration,
-    telemetry: ServiceTelemetry,
+    totals: Mutex<Totals>,
 }
 
 impl Shared {
-    fn record(&self, req_id: u64, events: Vec<Event>) {
+    /// Buffers one request's `serve-*` events. `build` runs only on a
+    /// traced daemon, so an untraced one allocates none of them.
+    fn record(&self, req_id: u64, build: impl FnOnce() -> Vec<Event>) {
         if self.record_events {
+            let events = build();
             self.events
                 .lock()
                 .expect("event buffer poisoned")
                 .push((req_id, events));
         }
+    }
+
+    /// The totals. Each step of an update under the lock is one counter
+    /// add, so a poisoned lock still holds usable sums, and a panic on
+    /// one connection does not take the scrape down with it.
+    fn totals(&self) -> std::sync::MutexGuard<'_, Totals> {
+        self.totals.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     fn stats_json(&self) -> String {
@@ -260,12 +372,7 @@ impl Shared {
     }
 
     fn metrics_text(&self) -> String {
-        self.telemetry.prometheus_text(
-            self.admission.depth(),
-            self.admission.hwm(),
-            self.admission.capacity,
-            &self.cache.stats(),
-        )
+        self.totals().prometheus_text()
     }
 
     fn request_shutdown(&self, addr: SocketAddr) {
@@ -313,7 +420,7 @@ impl Server {
             events: Mutex::new(Vec::new()),
             conn_streams: Mutex::new(HashMap::new()),
             read_timeout: config.read_timeout,
-            telemetry: ServiceTelemetry::new(&config.telemetry),
+            totals: Mutex::new(Totals::default()),
         });
         let accept_shared = shared.clone();
         let accept_thread = std::thread::spawn(move || {
@@ -500,18 +607,6 @@ fn read_exact_or(r: &mut impl Read, buf: &mut [u8], idle_ok: bool) -> ReadOutcom
     ReadOutcome::Done
 }
 
-fn cache_ops_events(ops: &[CacheOp]) -> Vec<Event> {
-    ops.iter()
-        .map(|op| Event::ServeCache {
-            // Trace readers key cache operations by `tier/op`; the
-            // verdict cache is the service's one tier.
-            tier: "verdict".to_string(),
-            op: op.op.to_string(),
-            key: op.key.clone(),
-        })
-        .collect()
-}
-
 /// Elapsed nanoseconds since `start`, saturating at `u64::MAX`.
 fn ns_since(start: Instant) -> u64 {
     start.elapsed().as_nanos().min(u64::MAX as u128) as u64
@@ -538,26 +633,21 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
             FrameRead::Fail(err) => {
                 // The stream position is unrecoverable after a truncated
                 // or oversized frame: answer, then drop the connection.
-                if matches!(err, WireError::Io(std::io::ErrorKind::TimedOut)) {
-                    // A client that stalled mid-frame — the W105 signal.
-                    shared.telemetry.record_read_timeout();
-                }
                 respond_error(&mut writer, shared, err);
                 return;
             }
         };
-        // Telemetry clock starts once a complete frame is in hand, so
-        // idle keep-alive time between frames is never attributed.
+        // The clock starts once a complete frame is in hand, so idle
+        // keep-alive time between frames is never attributed.
         let total_start = Instant::now();
-        let queue_depth = shared.admission.depth();
         let req_id = shared.next_req.fetch_add(1, Ordering::Relaxed);
         let req = match decode_request(&body) {
             Ok(req) => req,
             Err(err) => {
                 // Body-level decode error: the frame boundary is intact,
                 // so answer and keep serving this connection.
-                shared.record(
-                    req_id,
+                let decode_ns = ns_since(total_start);
+                shared.record(req_id, || {
                     vec![
                         Event::ServeRequest {
                             req: req_id,
@@ -569,67 +659,43 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
                             outcome: "error".to_string(),
                             cache: "-".to_string(),
                         },
-                    ],
-                );
-                shared.telemetry.record(RequestRecord {
-                    req: req_id,
+                    ]
+                });
+                shared.totals().add(&RequestRecord {
                     kind: "invalid",
-                    outcome: "error",
-                    cache: "-",
-                    queue_depth,
-                    total_ns: ns_since(total_start),
-                    decode_ns: ns_since(total_start),
+                    total_ns: decode_ns,
+                    decode_ns,
                     ..RequestRecord::default()
                 });
                 respond_error(&mut writer, shared, err);
                 continue;
             }
         };
-        let decode_ns = ns_since(total_start);
         let mut record = RequestRecord {
-            req: req_id,
             kind: req.kind(),
-            outcome: "ok",
-            cache: "-",
-            queue_depth,
-            decode_ns,
+            decode_ns: ns_since(total_start),
             ..RequestRecord::default()
         };
-        let mut events = vec![Event::ServeRequest {
-            req: req_id,
-            kind: req.kind().to_string(),
-            key: String::new(),
-        }];
-        let (response, cache_label) = match &req {
-            Request::Ping => (Response::Pong, "-"),
-            Request::Stats => (
-                Response::Stats {
-                    payload: shared.stats_json().into_bytes(),
-                },
-                "-",
-            ),
-            Request::Metrics => (
-                Response::Metrics {
-                    text: shared.metrics_text(),
-                },
-                "-",
-            ),
-            Request::FlightDump => (
-                Response::FlightDump {
-                    payload: shared.telemetry.flight_json().render().into_bytes(),
-                },
-                "-",
-            ),
-            Request::Shutdown => (Response::ShuttingDown, "-"),
+        // What a traced daemon reports of a cacheable request: its key,
+        // its cache operations in order, and its disposition.
+        let mut key = String::new();
+        let mut ops = Vec::new();
+        let mut cache_label = "-";
+        let response = match &req {
+            Request::Ping => Response::Pong,
+            Request::Stats => Response::Stats {
+                payload: shared.stats_json().into_bytes(),
+            },
+            Request::Metrics => Response::Metrics {
+                text: shared.metrics_text(),
+            },
+            Request::Shutdown => Response::ShuttingDown,
             Request::Check { .. } | Request::Lint { .. } => {
                 if shared.shutdown.load(Ordering::Acquire) {
-                    (
-                        Response::Error {
-                            code: error_code::SHUTTING_DOWN,
-                            message: "server is shutting down".to_string(),
-                        },
-                        "-",
-                    )
+                    Response::Error {
+                        code: error_code::SHUTTING_DOWN,
+                        message: "server is shutting down".to_string(),
+                    }
                 } else {
                     // Bounded admission: block (backpressure) at capacity,
                     // then wait for a compute slot.
@@ -641,14 +707,10 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
                     record.cache_ns = executed.cache_ns;
                     record.translate_ns = executed.translate_ns;
                     record.solve_ns = executed.solve_ns;
-                    events[0] = Event::ServeRequest {
-                        req: req_id,
-                        kind: req.kind().to_string(),
-                        key: executed.cache_key.clone(),
-                    };
-                    events.extend(cache_ops_events(&executed.ops));
-                    let label = executed.disposition.map_or("-", |d| d.label());
-                    (executed.response, label)
+                    key = executed.cache_key;
+                    ops = executed.ops;
+                    cache_label = executed.disposition.map_or("-", |d| d.label());
+                    executed.response
                 }
             }
         };
@@ -659,36 +721,37 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
             shared.responses_ok.fetch_add(1, Ordering::Relaxed);
             "ok"
         };
-        events.push(Event::ServeResponse {
-            req: req_id,
-            outcome: outcome.to_string(),
-            cache: cache_label.to_string(),
-        });
         let encode_start = Instant::now();
         let frame = encode_response(&response);
-        record.outcome = outcome;
-        record.cache = cache_label;
         record.write_ns = ns_since(encode_start);
         record.total_ns = ns_since(total_start);
-        if shared.record_events {
-            // The span event carries wall-clock fields and request ids —
-            // it lives only in this opt-in stream, like `SpanRecorder`.
-            events.push(Event::ServeSpan {
-                req: record.req,
+        shared.record(req_id, || {
+            let mut events = Vec::with_capacity(ops.len() + 3);
+            events.push(Event::ServeRequest {
+                req: req_id,
                 kind: record.kind.to_string(),
-                total_ns: record.total_ns,
-                decode_ns: record.decode_ns,
-                queue_ns: record.queue_ns,
-                cache_ns: record.cache_ns,
-                translate_ns: record.translate_ns,
-                solve_ns: record.solve_ns,
-                write_ns: record.write_ns,
+                key,
             });
-        }
+            // Trace readers key cache operations by `tier/op`; the
+            // verdict cache is the service's one tier.
+            events.extend(ops.into_iter().map(|op| Event::ServeCache {
+                tier: "verdict".to_string(),
+                op: op.op.to_string(),
+                key: op.key,
+            }));
+            events.push(Event::ServeResponse {
+                req: req_id,
+                outcome: outcome.to_string(),
+                cache: cache_label.to_string(),
+            });
+            // The span event carries wall-clock fields and request ids;
+            // it lives only in this opt-in stream, like `SpanRecorder`.
+            events.push(record.span_event(req_id));
+            events
+        });
         // Counted before the first byte goes out: a client holding its
         // answer always finds it in the next scrape.
-        shared.record(req_id, events);
-        shared.telemetry.record(record);
+        shared.totals().add(&record);
         let written = write_frame(&mut writer, &frame).is_ok();
         if matches!(req, Request::Shutdown) {
             match writer.local_addr() {
@@ -744,6 +807,53 @@ mod tests {
         assert_eq!(peak.load(Ordering::SeqCst), 2, "two slots, both used");
         assert_eq!(finished.load(Ordering::SeqCst), 8);
         assert_eq!((gate.depth(), gate.hwm()), (0, 8));
+    }
+
+    #[test]
+    fn totals_render_six_phases_and_per_kind_latency_sums() {
+        let mut totals = Totals::default();
+        let text = totals.prometheus_text();
+        for phase in SERVE_PHASES {
+            let sample = format!("mca_serve_phase_ns_total{{phase=\"{phase}\"}} 0\n");
+            assert!(
+                text.contains(&sample),
+                "{phase} missing before any request:\n{text}"
+            );
+        }
+        assert!(!text.contains("mca_serve_latency_ns_count"), "{text}");
+        for total_ns in [100, 300] {
+            totals.add(&RequestRecord {
+                kind: "check",
+                total_ns,
+                decode_ns: 1,
+                queue_ns: 2,
+                cache_ns: 3,
+                translate_ns: 4,
+                solve_ns: 5,
+                write_ns: 6,
+            });
+        }
+        totals.add(&RequestRecord {
+            kind: "lint",
+            total_ns: 50,
+            solve_ns: 40,
+            ..RequestRecord::default()
+        });
+        assert_eq!(
+            totals.prometheus_text(),
+            "# TYPE mca_serve_phase_ns_total counter\n\
+             mca_serve_phase_ns_total{phase=\"decode\"} 2\n\
+             mca_serve_phase_ns_total{phase=\"queue\"} 4\n\
+             mca_serve_phase_ns_total{phase=\"cache\"} 6\n\
+             mca_serve_phase_ns_total{phase=\"translate\"} 8\n\
+             mca_serve_phase_ns_total{phase=\"solve\"} 50\n\
+             mca_serve_phase_ns_total{phase=\"write\"} 12\n\
+             # TYPE mca_serve_latency_ns summary\n\
+             mca_serve_latency_ns_sum{kind=\"check\"} 400\n\
+             mca_serve_latency_ns_count{kind=\"check\"} 2\n\
+             mca_serve_latency_ns_sum{kind=\"lint\"} 50\n\
+             mca_serve_latency_ns_count{kind=\"lint\"} 1\n"
+        );
     }
 
     #[test]

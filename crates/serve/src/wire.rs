@@ -12,14 +12,14 @@
 //! | `0x04` | request   | `Stats` (no payload)                            |
 //! | `0x05` | request   | `Shutdown` (no payload)                         |
 //! | `0x06` | request   | `Metrics` (no payload)                          |
-//! | `0x07` | request   | `FlightDump` (no payload)                       |
+//! | `0x07` | request   | retired (was `FlightDump`); never reused        |
 //! | `0x81` | response  | `Pong` (no payload)                             |
 //! | `0x82` | response  | `Verdict`: cache-disposition byte + JSON bytes  |
 //! | `0x83` | response  | `LintReport`: cache-disposition byte + JSONL    |
 //! | `0x84` | response  | `Stats`: JSON bytes                             |
 //! | `0x85` | response  | `ShuttingDown` (no payload)                     |
-//! | `0x86` | response  | `Metrics`: UTF-8 Prometheus-style exposition    |
-//! | `0x87` | response  | `FlightDump`: JSON flight-recorder dump         |
+//! | `0x86` | response  | `Metrics`: UTF-8 Prometheus-style phase totals  |
+//! | `0x87` | response  | retired (was `FlightDump`); never reused        |
 //! | `0xEE` | response  | `Error`: code byte + UTF-8 message              |
 //!
 //! A **scenario spec** is `[kind u8]` where kind `0` is a named shipped
@@ -28,6 +28,9 @@
 //! big-endian. Frames larger than [`MAX_FRAME_BYTES`] are rejected
 //! before allocation, so a hostile length prefix can never balloon
 //! memory; decoders consume the body exactly and reject trailing bytes.
+//!
+//! A retired tag decodes as [`WireError::UnknownTag`], like any tag never
+//! assigned.
 //!
 //! The cache-disposition byte rides **outside** the verdict payload so a
 //! cached response stays byte-identical to a cold one in the payload the
@@ -123,10 +126,9 @@ pub enum Request {
     Stats,
     /// Ask the server to drain and exit cleanly.
     Shutdown,
-    /// Fetch the rolling telemetry aggregates as Prometheus-style text.
+    /// Fetch the server's phase and latency totals as Prometheus-style
+    /// text.
     Metrics,
-    /// Fetch the flight recorder (recent + slowest requests) as JSON.
-    FlightDump,
 }
 
 impl Request {
@@ -139,7 +141,6 @@ impl Request {
             Request::Stats => "stats",
             Request::Shutdown => "shutdown",
             Request::Metrics => "metrics",
-            Request::FlightDump => "flight-dump",
         }
     }
 }
@@ -217,15 +218,11 @@ pub enum Response {
     /// Acknowledgement of [`Request::Shutdown`]; the server drains and
     /// exits after sending this.
     ShuttingDown,
-    /// Rolling telemetry aggregates in Prometheus-style text exposition.
+    /// Phase and latency totals since startup, in Prometheus-style text
+    /// exposition.
     Metrics {
         /// UTF-8 exposition text.
         text: String,
-    },
-    /// Flight-recorder dump: recent + slowest request records as JSON.
-    FlightDump {
-        /// JSON bytes.
-        payload: Vec<u8>,
     },
     /// A protocol or execution error.
     Error {
@@ -449,7 +446,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         Request::Stats => out.push(0x04),
         Request::Shutdown => out.push(0x05),
         Request::Metrics => out.push(0x06),
-        Request::FlightDump => out.push(0x07),
     }
     out
 }
@@ -486,7 +482,6 @@ pub fn decode_request(body: &[u8]) -> Result<Request, WireError> {
         0x04 => Request::Stats,
         0x05 => Request::Shutdown,
         0x06 => Request::Metrics,
-        0x07 => Request::FlightDump,
         other => return Err(WireError::UnknownTag(other)),
     };
     r.finish()?;
@@ -516,10 +511,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Metrics { text } => {
             out.push(0x86);
             out.extend_from_slice(text.as_bytes());
-        }
-        Response::FlightDump { payload } => {
-            out.push(0x87);
-            out.extend_from_slice(payload);
         }
         Response::Error { code, message } => {
             out.push(0xEE);
@@ -559,9 +550,6 @@ pub fn decode_response(body: &[u8]) -> Result<Response, WireError> {
             text: std::str::from_utf8(r.rest())
                 .map_err(|_| WireError::Malformed("metrics text is not UTF-8"))?
                 .to_string(),
-        },
-        0x87 => Response::FlightDump {
-            payload: r.rest().to_vec(),
         },
         0xEE => {
             let code = r.u8()?;
@@ -607,7 +595,6 @@ mod tests {
             Request::Stats,
             Request::Shutdown,
             Request::Metrics,
-            Request::FlightDump,
             Request::Check {
                 scenario: ScenarioSpec::Named("two_agent_compliant".into()),
                 encoding: WireEncoding::Optimized,
@@ -655,10 +642,7 @@ mod tests {
                 payload: br#"{"requests":7}"#.to_vec(),
             },
             Response::Metrics {
-                text: "mca_serve_requests_total{kind=\"check\"} 7\n".to_string(),
-            },
-            Response::FlightDump {
-                payload: br#"{"version":1,"ring":[]}"#.to_vec(),
+                text: "mca_serve_latency_ns_count{kind=\"check\"} 7\n".to_string(),
             },
             Response::Error {
                 code: error_code::UNKNOWN_TAG,
@@ -741,6 +725,11 @@ mod tests {
     fn unknown_tag_is_rejected() {
         let body = vec![PROTOCOL_VERSION, 0x7f];
         assert_eq!(decode_request(&body), Err(WireError::UnknownTag(0x7f)));
+        // The retired flight-dump tags are unknown in both directions.
+        let body = vec![PROTOCOL_VERSION, 0x07];
+        assert_eq!(decode_request(&body), Err(WireError::UnknownTag(0x07)));
+        let body = vec![PROTOCOL_VERSION, 0x87];
+        assert_eq!(decode_response(&body), Err(WireError::UnknownTag(0x87)));
     }
 
     #[test]

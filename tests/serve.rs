@@ -4,19 +4,18 @@
 //! byte budget, and malformed-frame robustness (the server answers with
 //! a protocol error and keeps serving — never panics, never hangs).
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::ErrorKind;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mca_obs::Json;
-use mca_report::{diagnose_service, ServiceStats, WhySeverity};
+use mca_obs::{Event, Json};
 use mca_serve::request;
 use mca_serve::wire::{encode_request, error_code, write_frame};
 use mca_serve::{
-    CacheDisposition, Client, LoadConfig, Request, Response, ResultCache, ScenarioSpec, Server,
-    ServerConfig, TelemetryConfig, WireEncoding, WireError,
+    CacheDisposition, Client, Request, Response, ResultCache, ScenarioSpec, Server, ServerConfig,
+    WireEncoding, WireError,
 };
 use mca_verify::{DynamicModel, NumberEncoding};
 
@@ -554,8 +553,8 @@ fn requests_after_shutdown_are_refused() {
 }
 
 // ---------------------------------------------------------------------
-// Live observability: Stats shape, Metrics/FlightDump frames, service
-// diagnosis, and the telemetry overhead gate.
+// Observability: the Stats shape, the Metrics totals, and the serve-*
+// events of a traced daemon.
 // ---------------------------------------------------------------------
 
 /// The `Stats` frame payload shape is a wire contract: scripts parse it
@@ -591,133 +590,246 @@ fn stats_payload_field_order_is_pinned() {
     handle.join();
 }
 
-/// Acceptance pin (a) + (c)-healthy: a load run against a telemetry-
-/// enabled daemon yields a Metrics scrape whose check+lint counts
-/// reconcile *exactly* with what the load generator sent, and the
-/// service diagnosis over that healthy scrape has zero critical
-/// findings.
+/// Reads a `Metrics` frame the way perfbench's traced `serve-repeat`
+/// pass does: skip `#` lines, split each sample at its last space, and
+/// key it by the full sample name, labels included.
+fn scrape(text: &str) -> BTreeMap<String, f64> {
+    text.lines()
+        .filter(|l| !l.starts_with('#'))
+        .filter_map(|l| {
+            let (key, value) = l.rsplit_once(' ')?;
+            Some((key.to_string(), value.parse().ok()?))
+        })
+        .collect()
+}
+
+/// The series perfbench reads keep their names, labels and meaning, and
+/// their deltas reconcile with what the load generator's deck sent.
+/// perfbench reads a missing key as 0, so a renamed series would zero
+/// its server share and queue wait, and would make its "warm requests
+/// reached solve" check pass vacuously.
 #[test]
 fn metrics_scrape_reconciles_with_load_generator() {
-    let handle = start(2, 32 << 20);
-    let cfg = LoadConfig {
-        addr: handle.addr().to_string(),
-        clients: 2,
-        mixed_requests: 10,
-        warm_requests: 10,
-        smoke: true,
-    };
-    let outcome = mca_serve::run_load(&cfg).expect("load run");
-    assert_eq!(outcome.total_errors, 0, "healthy run has no errors");
-
+    let walks = 5;
+    let handle = start(2, 64 << 20);
     let mut client = connect(&handle);
-    let text = client.metrics().expect("metrics scrape");
-    let stats = ServiceStats::parse(&text);
-    assert_eq!(stats.skipped_lines, 0, "scrape parses cleanly:\n{text}");
+    let deck = mca_serve::load::full_deck();
+    for req in &deck {
+        client.request(req).expect("cold walk");
+    }
+    let before = scrape(&client.metrics().expect("scrape before"));
+    let mut sent: BTreeMap<&str, f64> = BTreeMap::new();
+    for _ in 0..walks {
+        for req in &deck {
+            match client.request(req).expect("warm walk") {
+                Response::Verdict { cache, .. } | Response::LintReport { cache, .. } => {
+                    assert_eq!(cache, CacheDisposition::VerdictHit, "{req:?}");
+                }
+                other => panic!("{req:?} answered {other:?}"),
+            }
+            *sent.entry(req.kind()).or_insert(0.0) += 1.0;
+        }
+    }
+    // The first scrape is counted after its own text is rendered.
+    sent.insert("metrics", 1.0);
+    let after = scrape(&client.metrics().expect("scrape after"));
+    let delta = |key: &str| after.get(key).unwrap_or(&0.0) - before.get(key).unwrap_or(&0.0);
 
-    // The generator sends only Check and Lint during its phases (plus
-    // one Stats afterwards, which has its own kind). Exact reconcile:
-    let check = stats
-        .value("mca_serve_requests_total", &[("kind", "check")])
-        .unwrap_or(0.0);
-    let lint = stats
-        .value("mca_serve_requests_total", &[("kind", "lint")])
-        .unwrap_or(0.0);
-    assert_eq!(
-        (check + lint) as u64,
-        outcome.total_requests,
-        "scraped check+lint counts must equal the generator's sent count\n{text}"
-    );
-    // The latency histograms account for every one of those requests.
-    let hist_total = stats.total("mca_serve_latency_ns_count");
-    assert!(
-        hist_total >= check + lint,
-        "latency histograms cover all load requests: {hist_total} vs {}",
-        check + lint
-    );
-    // Responses reconcile too: no error frames on the healthy deck.
-    assert_eq!(
-        stats.value("mca_serve_responses_total", &[("outcome", "error")]),
-        None,
-        "no error series on a healthy run\n{text}"
-    );
-
-    // Healthy configuration ⇒ zero critical W101–W106 findings.
-    let findings = diagnose_service(&stats, None);
-    assert!(
-        !findings.iter().any(|f| f.severity == WhySeverity::Critical),
-        "healthy scrape must have no critical findings: {findings:?}"
-    );
-
+    for phase in ["decode", "queue", "cache", "translate", "solve", "write"] {
+        let key = format!("mca_serve_phase_ns_total{{phase=\"{phase}\"}}");
+        assert!(
+            before.contains_key(&key) && after.contains_key(&key),
+            "{key} missing from a scrape: {after:?}"
+        );
+    }
+    for kind in ["check", "lint"] {
+        let key = format!("mca_serve_latency_ns_sum{{kind=\"{kind}\"}}");
+        assert!(
+            after.get(&key).is_some_and(|&ns| ns > 0.0),
+            "{key}: {after:?}"
+        );
+    }
+    let counted: BTreeSet<&str> = after
+        .keys()
+        .filter_map(|k| k.strip_prefix("mca_serve_latency_ns_count{kind=\""))
+        .filter_map(|k| k.strip_suffix("\"}"))
+        .chain(sent.keys().copied())
+        .collect();
+    for kind in counted {
+        let key = format!("mca_serve_latency_ns_count{{kind=\"{kind}\"}}");
+        assert_eq!(
+            delta(&key),
+            sent.get(kind).copied().unwrap_or(0.0),
+            "{key}: {after:?}"
+        );
+    }
+    // A warm hit neither translates nor solves.
+    assert_eq!(delta("mca_serve_phase_ns_total{phase=\"solve\"}"), 0.0);
+    assert_eq!(delta("mca_serve_phase_ns_total{phase=\"translate\"}"), 0.0);
     client.shutdown_server().expect("shutdown");
     handle.join();
 }
 
-/// Acceptance pin (b): the FlightDump carries full latency attribution
-/// for the slowest request, and the slowest list is sorted.
+/// Each warm request is counted once in the scraped totals whether or
+/// not the daemon is traced. A traced daemon also records exactly one
+/// `serve-span` per request; an untraced one records no events at all.
 #[test]
-fn flight_dump_attributes_the_slowest_request() {
-    let handle = start(1, 32 << 20);
+fn telemetry_records_each_warm_request_once_and_nothing_when_off() {
+    let walks = 20;
+    let deck = mca_serve::load::smoke_deck();
+    let walk = |record_events: bool| {
+        let handle = Server::start(&ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            threads: 2,
+            cache_bytes: 32 << 20,
+            read_timeout: Duration::from_secs(30),
+            record_events,
+            ..ServerConfig::default()
+        })
+        .expect("bind on a free port");
+        let mut client = connect(&handle);
+        for req in &deck {
+            client.request(req).expect("cache warmup");
+        }
+        let before = scrape(&client.metrics().expect("scrape before"));
+        let mut sent: BTreeMap<&str, f64> = BTreeMap::new();
+        for _ in 0..walks {
+            for req in &deck {
+                match client.request(req).expect("warm walk") {
+                    Response::Verdict { cache, .. } | Response::LintReport { cache, .. } => {
+                        assert_eq!(cache, CacheDisposition::VerdictHit, "{req:?}");
+                    }
+                    other => panic!("{req:?} answered {other:?}"),
+                }
+                *sent.entry(req.kind()).or_insert(0.0) += 1.0;
+            }
+        }
+        let after = scrape(&client.metrics().expect("scrape after"));
+        for (kind, n) in &sent {
+            let key = format!("mca_serve_latency_ns_count{{kind=\"{kind}\"}}");
+            let delta = after.get(&key).unwrap_or(&0.0) - before.get(&key).unwrap_or(&0.0);
+            assert_eq!(delta, *n, "{key} with record_events {record_events}");
+        }
+        client.shutdown_server().expect("shutdown");
+        handle.join().events
+    };
+
+    // The deck once cold, the warm walks, two scrapes and the shutdown.
+    let requests = (1 + walks) * deck.len() + 3;
+    let traced = walk(true);
+    let spans: Vec<u64> = traced
+        .iter()
+        .filter_map(|e| match e {
+            Event::ServeSpan { req, .. } => Some(*req),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(spans.len(), requests, "one serve-span per request");
+    assert_eq!(
+        spans.iter().collect::<BTreeSet<_>>().len(),
+        requests,
+        "a request recorded twice: {spans:?}"
+    );
+    assert_eq!(
+        walk(false),
+        Vec::new(),
+        "an untraced daemon recorded events"
+    );
+}
+
+/// A traced daemon records, for each request in request-id order, its
+/// `serve-request`, its `serve-cache` operations, its `serve-response`
+/// and its `serve-span`, and the span attributes the cold check's work
+/// to translate and solve.
+#[test]
+fn traced_server_records_each_requests_events_in_order() {
+    let handle = Server::start(&ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        threads: 1,
+        cache_bytes: 32 << 20,
+        read_timeout: Duration::from_secs(2),
+        record_events: true,
+        ..ServerConfig::default()
+    })
+    .expect("bind on a free port");
     let mut client = connect(&handle);
-    // One cold check (translate+solve work) then warm repeats (cache).
+    // One cold check, five warm repeats, then a cold lint.
     for _ in 0..6 {
         client
             .check(named("two_agent_compliant"), WireEncoding::Optimized, false)
             .expect("check");
     }
-    let dump = client.flight_dump().expect("flight dump");
-    let flight = Json::parse(&dump).expect("flight dump is valid JSON");
-    assert_eq!(flight.get("version").and_then(Json::as_u64), Some(1));
+    client
+        .lint(named("two_agent_compliant"), WireEncoding::Optimized)
+        .expect("lint");
+    let report = handle.join();
 
-    let Some(Json::Array(slowest)) = flight.get("slowest") else {
-        panic!("flight dump has a slowest array: {dump}");
-    };
-    assert!(!slowest.is_empty(), "{dump}");
-    let top = &slowest[0];
-    let field = |key: &str| {
-        top.get(key)
-            .and_then(Json::as_u64)
-            .unwrap_or_else(|| panic!("slowest record has `{key}`: {dump}"))
-    };
-    let total = field("total_ns");
-    assert!(total > 0);
-    // Attribution is complete and consistent: the phases never exceed
-    // the request's own total.
-    let attributed = field("decode_ns")
-        + field("queue_ns")
-        + field("cache_ns")
-        + field("translate_ns")
-        + field("solve_ns")
-        + field("write_ns");
-    assert!(
-        attributed <= total,
-        "phase attribution {attributed} exceeds total {total}: {dump}"
-    );
-    // The slowest request is the cold check, which did real translate
-    // and solve work.
-    assert_eq!(top.get("kind").and_then(Json::as_str), Some("check"));
-    assert!(field("translate_ns") + field("solve_ns") > 0, "{dump}");
-
-    // Sorted slowest-first, and the ring kept every request.
-    let totals: Vec<u64> = slowest
-        .iter()
-        .filter_map(|r| r.get("total_ns").and_then(Json::as_u64))
-        .collect();
-    assert!(totals.windows(2).all(|w| w[0] >= w[1]), "{totals:?}");
-    let Some(Json::Array(ring)) = flight.get("ring") else {
-        panic!("flight dump has a ring array: {dump}");
-    };
-    assert!(ring.len() >= 6, "{dump}");
-
-    client.shutdown_server().expect("shutdown");
-    handle.join();
+    let mut events = report.events.iter();
+    for req in 0..7u64 {
+        let (kind, cold) = match req {
+            0 => ("check", true),
+            6 => ("lint", true),
+            _ => ("check", false),
+        };
+        let key = match events.next() {
+            Some(Event::ServeRequest {
+                req: r,
+                kind: k,
+                key,
+            }) if *r == req && k == kind => key,
+            other => panic!("request {req}: expected serve-request, got {other:?}"),
+        };
+        assert!(key.starts_with(kind), "request {req}: key `{key}`");
+        let ops: &[&str] = if cold { &["miss", "insert"] } else { &["hit"] };
+        for op in ops {
+            match events.next() {
+                Some(Event::ServeCache {
+                    tier,
+                    op: o,
+                    key: k,
+                }) if tier == "verdict" && o == op && k == key => {}
+                other => panic!("request {req}: expected verdict/{op} on {key}, got {other:?}"),
+            }
+        }
+        let cache = if cold { "miss" } else { "verdict-hit" };
+        match events.next() {
+            Some(Event::ServeResponse {
+                req: r,
+                outcome,
+                cache: c,
+            }) if *r == req && outcome == "ok" && c == cache => {}
+            other => panic!("request {req}: expected an ok {cache} response, got {other:?}"),
+        }
+        match events.next() {
+            Some(Event::ServeSpan {
+                req: r,
+                kind: k,
+                total_ns,
+                decode_ns,
+                queue_ns,
+                cache_ns,
+                translate_ns,
+                solve_ns,
+                write_ns,
+            }) if *r == req && k == kind => {
+                let phases = decode_ns + queue_ns + cache_ns + translate_ns + solve_ns + write_ns;
+                assert!(phases <= *total_ns, "request {req}: {phases} > {total_ns}");
+                if req == 0 {
+                    assert!(translate_ns + solve_ns > 0, "the cold check did no work");
+                } else if kind == "check" {
+                    assert_eq!(*solve_ns, 0, "warm check {req} solved");
+                }
+            }
+            other => panic!("request {req}: expected serve-span, got {other:?}"),
+        }
+    }
+    assert_eq!(events.next(), None, "one event group per request");
 }
 
-/// Acceptance pin (c)-saturated: a `--queue-cap 1` daemon under any
-/// concurrent load drives the admission high-water to its capacity, so
-/// W102 fires critical — and since `repro why` exits
-/// `i32::from(!findings.is_empty())`, that scrape exits 1.
+/// A `queue_capacity: 1` daemon under two concurrent clients admits one
+/// request at a time, and `Stats` reports that bound as its high water.
 #[test]
-fn tiny_queue_cap_fires_w102() {
+fn tiny_queue_cap_reaches_a_high_water_of_one() {
     let config = ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         threads: 2,
@@ -740,107 +852,70 @@ fn tiny_queue_cap_fires_w102() {
         }
     });
     let mut client = connect(&handle);
-    let stats = ServiceStats::parse(&client.metrics().expect("metrics"));
-    let findings = diagnose_service(&stats, None);
-    let w102 = findings
-        .iter()
-        .find(|f| f.rule == "W102")
-        .unwrap_or_else(|| panic!("W102 must fire on a saturated queue: {findings:?}"));
-    assert_eq!(w102.severity, WhySeverity::Critical);
-    assert!(!findings.is_empty(), "exit code 1: at least one finding");
+    let stats = Json::parse(&client.stats().expect("stats")).expect("stats is JSON");
+    assert_eq!(
+        stats.get("queue_depth_hwm").and_then(Json::as_u64),
+        Some(1),
+        "{}",
+        stats.render()
+    );
     client.shutdown_server().expect("shutdown");
     handle.join();
 }
 
-/// The flight recorder and metrics endpoints are served while Check
-/// traffic is in flight — scrapes under load return promptly and never
-/// deadlock against the request path's telemetry lock.
+/// The `Metrics` frame is served while Check traffic is in flight:
+/// scrapes under load return promptly and never deadlock against the
+/// request path's totals lock.
 #[test]
 fn metrics_and_flight_dump_mid_load_do_not_deadlock() {
     let handle = start(2, 32 << 20);
     let stop = AtomicBool::new(false);
+    let sent = AtomicU32::new(0);
     std::thread::scope(|scope| {
         let hammer = scope.spawn(|| {
             let mut client = connect(&handle);
-            let mut sent = 0u32;
             while !stop.load(Ordering::Relaxed) {
                 client
                     .check(named("two_agent_compliant"), WireEncoding::Optimized, false)
                     .expect("check under scrape load");
-                sent += 1;
+                sent.fetch_add(1, Ordering::Relaxed);
             }
-            sent
         });
+        // Scrape only once checks are flowing, and keep scraping until
+        // more of them have completed, so scrapes and checks interleave
+        // however the two threads are scheduled.
         let mut client = connect(&handle);
-        for _ in 0..25 {
+        let mut scrapes = 0;
+        let mut flowing_at = None;
+        while !hammer.is_finished() {
+            let done = sent.load(Ordering::Relaxed);
+            if done == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+                continue;
+            }
+            let start = *flowing_at.get_or_insert(done);
+            if scrapes >= 50 && done > start {
+                break;
+            }
             let text = client.metrics().expect("metrics mid-flight");
-            assert!(text.contains("mca_serve_requests_total"), "{text}");
-            let dump = client.flight_dump().expect("flight dump mid-flight");
-            Json::parse(&dump).expect("mid-flight dump is valid JSON");
+            assert!(text.contains("mca_serve_phase_ns_total"), "{text}");
+            scrapes += 1;
         }
         stop.store(true, Ordering::Relaxed);
-        assert!(hammer.join().expect("hammer thread") > 0);
+        hammer.join().expect("hammer thread");
+        assert!(
+            scrapes >= 50,
+            "only {scrapes} scrapes before the hammer ended"
+        );
     });
     let mut client = connect(&handle);
     client.shutdown_server().expect("shutdown");
     handle.join();
 }
 
-/// Telemetry cost as counted work, not wall clock: over a warm (fully
-/// cached) deck walk the flight recorder folds in exactly one record per
-/// request with telemetry on, and none with it off. The wall-clock cost
-/// of recording shows in the repository benchmark's `serve-repeat`
-/// latency, which runs with telemetry on.
-#[test]
-fn telemetry_records_each_warm_request_once_and_nothing_when_off() {
-    let walks = 20;
-    let deck = mca_serve::load::smoke_deck();
-    let recorded_after_walk = |enabled: bool| {
-        let config = ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            threads: 2,
-            cache_bytes: 32 << 20,
-            read_timeout: Duration::from_secs(30),
-            telemetry: TelemetryConfig {
-                enabled,
-                ..TelemetryConfig::default()
-            },
-            ..ServerConfig::default()
-        };
-        let handle = Server::start(&config).expect("bind");
-        let mut client = connect(&handle);
-        for req in &deck {
-            client.request(req).expect("cache warmup");
-        }
-        for _ in 0..walks {
-            for req in &deck {
-                match client.request(req).expect("warm walk") {
-                    Response::Verdict { cache, .. } | Response::LintReport { cache, .. } => {
-                        assert_eq!(cache, CacheDisposition::VerdictHit, "{req:?}");
-                    }
-                    other => panic!("{req:?} answered {other:?}"),
-                }
-            }
-        }
-        // The dump is rendered before its own request is recorded.
-        let dump = client.flight_dump().expect("flight dump");
-        let recorded = Json::parse(&dump)
-            .expect("flight dump is valid JSON")
-            .get("recorded")
-            .and_then(Json::as_u64)
-            .expect("recorded count");
-        client.shutdown_server().expect("shutdown");
-        handle.join();
-        recorded
-    };
-    let sent = ((1 + walks) * deck.len()) as u64;
-    assert_eq!(recorded_after_walk(true), sent);
-    assert_eq!(recorded_after_walk(false), 0);
-}
-
-/// Telemetry (on by default) must not perturb the deterministic payload
-/// contract: interleaving Metrics/FlightDump scrapes between checks
-/// still yields byte-identical cold and cached verdicts.
+/// The totals must not perturb the deterministic payload contract:
+/// interleaving a `Metrics` scrape between checks still yields
+/// byte-identical cold and cached verdicts.
 #[test]
 fn scrapes_do_not_perturb_payload_determinism() {
     let handle = start(1, 32 << 20);
@@ -853,7 +928,6 @@ fn scrapes_do_not_perturb_payload_determinism() {
         )
         .expect("cold check");
     client.metrics().expect("metrics between checks");
-    client.flight_dump().expect("flight dump between checks");
     let (disp, warm) = client
         .check(
             named("two_agent_rebid_attack"),
