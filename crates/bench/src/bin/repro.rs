@@ -1,7 +1,7 @@
 //! `repro` — regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro                          # run all experiments (E1..E7)
+//! repro                          # run all experiments (E1..E8; E8 up to 4×3)
 //! repro e5                       # run one experiment (also: --exp e5)
 //! repro --list                   # list experiments
 //! repro --trace run.jsonl        # write a JSONL event trace
@@ -14,13 +14,14 @@
 //! repro load --smoke             # drive a server, write BENCH_SERVE.json
 //! ```
 //!
-//! With `--trace`, the run also records hierarchical **spans**: one
+//! With `--trace`, the run records hierarchical **spans**: one
 //! `repro.<exp>` root per experiment, with `runtime.batch` /
 //! `runtime.job:*`, `relalg.encode`, `sat.solve`, `sat.restart-epoch` and
 //! `verify.state-query` descendants. Span events carry wall-clock
 //! timestamps and resource fields, so a trace with spans is **not**
-//! byte-reproducible across runs — the logical (non-span) events still
-//! are, and so is the span tree's outline, at any `--threads`.
+//! byte-reproducible across runs — the span tree's outline is, at any
+//! `--threads`, and so are E1's simulator events (`bid`, `deliver`,
+//! `converged`), the trace's only non-span events.
 //!
 //! A run's numbers reach the reader once each: through its `BENCH_*.json`
 //! file, its stdout, and (with `--trace`) its trace.
@@ -34,8 +35,8 @@
 //! `--threads N` runs the independent checks of E3, E4 and E8 as batches
 //! on up to `N` scoped worker threads (`mca_verify::batch`; `--threads
 //! 0`, the default, auto-detects the machine's parallelism). Each driver
-//! has one code path at every thread count: outcomes, logical events and
-//! the span tree are identical, only wall clock changes. A run of E3 at
+//! has one code path at every thread count: outcomes and the span tree
+//! are identical, only wall clock changes. A run of E3 at
 //! `N ≥ 2` also records the 1-thread-vs-`N` comparison (the extended
 //! policy matrix and the coarse E8 scaling cells) in `BENCH_PAR.json`.
 //!
@@ -189,9 +190,9 @@ fn main() {
         selected = EXPERIMENTS.iter().map(|(id, _)| id.to_string()).collect();
     }
 
-    // One trace sink spans the whole run. Logical events are keyed by
-    // progress and deterministic for a fixed experiment selection; span
-    // events (below) add wall-clock timestamps on top.
+    // One trace sink spans the whole run: E1's simulator events, keyed by
+    // logical step, and every experiment's spans (below), which carry
+    // wall-clock timestamps.
     let trace: Option<Handle<JsonlSink<BufWriter<File>>>> =
         trace_path
             .as_ref()
@@ -214,12 +215,12 @@ fn main() {
         match exp.as_str() {
             "e1" => all_match &= run_e1(observer.clone()),
             "e2" => all_match &= run_e2(),
-            "e3" => all_match &= run_e3(observer.clone(), threads, spans.as_ref(), reps),
+            "e3" => all_match &= run_e3(threads, spans.as_ref(), reps),
             "e4" => all_match &= run_e4(threads, spans.as_ref()),
-            "e5" => all_match &= run_e5(observer.clone(), threads),
+            "e5" => all_match &= run_e5(threads),
             "e6" => all_match &= run_e6(),
             "e7" => all_match &= run_e7(),
-            "e8" => all_match &= run_e8(observer.clone(), spans.as_ref(), threads, smoke, stretch),
+            "e8" => all_match &= run_e8(spans.as_ref(), threads, smoke, stretch),
             other => {
                 eprintln!("unknown experiment `{other}` (try --list)");
                 std::process::exit(2);
@@ -903,14 +904,9 @@ fn run_e2() -> bool {
     }
 }
 
-fn run_e3(
-    observer: Option<SharedObserver>,
-    threads: usize,
-    spans: Option<&SpanRecorder>,
-    reps: usize,
-) -> bool {
+fn run_e3(threads: usize, spans: Option<&SpanRecorder>, reps: usize) -> bool {
     println!("E3 (Result 1) — policy matrix (exhaustive explicit-state checking)");
-    let rows = analysis::run_policy_matrix(threads, observer, spans);
+    let rows = analysis::run_policy_matrix(threads, spans);
     let mut ok = true;
     for row in &rows {
         println!("{row}");
@@ -980,7 +976,7 @@ fn run_e3_bench_par(
     // The four Result-1 cells are sub-millisecond work: keep them as an
     // untimed outcome check rather than pretending a speedup measurement
     // at this granularity means anything.
-    let one_thread = analysis::run_policy_matrix(1, None, spans);
+    let one_thread = analysis::run_policy_matrix(1, spans);
     let outcomes_match = rows.len() == one_thread.len()
         && rows.iter().zip(&one_thread).all(|(r, o)| {
             r.cell == o.cell && r.checker_converges == o.checker_converges && r.detail == o.detail
@@ -1110,14 +1106,14 @@ fn e8_par_cells(
             E8_PAR_VARIANTS.map(move |(label, encoding, preprocess)| {
                 (
                     format!("e8:{p}x{v}:{label}"),
-                    move |_: Option<SharedObserver>, spans: Option<&SpanRecorder>| {
+                    move |spans: Option<&SpanRecorder>| {
                         analysis::scale_variant(p, v, label, encoding, preprocess, spans)
                     },
                 )
             })
         })
         .collect();
-    run_batch(threads, jobs, None, spans)
+    run_batch(threads, jobs, spans)
 }
 
 fn run_e4(threads: usize, spans: Option<&SpanRecorder>) -> bool {
@@ -1126,11 +1122,11 @@ fn run_e4(threads: usize, spans: Option<&SpanRecorder>) -> bool {
     report.matches_paper()
 }
 
-fn run_e5(observer: Option<SharedObserver>, threads: usize) -> bool {
+fn run_e5(threads: usize) -> bool {
     println!("E5 (Abstractions Efficiency) — static + dynamic model, both encodings");
     println!("(paper: 259K -> 190K clauses, ~a day -> <2h, scope 3 pnodes / 2 vnodes)\n");
     let wall_start = Instant::now();
-    let rows = analysis::run_encoding_comparison(observer);
+    let rows = analysis::run_encoding_comparison();
     let wall_clock_secs = wall_start.elapsed().as_secs_f64();
     let mut ok = true;
     for row in &rows {
@@ -1250,13 +1246,7 @@ fn bench_e5_json(rows: &[EncodingRow], wall_clock_secs: f64, threads: usize) -> 
     ])
 }
 
-fn run_e8(
-    observer: Option<SharedObserver>,
-    spans: Option<&SpanRecorder>,
-    threads: usize,
-    smoke: bool,
-    stretch: bool,
-) -> bool {
+fn run_e8(spans: Option<&SpanRecorder>, threads: usize, smoke: bool, stretch: bool) -> bool {
     println!("E8 — scope scaling: naive vs optimized vs optimized+preprocessed");
     println!("(every variant must reach the same verdict at every scope)\n");
     let scopes = if smoke {
@@ -1265,8 +1255,8 @@ fn run_e8(
         analysis::e8_scopes(stretch)
     };
     let wall_start = Instant::now();
-    let rows = analysis::run_scale_sweep(threads, &scopes, observer, spans)
-        .expect("well-formed scale models");
+    let rows =
+        analysis::run_scale_sweep(threads, &scopes, spans).expect("well-formed scale models");
     let wall_clock_secs = wall_start.elapsed().as_secs_f64();
     let mut ok = true;
     for row in &rows {

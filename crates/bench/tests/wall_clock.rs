@@ -30,9 +30,9 @@ fn span_recording_overhead_on_e3_is_within_five_percent() {
                 let rows = if spanned {
                     let handle = Handle::new(mca_obs::CollectSink::default());
                     let spans = SpanRecorder::new(handle.observer());
-                    run_policy_matrix(1, None, Some(&spans))
+                    run_policy_matrix(1, Some(&spans))
                 } else {
-                    run_policy_matrix(1, None, None)
+                    run_policy_matrix(1, None)
                 };
                 assert_eq!(rows.len(), 4);
                 start.elapsed().as_secs_f64()

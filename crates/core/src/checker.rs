@@ -22,9 +22,6 @@
 
 use crate::sim::{conflict_free, consensus_predicate, Simulator};
 use crate::types::Stamp;
-use mca_obs::{Event, SharedObserver};
-#[allow(unused_imports)]
-use std::collections::VecDeque;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Verdict of an exhaustive bounded exploration.
@@ -119,10 +116,6 @@ pub struct CheckerOptions {
     /// ones, keeping the search space finite; `None` explores unbounded
     /// channels.
     pub channel_capacity: Option<usize>,
-    /// Emit a [`Event::CheckerProgress`] every this many distinct states
-    /// (only when an observer is attached via
-    /// [`check_consensus_observed`]).
-    pub progress_every: usize,
 }
 
 impl Default for CheckerOptions {
@@ -132,7 +125,6 @@ impl Default for CheckerOptions {
             bound_slack: 6,
             max_states: 400_000,
             channel_capacity: Some(2),
-            progress_every: 1000,
         }
     }
 }
@@ -140,25 +132,10 @@ impl Default for CheckerOptions {
 /// Exhaustively checks the consensus assertion over all delivery orders.
 ///
 /// `sim` must be freshly constructed (not yet run); the checker calls
-/// [`Simulator::start`] itself.
-pub fn check_consensus(sim: Simulator, options: CheckerOptions) -> Verdict {
-    check_consensus_observed(sim, options, None)
-}
-
-/// [`check_consensus`] with a trace observer: emits
-/// [`Event::CheckerProgress`] every [`CheckerOptions::progress_every`]
-/// distinct states (keyed by states-explored count and current frontier
-/// depth — logical progress, never wall-clock) and a final
-/// [`Event::CheckerDone`] with the verdict kind.
-///
-/// The observer passed here watches the *search*; any observer already
-/// attached to `sim` itself additionally sees every deliver/bid transition
-/// the exploration tries (clones share their observer).
-pub fn check_consensus_observed(
-    mut sim: Simulator,
-    options: CheckerOptions,
-    observer: Option<SharedObserver>,
-) -> Verdict {
+/// [`Simulator::start`] itself. An observer attached to `sim` sees every
+/// deliver/bid transition the exploration tries (clones share their
+/// observer).
+pub fn check_consensus(mut sim: Simulator, options: CheckerOptions) -> Verdict {
     let bound = options.message_bound.unwrap_or_else(|| {
         let d = sim.network().diameter().unwrap_or(sim.network().len());
         let items = sim.agents().first().map_or(0, |a| a.claims().len());
@@ -174,37 +151,15 @@ pub fn check_consensus_observed(
         max_messages: 0,
         bound,
         max_states: options.max_states,
-        progress_every: options.progress_every.max(1),
-        observer,
     };
     let mut path = Vec::new();
-    let verdict = match search.dfs(&sim, 0, &mut path) {
+    match search.dfs(&sim, 0, &mut path) {
         Some(v) => v,
         None => Verdict::Converges {
             states_explored: search.states_explored,
             max_messages: search.max_messages,
             terminal_states: search.terminal_keys.len(),
         },
-    };
-    if let Some(obs) = &search.observer {
-        obs.emit(&Event::CheckerDone {
-            states_explored: search.states_explored as u64,
-            max_messages: search.max_messages as u64,
-            verdict: verdict_kind(&verdict).to_string(),
-        });
-    }
-    verdict
-}
-
-/// Stable string tag for a verdict (the `verdict` field of
-/// [`Event::CheckerDone`]).
-fn verdict_kind(v: &Verdict) -> &'static str {
-    match v {
-        Verdict::Converges { .. } => "converges",
-        Verdict::NoConsensus { .. } => "no-consensus",
-        Verdict::Oscillation { .. } => "oscillation",
-        Verdict::BoundExceeded { .. } => "bound-exceeded",
-        Verdict::ResourceLimit { .. } => "resource-limit",
     }
 }
 
@@ -220,8 +175,6 @@ struct Search {
     max_messages: usize,
     bound: usize,
     max_states: usize,
-    progress_every: usize,
-    observer: Option<SharedObserver>,
 }
 
 impl Search {
@@ -238,14 +191,6 @@ impl Search {
             return None;
         }
         self.states_explored += 1;
-        if let Some(obs) = &self.observer {
-            if self.states_explored.is_multiple_of(self.progress_every) {
-                obs.emit(&Event::CheckerProgress {
-                    states_explored: self.states_explored as u64,
-                    frontier_depth: depth as u64,
-                });
-            }
-        }
         if self.states_explored > self.max_states {
             return Some(Verdict::ResourceLimit {
                 states_explored: self.states_explored,
@@ -499,81 +444,6 @@ mod tests {
         let sim = Simulator::new(Network::new(1), 1, policies);
         let verdict = check_consensus(sim, CheckerOptions::default());
         assert!(verdict.converges());
-    }
-
-    #[test]
-    fn observed_check_reports_progress_and_done() {
-        use mca_obs::{CollectSink, Event, Handle};
-
-        let handle = Handle::new(CollectSink::default());
-        let sim = Simulator::new(Network::complete(2), 3, fig1_policies());
-        let verdict = check_consensus_observed(
-            sim,
-            CheckerOptions {
-                progress_every: 10,
-                ..CheckerOptions::default()
-            },
-            Some(handle.observer()),
-        );
-        assert!(verdict.converges());
-        let states = match verdict {
-            Verdict::Converges {
-                states_explored, ..
-            } => states_explored,
-            _ => unreachable!(),
-        };
-        handle.with(|sink| {
-            let progress: Vec<u64> = sink
-                .events
-                .iter()
-                .filter_map(|e| match e {
-                    Event::CheckerProgress {
-                        states_explored, ..
-                    } => Some(*states_explored),
-                    _ => None,
-                })
-                .collect();
-            assert_eq!(progress.len(), states / 10, "one event per 10 states");
-            assert!(progress.windows(2).all(|w| w[0] < w[1]));
-            match sink.events.last() {
-                Some(Event::CheckerDone {
-                    states_explored,
-                    verdict,
-                    ..
-                }) => {
-                    assert_eq!(*states_explored as usize, states);
-                    assert_eq!(verdict, "converges");
-                }
-                other => panic!("expected CheckerDone last, got {other:?}"),
-            }
-        });
-    }
-
-    #[test]
-    fn observed_check_matches_unobserved_verdict() {
-        use mca_obs::{CollectSink, Handle};
-
-        let unobserved = check_consensus(
-            Simulator::new(Network::complete(2), 3, fig1_policies()),
-            CheckerOptions::default(),
-        );
-        let handle = Handle::new(CollectSink::default());
-        let observed = check_consensus_observed(
-            Simulator::new(Network::complete(2), 3, fig1_policies()),
-            CheckerOptions::default(),
-            Some(handle.observer()),
-        );
-        match (unobserved, observed) {
-            (
-                Verdict::Converges {
-                    states_explored: a, ..
-                },
-                Verdict::Converges {
-                    states_explored: b, ..
-                },
-            ) => assert_eq!(a, b, "observation must not change the search"),
-            (u, o) => panic!("verdicts diverged: {u:?} vs {o:?}"),
-        }
     }
 
     #[test]

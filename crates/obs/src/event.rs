@@ -1,10 +1,11 @@
 //! The structured trace vocabulary.
 //!
 //! Every variant is keyed by **logical** progress — the simulator's step
-//! counter, the checker's states-explored count, the solver's conflict
-//! count — never by wall-clock time. Two runs of a deterministic workload
-//! therefore produce byte-identical traces (asserted by the
-//! `obs_trace` integration test in the umbrella crate).
+//! counter, the lint target, the service's request id — never by
+//! wall-clock time; the span events and [`Event::ServeSpan`] are the
+//! opt-in exceptions. Two runs of a deterministic workload therefore
+//! produce byte-identical event streams (asserted by the `obs_trace`
+//! integration test in the umbrella crate).
 
 use crate::json::Json;
 
@@ -70,74 +71,6 @@ pub enum Event {
         delivered: u64,
         /// Whether the run quiesced in a conflict-free consensus state.
         consensus: bool,
-    },
-    /// Periodic checker progress: emitted every N distinct states.
-    CheckerProgress {
-        /// Distinct (normalized) states explored so far.
-        states_explored: u64,
-        /// Depth (delivered messages) of the state being expanded.
-        frontier_depth: u64,
-    },
-    /// The checker finished.
-    CheckerDone {
-        /// Distinct states explored in total.
-        states_explored: u64,
-        /// The longest execution, in delivered messages.
-        max_messages: u64,
-        /// Verdict kind (`"converges"`, `"no-consensus"`, …).
-        verdict: String,
-    },
-    /// The encoder translated one relation to CNF.
-    RelationEncoded {
-        /// The relation's name.
-        relation: String,
-        /// The relation's arity.
-        arity: u64,
-        /// Primary (free-tuple) variables allocated for the relation.
-        vars: u64,
-        /// CNF clauses mentioning at least one of those variables.
-        clauses: u64,
-    },
-    /// A whole problem finished translating to CNF.
-    EncodingDone {
-        /// Human label for the encoding (e.g. `"naive (Int + ternary)"`).
-        encoding: String,
-        /// Primary (free-tuple) variables.
-        primary_vars: u64,
-        /// Total CNF variables after Tseitin transformation.
-        cnf_vars: u64,
-        /// Total CNF clauses.
-        cnf_clauses: u64,
-    },
-    /// The SAT preprocessor (unit propagation + subsumption +
-    /// self-subsuming resolution) finished simplifying a formula.
-    SimplifyDone {
-        /// Human label for the formula (e.g. `"e8:3x2:optimized+pre"`).
-        label: String,
-        /// Clauses removed by subsumption.
-        subsumed: u64,
-        /// Literals removed by self-subsuming resolution.
-        strengthened_literals: u64,
-        /// Literals removed by unit propagation.
-        propagated_literals: u64,
-        /// Clauses removed because a unit satisfied them.
-        satisfied_clauses: u64,
-        /// Whether preprocessing alone refuted the formula.
-        found_unsat: bool,
-    },
-    /// One query of an incremental solving session finished: the shared
-    /// clause prefix was reused and the query was activated via an
-    /// assumption literal.
-    IncrementalSolve {
-        /// Human label for the session (e.g. `"e8:3x2:sweep"`).
-        label: String,
-        /// Zero-based query index within the session.
-        query: u64,
-        /// Whether the query's assertion was valid (UNSAT under the
-        /// assumption).
-        valid: bool,
-        /// The session solver's cumulative conflict count after the query.
-        conflicts: u64,
     },
     /// A hierarchical profiling span opened. Spans are the deliberate
     /// exception to the no-wall-clock rule: `t_ns` is a monotonic offset
@@ -259,12 +192,6 @@ impl Event {
             Event::MessageDropped { .. } => "drop",
             Event::MessageDuplicated { .. } => "duplicate",
             Event::Converged { .. } => "converged",
-            Event::CheckerProgress { .. } => "checker-progress",
-            Event::CheckerDone { .. } => "checker-done",
-            Event::RelationEncoded { .. } => "relation-encoded",
-            Event::EncodingDone { .. } => "encoding-done",
-            Event::SimplifyDone { .. } => "simplify-done",
-            Event::IncrementalSolve { .. } => "incremental-solve",
             Event::SpanEnter { .. } => "span-enter",
             Event::SpanExit { .. } => "span-exit",
             Event::LintFinding { .. } => "lint-finding",
@@ -338,76 +265,6 @@ impl Event {
                 ("step", step.into()),
                 ("delivered", delivered.into()),
                 ("consensus", consensus.into()),
-            ]),
-            Event::CheckerProgress {
-                states_explored,
-                frontier_depth,
-            } => Json::obj([
-                ("event", kind),
-                ("states_explored", states_explored.into()),
-                ("frontier_depth", frontier_depth.into()),
-            ]),
-            Event::CheckerDone {
-                states_explored,
-                max_messages,
-                ref verdict,
-            } => Json::obj([
-                ("event", kind),
-                ("states_explored", states_explored.into()),
-                ("max_messages", max_messages.into()),
-                ("verdict", verdict.as_str().into()),
-            ]),
-            Event::RelationEncoded {
-                ref relation,
-                arity,
-                vars,
-                clauses,
-            } => Json::obj([
-                ("event", kind),
-                ("relation", relation.as_str().into()),
-                ("arity", arity.into()),
-                ("vars", vars.into()),
-                ("clauses", clauses.into()),
-            ]),
-            Event::EncodingDone {
-                ref encoding,
-                primary_vars,
-                cnf_vars,
-                cnf_clauses,
-            } => Json::obj([
-                ("event", kind),
-                ("encoding", encoding.as_str().into()),
-                ("primary_vars", primary_vars.into()),
-                ("cnf_vars", cnf_vars.into()),
-                ("cnf_clauses", cnf_clauses.into()),
-            ]),
-            Event::SimplifyDone {
-                ref label,
-                subsumed,
-                strengthened_literals,
-                propagated_literals,
-                satisfied_clauses,
-                found_unsat,
-            } => Json::obj([
-                ("event", kind),
-                ("label", label.as_str().into()),
-                ("subsumed", subsumed.into()),
-                ("strengthened_literals", strengthened_literals.into()),
-                ("propagated_literals", propagated_literals.into()),
-                ("satisfied_clauses", satisfied_clauses.into()),
-                ("found_unsat", found_unsat.into()),
-            ]),
-            Event::IncrementalSolve {
-                ref label,
-                query,
-                valid,
-                conflicts,
-            } => Json::obj([
-                ("event", kind),
-                ("label", label.as_str().into()),
-                ("query", query.into()),
-                ("valid", valid.into()),
-                ("conflicts", conflicts.into()),
             ]),
             Event::SpanEnter {
                 id,
@@ -567,41 +424,15 @@ mod tests {
                 seq: 0,
             }
             .kind(),
-            Event::CheckerProgress {
-                states_explored: 0,
-                frontier_depth: 0,
+            Event::Converged {
+                step: 0,
+                delivered: 0,
+                consensus: false,
             }
             .kind(),
         ];
         let unique: std::collections::BTreeSet<_> = kinds.iter().collect();
         assert_eq!(unique.len(), kinds.len());
-    }
-
-    #[test]
-    fn preprocessing_events_render_stably() {
-        let simplify = Event::SimplifyDone {
-            label: "e8:2x2:optimized+pre".into(),
-            subsumed: 4,
-            strengthened_literals: 2,
-            propagated_literals: 17,
-            satisfied_clauses: 9,
-            found_unsat: false,
-        };
-        assert_eq!(
-            simplify.to_json_line(),
-            r#"{"event":"simplify-done","label":"e8:2x2:optimized+pre","subsumed":4,"strengthened_literals":2,"propagated_literals":17,"satisfied_clauses":9,"found_unsat":false}"#
-        );
-        let inc = Event::IncrementalSolve {
-            label: "e8:2x2:sweep".into(),
-            query: 3,
-            valid: true,
-            conflicts: 120,
-        };
-        assert_eq!(
-            inc.to_json_line(),
-            r#"{"event":"incremental-solve","label":"e8:2x2:sweep","query":3,"valid":true,"conflicts":120}"#
-        );
-        assert_ne!(simplify.kind(), inc.kind());
     }
 
     #[test]
@@ -718,11 +549,10 @@ mod tests {
     fn no_event_field_is_wall_clock() {
         // Events must be reproducible across runs: the JSON rendering of a
         // fixed event is a pure function of its payload.
-        let e = Event::IncrementalSolve {
-            label: "e8:2x2:sweep".into(),
-            query: 3,
-            valid: true,
-            conflicts: 100,
+        let e = Event::Converged {
+            step: 12,
+            delivered: 4,
+            consensus: true,
         };
         assert_eq!(e.to_json_line(), e.to_json_line());
     }

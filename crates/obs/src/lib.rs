@@ -1,13 +1,15 @@
 //! Structured tracing and profiling spans for the MCA verification suite.
 //!
 //! This crate is the observability layer shared by the simulator, the
-//! explicit-state checker, the relational-to-CNF encoder, and the `repro`
-//! experiment driver:
+//! SAT pipeline, the lint and serve crates, and the `repro` binary:
 //!
-//! * [`Event`] — the structured trace vocabulary. Every event is keyed by
-//!   *logical* progress (simulation step, states explored, conflict count),
-//!   never wall-clock time, so traces of deterministic runs are
-//!   byte-for-byte reproducible.
+//! * [`Event`] — the structured trace vocabulary: the simulator's
+//!   deliver/bid schedule, lint findings, service requests, and spans.
+//!   Every event but the spans and `serve-span` is keyed by *logical*
+//!   progress (simulation step, request id), never wall-clock time, so
+//!   event streams of deterministic runs are byte-for-byte reproducible. Experiments E3, E4, E5 and E8
+//!   trace spans only: their numbers are reported in their `BENCH_*.json`
+//!   files, their stdout and their span fields, each once.
 //! * [`Observer`] / [`SharedObserver`] / [`Handle`] — the hook instrumented
 //!   code calls into. Instrumentation sites are written as
 //!   `if let Some(obs) = &self.observer { obs.emit(..) }`, so with no

@@ -58,7 +58,7 @@ impl fmt::Debug for SharedObserver {
 ///
 /// let handle = Handle::new(CollectSink::default());
 /// let shared = handle.observer();
-/// shared.emit(&Event::CheckerProgress { states_explored: 10, frontier_depth: 2 });
+/// shared.emit(&Event::Bid { step: 0, agent: 1, placed: true });
 /// assert_eq!(handle.with(|sink| sink.events.len()), 1);
 /// ```
 pub struct Handle<O: Observer> {
@@ -123,9 +123,10 @@ mod tests {
         let handle = Handle::new(CollectSink::default());
         let a = handle.observer();
         let b = a.clone();
-        let e = Event::CheckerProgress {
-            states_explored: 1,
-            frontier_depth: 0,
+        let e = Event::Bid {
+            step: 1,
+            agent: 0,
+            placed: true,
         };
         a.emit(&e);
         b.emit(&e);

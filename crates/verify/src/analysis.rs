@@ -6,22 +6,23 @@
 //! Each driver returns plain data with a `Display` that prints the
 //! paper-shaped row(s); the `repro` binary, the examples and the
 //! integration tests all run through these functions so every
-//! reproduction artifact exercises identical code. Observers and span
-//! recorders are optional arguments: with `None` no event is emitted.
+//! reproduction artifact exercises identical code. E1 takes an optional
+//! observer for the simulator's deliver/bid schedule; E3, E4 and E8 take
+//! an optional span recorder. With `None` no event is emitted.
 //!
 //! The drivers of independent checks (E3, the extended matrix, E4 and E8)
 //! take a thread count and run their checks as one [`run_batch`]. Their
-//! job lists do not depend on it, so rows, logical events and the span
-//! tree are the same at any thread count; only wall clock changes.
+//! job lists do not depend on it, so rows and the span tree are the same
+//! at any thread count; only wall clock changes.
 
 use crate::batch::run_batch;
 use crate::dynamic_model::{ConsensusSweep, DynamicModel, DynamicScenario};
 use crate::encoding::NumberEncoding;
 use crate::static_model::{StaticModel, StaticScope};
-use mca_core::checker::{check_consensus, check_consensus_observed, CheckerOptions, Verdict};
+use mca_core::checker::{check_consensus, CheckerOptions, Verdict};
 use mca_core::scenarios::{self, ExtendedPolicyCell, PolicyCell};
 use mca_core::{Network, Simulator};
-use mca_obs::{Event, SharedObserver, SpanRecorder};
+use mca_obs::{SharedObserver, SpanRecorder};
 use mca_relalg::{RelationStats, TranslateError, TranslationStats};
 use mca_sat::SolverStats;
 use std::fmt;
@@ -150,15 +151,9 @@ fn verdict_word(converges: bool) -> &'static str {
 /// millisecond, where scheduling overhead rivals the work (`repro why`
 /// rule W005). Rows come back in [`PolicyCell::grid`] order.
 ///
-/// With an observer, each cell's exhaustive check reports
-/// `checker-progress` / `checker-done` events. With a span recorder, each
-/// cell's check is wrapped in an `e3.cell:…` span carrying the verdict.
-/// Spans are strictly opt-in and never derived from the observer.
-pub fn run_policy_matrix(
-    threads: usize,
-    observer: Option<SharedObserver>,
-    spans: Option<&SpanRecorder>,
-) -> Vec<PolicyMatrixRow> {
+/// With a span recorder, each cell's check is wrapped in an `e3.cell:…`
+/// span carrying the verdict.
+pub fn run_policy_matrix(threads: usize, spans: Option<&SpanRecorder>) -> Vec<PolicyMatrixRow> {
     let jobs: Vec<(String, _)> = PolicyCell::grid()
         .chunks(2)
         .map(<[PolicyCell]>::to_vec)
@@ -166,26 +161,22 @@ pub fn run_policy_matrix(
         .map(|(i, pair)| {
             (
                 format!("e3:pair{i}"),
-                move |observer: Option<SharedObserver>, spans: Option<&SpanRecorder>| {
+                move |spans: Option<&SpanRecorder>| {
                     pair.into_iter()
-                        .map(|cell| policy_row(cell, observer.clone(), spans))
+                        .map(|cell| policy_row(cell, spans))
                         .collect::<Vec<_>>()
                 },
             )
         })
         .collect();
-    run_batch(threads, jobs, observer.as_ref(), spans)
+    run_batch(threads, jobs, spans)
         .into_iter()
         .flatten()
         .collect()
 }
 
-/// Checks one Result-1 cell (events and spans as in [`run_policy_matrix`]).
-fn policy_row(
-    cell: PolicyCell,
-    observer: Option<SharedObserver>,
-    spans: Option<&SpanRecorder>,
-) -> PolicyMatrixRow {
+/// Checks one Result-1 cell (spans as in [`run_policy_matrix`]).
+fn policy_row(cell: PolicyCell, spans: Option<&SpanRecorder>) -> PolicyMatrixRow {
     let start = Instant::now();
     let mut span = spans.map(|r| {
         r.enter(&format!(
@@ -198,8 +189,7 @@ fn policy_row(
             },
         ))
     });
-    let verdict =
-        check_consensus_observed(scenarios::fig2(cell), CheckerOptions::default(), observer);
+    let verdict = check_consensus(scenarios::fig2(cell), CheckerOptions::default());
     if let Some(span) = span.as_mut() {
         span.field("converges", u64::from(verdict.converges()));
     }
@@ -305,7 +295,7 @@ pub fn run_extended_policy_matrix(
                 .collect();
             (
                 format!("e3x:stride{stride}/{EXTENDED_CHUNKS}"),
-                move |_: Option<SharedObserver>, _: Option<&SpanRecorder>| {
+                move |_: Option<&SpanRecorder>| {
                     mine.into_iter()
                         .map(|(index, cell)| (index, extended_cell(cell)))
                         .collect::<Vec<_>>()
@@ -313,7 +303,7 @@ pub fn run_extended_policy_matrix(
             )
         })
         .collect();
-    let mut rows: Vec<(usize, ExtendedMatrixRow)> = run_batch(threads, jobs, None, spans)
+    let mut rows: Vec<(usize, ExtendedMatrixRow)> = run_batch(threads, jobs, spans)
         .into_iter()
         .flatten()
         .collect();
@@ -437,10 +427,9 @@ impl fmt::Display for AttackReport {
 /// `threads` workers. With a span recorder, each SAT check records its
 /// `relalg.encode` / `sat.*` spans.
 pub fn run_rebid_attack(threads: usize, spans: Option<&SpanRecorder>) -> AttackReport {
-    type Piece =
-        Box<dyn FnOnce(Option<SharedObserver>, Option<&SpanRecorder>) -> (bool, String) + Send>;
+    type Piece = Box<dyn FnOnce(Option<&SpanRecorder>) -> (bool, String) + Send>;
     let sat = |encoding: NumberEncoding, scenario: DynamicScenario| -> Piece {
-        Box::new(move |_, spans| {
+        Box::new(move |spans| {
             let model = DynamicModel::build(encoding, scenario);
             let mut problem = model.model().to_problem();
             if let Some(spans) = spans {
@@ -452,7 +441,7 @@ pub fn run_rebid_attack(threads: usize, spans: Option<&SpanRecorder>) -> AttackR
             (outcome.result.is_valid(), String::new())
         })
     };
-    let explicit: Piece = Box::new(|_, _| {
+    let explicit: Piece = Box::new(|_| {
         let verdict = check_consensus(scenarios::rebid_attack(2, 2), CheckerOptions::default());
         (verdict.converges(), verdict_detail(&verdict))
     });
@@ -481,7 +470,7 @@ pub fn run_rebid_attack(threads: usize, spans: Option<&SpanRecorder>) -> AttackR
         ),
     ];
     let [(explicit_converges, explicit_detail), (sat_naive_valid, _), (sat_optimized_valid, _), (sat_compliant_valid, _)]: [(bool, String); 4] =
-        run_batch(threads, jobs, None, spans)
+        run_batch(threads, jobs, spans)
             .try_into()
             .expect("one result per E4 job");
     AttackReport {
@@ -565,11 +554,7 @@ impl fmt::Display for EncodingRow {
 /// E5: translates and checks the dynamic MCA model at several scopes under
 /// both encodings and reports SAT sizes and times. The static sub-model's
 /// sizes are folded in through a matching [`StaticModel`] at each scope.
-///
-/// With an observer, each relation of each (scope, encoding) pair is
-/// reported as an [`Event::RelationEncoded`], followed by one
-/// [`Event::EncodingDone`] carrying the combined static+dynamic totals.
-pub fn run_encoding_comparison(observer: Option<SharedObserver>) -> Vec<EncodingRow> {
+pub fn run_encoding_comparison() -> Vec<EncodingRow> {
     let scopes: Vec<(String, DynamicScenario, StaticScope)> = vec![
         (
             "2 pnodes, 2 vnodes".into(),
@@ -635,22 +620,6 @@ pub fn run_encoding_comparison(observer: Option<SharedObserver>) -> Vec<Encoding
                     name: format!("dynamic:{}", r.name),
                     ..r.clone()
                 }));
-                if let Some(obs) = &observer {
-                    for r in &relations {
-                        obs.emit(&Event::RelationEncoded {
-                            relation: r.name.clone(),
-                            arity: r.arity as u64,
-                            vars: r.primary_vars as u64,
-                            clauses: r.clauses as u64,
-                        });
-                    }
-                    obs.emit(&Event::EncodingDone {
-                        encoding: encoding.to_string(),
-                        primary_vars: combined.primary_vars as u64,
-                        cnf_vars: combined.cnf_vars as u64,
-                        cnf_clauses: combined.cnf_clauses as u64,
-                    });
-                }
                 // An invalid verdict comes with a counterexample, which
                 // satisfies the facts; only valid verdicts need the extra
                 // facts-only satisfiability probe.
@@ -978,12 +947,9 @@ impl fmt::Display for ScaleRow {
 /// `|scopes| × 4` jobs labelled `e8:<scope>:<variant>` and
 /// `e8:<scope>:sweep`. Rows come back in scope order.
 ///
-/// With an observer, the preprocessed variant reports a
-/// [`Event::SimplifyDone`] per scope and the sweep one
-/// [`Event::IncrementalSolve`] per state query, emitted row by row after
-/// the batch. With a span recorder, each job's span holds the
-/// `relalg.encode` / `sat.*` spans of its measurement, and the sweep's
-/// per-state `verify.state-query` spans.
+/// With a span recorder, each job's span holds the `relalg.encode` /
+/// `sat.*` spans of its measurement, and the sweep's per-state
+/// `verify.state-query` spans.
 ///
 /// # Errors
 ///
@@ -991,7 +957,6 @@ impl fmt::Display for ScaleRow {
 pub fn run_scale_sweep(
     threads: usize,
     scopes: &[(usize, usize)],
-    observer: Option<SharedObserver>,
     spans: Option<&SpanRecorder>,
 ) -> Result<Vec<ScaleRow>, TranslateError> {
     /// One job's result: a variant cell, or a scope's sweep.
@@ -999,23 +964,23 @@ pub fn run_scale_sweep(
         Variant(Result<ScaleVariant, TranslateError>),
         Sweep(Result<(ConsensusSweep, f64), TranslateError>),
     }
-    type Job = Box<dyn FnOnce(Option<SharedObserver>, Option<&SpanRecorder>) -> Piece + Send>;
+    type Job = Box<dyn FnOnce(Option<&SpanRecorder>) -> Piece + Send>;
     let mut jobs: Vec<(String, Job)> = Vec::new();
     for &(p, v) in scopes {
         for (label, encoding, preprocess) in E8_VARIANTS {
             jobs.push((
                 format!("e8:{p}x{v}:{label}"),
-                Box::new(move |_, spans| {
+                Box::new(move |spans| {
                     Piece::Variant(scale_variant(p, v, label, encoding, preprocess, spans))
                 }),
             ));
         }
         jobs.push((
             format!("e8:{p}x{v}:sweep"),
-            Box::new(move |_, spans| Piece::Sweep(scale_sweep_at(p, v, spans))),
+            Box::new(move |spans| Piece::Sweep(scale_sweep_at(p, v, spans))),
         ));
     }
-    let mut pieces = run_batch(threads, jobs, None, spans).into_iter();
+    let mut pieces = run_batch(threads, jobs, spans).into_iter();
     let mut rows = Vec::with_capacity(scopes.len());
     for &(p, v) in scopes {
         let scenario = DynamicScenario::at_scope(p, v);
@@ -1030,7 +995,7 @@ pub fn run_scale_sweep(
             Piece::Sweep(r) => r?,
             Piece::Variant(_) => unreachable!("the sweep piece closes a scope"),
         };
-        let row = ScaleRow {
+        rows.push(ScaleRow {
             scope: scenario.scope_label(),
             pnodes: p,
             vnodes: v,
@@ -1038,11 +1003,7 @@ pub fn run_scale_sweep(
             variants,
             sweep,
             sweep_secs,
-        };
-        if let Some(obs) = &observer {
-            emit_scale_row(obs, &row);
-        }
-        rows.push(row);
+        });
     }
     Ok(rows)
 }
@@ -1097,49 +1058,6 @@ pub fn scale_sweep_at(
     Ok((sweep, start.elapsed().as_secs_f64()))
 }
 
-/// Reports a finished [`ScaleRow`] to an observer: one
-/// [`Event::SimplifyDone`] per preprocessed variant (and one for the
-/// sweep's shared prefix), one [`Event::IncrementalSolve`] per sweep
-/// query.
-fn emit_scale_row(obs: &SharedObserver, row: &ScaleRow) {
-    for v in &row.variants {
-        if let Some(s) = &v.simplify {
-            obs.emit(&Event::SimplifyDone {
-                label: format!("e8:{}:{}", row.scope, v.variant),
-                subsumed: s.subsumed as u64,
-                strengthened_literals: s.strengthened_literals as u64,
-                propagated_literals: s.propagated_literals as u64,
-                satisfied_clauses: s.satisfied_clauses as u64,
-                found_unsat: s.found_unsat,
-            });
-        }
-    }
-    if let Some(s) = &row.sweep.simplify {
-        obs.emit(&Event::SimplifyDone {
-            label: format!("e8:{}:sweep", row.scope),
-            subsumed: s.subsumed as u64,
-            strengthened_literals: s.strengthened_literals as u64,
-            propagated_literals: s.propagated_literals as u64,
-            satisfied_clauses: s.satisfied_clauses as u64,
-            found_unsat: s.found_unsat,
-        });
-    }
-    for (k, (&valid, &conflicts)) in row
-        .sweep
-        .per_state
-        .iter()
-        .zip(&row.sweep.conflicts_after)
-        .enumerate()
-    {
-        obs.emit(&Event::IncrementalSolve {
-            label: format!("e8:{}:sweep", row.scope),
-            query: k as u64,
-            valid,
-            conflicts,
-        });
-    }
-}
-
 /// Convenience for tests/benches: an attacked simulator alongside a
 /// compliant one at matched scale.
 pub fn matched_pair(n: usize, seed: u64) -> (Simulator, Simulator) {
@@ -1163,7 +1081,7 @@ mod tests {
 
     #[test]
     fn policy_matrix_matches_paper() {
-        let rows = run_policy_matrix(2, None, None);
+        let rows = run_policy_matrix(2, None);
         assert_eq!(rows.len(), 4);
         for row in &rows {
             assert!(row.matches_paper(), "mismatch: {row}");
@@ -1179,9 +1097,8 @@ mod tests {
     }
 
     #[test]
-    fn observed_encoding_comparison_reports_relations_and_solver_stats() {
-        let handle = mca_obs::Handle::new(mca_obs::CollectSink::default());
-        let rows = run_encoding_comparison(Some(handle.observer()));
+    fn encoding_comparison_reports_relations_and_solver_stats() {
+        let rows = run_encoding_comparison();
         assert!(!rows.is_empty());
         for row in &rows {
             // Both breakdowns cover the model's relations and sum to the
@@ -1199,23 +1116,11 @@ mod tests {
             assert!(row.optimized_solver.solves >= 1);
             assert!(row.naive_solver.propagations > 0);
         }
-        handle.with(|sink| {
-            let done: Vec<_> = sink
-                .events
-                .iter()
-                .filter(|e| e.kind() == "encoding-done")
-                .collect();
-            // One EncodingDone per (scope, encoding) pair.
-            assert_eq!(done.len(), rows.len() * 2);
-            assert!(sink.events.iter().any(|e| e.kind() == "relation-encoded"));
-        });
     }
 
     #[test]
-    fn scale_sweep_smoke_verdicts_agree_and_events_flow() {
-        let handle = mca_obs::Handle::new(mca_obs::CollectSink::default());
-        let rows =
-            run_scale_sweep(2, &[(2, 2)], Some(handle.observer()), None).expect("scale sweep");
+    fn scale_sweep_smoke_verdicts_agree() {
+        let rows = run_scale_sweep(2, &[(2, 2)], None).expect("scale sweep");
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
         assert!(row.verdicts_agree(), "verdict mismatch: {row}");
@@ -1226,16 +1131,7 @@ mod tests {
             "the preprocessed variant must report simplifier stats"
         );
         assert_eq!(row.sweep.per_state.len(), row.states);
-        handle.with(|sink| {
-            assert!(sink.events.iter().any(|e| e.kind() == "simplify-done"));
-            assert_eq!(
-                sink.events
-                    .iter()
-                    .filter(|e| e.kind() == "incremental-solve")
-                    .count(),
-                row.states
-            );
-        });
+        assert_eq!(row.sweep.conflicts_after.len(), row.states);
     }
 
     #[test]

@@ -7,48 +7,46 @@
 //! order and the trace is the same tree at any thread count, so the
 //! thread count changes wall clock and nothing else.
 
-use mca_obs::{CollectSink, Event, Handle, SharedObserver, SpanRecorder};
+use mca_obs::{CollectSink, Event, Handle, SpanRecorder};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// A finished job: its index in the batch, its result, its recorder's
-/// epoch and the events it recorded (none when the caller does not trace).
+/// A finished job: its index in the batch, its result, and, when the
+/// caller traces, its recorder's epoch and the spans it recorded.
 struct Done<T> {
     index: usize,
     value: T,
-    epoch: Instant,
-    events: Vec<Event>,
+    trace: Option<(Instant, Vec<Event>)>,
 }
 
 /// Runs `jobs` on `min(threads, jobs.len())` scoped worker threads and
 /// returns their results in submission order. Workers take job indices
 /// from one atomic counter and live for this call only.
 ///
-/// A job is called with an observer when `observer` is set and a span
-/// recorder when `spans` is set. Both record into memory on the worker.
-/// After every worker has joined, the batch replays each job's trace in
-/// job order under a `runtime.batch` span (field `workers`): the job's
-/// logical events go to `observer`, and its spans nest under a
+/// When `spans` is set, each job is called with a span recorder of its
+/// own that records into memory on the worker. After every worker has
+/// joined, the batch replays each job's spans in job order under a
+/// `runtime.batch` span (field `workers`): they nest under a
 /// `runtime.job:<label>` span with the fields `job` (the index in the
 /// batch), `worker` and `queue_wait_ns` (batch start to job start). The
-/// logical events and the span tree are therefore the same at any thread
-/// count.
+/// span tree is therefore the same at any thread count. A job reports
+/// what it found through its result and its span fields.
 ///
-/// A job that ignores both arguments still names their types, so that
-/// it accepts a recorder borrowed for any lifetime:
+/// A job that ignores its argument still names its type, so that it
+/// accepts a recorder borrowed for any lifetime:
 ///
 /// ```
-/// use mca_obs::{SharedObserver, SpanRecorder};
+/// use mca_obs::SpanRecorder;
 /// use mca_verify::batch::run_batch;
 ///
 /// let jobs: Vec<(String, _)> = (0..4u64)
 ///     .map(|i| {
-///         let square = move |_: Option<SharedObserver>, _: Option<&SpanRecorder>| i * i;
+///         let square = move |_: Option<&SpanRecorder>| i * i;
 ///         (format!("square:{i}"), square)
 ///     })
 ///     .collect();
-/// assert_eq!(run_batch(2, jobs, None, None), vec![0, 1, 4, 9]);
+/// assert_eq!(run_batch(2, jobs, None), vec![0, 1, 4, 9]);
 /// ```
 ///
 /// # Panics
@@ -58,16 +56,15 @@ struct Done<T> {
 pub fn run_batch<T, F>(
     threads: usize,
     jobs: Vec<(String, F)>,
-    observer: Option<&SharedObserver>,
     spans: Option<&SpanRecorder>,
 ) -> Vec<T>
 where
     T: Send,
-    F: FnOnce(Option<SharedObserver>, Option<&SpanRecorder>) -> T + Send,
+    F: FnOnce(Option<&SpanRecorder>) -> T + Send,
 {
     let mut batch = spans.map(|r| r.enter("runtime.batch"));
     let workers = threads.max(1).min(jobs.len());
-    let (observe, record) = (observer.is_some(), spans.is_some());
+    let record = spans.is_some();
     let start = Instant::now();
     let slots: Vec<Mutex<Option<(String, F)>>> =
         jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
@@ -88,23 +85,25 @@ where
                 .take()
                 .expect("each job index is handed out once");
             let queue_wait_ns = start.elapsed().as_nanos() as u64;
-            let sink = Handle::new(CollectSink::default());
-            let recorder = record.then(|| SpanRecorder::new(sink.observer()));
+            let sink = record.then(|| Handle::new(CollectSink::default()));
+            let recorder = sink.as_ref().map(|s| SpanRecorder::new(s.observer()));
             let mut span = recorder
                 .as_ref()
                 .map(|r| r.enter(&format!("runtime.job:{label}")));
-            let value = job(observe.then(|| sink.observer()), recorder.as_ref());
+            let value = job(recorder.as_ref());
             if let Some(span) = span.as_mut() {
                 span.field("job", index as u64);
                 span.field("worker", worker as u64);
                 span.field("queue_wait_ns", queue_wait_ns);
             }
             drop(span);
+            let trace = recorder
+                .zip(sink)
+                .map(|(r, sink)| (r.epoch(), sink.with(|s| std::mem::take(&mut s.events))));
             done.push(Done {
                 index,
                 value,
-                epoch: recorder.map_or(start, |r| r.epoch()),
-                events: sink.with(|s| std::mem::take(&mut s.events)),
+                trace,
             });
         }
         done
@@ -139,14 +138,8 @@ where
         .into_iter()
         .map(|d| {
             let d = d.expect("every job ran exactly once");
-            let emit = |e: &Event| {
-                if let Some(o) = observer {
-                    o.emit(e);
-                }
-            };
-            match spans {
-                Some(spans) => spans.replay(d.epoch, &d.events, emit),
-                None => d.events.iter().for_each(emit),
+            if let (Some(spans), Some((epoch, events))) = (spans, &d.trace) {
+                spans.replay(*epoch, events);
             }
             d.value
         })
@@ -165,29 +158,21 @@ mod tests {
     /// recorded events.
     fn traced<T: Send>(
         threads: usize,
-        jobs: Vec<(
-            String,
-            impl FnOnce(Option<SharedObserver>, Option<&SpanRecorder>) -> T + Send,
-        )>,
+        jobs: Vec<(String, impl FnOnce(Option<&SpanRecorder>) -> T + Send)>,
     ) -> (Vec<T>, Vec<Event>) {
         let handle = Handle::new(CollectSink::default());
         let spans = SpanRecorder::new(handle.observer());
-        let values = run_batch(threads, jobs, Some(&handle.observer()), Some(&spans));
+        let values = run_batch(threads, jobs, Some(&spans));
         (values, handle.with(|s| std::mem::take(&mut s.events)))
     }
 
     #[test]
     fn results_come_back_in_submission_order() {
         let jobs: Vec<(String, _)> = (0..32u64)
-            .map(|i| {
-                (
-                    format!("square:{i}"),
-                    move |_: Option<SharedObserver>, _: Option<&SpanRecorder>| i * i,
-                )
-            })
+            .map(|i| (format!("square:{i}"), move |_: Option<&SpanRecorder>| i * i))
             .collect();
         assert_eq!(
-            run_batch(4, jobs, None, None),
+            run_batch(4, jobs, None),
             (0..32).map(|i| i * i).collect::<Vec<_>>()
         );
     }
@@ -195,12 +180,7 @@ mod tests {
     #[test]
     fn a_batch_starts_no_more_workers_than_jobs() {
         let jobs: Vec<(String, _)> = (0..3u64)
-            .map(|i| {
-                (
-                    format!("j{i}"),
-                    move |_: Option<SharedObserver>, _: Option<&SpanRecorder>| i,
-                )
-            })
+            .map(|i| (format!("j{i}"), move |_: Option<&SpanRecorder>| i))
             .collect();
         let (values, events) = traced(16, jobs);
         assert_eq!(values, [0, 1, 2]);
@@ -230,31 +210,12 @@ mod tests {
     fn job_events_and_spans_replay_in_job_order_under_the_batch() {
         let jobs: Vec<(String, _)> = (0..6u64)
             .map(|i| {
-                (
-                    format!("j{i}"),
-                    move |observer: Option<SharedObserver>, spans: Option<&SpanRecorder>| {
-                        let _inner = spans.map(|r| r.enter("inner"));
-                        observer
-                            .expect("the caller observes")
-                            .emit(&Event::CheckerProgress {
-                                states_explored: i,
-                                frontier_depth: 0,
-                            });
-                    },
-                )
+                (format!("j{i}"), move |spans: Option<&SpanRecorder>| {
+                    let _inner = spans.map(|r| r.enter("inner"));
+                })
             })
             .collect();
         let (_, events) = traced(3, jobs);
-        let logical: Vec<u64> = events
-            .iter()
-            .filter_map(|e| match e {
-                Event::CheckerProgress {
-                    states_explored, ..
-                } => Some(*states_explored),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(logical, [0, 1, 2, 3, 4, 5]);
         let enters: Vec<(u64, Option<u64>, &str)> = events
             .iter()
             .filter_map(|e| match e {
@@ -280,15 +241,12 @@ mod tests {
     fn a_job_panic_is_re_raised_with_its_own_message() {
         let jobs: Vec<(String, _)> = (0..5u64)
             .map(|i| {
-                (
-                    format!("j{i}"),
-                    move |_: Option<SharedObserver>, _: Option<&SpanRecorder>| {
-                        assert!(i != 2, "job {i} gave up");
-                        i
-                    },
-                )
+                (format!("j{i}"), move |_: Option<&SpanRecorder>| {
+                    assert!(i != 2, "job {i} gave up");
+                    i
+                })
             })
             .collect();
-        run_batch(2, jobs, None, None);
+        run_batch(2, jobs, None);
     }
 }

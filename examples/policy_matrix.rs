@@ -13,7 +13,7 @@ use mca_verify::analysis::{run_fig2_oscillation, run_policy_matrix};
 
 fn main() {
     println!("== E3 / Result 1: policy combination matrix ==\n");
-    let rows = run_policy_matrix(1, None, None);
+    let rows = run_policy_matrix(1, None);
     for row in &rows {
         println!("{row}");
     }

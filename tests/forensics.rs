@@ -12,7 +12,7 @@
 //!   batch (the CI fixture's shape) from its trace, and its scheduling
 //!   rules read the batch spans a real `run_batch` records.
 
-use mca_obs::{Handle, JsonlSink, SharedObserver, SpanRecorder};
+use mca_obs::{Handle, JsonlSink, SpanRecorder};
 use mca_report::{diagnose, ParsedTrace};
 use mca_sat::{CnfFormula, SolveResult};
 use mca_verify::batch::run_batch;
@@ -58,15 +58,12 @@ fn trace_of(batches: impl FnOnce(&SpanRecorder)) -> ParsedTrace {
 fn folding_batch(threads: usize, name: &str, count: u64, work: u64, spans: &SpanRecorder) -> usize {
     let jobs: Vec<(String, _)> = (0..count)
         .map(|i| {
-            (
-                format!("{name}:{i}"),
-                move |_: Option<SharedObserver>, _: Option<&SpanRecorder>| {
-                    (0..work).fold(i, |acc, x| acc.wrapping_mul(31).wrapping_add(x))
-                },
-            )
+            (format!("{name}:{i}"), move |_: Option<&SpanRecorder>| {
+                (0..work).fold(i, |acc, x| acc.wrapping_mul(31).wrapping_add(x))
+            })
         })
         .collect();
-    run_batch(threads, jobs, None, Some(spans)).len()
+    run_batch(threads, jobs, Some(spans)).len()
 }
 
 /// Runs a fixed batch on `threads` workers and returns its trace outline.
@@ -174,7 +171,7 @@ fn coarsened_e3_batch_no_longer_fires_critical_granularity_rules() {
     // critical is the regression. CI additionally gates the real trace.
     let trace = trace_of(|spans| {
         assert_eq!(
-            mca_verify::analysis::run_policy_matrix(4, None, Some(spans)).len(),
+            mca_verify::analysis::run_policy_matrix(4, Some(spans)).len(),
             4
         );
         assert_eq!(
@@ -184,15 +181,12 @@ fn coarsened_e3_batch_no_longer_fires_critical_granularity_rules() {
         let solves: Vec<(String, _)> = (0..8)
             .map(|i| {
                 let cnf = pigeonhole(7);
-                (
-                    format!("sat:{i}"),
-                    move |_: Option<SharedObserver>, _: Option<&SpanRecorder>| {
-                        cnf.to_solver().solve()
-                    },
-                )
+                (format!("sat:{i}"), move |_: Option<&SpanRecorder>| {
+                    cnf.to_solver().solve()
+                })
             })
             .collect();
-        assert!(run_batch(4, solves, None, Some(spans))
+        assert!(run_batch(4, solves, Some(spans))
             .iter()
             .all(|r| *r == SolveResult::Unsat));
     });
@@ -216,18 +210,15 @@ fn why_scheduling_rules_read_a_real_batchs_spans() {
     let trace = trace_of(|spans| {
         let jobs: Vec<(String, _)> = (0..4u64)
             .map(|i| {
-                (
-                    format!("nap:{i}"),
-                    move |_: Option<SharedObserver>, _: Option<&SpanRecorder>| {
-                        if i == 0 {
-                            std::thread::sleep(std::time::Duration::from_millis(50));
-                        }
-                        i
-                    },
-                )
+                (format!("nap:{i}"), move |_: Option<&SpanRecorder>| {
+                    if i == 0 {
+                        std::thread::sleep(std::time::Duration::from_millis(50));
+                    }
+                    i
+                })
             })
             .collect();
-        assert_eq!(run_batch(4, jobs, None, Some(spans)), [0, 1, 2, 3]);
+        assert_eq!(run_batch(4, jobs, Some(spans)), [0, 1, 2, 3]);
     });
     let batch = trace
         .spans

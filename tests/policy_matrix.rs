@@ -7,7 +7,7 @@ use mca_verify::analysis::run_policy_matrix;
 
 #[test]
 fn matrix_matches_result_1() {
-    let rows = run_policy_matrix(1, None, None);
+    let rows = run_policy_matrix(1, None);
     assert_eq!(rows.len(), 4);
     for row in &rows {
         assert!(row.matches_paper(), "cell mismatch: {row}");

@@ -3,14 +3,15 @@
 //! matrix, the extended 16-cell matrix, the E4 attack checks and the E8
 //! scope sweep produce identical rows at 1 thread and at N threads, equal
 //! to their per-cell functions called in a plain loop, and a batch's
-//! logical events and span tree are the same at any thread count.
+//! span tree, with the results its spans carry, is the same at any thread
+//! count.
 //!
 //! The multi-thread worker count defaults to 4 and can be overridden with
 //! `MCA_TEST_THREADS` (CI runs the suite at 1, 2, and 8).
 
 use mca_core::checker::{check_consensus, CheckerOptions};
 use mca_core::scenarios::{self, ExtendedPolicyCell, PolicyCell};
-use mca_obs::{Event, Handle, JsonlSink, SharedObserver, SpanRecorder};
+use mca_obs::{Handle, JsonlSink, SpanRecorder};
 use mca_report::ParsedTrace;
 use mca_sat::{CnfFormula, SolveResult};
 use mca_verify::analysis::{
@@ -29,13 +30,13 @@ fn test_threads() -> usize {
         .unwrap_or(4)
 }
 
-/// Runs `traced` with an observer and a span recorder on one in-memory
-/// JSONL sink and returns the trace's logical (non-span) lines and its
-/// parsed form.
-fn trace_of(traced: impl FnOnce(SharedObserver, &SpanRecorder)) -> (String, ParsedTrace) {
+/// Runs `traced` with a span recorder on an in-memory JSONL sink and
+/// returns the trace's lines that are not span events, and its parsed
+/// form.
+fn trace_of(traced: impl FnOnce(&SpanRecorder)) -> (Vec<String>, ParsedTrace) {
     let handle = Handle::new(JsonlSink::new(Vec::<u8>::new()));
     let spans = SpanRecorder::new(handle.observer());
-    traced(handle.observer(), &spans);
+    traced(&spans);
     drop(spans);
     let bytes = handle
         .try_into_inner()
@@ -43,17 +44,18 @@ fn trace_of(traced: impl FnOnce(SharedObserver, &SpanRecorder)) -> (String, Pars
         .into_inner()
         .expect("in-memory writes cannot fail");
     let text = String::from_utf8(bytes).expect("traces are UTF-8");
-    let logical: Vec<&str> = text
+    let other = text
         .lines()
         .filter(|l| !l.starts_with(r#"{"event":"span-"#))
+        .map(str::to_string)
         .collect();
-    (logical.join("\n"), ParsedTrace::parse(&text))
+    (other, ParsedTrace::parse(&text))
 }
 
 #[test]
 fn e3_policy_matrix_is_thread_count_invariant() {
-    let seq = run_policy_matrix(1, None, None);
-    let par = run_policy_matrix(test_threads(), None, None);
+    let seq = run_policy_matrix(1, None);
+    let par = run_policy_matrix(test_threads(), None);
     let grid = PolicyCell::grid();
     assert_eq!(seq.len(), grid.len());
     assert_eq!(par.len(), grid.len());
@@ -143,7 +145,7 @@ fn e4_attack_checks_are_thread_count_invariant() {
 
 #[test]
 fn e8_scale_sweep_matches_its_per_cell_functions() {
-    let rows = run_scale_sweep(test_threads(), &[(2, 2)], None, None).expect("E8 sweep");
+    let rows = run_scale_sweep(test_threads(), &[(2, 2)], None).expect("E8 sweep");
     assert_eq!(rows.len(), 1);
     let row = &rows[0];
     assert_eq!(
@@ -167,23 +169,36 @@ fn e8_scale_sweep_matches_its_per_cell_functions() {
 
 #[test]
 fn e4_and_e8_traces_are_thread_count_invariant() {
-    // E3's matrix rides along: its jobs emit checker events of their own,
-    // which the batch replays in job order.
+    // E3's matrix rides along. These experiments trace spans only: each
+    // result the trace keeps is a span field, which the outline shows.
     let run = |threads: usize| {
-        trace_of(|observer, spans| {
+        trace_of(|spans| {
             let _root = spans.enter("test");
-            run_policy_matrix(threads, Some(observer.clone()), Some(spans));
+            run_policy_matrix(threads, Some(spans));
             assert!(run_rebid_attack(threads, Some(spans)).matches_paper());
-            let rows =
-                run_scale_sweep(threads, &[(2, 2)], Some(observer), Some(spans)).expect("E8");
+            let rows = run_scale_sweep(threads, &[(2, 2)], Some(spans)).expect("E8");
             assert!(rows[0].verdicts_agree());
         })
     };
-    let (one_events, one) = run(1);
-    let (many_events, many) = run(test_threads());
-    assert!(one_events.contains("checker-done") && one_events.contains("incremental-solve"));
-    assert_eq!(one_events, many_events, "logical events differ");
-    assert_eq!(one.outline(), many.outline(), "span trees differ");
+    let (one_other, one) = run(1);
+    let (many_other, many) = run(test_threads());
+    assert_eq!(one_other, Vec::<String>::new(), "a non-span line");
+    assert_eq!(many_other, Vec::<String>::new(), "a non-span line");
+    let outline = one.outline();
+    assert_eq!(outline, many.outline(), "span trees differ");
+    let (sweep, _) = scale_sweep_at(2, 2, None).expect("E8 sweep");
+    for (k, (&valid, conflicts)) in sweep
+        .per_state
+        .iter()
+        .zip(&sweep.conflicts_after)
+        .enumerate()
+    {
+        let query = format!(
+            "verify.state-query query={k} valid={} conflicts={conflicts}\n",
+            u64::from(valid)
+        );
+        assert!(outline.contains(&query), "no `{query}` in\n{outline}");
+    }
     for trace in [&one, &many] {
         assert!(trace.diagnostics.is_empty(), "{:?}", trace.diagnostics);
         assert_eq!(trace.roots.len(), 1, "one root span");
@@ -240,76 +255,69 @@ fn pigeonhole(holes: usize) -> CnfFormula {
 
 #[test]
 fn batch_event_streams_are_bit_identical_across_thread_counts() {
-    // Each job solves with spans on and reports its search as a logical
-    // event. Pigeonhole refutations of mixed sizes make the jobs finish
-    // out of order, yet the replayed stream and span tree must render
-    // identically at 1, 2 and 8 threads.
-    let stream_at = |threads: usize| {
-        trace_of(|observer, spans| {
+    // Each job solves with spans on and records its search's result as
+    // fields of its own span. Pigeonhole refutations of mixed sizes make
+    // the jobs finish out of order, yet the replayed span tree and its
+    // fields must render identically at 1, 2 and 8 threads.
+    let outline_at = |threads: usize| {
+        let (other, trace) = trace_of(|spans| {
             let jobs: Vec<(String, _)> = (0..16usize)
                 .map(|i| {
                     let holes = 2 + i % 4;
                     let cnf = pigeonhole(holes);
                     (
                         format!("php:{i}:{holes}"),
-                        move |observer: Option<SharedObserver>, spans: Option<&SpanRecorder>| {
+                        move |spans: Option<&SpanRecorder>| {
+                            let mut span = spans.map(|r| r.enter("php"));
                             let mut solver = cnf.to_solver();
                             if let Some(spans) = spans {
                                 solver.set_spans(spans.clone());
                             }
                             let result = solver.solve();
-                            observer.expect("observed").emit(&Event::IncrementalSolve {
-                                label: format!("php:{i}"),
-                                query: 0,
-                                valid: result == SolveResult::Unsat,
-                                conflicts: solver.stats().conflicts,
-                            });
+                            if let Some(span) = span.as_mut() {
+                                span.field("valid", u64::from(result == SolveResult::Unsat));
+                                span.field("conflicts", solver.stats().conflicts);
+                            }
                             result
                         },
                     )
                 })
                 .collect();
-            let results = run_batch(threads, jobs, Some(&observer), Some(spans));
+            let results = run_batch(threads, jobs, Some(spans));
             assert!(results.iter().all(|r| *r == SolveResult::Unsat));
-        })
+        });
+        assert!(other.is_empty(), "a non-span line: {other:?}");
+        trace.outline()
     };
-    let (one, one_trace) = stream_at(1);
-    assert_eq!(one.lines().count(), 16);
+    let one = outline_at(1);
+    let solves: Vec<&str> = one
+        .lines()
+        .filter(|l| l.trim_start().starts_with("php "))
+        .collect();
+    assert_eq!(solves.len(), 16, "{one}");
+    assert!(
+        solves.iter().all(|l| l.contains(" valid=1 conflicts=")),
+        "{solves:?}"
+    );
     for threads in [2, 8] {
-        let (many, many_trace) = stream_at(threads);
-        assert_eq!(one, many, "{threads}-thread stream diverged");
-        assert_eq!(one_trace.outline(), many_trace.outline());
+        assert_eq!(one, outline_at(threads), "{threads}-thread trace diverged");
     }
 }
 
 #[test]
 fn stress_hundred_jobs_fire_events_exactly_once() {
     // Nothing deadlocks, every job reports its result in submission
-    // order, and each job's event and span appear once, in job order.
-    let (events, trace) = trace_of(|observer, spans| {
+    // order, and each job's span appears once, in job order.
+    let (other, trace) = trace_of(|spans| {
         let jobs: Vec<(String, _)> = (0..100u64)
-            .map(|i| {
-                (
-                    format!("stress:{i}"),
-                    move |observer: Option<SharedObserver>, _: Option<&SpanRecorder>| {
-                        observer.expect("observed").emit(&Event::CheckerProgress {
-                            states_explored: i,
-                            frontier_depth: 0,
-                        });
-                        i * i
-                    },
-                )
-            })
+            .map(|i| (format!("stress:{i}"), move |_: Option<&SpanRecorder>| i * i))
             .collect();
-        let results = run_batch(test_threads(), jobs, Some(&observer), Some(spans));
+        let results = run_batch(test_threads(), jobs, Some(spans));
         assert_eq!(results, (0..100u64).map(|i| i * i).collect::<Vec<_>>());
     });
-    let expected: Vec<String> = (0..100)
-        .map(|i| {
-            format!(r#"{{"event":"checker-progress","states_explored":{i},"frontier_depth":0}}"#)
-        })
-        .collect();
-    assert_eq!(events, expected.join("\n"));
+    assert!(other.is_empty(), "a non-span line: {other:?}");
+    assert!(trace.diagnostics.is_empty(), "{:?}", trace.diagnostics);
+    assert_eq!(trace.spans.len(), 101, "the batch and one span per job");
     let jobs: Vec<_> = trace
         .spans
         .iter()

@@ -6,13 +6,13 @@
 //!   and N worker threads — parallelism changes wall-clock, never the
 //!   span tree.
 //! * A span-enabled E3 run returns the same rows as a plain one and
-//!   records one span per cell; without a recorder an attached observer
-//!   sees no span event. (The wall-clock overhead gate lives in
+//!   records one span per cell; without a recorder, the observer attached
+//!   to E1's simulator sees its schedule and no span event. (The wall-clock overhead gate lives in
 //!   `crates/bench/tests/wall_clock.rs`, which CI runs in release mode.)
 
-use mca_obs::{CollectSink, Handle, JsonlSink, SharedObserver, SpanRecorder};
+use mca_obs::{CollectSink, Handle, JsonlSink, SpanRecorder};
 use mca_report::ParsedTrace;
-use mca_verify::analysis::{run_policy_matrix, PolicyMatrixRow};
+use mca_verify::analysis::{run_fig1, run_policy_matrix, PolicyMatrixRow};
 use mca_verify::batch::run_batch;
 use mca_verify::{DynamicModel, DynamicScenario, NumberEncoding};
 
@@ -23,18 +23,15 @@ fn job_span_outline(threads: usize) -> String {
     let spans = SpanRecorder::new(handle.observer());
     let jobs: Vec<(String, _)> = (0..24u64)
         .map(|i| {
-            (
-                format!("work:{i}"),
-                move |_: Option<SharedObserver>, spans: Option<&SpanRecorder>| {
-                    let _inner = spans.map(|r| r.enter("fold"));
-                    // A little real work so execution interleaves across
-                    // workers.
-                    (0..2_000u64).fold(i, |acc, x| acc.wrapping_mul(31).wrapping_add(x))
-                },
-            )
+            (format!("work:{i}"), move |spans: Option<&SpanRecorder>| {
+                let _inner = spans.map(|r| r.enter("fold"));
+                // A little real work so execution interleaves across
+                // workers.
+                (0..2_000u64).fold(i, |acc, x| acc.wrapping_mul(31).wrapping_add(x))
+            })
         })
         .collect();
-    let results = run_batch(threads, jobs, None, Some(&spans));
+    let results = run_batch(threads, jobs, Some(&spans));
     assert_eq!(results.len(), 24);
     drop(spans);
     let bytes = handle
@@ -104,10 +101,10 @@ fn verdicts(rows: &[PolicyMatrixRow]) -> Vec<(bool, bool, String)> {
 
 #[test]
 fn spanned_e3_returns_the_same_rows_and_one_span_per_cell() {
-    let plain = run_policy_matrix(2, None, None);
+    let plain = run_policy_matrix(2, None);
     let handle = Handle::new(CollectSink::default());
     let spans = SpanRecorder::new(handle.observer());
-    let spanned = run_policy_matrix(2, None, Some(&spans));
+    let spanned = run_policy_matrix(2, Some(&spans));
     drop(spans);
     assert_eq!(verdicts(&plain), verdicts(&spanned));
     handle.with(|sink| {
@@ -136,11 +133,10 @@ fn spanned_e3_returns_the_same_rows_and_one_span_per_cell() {
 #[test]
 fn observer_without_a_recorder_receives_no_span_events() {
     let handle = Handle::new(CollectSink::default());
-    let rows = run_policy_matrix(2, Some(handle.observer()), None);
-    assert_eq!(rows.len(), 4);
+    assert!(run_fig1(Some(handle.observer())).converged);
     handle.with(|sink| {
         assert!(
-            sink.events.iter().any(|e| e.kind() == "checker-done"),
+            sink.events.iter().any(|e| e.kind() == "deliver"),
             "the observer is attached"
         );
         assert!(
